@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +46,7 @@ from .scan import peak_report, resonance_scan, scan_grid
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _scan_config_from_preset(name: str) -> tuple[ModelParams, ScanConfig]:
@@ -65,10 +66,7 @@ def _scan_config_from_preset(name: str) -> tuple[ModelParams, ScanConfig]:
 def cmd_scan(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str) -> int:
     if preset_name is not None:
         params, scan_cfg = _scan_config_from_preset(preset_name)
-        if config.model is not None:
-            params = replace(
-                config.model, n_max=config.model.n_max if config.model_n_max_explicit else params.n_max
-            )
+        params = _merge_model(config, params)
     else:
         if config.model is None or config.scan is None:
             raise ConfigError("scan requires [model] and [scan] sections (or --preset)")
@@ -119,26 +117,10 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         preset_name = config.protocol.preset
 
     if preset_name is not None:
-        if preset_name == "dicke_ladder_4":
-            base = ModelParams(
-                n_qubits=4,
-                coupling=presets.FIRST_ORDER_COUPLING,
-                stark_u=presets.FIRST_ORDER_STARK,
-                n_max=default_n_max(0, 4),
-            )
-            params = _merge_model(config, base)
-            return compile_dicke_ladder(4, 4, params), params
+        params = _merge_model(config, presets.protocol_preset(preset_name))
         if preset_name == "ghz_4":
-            base = ModelParams(
-                n_qubits=4,
-                coupling=presets.SECOND_ORDER_COUPLING,
-                stark_u=presets.SECOND_ORDER_STARK,
-                n_max=default_n_max(0, 4),
-            )
-            params = _merge_model(config, base)
             return compile_ghz4(params), params
-        known = ", ".join(presets.PROTOCOL_PRESETS)
-        raise ConfigError(f"unknown protocol preset {preset_name!r}; known: {known}")
+        return compile_dicke_ladder(4, 4, params), params
 
     if config.protocol is None:
         raise ConfigError("protocol requires a [protocol] section (or --preset)")
@@ -147,9 +129,9 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         n_max = (
             config.model.n_max
             if (config.model is not None and config.model_n_max_explicit)
-            else default_n_max(proto.initial[1] + 2, proto.n_qubits)
+            else default_n_max(proto.initial[1] + 2, proto.params.n_qubits)
         )
-        return proto, proto.base_params(n_max)
+        return proto, replace(proto.params, n_max=n_max)
     if config.model is None:
         raise ConfigError("inline protocols require a [model] section")
     inline = config.protocol.inline
@@ -178,7 +160,7 @@ def _merge_model(config: RunConfig, base: ModelParams) -> ModelParams:
     return replace(config.model, n_max=n_max)
 
 
-def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str) -> int:
+def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
     proto, params = _compile_protocol(config, preset_name)
     space = build_space(params, BasisKind.SYMMETRIC)
     samples = config.protocol.samples if config.protocol is not None else 400
@@ -222,12 +204,10 @@ def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path, fmt:
     return 0
 
 
-def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str) -> int:
+def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
     if preset_name is not None:
         preset = presets.scan_preset(preset_name)
-        params, target = preset.params, preset.target
-        if config.model is not None:
-            params = _merge_model(config, params)
+        params, target = _merge_model(config, preset.params), preset.target
     else:
         if config.model is None or config.effective is None:
             raise ConfigError("effective requires [model] and [effective] sections (or --preset)")
@@ -238,6 +218,7 @@ def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path, fmt
     space = build_space(tuned, BasisKind.SYMMETRIC)
     coupling = target_coupling(target, tuned)
     report = rwa_validity_report(target, tuned, space)
+    min_adjacent = report.min_ratio(adjacent_only=True)
     payload = {
         "target": {
             "kind": target.kind,
@@ -251,8 +232,9 @@ def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path, fmt
         "coupling": coupling,
         "duration_half_period": pulse_duration(target, tuned, 0.5),
         "duration_quarter_period": pulse_duration(target, tuned, 0.25),
-        "min_competing_ratio_adjacent": report.min_ratio(adjacent_only=True),
-        "min_competing_ratio_all": report.min_ratio(),
+        # infinite when no competing channel is coupled; JSON has no infinity
+        "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
+        "min_competing_ratio_all": _finite_or_none(report.min_ratio()),
         "channels": report.rows(),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,12 +242,12 @@ def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path, fmt
     print(
         f"effective {target.label()}: ratio {payload['ratio']:.6f},"
         f" coupling {coupling:.6g}, min adjacent |delta|/Omega"
-        f" {payload['min_competing_ratio_adjacent']:.1f}"
+        f" {min_adjacent:.1f}"
     )
     return 0
 
 
-def cmd_validate(config: RunConfig, out_dir: Path, fmt: str) -> int:
+def cmd_validate(config: RunConfig, out_dir: Path) -> int:
     from .validate import run_validation
 
     checks, ok = run_validation(draws=config.validate.draws, seed=config.validate.seed)
@@ -300,24 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "validate":
             p.add_argument("--preset", help="named preset (fig2a..fig8, dicke_ladder_4, ghz_4)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="data format")
+        if name == "scan":
+            p.add_argument("--format", choices=("csv", "json"), help="scan data format")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else _empty_config()
-        fmt = args.format or config.output.format
+        config = load_config(args.config) if args.config else RunConfig()
         out_dir = args.out if args.out != Path("out") or not args.config else Path(config.output.directory)
         preset = getattr(args, "preset", None)
         if args.command == "scan":
-            return cmd_scan(config, preset, out_dir, fmt)
+            return cmd_scan(config, preset, out_dir, args.format or config.output.format)
         if args.command == "protocol":
-            return cmd_protocol(config, preset, out_dir, fmt)
+            return cmd_protocol(config, preset, out_dir)
         if args.command == "effective":
-            return cmd_effective(config, preset, out_dir, fmt)
-        return cmd_validate(config, out_dir, fmt)
+            return cmd_effective(config, preset, out_dir)
+        return cmd_validate(config, out_dir)
     except (
         ConfigError,
         ResonanceBracketError,
@@ -330,18 +312,8 @@ def main(argv=None) -> int:
         return 2
 
 
-def _empty_config() -> RunConfig:
-    from .config import OutputConfig, ValidateConfig
-
-    return RunConfig(
-        model=None,
-        model_n_max_explicit=False,
-        scan=None,
-        protocol=None,
-        effective=None,
-        validate=ValidateConfig(),
-        output=OutputConfig(),
-    )
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 if __name__ == "__main__":

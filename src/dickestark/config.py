@@ -44,7 +44,7 @@ Grammar (all keys shown; unknown sections or keys are rejected):
 
     [output]
     directory = out
-    format    = csv       ; csv | json
+    format    = csv       ; csv | json, for the scan data file
 """
 
 from __future__ import annotations
@@ -102,13 +102,15 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelParams | None
-    model_n_max_explicit: bool
-    scan: ScanConfig | None
-    protocol: ProtocolConfig | None
-    effective: ResonanceTarget | None
-    validate: ValidateConfig
-    output: OutputConfig
+    """A parsed run configuration; the defaults are the empty file."""
+
+    model: ModelParams | None = None
+    model_n_max_explicit: bool = False
+    scan: ScanConfig | None = None
+    protocol: ProtocolConfig | None = None
+    effective: ResonanceTarget | None = None
+    validate: ValidateConfig = ValidateConfig()
+    output: OutputConfig = OutputConfig()
 
 
 _KNOWN_SECTIONS = {"model", "scan", "protocol", "effective", "validate", "output"}

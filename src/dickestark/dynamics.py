@@ -123,10 +123,8 @@ def observables(psi: StateVector) -> tuple[float, float, dict[tuple[int, int], f
     if psi.space.kind is not BasisKind.SYMMETRIC:
         raise ValueError("observables are defined on the symmetric basis")
     pops = np.abs(psi.amplitudes) ** 2
-    labels = psi.space.labels()
-    ks = np.array([k for k, _ in labels], dtype=float)
-    ns = np.array([n for _, n in labels], dtype=float)
-    populations = {label: float(p) for label, p in zip(labels, pops)}
+    ks, ns = psi.space.excitation_numbers()
+    populations = dict(zip(psi.space.labels(), pops.tolist()))
     return float(ks @ pops), float(ns @ pops), populations
 
 
@@ -147,9 +145,7 @@ def evolve(
     norms = np.linalg.norm(states, axis=1)
     states = states / norms[:, None]
     pops = np.abs(states) ** 2
-    labels = h.space.labels()
-    ks = np.array([k for k, _ in labels], dtype=float)
-    ns = np.array([n for _, n in labels], dtype=float)
+    ks, ns = h.space.excitation_numbers()
     return Trajectory(
         space=h.space,
         times=times,

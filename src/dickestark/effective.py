@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import HilbertSpace, ModelParams, Operator, ladder_coupling
 
@@ -279,11 +278,10 @@ def solve_second_order_resonance(
     target: ResonanceTarget,
     params: ModelParams,
     bracket: tuple[float, float] | None = None,
-    max_iter: int = 200,
 ) -> float:
     """omega_q zeroing the Stark-corrected frequency of a second-order target,
-    found by bracketed root refinement (the tilde frequency depends on
-    omega_q nonlinearly through the Stark shifts).
+    found by bracketed false-position (Illinois) refinement (the tilde
+    frequency depends on omega_q nonlinearly through the Stark shifts).
 
     The default bracket is the bare linear solution widened by
     10 lambda^2 N / |U|, since the Stark corrections are O(lambda^2 / delta).
@@ -302,7 +300,7 @@ def solve_second_order_resonance(
     def objective(omega_q: float) -> float:
         return tilde_frequency(target, replace(params, omega_q=omega_q))
 
-    lo, hi = bracket
+    lo, hi = sorted(bracket)
     f_lo, f_hi = objective(lo), objective(hi)
     if f_lo == 0.0:
         return lo
@@ -312,13 +310,40 @@ def solve_second_order_resonance(
         raise ResonanceBracketError(
             f"no sign change of the tilde frequency over omega_q in [{lo}, {hi}]"
         )
-    root = brentq(objective, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=max_iter)
+    root = _illinois(objective, lo, hi, f_lo, f_hi)
     residual = objective(root)
-    if abs(residual) > ROOT_TOLERANCE:
+    if not abs(residual) <= ROOT_TOLERANCE:
         raise ResonanceBracketError(
             f"root refinement left |tilde frequency| = {abs(residual):.3e} > {ROOT_TOLERANCE}"
         )
     return float(root)
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of ``f`` inside [lo, hi], where f_lo and f_hi differ in sign, by
+    false position with the Illinois rule: when the same end survives twice
+    in a row its value is halved, so both ends close in. Every iterate stays
+    at least ``tol`` (two ulps) inside the bracket, so each step shrinks it.
+    Stops at an exact zero or once the bracket is 2 tol wide."""
+    tol = 2 * math.ulp(max(abs(lo), abs(hi)))
+    side = 0
+    while hi - lo > 2 * tol:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + tol), hi - tol)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0) == (f_hi > 0):
+            hi, f_hi = x, f_x
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
+        else:
+            lo, f_lo = x, f_x
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
+    return lo if abs(f_lo) < abs(f_hi) else hi
 
 
 def solve_resonance(target: ResonanceTarget, params: ModelParams) -> float:

@@ -66,15 +66,13 @@ class ModelParams:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        for name in ("omega_r", "omega_q", "coupling", "stark_u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_r <= 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-
-    @property
-    def ratio(self) -> float:
-        """Detuning ratio (omega_r - omega_q) / omega_r for this omega_q."""
-        return (self.omega_r - self.omega_q) / self.omega_r
 
 
 def default_n_max(n_initial: int, n_qubits: int) -> int:
@@ -125,7 +123,17 @@ class HilbertSpace:
 
     def labels(self) -> list[tuple[int, int]]:
         """All (k, n) labels in flat-index order (symmetric basis only)."""
-        return [self.label(i) for i in range(self.dimension)]
+        if self.kind is not BasisKind.SYMMETRIC:
+            raise ValueError("labels() is defined on the symmetric basis")
+        return [divmod(i, self.n_max + 1) for i in range(self.dimension)]
+
+    def excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k, n) of every flat index as two float arrays (symmetric basis
+        only): the diagonals of N_q and a'a."""
+        if self.kind is not BasisKind.SYMMETRIC:
+            raise ValueError("excitation_numbers is defined on the symmetric basis")
+        k, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
+        return k.astype(float), n.astype(float)
 
 
 @dataclass(frozen=True)
@@ -320,20 +328,3 @@ def symmetrization_isometry(sym: HilbertSpace, prod: HilbertSpace) -> np.ndarray
                     v[prod.product_index(s, n), sym.index(k, n)] = weight
     return v
 
-
-def atomic_excitation_operator(space: HilbertSpace) -> Operator:
-    """N_q = sum_j sigma_j^+ sigma_j^-, diagonal in either basis."""
-    levels = space.n_max + 1
-    if space.kind is BasisKind.SYMMETRIC:
-        diag = [k for k, _ in space.labels()]
-    else:
-        diag = [bin(s).count("1") for s in range(2**space.n_qubits) for _ in range(levels)]
-    return Operator(space, np.diag(np.asarray(diag, dtype=float)))
-
-
-def photon_number_operator(space: HilbertSpace) -> Operator:
-    """a'a, diagonal in either basis."""
-    levels = space.n_max + 1
-    blocks = space.dimension // levels
-    diag = np.tile(np.arange(levels, dtype=float), blocks)
-    return Operator(space, np.diag(diag))

@@ -51,108 +51,95 @@ def _second_order_params(initial_n: int) -> ModelParams:
     )
 
 
-SCAN_PRESETS: dict[str, ScanPreset] = {}
-
-
-def _register(preset: ScanPreset) -> None:
-    SCAN_PRESETS[preset.name] = preset
-
-
-# Photon-absorbing transition from |D^0, 1>: peak at ratio -0.250.
-_register(
-    ScanPreset(
-        name="fig2a",
-        params=_first_order_params(1),
-        initial_k=0,
-        initial_n=1,
-        target=ResonanceTarget("tc", 1, 0, 0),
-        window=(-0.45, -0.05),
+SCAN_PRESETS: dict[str, ScanPreset] = {
+    preset.name: preset
+    for preset in (
+        # Photon-absorbing transition from |D^0, 1>: peak at ratio -0.250.
+        ScanPreset(
+            name="fig2a",
+            params=_first_order_params(1),
+            initial_k=0,
+            initial_n=1,
+            target=ResonanceTarget("tc", 1, 0, 0),
+            window=(-0.45, -0.05),
+        ),
+        # Pair-creating transition from the ground cell: peak at 2.125 (same
+        # physics as fig3, kept as its own name for the zero-photon panel).
+        ScanPreset(
+            name="fig2b",
+            params=_first_order_params(0),
+            initial_k=0,
+            initial_n=0,
+            target=ResonanceTarget("atc", 1, 0, 0),
+            window=(1.9, 2.3),
+        ),
+        ScanPreset(
+            name="fig3",
+            params=_first_order_params(0),
+            initial_k=0,
+            initial_n=0,
+            target=ResonanceTarget("atc", 1, 0, 0),
+            window=(1.9, 2.3),
+        ),
+        ScanPreset(
+            name="fig4",
+            params=_first_order_params(1),
+            initial_k=1,
+            initial_n=1,
+            target=ResonanceTarget("tc", 1, 0, 1),
+            window=(-0.325, 0.075),
+        ),
+        ScanPreset(
+            name="fig5",
+            params=_first_order_params(0),
+            initial_k=2,
+            initial_n=0,
+            target=ResonanceTarget("atc", 1, 0, 2),
+            window=(1.675, 2.075),
+        ),
+        ScanPreset(
+            name="fig6",
+            params=_first_order_params(1),
+            initial_k=3,
+            initial_n=1,
+            target=ResonanceTarget("tc", 1, 0, 3),
+            window=(-0.075, 0.325),
+        ),
+        # Two-excitation resonances: narrow windows resolve peaks whose widths
+        # scale with the second-order coupling.
+        ScanPreset(
+            name="fig7",
+            params=_second_order_params(0),
+            initial_k=0,
+            initial_n=0,
+            target=ResonanceTarget("atc", 2, 0, 0),
+            window=(1.96, 2.04),
+        ),
+        ScanPreset(
+            name="fig8",
+            params=_second_order_params(2),
+            initial_k=2,
+            initial_n=2,
+            target=ResonanceTarget("tc", 2, 0, 2),
+            window=(-0.035, 0.045),
+        ),
     )
-)
-
-# Pair-creating transition from the ground cell: peak at 2.125 (same physics
-# as fig3, kept as its own name for the zero-photon panel).
-_register(
-    ScanPreset(
-        name="fig2b",
-        params=_first_order_params(0),
-        initial_k=0,
-        initial_n=0,
-        target=ResonanceTarget("atc", 1, 0, 0),
-        window=(1.9, 2.3),
-    )
-)
-
-_register(
-    ScanPreset(
-        name="fig3",
-        params=_first_order_params(0),
-        initial_k=0,
-        initial_n=0,
-        target=ResonanceTarget("atc", 1, 0, 0),
-        window=(1.9, 2.3),
-    )
-)
-
-_register(
-    ScanPreset(
-        name="fig4",
-        params=_first_order_params(1),
-        initial_k=1,
-        initial_n=1,
-        target=ResonanceTarget("tc", 1, 0, 1),
-        window=(-0.325, 0.075),
-    )
-)
-
-_register(
-    ScanPreset(
-        name="fig5",
-        params=_first_order_params(0),
-        initial_k=2,
-        initial_n=0,
-        target=ResonanceTarget("atc", 1, 0, 2),
-        window=(1.675, 2.075),
-    )
-)
-
-_register(
-    ScanPreset(
-        name="fig6",
-        params=_first_order_params(1),
-        initial_k=3,
-        initial_n=1,
-        target=ResonanceTarget("tc", 1, 0, 3),
-        window=(-0.075, 0.325),
-    )
-)
-
-# Two-excitation resonances: narrow windows resolve peaks whose widths scale
-# with the second-order coupling.
-_register(
-    ScanPreset(
-        name="fig7",
-        params=_second_order_params(0),
-        initial_k=0,
-        initial_n=0,
-        target=ResonanceTarget("atc", 2, 0, 0),
-        window=(1.96, 2.04),
-    )
-)
-
-_register(
-    ScanPreset(
-        name="fig8",
-        params=_second_order_params(2),
-        initial_k=2,
-        initial_n=2,
-        target=ResonanceTarget("tc", 2, 0, 2),
-        window=(-0.035, 0.045),
-    )
-)
+}
 
 
-PROTOCOL_PRESETS = ("dicke_ladder_4", "ghz_4")
+# Protocol presets: the model each reference sequence is compiled for.
+PROTOCOL_PRESETS: dict[str, ModelParams] = {
+    "dicke_ladder_4": _first_order_params(0),
+    "ghz_4": _second_order_params(0),
+}
+
+
+def protocol_preset(name: str) -> ModelParams:
+    try:
+        return PROTOCOL_PRESETS[name]
+    except KeyError:
+        known = ", ".join(PROTOCOL_PRESETS)
+        raise ValueError(f"unknown protocol preset {name!r}; known: {known}") from None
 
 
 def scan_preset(name: str) -> ScanPreset:

@@ -30,6 +30,7 @@ from .model import (
     ModelParams,
     StateVector,
     build_hamiltonian,
+    default_n_max,
     dicke_state,
 )
 
@@ -82,16 +83,15 @@ class PulseStep:
 class Protocol:
     """Compiled pulse sequence with its initial and target states.
 
-    ``expected`` lists, per step, the cells that should carry essentially all
-    population at the step boundary. ``target_kind`` is "basis" for a single
-    (k, n) cell or "ghz" for (|D^0> - |D^N>)/sqrt(2) x |0>.
+    ``params`` are the model parameters the steps were solved for; their
+    omega_q and n_max play no part. ``expected`` lists, per step, the cells
+    that should carry essentially all population at the step boundary.
+    ``target_kind`` is "basis" for a single (k, n) cell or "ghz" for
+    (|D^0> - |D^N>)/sqrt(2) x |0>.
     """
 
     name: str
-    n_qubits: int
-    omega_r: float
-    coupling: float
-    stark_u: float
+    params: ModelParams
     steps: tuple[PulseStep, ...]
     rules: tuple[StepRule, ...]
     initial: tuple[int, int]
@@ -109,31 +109,21 @@ class Protocol:
         if self.target_kind == "basis" and self.target_cell is None:
             raise ValueError("basis target requires a target cell")
 
-    def base_params(self, n_max: int) -> ModelParams:
-        return ModelParams(
-            n_qubits=self.n_qubits,
-            omega_r=self.omega_r,
-            omega_q=self.omega_r,
-            coupling=self.coupling,
-            stark_u=self.stark_u,
-            n_max=n_max,
-        )
-
     def target_state(self, space: HilbertSpace) -> StateVector:
         if self.target_kind == "basis":
             return dicke_state(space, *self.target_cell)
         amps = np.zeros(space.dimension, dtype=complex)
         amps[space.index(0, 0)] = 1 / math.sqrt(2)
-        amps[space.index(self.n_qubits, 0)] = -1 / math.sqrt(2)
+        amps[space.index(space.n_qubits, 0)] = -1 / math.sqrt(2)
         return StateVector(space, amps)
 
     def to_json(self) -> str:
         doc = {
             "name": self.name,
-            "N": self.n_qubits,
-            "omega_r": self.omega_r,
-            "lambda": self.coupling,
-            "U": self.stark_u,
+            "N": self.params.n_qubits,
+            "omega_r": self.params.omega_r,
+            "lambda": self.params.coupling,
+            "U": self.params.stark_u,
             "initial": {"k": self.initial[0], "n": self.initial[1]},
             "target": (
                 {"kind": "ghz"}
@@ -179,10 +169,7 @@ def compile_from_rules(
         expected.append(cells)
     return Protocol(
         name=name,
-        n_qubits=params.n_qubits,
-        omega_r=params.omega_r,
-        coupling=params.coupling,
-        stark_u=params.stark_u,
+        params=params,
         steps=tuple(steps),
         rules=tuple(rules),
         initial=initial,
@@ -278,14 +265,9 @@ def run_protocol(
     """Execute the sequence: exact evolution under the full Hamiltonian with
     each step's qubit frequency, frame-unwound at the step boundaries, with a
     top-photon-level guard along every trajectory."""
-    for field, have, want in (
-        ("n_qubits", params.n_qubits, protocol.n_qubits),
-        ("omega_r", params.omega_r, protocol.omega_r),
-        ("coupling", params.coupling, protocol.coupling),
-        ("stark_u", params.stark_u, protocol.stark_u),
-    ):
-        if have != want:
-            raise ValueError(f"params.{field}={have} does not match the compiled {want}")
+    compiled = protocol.params
+    if replace(params, omega_q=compiled.omega_q, n_max=compiled.n_max) != compiled:
+        raise ValueError(f"{params} does not match the compiled {compiled}")
     if not all(math.isfinite(s.omega_q) and math.isfinite(s.duration) for s in protocol.steps):
         raise ValueError("protocol contains non-finite step data")
 
@@ -356,13 +338,9 @@ def protocol_from_json(text: str) -> Protocol:
         kind, cell = "basis", (int(target["k"]), int(target["n"]))
     else:
         raise ValueError(f"unknown target kind {target['kind']!r}")
-    # durations depend on n_max only through nothing: recompile with a wide
-    # enough cutoff for the rule solve (detunings are cutoff-independent)
-    n_needed = max(
-        [initial[1]] + [rule.target.pair()[1][1] for rule in rules] + [rule.target.pair()[0][1] for rule in rules]
-    )
-    from .model import default_n_max
-
+    # detunings are cutoff-independent: recompile with the default cutoff
+    # above the highest photon number any rule or the initial cell touches
+    n_needed = max([initial[1]] + [n for rule in rules for _, n in rule.target.pair()])
     params = replace(params, n_max=default_n_max(n_needed, params.n_qubits))
     return compile_from_rules(
         name=str(doc.get("name", "custom")),

@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dynamics import observables, propagate
 from .effective import ResonanceTarget, omega_q_from_ratio
@@ -85,12 +84,31 @@ def detect_peaks(ratios: np.ndarray, values: np.ndarray, min_height: float) -> l
     values = np.asarray(values, dtype=float)
     if ratios.size == 0:
         raise ValueError("curve must be nonempty")
-    indices, _ = find_peaks(values, prominence=min_height)
     peaks = []
-    for idx in indices:
-        location, height = _parabolic_refine(ratios, values, int(idx))
+    for idx in _prominent_maxima(values, min_height):
+        location, height = _parabolic_refine(ratios, values, idx)
         peaks.append(Peak(location=location, height=height))
     return peaks
+
+
+def _prominent_maxima(y: np.ndarray, min_prominence: float) -> list[int]:
+    """Indices of the interior local maxima of ``y`` whose topographic
+    prominence is at least ``min_prominence``. A flat top counts once, at the
+    middle sample (lower middle for an even run). A maximum's prominence is
+    its height above the higher of its two bases, the lowest value on each
+    side before the curve first exceeds the maximum or ends."""
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # runs of equal values
+    ends = np.r_[starts[1:] - 1, y.size - 1]
+    v = y[starts]
+    found = []
+    for j in np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1:
+        bases = []
+        for side in (y[starts[j] - 1 :: -1], y[ends[j] + 1 :]):
+            higher = np.flatnonzero(~(side <= v[j]))  # a NaN also ends the side
+            bases.append(side[: higher[0] if higher.size else side.size].min())
+        if v[j] - max(bases) >= min_prominence:
+            found.append(int(starts[j] + ends[j]) // 2)
+    return found
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, float]:

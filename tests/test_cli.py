@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dickestark
 
 from dickestark.cli import main
 from dickestark.config import ConfigError, parse_config
@@ -206,6 +212,70 @@ class TestEffectiveCommand:
         assert code != 0
         err = capsys.readouterr().err
         assert "detuning" in err or "degenerate" in err
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "command, key, field",
+        [("effective", "lambda", "coupling"), ("scan", "stark_u", "stark_u")],
+    )
+    def test_nan_model_value_exits_2_without_output(self, tmp_path, capsys, command, key, field):
+        # NaN used to reach effective.json as a bare NaN token (invalid JSON),
+        # or a scan's peak search as a misleading "no peak" error
+        text = SCAN_INI + "\n[effective]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\n"
+        text = "\n".join(f"{key} = nan" if line.startswith(key) else line for line in text.splitlines())
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uncoupled_competition_is_null_in_json(self, tmp_path):
+        # N = 1, n_max = 1: no coupled competing channel touches the aTC(0,0)
+        # pair, so the adjacent minimum ratio is infinite
+        cfg = tmp_path / "lone.ini"
+        cfg.write_text(
+            "[model]\nn_qubits = 1\nlambda = 0.006\nstark_u = -0.5\nn_max = 1\n\n"
+            "[effective]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\n"
+        )
+        out = tmp_path / "eff"
+        assert main(["effective", "--config", str(cfg), "--out", str(out)]) == 0
+        data = json.loads((out / "effective.json").read_text(), parse_constant=pytest.fail)
+        assert data["min_competing_ratio_adjacent"] is None
+        assert data["min_competing_ratio_all"] > 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [["protocol", "--preset", "ghz_4"], ["effective", "--preset", "fig7"], ["validate"]],
+    )
+    def test_format_flag_is_scan_only(self, tmp_path, args):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # With scipy blocked, every scipy import raises ImportError; each command
+    # must still run to completion.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dickestark.cli import main\n"
+        "for args in (['scan', '--preset', 'fig3'], ['protocol', '--preset', 'ghz_4'],\n"
+        "             ['effective', '--preset', 'fig7'], ['validate']):\n"
+        "    code = main(args + ['--out', sys.argv[1] + '/' + args[0]])\n"
+        "    assert code == 0, (args, code)\n"
+    )
+    src = str(Path(dickestark.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "validate" / "validation.json").exists()
 
 
 class TestValidateCommand:

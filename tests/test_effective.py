@@ -7,6 +7,7 @@ from dickestark.effective import (
     DegenerateDetuningError,
     ResonanceBracketError,
     ResonanceTarget,
+    _bare_second_order_omega_q,
     build_effective_hamiltonian,
     detuned_rabi_probability,
     first_order_detunings,
@@ -190,6 +191,57 @@ class TestSecondOrderResonances:
         t = ResonanceTarget("atc", 2, 0, 0)
         with pytest.raises(ResonanceBracketError):
             solve_second_order_resonance(t, p, bracket=(-0.5, -0.4))
+
+    def test_matches_brentq_oracle(self):
+        # scipy is a test-only oracle. Targets: the fig7 / ghz_4 step-1 and
+        # fig8 / ghz_4 step-2 resonances, then seeded draws whose default
+        # bracket holds a single sign change on a fine grid and which brentq
+        # solves.
+        import random
+        from dataclasses import replace
+
+        from scipy.optimize import brentq
+
+        from dickestark.effective import tilde_frequency
+
+        def oracle(target, params):
+            def objective(omega_q):
+                return tilde_frequency(target, replace(params, omega_q=omega_q))
+
+            center = _bare_second_order_omega_q(target, params)
+            width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
+            lo, hi = center - width, center + width
+            signs = np.sign([objective(w) for w in np.linspace(lo, hi, 201)])
+            if np.count_nonzero(np.diff(signs)) != 1:
+                return None
+            return brentq(objective, lo, hi, xtol=1e-15)
+
+        p = ModelParams(**SECOND_ORDER)
+        cases = [
+            (target, p, oracle(target, p))
+            for target in (ResonanceTarget("atc", 2, 0, 0), ResonanceTarget("tc", 2, 0, 2))
+        ]
+        rng = random.Random(3)
+        while len(cases) < 42:
+            n_qubits = rng.randint(2, 6)
+            target = ResonanceTarget(
+                rng.choice(("tc", "atc")), 2, rng.randrange(3), rng.randrange(n_qubits - 1)
+            )
+            params = ModelParams(
+                n_qubits=n_qubits,
+                coupling=rng.uniform(0.01, 0.2),
+                stark_u=rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1.0, 5.0),
+                n_max=8,
+            )
+            try:
+                reference = oracle(target, params)
+            except DegenerateDetuningError:
+                continue
+            if reference is not None:
+                cases.append((target, params, reference))
+        for target, params, reference in cases:
+            ours = solve_second_order_resonance(target, params)
+            assert ours == pytest.approx(reference, rel=1e-12, abs=0), (target, params)
 
     def test_dressed_gap_and_sign_oracle(self):
         # Oracle: exact diagonalization at the pair-creation resonance. The

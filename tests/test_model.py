@@ -66,6 +66,19 @@ class TestSpaces:
         with pytest.raises(ValueError):
             ModelParams(n_qubits=2, coupling=-0.1)
 
+    @pytest.mark.parametrize("field", ["omega_r", "omega_q", "coupling", "stark_u"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_params_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(n_qubits=2, **{field: value})
+
+    def test_excitation_numbers_match_labels(self):
+        _, sym, prod = spaces(3, 4)
+        ks, ns = sym.excitation_numbers()
+        assert list(zip(ks, ns)) == sym.labels()
+        with pytest.raises(ValueError, match="symmetric"):
+            prod.excitation_numbers()
+
     def test_default_n_max(self):
         assert default_n_max(0, 4) == 8
         assert default_n_max(2, 4) == 10

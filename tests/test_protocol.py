@@ -161,10 +161,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="at least one step"):
             Protocol(
                 name="empty",
-                n_qubits=4,
-                omega_r=1.0,
-                coupling=0.1,
-                stark_u=-16.0,
+                params=ghz_params(),
                 steps=(),
                 rules=(),
                 initial=(0, 0),

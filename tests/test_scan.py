@@ -11,7 +11,14 @@ from dickestark.effective import (
 )
 from dickestark.model import BasisKind, build_space, dicke_state
 from dickestark.presets import scan_preset
-from dickestark.scan import detect_peaks, peak_report, resonance_scan, scan_grid
+from dickestark.scan import (
+    Peak,
+    _parabolic_refine,
+    detect_peaks,
+    peak_report,
+    resonance_scan,
+    scan_grid,
+)
 
 
 def run_preset(name, points=None):
@@ -47,6 +54,32 @@ class TestDetectPeaks:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             detect_peaks(np.array([]), np.array([]), 0.5)
+
+    def test_flat_top_counts_once_at_its_middle(self):
+        x = np.arange(8.0)
+        # plateau 1..4 peaks at (1 + 4) // 2; the plateau touching the end does not
+        y = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0])
+        assert detect_peaks(x, y, min_height=0.5) == [Peak(location=2.0, height=1.0)]
+
+    def test_matches_scipy_find_peaks_on_random_curves(self):
+        # scipy is a test-only oracle: the same maxima, refined the same way
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(7)
+        for trial in range(1200):
+            n = int(rng.integers(1, 61))
+            y = rng.normal(size=n)
+            if trial % 4 == 1:
+                y = np.round(2 * y) / 2  # plateaus
+            elif trial % 4 == 2:
+                y = np.cumsum(y)  # random walk
+            elif trial % 4 == 3:
+                y = np.round(2 * np.cumsum(y)) / 2  # random walk with plateaus
+            x = np.sort(rng.uniform(-1.0, 1.0, size=n))
+            h = float(rng.uniform(0.0, 2.0))
+            indices, _ = find_peaks(y, prominence=h)
+            expected = [Peak(*_parabolic_refine(x, y, int(i))) for i in indices]
+            assert detect_peaks(x, y, min_height=h) == expected, (trial, y.tolist(), h)
 
 
 class TestResonanceScan:
