@@ -18,15 +18,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import presets
-from .config import ConfigError, RunConfig, ScanConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .dynamics import observables, write_trajectory_csv
 from .effective import (
-    DegenerateDetuningError,
-    ResonanceBracketError,
     ratio_from_omega_q,
     rwa_validity_report,
     solve_resonance,
@@ -39,6 +37,7 @@ from .protocol import (
     compile_dicke_ladder,
     compile_ghz4,
     compile_from_rules,
+    highest_start_photon,
     protocol_from_json,
     run_protocol,
 )
@@ -49,46 +48,44 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _scan_config_from_preset(name: str) -> tuple[ModelParams, ScanConfig]:
-    preset = presets.scan_preset(name)
-    scan = ScanConfig(
-        target=preset.target,
-        initial_k=preset.initial_k,
-        initial_n=preset.initial_n,
-        window=preset.window,
-        points=preset.points,
-        duration=None,
-        min_height=preset.min_height,
-    )
-    return preset.params, scan
+def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) -> ModelParams:
+    """The [model] section over the preset's parameters. The photon cutoff is
+    the [model] n_max if given, else the preset's, else
+    default_n_max(photon, N), where ``photon`` is the highest photon number
+    the run starts a transition from."""
+    model = config.model if config.model is not None else preset
+    if model is None:
+        raise ConfigError("a [model] section is required (or --preset)")
+    if config.model_n_max_explicit:
+        return model
+    n_max = preset.n_max if preset is not None else default_n_max(photon, model.n_qubits)
+    return replace(model, n_max=n_max)
 
 
 def cmd_scan(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str) -> int:
     if preset_name is not None:
-        params, scan_cfg = _scan_config_from_preset(preset_name)
-        params = _merge_model(config, params)
+        job = presets.scan_preset(preset_name)
+    elif config.scan is not None:
+        job = config.scan
     else:
-        if config.model is None or config.scan is None:
-            raise ConfigError("scan requires [model] and [scan] sections (or --preset)")
-        params, scan_cfg = config.model, config.scan
-        if not config.model_n_max_explicit:
-            params = replace(params, n_max=default_n_max(scan_cfg.initial_n, params.n_qubits))
+        raise ConfigError("scan requires [model] and [scan] sections (or --preset)")
+    target = job.target
+    params = _resolve_params(config, job.params, max(job.initial_n, target.n0))
 
-    target = scan_cfg.target
     omega_q_star = solve_resonance(target, params)
     predicted = ratio_from_omega_q(omega_q_star, params)
     tuned = replace(params, omega_q=omega_q_star)
     duration = (
-        scan_cfg.duration
-        if scan_cfg.duration is not None
-        else pulse_duration(target, tuned, 0.5)
+        job.duration
+        if job.duration is not None
+        else pulse_duration(target, tuned, job.duration_fraction)
     )
 
     space = build_space(params, BasisKind.SYMMETRIC)
-    psi0 = dicke_state(space, scan_cfg.initial_k, scan_cfg.initial_n)
-    grid = scan_grid(scan_cfg.window, scan_cfg.points)
+    psi0 = dicke_state(space, job.initial_k, job.initial_n)
+    grid = scan_grid(job.window, job.points)
     curve = resonance_scan(psi0, grid, duration, params, space)
-    report = peak_report(curve, target, predicted, scan_cfg.min_height)
+    report = peak_report(curve, target, predicted, job.min_height)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -103,7 +100,7 @@ def cmd_scan(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str
                 "duration": curve.duration,
             },
         )
-    _write_json(out_dir / "peaks.json", report.to_jsonable())
+    _write_json(out_dir / "peaks.json", asdict(report))
     print(
         f"scan {target.label()}: peak at {report.location:.6f}"
         f" (predicted {report.predicted_location:.6f},"
@@ -117,7 +114,8 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         preset_name = config.protocol.preset
 
     if preset_name is not None:
-        params = _merge_model(config, presets.protocol_preset(preset_name))
+        # both presets start every transition from n = 0
+        params = _resolve_params(config, presets.protocol_preset(preset_name), 0)
         if preset_name == "ghz_4":
             return compile_ghz4(params), params
         return compile_dicke_ladder(4, 4, params), params
@@ -126,22 +124,10 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         raise ConfigError("protocol requires a [protocol] section (or --preset)")
     if config.protocol.file is not None:
         proto = protocol_from_json(Path(config.protocol.file).read_text(encoding="utf-8"))
-        n_max = (
-            config.model.n_max
-            if (config.model is not None and config.model_n_max_explicit)
-            else default_n_max(proto.initial[1] + 2, proto.params.n_qubits)
-        )
-        return proto, replace(proto.params, n_max=n_max)
-    if config.model is None:
-        raise ConfigError("inline protocols require a [model] section")
+        photon = highest_start_photon(proto.initial, proto.rules)
+        return proto, _resolve_params(config, proto.params, photon)
     inline = config.protocol.inline
-    params = config.model
-    if not config.model_n_max_explicit:
-        top = max(
-            [inline.initial[1]]
-            + [n for rule in inline.rules for _, n in rule.target.pair()]
-        )
-        params = replace(params, n_max=default_n_max(top, params.n_qubits))
+    params = _resolve_params(config, None, highest_start_photon(inline.initial, inline.rules))
     proto = compile_from_rules(
         name="custom",
         params=params,
@@ -151,13 +137,6 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         target_cell=inline.target_cell,
     )
     return proto, params
-
-
-def _merge_model(config: RunConfig, base: ModelParams) -> ModelParams:
-    if config.model is None:
-        return base
-    n_max = config.model.n_max if config.model_n_max_explicit else base.n_max
-    return replace(config.model, n_max=n_max)
 
 
 def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
@@ -207,11 +186,12 @@ def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> i
 def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
     if preset_name is not None:
         preset = presets.scan_preset(preset_name)
-        params, target = _merge_model(config, preset.params), preset.target
+        base, target = preset.params, preset.target
+    elif config.effective is not None:
+        base, target = None, config.effective
     else:
-        if config.model is None or config.effective is None:
-            raise ConfigError("effective requires [model] and [effective] sections (or --preset)")
-        params, target = config.model, config.effective
+        raise ConfigError("effective requires [model] and [effective] sections (or --preset)")
+    params = _resolve_params(config, base, target.n0)
 
     omega_q = solve_resonance(target, params)
     tuned = replace(params, omega_q=omega_q)
@@ -254,7 +234,7 @@ def cmd_validate(config: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(
         out_dir / "validation.json",
-        {"passed": ok, "checks": [c.to_jsonable() for c in checks]},
+        {"passed": ok, "checks": [asdict(c) for c in checks]},
     )
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -300,14 +280,7 @@ def main(argv=None) -> int:
         if args.command == "effective":
             return cmd_effective(config, preset, out_dir)
         return cmd_validate(config, out_dir)
-    except (
-        ConfigError,
-        ResonanceBracketError,
-        DegenerateDetuningError,
-        CutoffExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, CutoffExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     omega_r  = 1.0
     lambda   = 0.006
     stark_u  = -0.5
-    n_max    = 8          ; optional, derived from the run when omitted
+    n_max    = 8          ; optional, see "Photon cutoff" below
 
     [scan]                ; required by the scan command
     kind       = atc      ; target transition: tc | atc
@@ -45,31 +45,28 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     [output]
     directory = out
     format    = csv       ; csv | json, for the scan data file
+
+Photon cutoff: an n_max in [model] wins; otherwise a preset's own n_max;
+otherwise default_n_max(p, N) = p + N + 4, where p is the highest photon
+number the run starts a transition from: max(initial_n, n0) for scan, the
+initial n and every step's n0 for protocol, n0 for effective. A [model]
+section given with a protocol file must match the file's physics.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .effective import ResonanceTarget
-from .model import ModelParams, default_n_max
+from .model import ModelParams
+from .presets import ScanPreset
 from .protocol import DURATION_RULES, StepRule
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    target: ResonanceTarget
-    initial_k: int
-    initial_n: int
-    window: tuple[float, float]
-    points: int
-    duration: float | None  # None = auto
-    min_height: float
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,14 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed run configuration; the defaults are the empty file."""
+    """A parsed run configuration; the defaults are the empty file.
+
+    ``model.n_max`` holds the [model] n_max only if ``model_n_max_explicit``;
+    otherwise it is 0 and the command derives the cutoff from its run."""
 
     model: ModelParams | None = None
     model_n_max_explicit: bool = False
-    scan: ScanConfig | None = None
+    scan: ScanPreset | None = None
     protocol: ProtocolConfig | None = None
     effective: ResonanceTarget | None = None
     validate: ValidateConfig = ValidateConfig()
@@ -225,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
                 omega_q=1.0,
                 coupling=_get(parser, "model", "lambda", float, required=True),
                 stark_u=_get(parser, "model", "stark_u", float, required=True),
-                n_max=n_max if n_max is not None else default_n_max(0, n_qubits),
+                n_max=n_max if n_max is not None else 0,
             )
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from None
@@ -235,15 +235,17 @@ def parse_config(text: str) -> RunConfig:
         _check_keys("scan", parser.options("scan"))
         duration_raw = _get(parser, "scan", "duration", str, default="auto").strip()
         duration = None if duration_raw == "auto" else float(duration_raw)
-        if duration is not None and duration <= 0:
-            raise ConfigError("[scan] duration must be positive")
+        if duration is not None and not (math.isfinite(duration) and duration > 0):
+            raise ConfigError(f"[scan] duration must be positive and finite, got {duration}")
         window = (
             _get(parser, "scan", "window_min", float, required=True),
             _get(parser, "scan", "window_max", float, required=True),
         )
-        if window[1] <= window[0]:
+        if not window[1] > window[0]:
             raise ConfigError("[scan] window_max must exceed window_min")
-        scan = ScanConfig(
+        scan = ScanPreset(
+            name="config",
+            params=None,
             target=_parse_target(parser, "scan"),
             initial_k=_get(parser, "scan", "initial_k", int, required=True),
             initial_n=_get(parser, "scan", "initial_n", int, required=True),

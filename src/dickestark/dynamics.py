@@ -64,11 +64,11 @@ class Trajectory:
     nph: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         norms = np.linalg.norm(self.states, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:
             raise ValueError(f"trajectory norm drift {drift:.3e} exceeds {NORM_TOL}")
         for arr in (self.times, self.states, self.populations, self.nq, self.nph):
             arr.flags.writeable = False
@@ -111,6 +111,8 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi0> without building the full propagator matrix."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     spec = _Spectral(h)
     amps = spec.apply(psi0.amplitudes, float(t))
     amps = amps / np.linalg.norm(amps)
@@ -137,8 +139,8 @@ def evolve(
         raise ValueError("state and Hamiltonian live in different spaces")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not (np.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     spec = _Spectral(h)
     times = np.linspace(0.0, duration, samples)
     states = spec.apply(psi0.amplitudes, times)

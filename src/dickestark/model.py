@@ -157,7 +157,7 @@ class Operator:
 
     def require_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
         defect = self.hermiticity_defect()
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"operator is not Hermitian: max|M - M^dag| = {defect:.3e}")
 
 
@@ -175,7 +175,7 @@ class StateVector:
                 f"amplitude shape {a.shape} does not match dimension {self.space.dimension}"
             )
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)

@@ -20,8 +20,11 @@ SECOND_ORDER_STARK = -16.0
 
 @dataclass(frozen=True)
 class ScanPreset:
+    """A scan job: a named preset, or a config's [scan] section, whose
+    ``params`` are None because its model comes from [model]."""
+
     name: str
-    params: ModelParams
+    params: ModelParams | None
     initial_k: int
     initial_n: int
     target: ResonanceTarget
@@ -29,6 +32,7 @@ class ScanPreset:
     points: int = 801
     duration_fraction: float = 0.5
     min_height: float = 0.5
+    duration: float | None = None  # None = duration_fraction of the period
 
 
 def _first_order_params(initial_n: int) -> ModelParams:

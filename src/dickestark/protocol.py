@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class StepRule:
     fraction: float
 
     def __post_init__(self) -> None:
-        if self.fraction <= 0:
-            raise ValueError("fraction must be positive")
+        if not (math.isfinite(self.fraction) and self.fraction > 0):
+            raise ValueError(f"fraction must be positive and finite, got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ class PulseStep:
     label: str
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("step duration must be positive")
+        if not math.isfinite(self.omega_q):
+            raise ValueError(f"step omega_q must be finite, got {self.omega_q}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"step duration must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,12 @@ class Protocol:
             ],
         }
         return json.dumps(doc, indent=2)
+
+
+def highest_start_photon(initial: tuple[int, int], rules) -> int:
+    """The highest photon number a protocol starts a transition from: its
+    initial cell's or any rule's n0."""
+    return max([initial[1]] + [rule.target.n0 for rule in rules])
 
 
 def compile_from_rules(
@@ -266,10 +274,14 @@ def run_protocol(
     each step's qubit frequency, frame-unwound at the step boundaries, with a
     top-photon-level guard along every trajectory."""
     compiled = protocol.params
-    if replace(params, omega_q=compiled.omega_q, n_max=compiled.n_max) != compiled:
-        raise ValueError(f"{params} does not match the compiled {compiled}")
-    if not all(math.isfinite(s.omega_q) and math.isfinite(s.duration) for s in protocol.steps):
-        raise ValueError("protocol contains non-finite step data")
+    mismatched = [
+        f"{f.name} = {getattr(params, f.name)} does not match the protocol's compiled"
+        f" {getattr(compiled, f.name)}"
+        for f in fields(ModelParams)
+        if f.name not in ("omega_q", "n_max") and getattr(params, f.name) != getattr(compiled, f.name)
+    ]
+    if mismatched:
+        raise ValueError("; ".join(mismatched))
 
     psi = dicke_state(space, *protocol.initial)
     top_level = [space.index(k, space.n_max) for k in range(space.n_qubits + 1)]
@@ -279,7 +291,7 @@ def run_protocol(
         h = build_hamiltonian(tuned, space)
         traj = evolve(psi, h, step.duration, samples=samples)
         top_pop = float(np.max(np.sum(traj.populations[:, top_level], axis=1)))
-        if top_pop > CUTOFF_POPULATION:
+        if not top_pop <= CUTOFF_POPULATION:
             raise CutoffExceededError(index, top_pop)
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, diagonal_part(h), step.duration)
@@ -338,13 +350,11 @@ def protocol_from_json(text: str) -> Protocol:
         kind, cell = "basis", (int(target["k"]), int(target["n"]))
     else:
         raise ValueError(f"unknown target kind {target['kind']!r}")
-    # detunings are cutoff-independent: recompile with the default cutoff
-    # above the highest photon number any rule or the initial cell touches
-    n_needed = max([initial[1]] + [n for rule in rules for _, n in rule.target.pair()])
-    params = replace(params, n_max=default_n_max(n_needed, params.n_qubits))
+    # detunings are cutoff-independent: compile at the default cutoff
+    n_max = default_n_max(highest_start_photon(initial, rules), params.n_qubits)
     return compile_from_rules(
         name=str(doc.get("name", "custom")),
-        params=params,
+        params=replace(params, n_max=n_max),
         rules=rules,
         initial=initial,
         target_kind=kind,

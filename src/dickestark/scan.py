@@ -62,7 +62,7 @@ def resonance_scan(
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("grid must be nonempty")
-    if np.any(np.diff(ratios) <= 0):
+    if not np.all(np.diff(ratios) > 0):
         raise ValueError("grid must be strictly increasing")
     if psi0.space != space:
         raise ValueError("initial state does not live in the scan space")
@@ -143,14 +143,6 @@ class PeakReport:
     height: float
     predicted_location: float
     abs_error: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "location": self.location,
-            "height": self.height,
-            "predicted_location": self.predicted_location,
-            "abs_error": self.abs_error,
-        }
 
 
 def peak_report(

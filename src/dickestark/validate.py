@@ -59,16 +59,6 @@ class CheckResult:
     threshold: float | None
     detail: str = ""
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "scale": self.scale,
-            "passed": self.passed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
-
 
 def _oracle_params(rng) -> ModelParams:
     return ModelParams(

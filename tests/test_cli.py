@@ -80,6 +80,13 @@ class TestConfigParsing:
                 "[protocol]\npreset = ghz_4\nfile = x.json\n"
             )
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inline_fraction_named(self, value):
+        # used to pass parsing and fail at run time on non-finite step data
+        text = INLINE_PROTOCOL_INI.replace("atc 1 0 0 half_period", f"atc 1 0 0 {value}")
+        with pytest.raises(ConfigError, match="fraction must be positive and finite"):
+            parse_config(text)
+
     def test_inline_protocol(self):
         cfg = parse_config(INLINE_PROTOCOL_INI)
         inline = cfg.protocol.inline
@@ -111,6 +118,17 @@ class TestScanCommand:
         cfg.write_text(SCAN_INI.replace("kind = tc", "kind = zz"))
         out = tmp_path / "never"
         assert main(["scan", "--config", str(cfg), "--out", str(out)]) != 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration_exits_2_naming_it(self, tmp_path, capsys, value):
+        # used to exit 2 with a misleading "no peak" error after RuntimeWarnings
+        cfg = tmp_path / "dur.ini"
+        cfg.write_text(SCAN_INI.replace("points = 161", f"points = 161\nduration = {value}"))
+        out = tmp_path / "never"
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[scan] duration must be positive and finite" in err
         assert not out.exists()
 
     def test_reproducible_output(self, tmp_path):
@@ -254,6 +272,174 @@ class TestInputGuards:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--format", "json", "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+
+MODEL_N_MAX_6 = "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\nn_max = 6\n"
+
+TC60_N2_INI = """
+[model]
+n_qubits = 2
+lambda = 0.006
+stark_u = -0.5
+
+[effective]
+kind = tc
+order = 1
+n0 = 6
+k0 = 0
+"""
+
+PRESET_STEPS = {
+    "dicke_ladder_4": (
+        "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n[protocol]\nsteps =\n"
+        "    atc 1 0 0 half_period\n    tc 1 0 1 half_period\n"
+        "    atc 1 0 2 half_period\n    tc 1 0 3 half_period\n"
+        "target = basis 4 0\n"
+    ),
+    "ghz_4": (
+        "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = -16\n\n[protocol]\nsteps =\n"
+        "    atc 2 0 0 quarter_period\n    tc 2 0 2 half_period\n"
+        "target = ghz\n"
+    ),
+}
+
+
+@pytest.fixture
+def built_n_max(monkeypatch):
+    """The n_max of every space a command builds."""
+    import dickestark.cli as cli
+
+    seen = []
+    original = cli.build_space
+
+    def spy(params, kind):
+        seen.append(params.n_max)
+        return original(params, kind)
+
+    monkeypatch.setattr(cli, "build_space", spy)
+    return seen
+
+
+class TestInputResolution:
+    def test_effective_derives_cutoff_from_target(self, tmp_path, built_n_max):
+        # used to exit 2 with "target needs photon number 7 > n_max=6"
+        cfg = tmp_path / "tc60.ini"
+        cfg.write_text(TC60_N2_INI)
+        out = tmp_path / "eff"
+        assert main(["effective", "--config", str(cfg), "--out", str(out)]) == 0
+        assert built_n_max == [6 + 2 + 4]
+        assert json.loads((out / "effective.json").read_text())["target"]["label"] == "TC(6,0)"
+
+    @pytest.mark.parametrize(
+        "args, text, n_max",
+        [
+            (["scan"], SCAN_INI, 1 + 4 + 4),  # max(initial_n, n0) = 1
+            (
+                ["protocol"],
+                "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n"
+                "[protocol]\nsteps =\n    tc 1 0 1 half_period\n"
+                "initial = 1 1\ntarget = basis 2 0\nsamples = 50\n",
+                1 + 4 + 4,  # the initial n
+            ),
+            (["effective"], TC60_N2_INI, 6 + 2 + 4),  # n0
+        ],
+        ids=["scan", "protocol", "effective"],
+    )
+    def test_derived_cutoff(self, tmp_path, built_n_max, args, text, n_max):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built_n_max == [n_max]
+
+    @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
+    def test_preset_file_and_inline_agree(self, tmp_path, name):
+        # the file and inline forms used to run at other cutoffs than the preset
+        outs = {source: tmp_path / source for source in ("preset", "file", "inline")}
+        assert main(["protocol", "--preset", name, "--out", str(outs["preset"])]) == 0
+        file_ini = tmp_path / "file.ini"
+        file_ini.write_text(f"[protocol]\nfile = {outs['preset'] / 'protocol.json'}\n")
+        assert main(["protocol", "--config", str(file_ini), "--out", str(outs["file"])]) == 0
+        inline_ini = tmp_path / "inline.ini"
+        inline_ini.write_text(PRESET_STEPS[name])
+        assert main(["protocol", "--config", str(inline_ini), "--out", str(outs["inline"])]) == 0
+
+        def summary(source):
+            data = json.loads((outs[source] / "summary.json").read_text())
+            del data["protocol"]
+            return data
+
+        csvs = sorted(p.name for p in outs["preset"].glob("step*_trajectory.csv"))
+        assert csvs
+        for source in ("file", "inline"):
+            for csv_name in csvs:
+                assert (outs[source] / csv_name).read_bytes() == (outs["preset"] / csv_name).read_bytes()
+            assert summary(source) == summary("preset")
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["scan"], SCAN_INI.replace("stark_u = -0.5", "stark_u = -0.5\nn_max = 6")),
+            (["scan", "--preset", "fig4"], MODEL_N_MAX_6),
+            (["protocol"], INLINE_PROTOCOL_INI.replace("stark_u = -0.5", "stark_u = -0.5\nn_max = 6")),
+            (["protocol", "--preset", "dicke_ladder_4"], MODEL_N_MAX_6),
+            (["protocol"], MODEL_N_MAX_6 + "[protocol]\nfile = {file}\nsamples = 50\n"),
+            (["effective"], MODEL_N_MAX_6 + "[effective]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\n"),
+            (["effective", "--preset", "fig2b"], MODEL_N_MAX_6),
+        ],
+        ids=[
+            "scan-config",
+            "scan-preset",
+            "protocol-inline",
+            "protocol-preset",
+            "protocol-file",
+            "effective-config",
+            "effective-preset",
+        ],
+    )
+    def test_explicit_n_max_wins(self, tmp_path, built_n_max, args, text):
+        from dickestark.presets import protocol_preset
+        from dickestark.protocol import compile_dicke_ladder
+
+        proto_path = tmp_path / "ladder.json"
+        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.format(file=proto_path))
+        assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built_n_max == [6]
+
+    def test_protocol_file_with_other_model_exits_2(self, tmp_path, capsys):
+        # a differing [model] used to be silently ignored except for its n_max
+        from dickestark.presets import protocol_preset
+        from dickestark.protocol import compile_dicke_ladder
+
+        proto_path = tmp_path / "ladder.json"
+        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = -0.5\n\n"
+            f"[protocol]\nfile = {proto_path}\n"
+        )
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "coupling = 0.1 does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("scan", SCAN_INI.split("[scan]")[1].split("[output]")[0]),
+            ("effective", "\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\n"),
+            ("protocol", INLINE_PROTOCOL_INI.split("[protocol]")[1]),
+        ],
+        ids=["scan", "effective", "protocol"],
+    )
+    def test_missing_model_section_named(self, tmp_path, capsys, command, section):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]{section}")
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[model]" in capsys.readouterr().err
         assert not out.exists()
 
 

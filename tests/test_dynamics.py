@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickestark.dynamics import (
+    Trajectory,
     diagonal_part,
     energy_expectation,
     evolve,
@@ -155,6 +156,25 @@ class TestEvolve:
         other = build_space(ModelParams(n_qubits=2, n_max=4), BasisKind.SYMMETRIC)
         with pytest.raises(ValueError):
             evolve(dicke_state(other, 0, 0), h, duration=1.0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, small_system, duration):
+        _, space, h = small_system
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            evolve(dicke_state(space, 0, 0), h, duration)
+
+    def test_nan_time_propagation_rejected(self, small_system):
+        # used to return an all-NaN StateVector
+        _, space, h = small_system
+        with pytest.raises(ValueError, match="t must be finite"):
+            propagate(h, dicke_state(space, 0, 0), float("nan"))
+
+    def test_nan_trajectory_rejected(self, small_system):
+        _, space, _ = small_system
+        states = np.full((2, space.dimension), np.nan, dtype=complex)
+        pops, zeros = np.abs(states) ** 2, np.zeros(2)
+        with pytest.raises(ValueError, match="norm drift nan"):
+            Trajectory(space, np.array([0.0, 1.0]), states, pops, zeros, zeros.copy())
 
 
 class TestObservables:

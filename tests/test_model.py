@@ -4,6 +4,8 @@ import pytest
 from dickestark.model import (
     BasisKind,
     ModelParams,
+    Operator,
+    StateVector,
     build_hamiltonian,
     build_space,
     collective_ops,
@@ -71,6 +73,17 @@ class TestSpaces:
     def test_non_finite_params_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ModelParams(n_qubits=2, **{field: value})
+
+    def test_nan_state_rejected(self):
+        _, sym, _ = spaces(2, 2)
+        with pytest.raises(ValueError, match="state norm nan"):
+            StateVector(sym, np.full(sym.dimension, np.nan))
+
+    def test_nan_operator_is_not_hermitian(self):
+        _, sym, _ = spaces(2, 2)
+        op = Operator(sym, np.full((sym.dimension, sym.dimension), np.nan))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            op.require_hermitian()
 
     def test_excitation_numbers_match_labels(self):
         _, sym, prod = spaces(3, 4)

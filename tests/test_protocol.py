@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dickestark.effective import (
@@ -196,6 +198,25 @@ class TestGuards:
             PulseStep(omega_q=1.0, duration=0.0, label="x")
         with pytest.raises(ValueError):
             StepRule(ResonanceTarget("tc", 1, 0, 0), fraction=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_step_data_named(self, value):
+        with pytest.raises(ValueError, match="step duration must be positive and finite"):
+            PulseStep(omega_q=1.0, duration=value, label="x")
+        with pytest.raises(ValueError, match="step omega_q must be finite"):
+            PulseStep(omega_q=value, duration=1.0, label="x")
+        with pytest.raises(ValueError, match="fraction must be positive and finite"):
+            StepRule(ResonanceTarget("tc", 1, 0, 0), fraction=value)
+
+    def test_nan_top_level_population_trips_cutoff_guard(self, monkeypatch):
+        import dickestark.protocol as protocol_module
+
+        params = ghz_params()
+        space = build_space(params, BasisKind.SYMMETRIC)
+        nan_traj = SimpleNamespace(populations=np.full((2, space.dimension), np.nan))
+        monkeypatch.setattr(protocol_module, "evolve", lambda *args, **kwargs: nan_traj)
+        with pytest.raises(CutoffExceededError):
+            run_protocol(compile_ghz4(params), params, space)
 
 
 class TestSerialization:
