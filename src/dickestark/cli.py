@@ -8,8 +8,9 @@ effective  resonance solution, couplings, durations, and the selectivity table
 validate   machine-readable invariant report; nonzero exit on any failure
 
 Each command reads either ``--config FILE`` (grammar in config.py) or
-``--preset NAME``. Outputs go to ``--out DIR`` (created if needed); nothing
-is written until a run has fully succeeded.
+``--preset NAME``. Outputs go to ``--out DIR`` if given, else to the
+config's [output] directory (created if needed); nothing is written until a
+run has fully succeeded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import presets
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import observables, write_trajectory_csv
+from .dynamics import DEFAULT_SAMPLES, observables, write_trajectory_csv
 from .effective import (
     ratio_from_omega_q,
     rwa_validity_report,
@@ -128,24 +129,16 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
         return proto, _resolve_params(config, proto.params, photon)
     inline = config.protocol.inline
     params = _resolve_params(config, None, highest_start_photon(inline.initial, inline.rules))
-    proto = compile_from_rules(
-        name="custom",
-        params=params,
-        rules=list(inline.rules),
-        initial=inline.initial,
-        target_kind=inline.target_kind,
-        target_cell=inline.target_cell,
-    )
-    return proto, params
+    return compile_from_rules("custom", params, **vars(inline)), params
 
 
 def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
     proto, params = _compile_protocol(config, preset_name)
     space = build_space(params, BasisKind.SYMMETRIC)
-    samples = config.protocol.samples if config.protocol is not None else 400
+    samples = config.protocol.samples if config.protocol is not None else DEFAULT_SAMPLES
     result = run_protocol(proto, params, space, samples=samples)
 
-    nq, nph, _ = observables(result.final)
+    nq, nph = observables(result.final)
     summary = {
         "protocol": proto.name,
         "steps": [
@@ -200,13 +193,7 @@ def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path) -> 
     report = rwa_validity_report(target, tuned, space)
     min_adjacent = report.min_ratio(adjacent_only=True)
     payload = {
-        "target": {
-            "kind": target.kind,
-            "order": target.order,
-            "n0": target.n0,
-            "k0": target.k0,
-            "label": target.label(),
-        },
+        "target": {**asdict(target), "label": target.label()},
         "omega_q": omega_q,
         "ratio": ratio_from_omega_q(omega_q, params),
         "coupling": coupling,
@@ -261,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="INI run configuration")
         if name != "validate":
             p.add_argument("--preset", help="named preset (fig2a..fig8, dicke_ladder_4, ghz_4)")
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        p.add_argument("--out", type=Path, help="output directory (default: [output] directory)")
         if name == "scan":
             p.add_argument("--format", choices=("csv", "json"), help="scan data format")
     return parser
@@ -271,7 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        out_dir = args.out if args.out != Path("out") or not args.config else Path(config.output.directory)
+        out_dir = args.out or Path(config.output.directory)
         preset = getattr(args, "preset", None)
         if args.command == "scan":
             return cmd_scan(config, preset, out_dir, args.format or config.output.format)

@@ -21,16 +21,16 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     window_max = 2.3
     points     = 801
     duration   = auto     ; auto = half oscillation of the target, or a time
-    min_height = 0.5
+    min_height = 0.5      ; minimum peak prominence, finite
 
     [protocol]            ; required by the protocol command
     preset  = ghz_4       ; or file = proto.json, or inline steps:
-    ; steps =
-    ;     atc 1 0 0 half_period
-    ;     tc 1 0 1 half_period
-    ; initial = 0 0
+    ; steps =             ; one step per line: kind order n0 k0 [duration_rule]
+    ;     atc 1 0 0 half_period   ; rule: half_period (default), quarter_period
+    ;     tc 1 0 1 0.5            ; or a fraction of the Rabi period
+    ; initial = 0 0         ; K N
     ; target  = basis 2 0   ; or: target = ghz
-    samples = 400
+    samples = 400         ; >= 2
 
     [effective]           ; required by the effective command
     kind  = atc
@@ -46,6 +46,11 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     directory = out
     format    = csv       ; csv | json, for the scan data file
 
+Every section is read through one schema (SCHEMA below): each key has a
+converter and a default, or is required. A malformed value is a ConfigError
+naming "[section] key = 'value'". Steps and target follow the same grammar
+as a protocol JSON file (protocol.parse_steps, parse_target).
+
 Photon cutoff: an n_max in [model] wins; otherwise a preset's own n_max;
 otherwise default_n_max(p, N) = p + N + 4, where p is the highest photon
 number the run starts a transition from: max(initial_n, n0) for scan, the
@@ -59,10 +64,11 @@ import configparser
 import math
 from dataclasses import dataclass
 
+from .dynamics import DEFAULT_SAMPLES
 from .effective import ResonanceTarget
 from .model import ModelParams
 from .presets import ScanPreset
-from .protocol import DURATION_RULES, StepRule
+from .protocol import StepRule, parse_cell, parse_steps, parse_target
 
 
 class ConfigError(ValueError):
@@ -71,6 +77,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class InlineProtocolConfig:
+    """Inline steps, initial and target: compile_from_rules's other arguments."""
+
     rules: tuple[StepRule, ...]
     initial: tuple[int, int]
     target_kind: str
@@ -113,91 +121,126 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
 
-_KNOWN_SECTIONS = {"model", "scan", "protocol", "effective", "validate", "output"}
+def _checked(convert, ok, what: str):
+    """``convert``, then reject a value for which ``ok`` is false."""
 
-_SECTION_KEYS = {
-    "model": {"n_qubits", "omega_r", "lambda", "stark_u", "n_max"},
-    "scan": {
-        "kind",
-        "order",
-        "n0",
-        "k0",
-        "initial_k",
-        "initial_n",
-        "window_min",
-        "window_max",
-        "points",
-        "duration",
-        "min_height",
+    def check(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return check
+
+
+REQUIRED = object()
+
+_TARGET = {"kind": (str.lower, REQUIRED), **{key: (int, REQUIRED) for key in ("order", "n0", "k0")}}
+
+# section -> key -> (converter of the raw string, default or REQUIRED)
+SCHEMA = {
+    "model": {
+        "n_qubits": (int, REQUIRED),
+        "omega_r": (float, 1.0),
+        "lambda": (float, REQUIRED),
+        "stark_u": (float, REQUIRED),
+        "n_max": (int, None),
     },
-    "protocol": {"preset", "file", "steps", "initial", "target", "samples"},
-    "effective": {"kind", "order", "n0", "k0"},
-    "validate": {"draws", "seed"},
-    "output": {"directory", "format"},
+    "scan": {
+        **_TARGET,
+        "initial_k": (int, REQUIRED),
+        "initial_n": (int, REQUIRED),
+        "window_min": (float, REQUIRED),
+        "window_max": (float, REQUIRED),
+        "points": (_checked(int, lambda v: v >= 2, ">= 2"), 801),
+        "duration": (lambda raw: None if raw == "auto" else float(raw), None),
+        "min_height": (_checked(float, math.isfinite, "finite"), 0.5),
+    },
+    "protocol": {
+        "preset": (str, None),
+        "file": (str, None),
+        "steps": (lambda raw: parse_steps(line.split() for line in raw.strip().splitlines()), None),
+        "initial": (lambda raw: parse_cell(raw.split()), (0, 0)),
+        "target": (lambda raw: parse_target(raw.split()), None),
+        "samples": (_checked(int, lambda v: v >= 2, ">= 2"), DEFAULT_SAMPLES),
+    },
+    "effective": _TARGET,
+    "validate": {"draws": (_checked(int, lambda v: v >= 1, ">= 1"), 100), "seed": (int, 0)},
+    "output": {
+        "directory": (str, "out"),
+        "format": (_checked(str.lower, ("csv", "json").__contains__, "csv or json"), "csv"),
+    },
 }
 
 
-def _check_keys(section: str, present) -> None:
-    unknown = set(present) - _SECTION_KEYS[section]
+def _section(parser: configparser.ConfigParser, name: str) -> dict | None:
+    """Section ``name`` converted through its schema, or None if absent."""
+    if not parser.has_section(name):
+        return None
+    schema = SCHEMA[name]
+    unknown = set(parser.options(name)) - schema.keys()
     if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
-
-
-def _get(parser, section, key, convert, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key '{key}'")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
-def _parse_target(parser, section) -> ResonanceTarget:
-    kind = _get(parser, section, "kind", str, required=True).strip().lower()
-    order = _get(parser, section, "order", int, required=True)
-    n0 = _get(parser, section, "n0", int, required=True)
-    k0 = _get(parser, section, "k0", int, required=True)
-    try:
-        return ResonanceTarget(kind, order, n0, k0)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
-
-
-def _parse_steps(raw: str) -> tuple[StepRule, ...]:
-    rules = []
-    for line_no, line in enumerate(raw.strip().splitlines(), start=1):
-        fields = line.split()
-        if len(fields) not in (4, 5):
-            raise ConfigError(
-                f"protocol step {line_no}: expected 'kind order n0 k0 [duration_rule]',"
-                f" got {line!r}"
-            )
-        kind, order, n0, k0 = fields[0].lower(), int(fields[1]), int(fields[2]), int(fields[3])
-        if len(fields) == 5:
-            name = fields[4]
-            if name in DURATION_RULES:
-                fraction = DURATION_RULES[name]
-            else:
-                fraction = float(name)
-        else:
-            fraction = 0.5
+        raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(unknown))}")
+    values = {}
+    for key, (convert, default) in schema.items():
+        raw = parser.get(name, key, fallback=None)
+        if raw is None and default is REQUIRED:
+            raise ConfigError(f"[{name}] is missing required key '{key}'")
         try:
-            rules.append(StepRule(ResonanceTarget(kind, order, n0, k0), fraction))
-        except ValueError as exc:
-            raise ConfigError(f"protocol step {line_no}: {exc}") from None
-    if not rules:
-        raise ConfigError("protocol steps block is empty")
-    return tuple(rules)
+            values[key] = default if raw is None else convert(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from None
+    return values
 
 
-def _parse_pair(raw: str, what: str) -> tuple[int, int]:
-    fields = raw.split()
-    if len(fields) != 2:
-        raise ConfigError(f"{what} expects two integers, got {raw!r}")
-    return int(fields[0]), int(fields[1])
+def _target(name: str, values: dict) -> ResonanceTarget:
+    try:
+        return ResonanceTarget(*(values[key] for key in _TARGET))
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from None
+
+
+def _model(values: dict) -> ModelParams:
+    try:
+        return ModelParams(
+            n_qubits=values["n_qubits"],
+            omega_r=values["omega_r"],
+            coupling=values["lambda"],
+            stark_u=values["stark_u"],
+            n_max=values["n_max"] or 0,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[model]: {exc}") from None
+
+
+def _scan(values: dict) -> ScanPreset:
+    duration = values["duration"]
+    if duration is not None and not (math.isfinite(duration) and duration > 0):
+        raise ConfigError(f"[scan] duration must be positive and finite, got {duration}")
+    if not values["window_max"] > values["window_min"]:
+        raise ConfigError("[scan] window_max must exceed window_min")
+    return ScanPreset(
+        name="config",
+        params=None,
+        target=_target("scan", values),
+        initial_k=values["initial_k"],
+        initial_n=values["initial_n"],
+        window=(values["window_min"], values["window_max"]),
+        points=values["points"],
+        duration=duration,
+        min_height=values["min_height"],
+    )
+
+
+def _protocol(values: dict) -> ProtocolConfig:
+    if sum(values[key] is not None for key in ("preset", "file", "steps")) != 1:
+        raise ConfigError("[protocol] must provide exactly one of: preset, file, steps")
+    inline = None
+    if values["steps"] is not None:
+        if values["target"] is None:
+            raise ConfigError("[protocol] is missing required key 'target'")
+        inline = InlineProtocolConfig(values["steps"], values["initial"], *values["target"])
+    return ProtocolConfig(values["preset"], values["file"], inline, values["samples"])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -206,131 +249,20 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
-
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
+    unknown = set(parser.sections()) - SCHEMA.keys()
     if unknown:
         raise ConfigError(f"unknown sections: {', '.join(sorted(unknown))}")
 
-    model = None
-    n_max_explicit = False
-    if parser.has_section("model"):
-        _check_keys("model", parser.options("model"))
-        n_qubits = _get(parser, "model", "n_qubits", int, required=True)
-        n_max = _get(parser, "model", "n_max", int)
-        n_max_explicit = n_max is not None
-        try:
-            model = ModelParams(
-                n_qubits=n_qubits,
-                omega_r=_get(parser, "model", "omega_r", float, default=1.0),
-                omega_q=1.0,
-                coupling=_get(parser, "model", "lambda", float, required=True),
-                stark_u=_get(parser, "model", "stark_u", float, required=True),
-                n_max=n_max if n_max is not None else 0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[model]: {exc}") from None
-
-    scan = None
-    if parser.has_section("scan"):
-        _check_keys("scan", parser.options("scan"))
-        duration_raw = _get(parser, "scan", "duration", str, default="auto").strip()
-        duration = None if duration_raw == "auto" else float(duration_raw)
-        if duration is not None and not (math.isfinite(duration) and duration > 0):
-            raise ConfigError(f"[scan] duration must be positive and finite, got {duration}")
-        window = (
-            _get(parser, "scan", "window_min", float, required=True),
-            _get(parser, "scan", "window_max", float, required=True),
-        )
-        if not window[1] > window[0]:
-            raise ConfigError("[scan] window_max must exceed window_min")
-        scan = ScanPreset(
-            name="config",
-            params=None,
-            target=_parse_target(parser, "scan"),
-            initial_k=_get(parser, "scan", "initial_k", int, required=True),
-            initial_n=_get(parser, "scan", "initial_n", int, required=True),
-            window=window,
-            points=_get(parser, "scan", "points", int, default=801),
-            duration=duration,
-            min_height=_get(parser, "scan", "min_height", float, default=0.5),
-        )
-        if scan.points < 2:
-            raise ConfigError("[scan] points must be >= 2")
-
-    protocol = None
-    if parser.has_section("protocol"):
-        _check_keys("protocol", parser.options("protocol"))
-        preset = _get(parser, "protocol", "preset", str)
-        file = _get(parser, "protocol", "file", str)
-        steps_raw = _get(parser, "protocol", "steps", str)
-        provided = [x for x in (preset, file, steps_raw) if x is not None]
-        if len(provided) != 1:
-            raise ConfigError(
-                "[protocol] must provide exactly one of: preset, file, steps"
-            )
-        inline = None
-        if steps_raw is not None:
-            target_raw = _get(parser, "protocol", "target", str, required=True).split()
-            if target_raw[0] == "ghz":
-                kind, cell = "ghz", None
-            elif target_raw[0] == "basis" and len(target_raw) == 3:
-                kind, cell = "basis", (int(target_raw[1]), int(target_raw[2]))
-            else:
-                raise ConfigError(
-                    "[protocol] target must be 'ghz' or 'basis K N'"
-                )
-            initial = _parse_pair(
-                _get(parser, "protocol", "initial", str, default="0 0"), "[protocol] initial"
-            )
-            inline = InlineProtocolConfig(
-                rules=_parse_steps(steps_raw),
-                initial=initial,
-                target_kind=kind,
-                target_cell=cell,
-            )
-        protocol = ProtocolConfig(
-            preset=preset,
-            file=file,
-            inline=inline,
-            samples=_get(parser, "protocol", "samples", int, default=400),
-        )
-        if protocol.samples < 2:
-            raise ConfigError("[protocol] samples must be >= 2")
-
-    effective = None
-    if parser.has_section("effective"):
-        _check_keys("effective", parser.options("effective"))
-        effective = _parse_target(parser, "effective")
-
-    validate = ValidateConfig()
-    if parser.has_section("validate"):
-        _check_keys("validate", parser.options("validate"))
-        validate = ValidateConfig(
-            draws=_get(parser, "validate", "draws", int, default=100),
-            seed=_get(parser, "validate", "seed", int, default=0),
-        )
-        if validate.draws < 1:
-            raise ConfigError("[validate] draws must be >= 1")
-
-    output = OutputConfig()
-    if parser.has_section("output"):
-        _check_keys("output", parser.options("output"))
-        fmt = _get(parser, "output", "format", str, default="csv").strip().lower()
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
-        output = OutputConfig(
-            directory=_get(parser, "output", "directory", str, default="out"),
-            format=fmt,
-        )
-
+    # in SCHEMA order
+    model, scan, protocol, effective, validate, output = (_section(parser, name) for name in SCHEMA)
     return RunConfig(
-        model=model,
-        model_n_max_explicit=n_max_explicit,
-        scan=scan,
-        protocol=protocol,
-        effective=effective,
-        validate=validate,
-        output=output,
+        model=model and _model(model),
+        model_n_max_explicit=model is not None and model["n_max"] is not None,
+        scan=scan and _scan(scan),
+        protocol=protocol and _protocol(protocol),
+        effective=effective and _target("effective", effective),
+        validate=ValidateConfig(**(validate or {})),
+        output=OutputConfig(**(output or {})),
     )
 
 

@@ -119,15 +119,13 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(h.space, amps)
 
 
-def observables(psi: StateVector) -> tuple[float, float, dict[tuple[int, int], float]]:
-    """(mean atomic excitation, mean photon number, per-(k, n) populations)
-    of a symmetric-basis state."""
+def observables(psi: StateVector) -> tuple[float, float]:
+    """(mean atomic excitation, mean photon number) of a symmetric-basis state."""
     if psi.space.kind is not BasisKind.SYMMETRIC:
         raise ValueError("observables are defined on the symmetric basis")
     pops = np.abs(psi.amplitudes) ** 2
     ks, ns = psi.space.excitation_numbers()
-    populations = dict(zip(psi.space.labels(), pops.tolist()))
-    return float(ks @ pops), float(ns @ pops), populations
+    return float(ks @ pops), float(ns @ pops)
 
 
 def evolve(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -134,10 +134,7 @@ class Protocol:
             ),
             "steps": [
                 {
-                    "kind": rule.target.kind,
-                    "order": rule.target.order,
-                    "n0": rule.target.n0,
-                    "k0": rule.target.k0,
+                    **asdict(rule.target),
                     "duration_rule": DURATION_RULE_NAMES.get(rule.fraction, rule.fraction),
                 }
                 for rule in self.rules
@@ -150,6 +147,64 @@ def highest_start_photon(initial: tuple[int, int], rules) -> int:
     """The highest photon number a protocol starts a transition from: its
     initial cell's or any rule's n0."""
     return max([initial[1]] + [rule.target.n0 for rule in rules])
+
+
+def parse_steps(steps) -> tuple[StepRule, ...]:
+    """The step grammar of INI ``steps =`` lines and protocol JSON alike: each
+    step is ``kind order n0 k0 [duration_rule]``, the rule a DURATION_RULES
+    name or a fraction of the Rabi period (default half_period)."""
+    rules = []
+    for index, values in enumerate(steps, start=1):
+        try:
+            if len(values) not in (4, 5):
+                raise ValueError(f"expected 'kind order n0 k0 [duration_rule]', got {_show(values)}")
+            kind, order, n0, k0, rule = [*values, HALF_PERIOD][:5]
+            numbers = (_number("order", order), _number("n0", n0), _number("k0", k0))
+            rules.append(StepRule(ResonanceTarget(str(kind).lower(), *numbers), _fraction(rule)))
+        except ValueError as exc:
+            raise ValueError(f"protocol step {index}: {exc}") from None
+    if not rules:
+        raise ValueError("protocol has no steps")
+    return tuple(rules)
+
+
+def parse_target(values) -> tuple[str, tuple[int, int] | None]:
+    """The target grammar, ``ghz`` or ``basis K N``, as (target_kind, target_cell)."""
+    if values == ["ghz"]:
+        return "ghz", None
+    if values[:1] == ["basis"] and len(values) == 3:
+        return "basis", parse_cell(values[1:])
+    raise ValueError(f"target must be 'ghz' or 'basis K N', got {_show(values)}")
+
+
+def parse_cell(values) -> tuple[int, int]:
+    """A basis cell, ``K N``."""
+    if len(values) != 2:
+        raise ValueError(f"expected 'K N', got {_show(values)}")
+    return _number("k", values[0]), _number("n", values[1])
+
+
+def _show(values) -> str:
+    return repr(" ".join(map(str, values)))
+
+
+def _number(name: str, value, convert=int):
+    """``convert(value)``, refusing what int() would truncate, such as 1.5."""
+    try:
+        if convert(value) == float(value):
+            return convert(value)
+    except (TypeError, ValueError):
+        pass
+    what = "an integer" if convert is int else "a number"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _fraction(rule) -> float:
+    try:
+        return float(DURATION_RULES.get(rule, rule))
+    except (TypeError, ValueError):
+        names = ", ".join(DURATION_RULES)
+        raise ValueError(f"duration_rule must be {names} or a number, got {rule!r}") from None
 
 
 def compile_from_rules(
@@ -317,39 +372,27 @@ def run_protocol(
 
 def protocol_from_json(text: str) -> Protocol:
     """Rebuild a protocol from its serialized rules, recomputing frequencies
-    and durations (they are never stored)."""
+    and durations (they are never stored). Steps and target follow the same
+    grammar as an INI ``[protocol]`` section."""
     doc = json.loads(text)
     try:
         params = ModelParams(
-            n_qubits=int(doc["N"]),
-            omega_r=float(doc["omega_r"]),
-            omega_q=float(doc["omega_r"]),
-            coupling=float(doc["lambda"]),
-            stark_u=float(doc["U"]),
-            n_max=0,
+            n_qubits=_number("N", doc["N"]),
+            omega_r=_number("omega_r", doc["omega_r"], float),
+            coupling=_number("lambda", doc["lambda"], float),
+            stark_u=_number("U", doc["U"], float),
         )
-        initial = (int(doc["initial"]["k"]), int(doc["initial"]["n"]))
+        initial = parse_cell([doc["initial"]["k"], doc["initial"]["n"]])
         target = doc["target"]
-        rules = []
-        for entry in doc["steps"]:
-            rule = entry["duration_rule"]
-            fraction = DURATION_RULES[rule] if isinstance(rule, str) else float(rule)
-            rules.append(
-                StepRule(
-                    ResonanceTarget(
-                        entry["kind"], int(entry["order"]), int(entry["n0"]), int(entry["k0"])
-                    ),
-                    fraction,
-                )
-            )
-    except KeyError as exc:
-        raise ValueError(f"protocol document is missing field {exc}") from None
-    if target["kind"] == "ghz":
-        kind, cell = "ghz", None
-    elif target["kind"] == "basis":
-        kind, cell = "basis", (int(target["k"]), int(target["n"]))
-    else:
-        raise ValueError(f"unknown target kind {target['kind']!r}")
+        kind, cell = parse_target([target["kind"], *(target[f] for f in ("k", "n") if f in target)])
+        rules = parse_steps(
+            [e["kind"], e["order"], e["n0"], e["k0"], e.get("duration_rule", HALF_PERIOD)]
+            for e in doc["steps"]
+        )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(
+            f"protocol document has a missing field or a field of the wrong type: {exc}"
+        ) from None
     # detunings are cutoff-independent: compile at the default cutoff
     n_max = default_n_max(highest_start_photon(initial, rules), params.n_qubits)
     return compile_from_rules(

@@ -72,7 +72,7 @@ def resonance_scan(
         tuned = replace(params, omega_q=omega_q_from_ratio(float(ratio), params))
         h = build_hamiltonian(tuned, space)
         final = propagate(h, psi0, duration)
-        nq[i], nph[i], _ = observables(final)
+        nq[i], nph[i] = observables(final)
     return ScanCurve(ratios=ratios.copy(), nq=nq, nph=nph, duration=duration)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    diagonal_part,
     energy_expectation,
     evolve,
     observables,
@@ -190,7 +189,7 @@ def check_cutoff_stability() -> CheckResult:
             psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
             duration = pulse_duration(preset.target, p, preset.duration_fraction)
             final = propagate(build_hamiltonian(p, space), psi0, duration)
-            nq, nph, _ = observables(final)
+            nq, nph = observables(final)
             results.append((nq, nph))
         (nq1, nph1), (nq2, nph2) = results
         worst = max(worst, abs(nq1 - nq2), abs(nph1 - nph2))

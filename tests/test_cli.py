@@ -443,6 +443,81 @@ class TestInputResolution:
         assert not out.exists()
 
 
+def _ladder_file(tmp_path, edit) -> str:
+    """A [protocol] section reading a dicke_ladder_4 file changed by ``edit``."""
+    from dickestark.presets import protocol_preset
+    from dickestark.protocol import compile_dicke_ladder
+
+    doc = json.loads(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+    edit(doc)
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    return f"[protocol]\nfile = {path}\n"
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "command, text, cause",
+        [
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: doc["target"].pop("kind")),
+                "missing field or a field of the wrong type: 'kind'",
+            ),
+            ("protocol", INLINE_PROTOCOL_INI.replace("target = basis 1 1", "target ="), "[protocol] target"),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(
+                    tmp, lambda doc: doc["steps"][0].update(duration_rule="halfperiod")
+                ),
+                "protocol step 1: duration_rule",
+            ),
+            (
+                "protocol",
+                INLINE_PROTOCOL_INI.replace("half_period", "halfperiod"),
+                "[protocol] steps",
+            ),
+            ("protocol", INLINE_PROTOCOL_INI.replace("atc 1 0 0", "atc one 0 0"), "protocol step 1: order"),
+            ("protocol", INLINE_PROTOCOL_INI.replace("basis 1 1", "basis x 1"), "[protocol] target"),
+            ("scan", SCAN_INI.replace("points = 161", "points = 161\nduration = abc"), "[scan] duration"),
+            ("scan", SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"), "[scan] min_height"),
+        ],
+        ids=[
+            "json-target-without-kind",
+            "inline-empty-target",
+            "json-unknown-duration-rule",
+            "inline-unknown-duration-rule",
+            "inline-non-integer-order",
+            "inline-non-integer-target-cell",
+            "scan-non-numeric-duration",
+            "scan-nan-min-height",
+        ],
+    )
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
+        # each used to raise a traceback (exit 1), name no key or step, or
+        # run a full scan before failing
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text(tmp_path) if callable(text) else text)
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert cause in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("out_args, expected", [(["--out", "out"], "out"), ([], "elsewhere")])
+    def test_explicit_out_wins(self, tmp_path, monkeypatch, out_args, expected):
+        # an explicit "--out out" used to lose to [output] directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SCAN_INI + "directory = elsewhere\n")
+        assert main(["scan", "--config", str(cfg)] + out_args) == 0
+        assert (tmp_path / expected / "scan.csv").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [expected]
+
+
 def test_runtime_needs_no_scipy(tmp_path):
     # With scipy blocked, every scipy import raises ImportError; each command
     # must still run to completion.

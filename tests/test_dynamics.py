@@ -181,10 +181,11 @@ class TestObservables:
     def test_basis_state(self):
         params = ModelParams(n_qubits=4, n_max=3)
         space = build_space(params, BasisKind.SYMMETRIC)
-        nq, nph, pops = observables(dicke_state(space, 2, 0))
+        psi = dicke_state(space, 2, 0)
+        nq, nph = observables(psi)
         assert nq == pytest.approx(2.0)
         assert nph == pytest.approx(0.0)
-        assert pops[(2, 0)] == pytest.approx(1.0)
+        assert psi.population(2, 0) == pytest.approx(1.0)
 
     def test_superposition(self):
         params = ModelParams(n_qubits=4, n_max=3)
@@ -192,10 +193,11 @@ class TestObservables:
         amps = np.zeros(space.dimension, dtype=complex)
         amps[space.index(0, 0)] = 1 / math.sqrt(2)
         amps[space.index(2, 2)] = 1 / math.sqrt(2)
-        nq, nph, pops = observables(StateVector(space, amps))
+        psi = StateVector(space, amps)
+        nq, nph = observables(psi)
         assert nq == pytest.approx(1.0)
         assert nph == pytest.approx(1.0)
-        assert sum(pops.values()) == pytest.approx(1.0, abs=1e-10)
+        assert sum(psi.population(k, n) for k, n in space.labels()) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFidelity:

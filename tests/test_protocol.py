@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -24,6 +25,9 @@ from dickestark.protocol import (
     StepRule,
     compile_dicke_ladder,
     compile_ghz4,
+    parse_cell,
+    parse_steps,
+    parse_target,
     protocol_from_json,
     run_protocol,
 )
@@ -153,7 +157,7 @@ class TestRunGhz:
         p = ghz_params()
         space = build_space(p, BasisKind.SYMMETRIC)
         result = run_protocol(compile_ghz4(p), p, space)
-        nq, nph, _ = observables(result.final)
+        nq, nph = observables(result.final)
         assert nq == pytest.approx(2.0, abs=0.05)
         assert nph == pytest.approx(0.0, abs=0.05)
 
@@ -240,3 +244,78 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             protocol_from_json("{}")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["target"].pop("kind"), "missing field.*'kind'"),
+            (lambda doc: doc["steps"][1].pop("n0"), "missing field.*'n0'"),
+            (lambda doc: doc.update(target="ghz"), "missing field"),
+            (lambda doc: doc.update(steps=3), "missing field"),
+            (lambda doc: doc["steps"][0].update(duration_rule="halfperiod"), "protocol step 1: duration_rule"),
+            (lambda doc: doc["steps"][1].update(order="two"), "protocol step 2: order must be an integer"),
+            (lambda doc: doc["steps"][1].update(k0=1.5), "protocol step 2: k0 must be an integer, got 1.5"),
+            (lambda doc: doc["target"].update(k="x"), "k must be an integer, got 'x'"),
+            (lambda doc: doc.update(N="four"), "N must be an integer"),
+            (lambda doc: doc.update(steps=[]), "no steps"),
+        ],
+    )
+    def test_malformed_document_names_the_field(self, edit, message):
+        doc = json.loads(compile_dicke_ladder(4, 2, ladder_params()).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            protocol_from_json(json.dumps(doc))
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="missing field"):
+            protocol_from_json("[]")
+
+
+class TestGrammar:
+    """One step grammar and one target grammar for INI lines and JSON."""
+
+    def test_json_steps_follow_the_inline_grammar(self):
+        doc = json.loads(compile_dicke_ladder(4, 2, ladder_params()).to_json())
+        doc["steps"][0]["duration_rule"] = 0.5
+        del doc["steps"][1]["duration_rule"]
+        rebuilt = protocol_from_json(json.dumps(doc))
+        inline = parse_steps([["atc", "1", "0", "0", "0.5"], ["TC", "1", "0", "1"]])
+        assert rebuilt.rules == inline
+        assert inline == parse_steps(
+            [["atc", "1", "0", "0", "half_period"], ["tc", "1", "0", "1", "half_period"]]
+        )
+
+    def test_quarter_period_rule(self):
+        (rule,) = parse_steps([["atc", "2", "0", "0", "quarter_period"]])
+        assert rule.fraction == 0.25
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([["atc", "1", "0"]], "protocol step 1: expected 'kind order n0 k0"),
+            ([["atc", "1", "0", "0"], ["xx", "1", "0", "1"]], "protocol step 2: kind must be"),
+            ([["atc", "1", "0", "0", "halfperiod"]], "protocol step 1: duration_rule must be"),
+            ([["atc", "one", "0", "0"]], "protocol step 1: order must be an integer, got 'one'"),
+            ([["atc", "1", "0", "0", "-1"]], "protocol step 1: fraction must be positive"),
+            ([], "no steps"),
+        ],
+    )
+    def test_step_errors_name_the_step(self, lines, message):
+        with pytest.raises(ValueError, match=message):
+            parse_steps(lines)
+
+    def test_targets(self):
+        assert parse_target(["ghz"]) == ("ghz", None)
+        assert parse_target(["basis", "2", "0"]) == ("basis", (2, 0))
+        assert parse_cell(["1", "1"]) == (1, 1)
+
+    @pytest.mark.parametrize("values", [[], ["ghz", "1"], ["basis", "1"], ["bell"]])
+    def test_malformed_target(self, values):
+        with pytest.raises(ValueError, match="target must be 'ghz' or 'basis K N'"):
+            parse_target(values)
+
+    def test_malformed_cell_names_the_field(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 'x'"):
+            parse_cell(["1", "x"])
+        with pytest.raises(ValueError, match="expected 'K N'"):
+            parse_cell(["1"])
