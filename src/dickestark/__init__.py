@@ -25,12 +25,10 @@ from .model import (
     symmetrization_isometry,
 )
 from .effective import (
-    FirstOrderDetuning,
     ResonanceTarget,
     SecondOrderCoeffs,
     build_effective_hamiltonian,
     detuned_rabi_probability,
-    first_order_detunings,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -62,7 +60,6 @@ from .scan import Peak, ScanCurve, detect_peaks, peak_report, resonance_scan, sc
 
 __all__ = [
     "BasisKind",
-    "FirstOrderDetuning",
     "HilbertSpace",
     "ModelParams",
     "Operator",
@@ -87,7 +84,6 @@ __all__ = [
     "dicke_state",
     "evolve",
     "fidelity",
-    "first_order_detunings",
     "ladder_coupling",
     "observables",
     "peak_report",

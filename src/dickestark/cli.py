@@ -8,23 +8,27 @@ effective  resonance solution, couplings, durations, and the selectivity table
 validate   machine-readable invariant report; nonzero exit on any failure
 
 Each command reads either ``--config FILE`` (grammar in config.py) or
-``--preset NAME``. Outputs go to ``--out DIR`` if given, else to the
-config's [output] directory (created if needed); nothing is written until a
-run has fully succeeded.
+``--preset NAME`` and returns its files as {name: text}, rendered by
+``_csv`` (repr(float) cells) and ``_json`` (no NaN or infinity). ``main``
+then writes them all or none (``_publish``) into ``--out DIR`` if given,
+else into the config's [output] directory, and prints the command's summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import presets
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import DEFAULT_SAMPLES, observables, write_trajectory_csv
+from .dynamics import DEFAULT_SAMPLES, observables
 from .effective import (
     ratio_from_omega_q,
     rwa_validity_report,
@@ -45,8 +49,42 @@ from .protocol import (
 from .scan import peak_report, resonance_scan, scan_grid
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+def _csv(header: list[str], columns) -> str:
+    """A header row, then one row per sample across ``columns`` (equal-length
+    sequences of numbers), every cell written as repr(float)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+    return buf.getvalue()
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def _publish(out_dir: Path, files: dict[str, str]) -> None:
+    """Write all of ``files`` into ``out_dir`` or none of them: each is
+    staged under a temporary name in ``out_dir`` and renamed into place only
+    once every write has succeeded. On an OSError the staged files are
+    removed and the error propagates."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+            staged.append((tmp, out_dir / name))
+            tmp.write_bytes(text.encode("utf-8"))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) -> ModelParams:
@@ -63,7 +101,7 @@ def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) 
     return replace(model, n_max=n_max)
 
 
-def cmd_scan(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str) -> int:
+def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict[str, str], str]:
     if preset_name is not None:
         job = presets.scan_preset(preset_name)
     elif config.scan is not None:
@@ -88,26 +126,18 @@ def cmd_scan(config: RunConfig, preset_name: str | None, out_dir: Path, fmt: str
     curve = resonance_scan(psi0, grid, duration, params, space)
     report = peak_report(curve, target, predicted, job.min_height)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    columns = {"ratio": curve.ratios, "nq": curve.nq, "nph": curve.nph}
     if fmt == "csv":
-        curve.write_csv(out_dir / "scan.csv")
+        data = {"scan.csv": _csv(list(columns), columns.values())}
     else:
-        _write_json(
-            out_dir / "scan.json",
-            {
-                "ratio": [float(r) for r in curve.ratios],
-                "nq": [float(v) for v in curve.nq],
-                "nph": [float(v) for v in curve.nph],
-                "duration": curve.duration,
-            },
-        )
-    _write_json(out_dir / "peaks.json", asdict(report))
-    print(
+        payload = {name: [float(v) for v in values] for name, values in columns.items()}
+        data = {"scan.json": _json({**payload, "duration": curve.duration})}
+    summary = (
         f"scan {target.label()}: peak at {report.location:.6f}"
         f" (predicted {report.predicted_location:.6f},"
         f" error {report.abs_error:.2e}), height {report.height:.4f}"
     )
-    return 0
+    return {**data, "peaks.json": _json(asdict(report))}, summary
 
 
 def _compile_protocol(config: RunConfig, preset_name: str | None):
@@ -124,7 +154,10 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
     if config.protocol is None:
         raise ConfigError("protocol requires a [protocol] section (or --preset)")
     if config.protocol.file is not None:
-        proto = protocol_from_json(Path(config.protocol.file).read_text(encoding="utf-8"))
+        try:
+            proto = protocol_from_json(Path(config.protocol.file).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"[protocol] file = {config.protocol.file!r}: {exc}") from None
         photon = highest_start_photon(proto.initial, proto.rules)
         return proto, _resolve_params(config, proto.params, photon)
     inline = config.protocol.inline
@@ -132,7 +165,7 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
     return compile_from_rules("custom", params, **vars(inline)), params
 
 
-def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
+def cmd_protocol(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
     proto, params = _compile_protocol(config, preset_name)
     space = build_space(params, BasisKind.SYMMETRIC)
     samples = config.protocol.samples if config.protocol is not None else DEFAULT_SAMPLES
@@ -162,21 +195,24 @@ def cmd_protocol(config: RunConfig, preset_name: str | None, out_dir: Path) -> i
         ],
     }
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for index, traj in enumerate(result.per_step, start=1):
-        write_trajectory_csv(
-            out_dir / f"step{index}_trajectory.csv", traj, coupling=params.coupling
+    # per step: t, the drive-phase axis lambda_t = coupling * t, nq, nph, and
+    # one population column per basis cell in flat-index order
+    files = {
+        f"step{index}_trajectory.csv": _csv(
+            ["t", "lambda_t", "nq", "nph"] + [f"pop_k{k}_n{n}" for k, n in traj.space.labels()],
+            [traj.times, params.coupling * traj.times, traj.nq, traj.nph, *traj.populations.T],
         )
-    (out_dir / "protocol.json").write_text(proto.to_json() + "\n", encoding="utf-8")
-    _write_json(out_dir / "summary.json", summary)
-    print(
+        for index, traj in enumerate(result.per_step, start=1)
+    }
+    files["protocol.json"] = proto.to_json() + "\n"
+    files["summary.json"] = _json(summary)
+    return files, (
         f"protocol {proto.name}: fidelity {summary['fidelity']:.4f}"
         f" (phase-exact {result.fidelity:.4f}), final <N_q> = {nq:.3f}"
     )
-    return 0
 
 
-def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path) -> int:
+def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
     if preset_name is not None:
         preset = presets.scan_preset(preset_name)
         base, target = preset.params, preset.target
@@ -202,32 +238,26 @@ def cmd_effective(config: RunConfig, preset_name: str | None, out_dir: Path) -> 
         # infinite when no competing channel is coupled; JSON has no infinity
         "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
         "min_competing_ratio_all": _finite_or_none(report.min_ratio()),
-        "channels": report.rows(),
+        "channels": [{**asdict(c), "ratio": _finite_or_none(c.ratio)} for c in report.channels],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "effective.json", payload)
-    print(
+    return {"effective.json": _json(payload)}, (
         f"effective {target.label()}: ratio {payload['ratio']:.6f},"
         f" coupling {coupling:.6g}, min adjacent |delta|/Omega"
         f" {min_adjacent:.1f}"
     )
-    return 0
 
 
-def cmd_validate(config: RunConfig, out_dir: Path) -> int:
+def cmd_validate(config: RunConfig) -> tuple[dict[str, str], str, int]:
     from .validate import run_validation
 
     checks, ok = run_validation(draws=config.validate.draws, seed=config.validate.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "validation.json",
-        {"passed": ok, "checks": [asdict(c) for c in checks]},
-    )
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name} [{check.scale}] {check.detail}".rstrip())
-    print("validation:", "all checks passed" if ok else "FAILURES present")
-    return 0 if ok else 1
+    lines = [
+        f"{'PASS' if check.passed else 'FAIL'} {check.name} [{check.scale}] {check.detail}".rstrip()
+        for check in checks
+    ]
+    lines.append("validation: " + ("all checks passed" if ok else "FAILURES present"))
+    files = {"validation.json": _json({"passed": ok, "checks": [asdict(c) for c in checks]})}
+    return files, "\n".join(lines), 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,20 +290,21 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else RunConfig()
         out_dir = args.out or Path(config.output.directory)
         preset = getattr(args, "preset", None)
+        code = 0
         if args.command == "scan":
-            return cmd_scan(config, preset, out_dir, args.format or config.output.format)
-        if args.command == "protocol":
-            return cmd_protocol(config, preset, out_dir)
-        if args.command == "effective":
-            return cmd_effective(config, preset, out_dir)
-        return cmd_validate(config, out_dir)
+            files, summary = cmd_scan(config, preset, args.format or config.output.format)
+        elif args.command == "protocol":
+            files, summary = cmd_protocol(config, preset)
+        elif args.command == "effective":
+            files, summary = cmd_effective(config, preset)
+        else:
+            files, summary, code = cmd_validate(config)
+        _publish(out_dir, files)
     except (ValueError, CutoffExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,8 +28,9 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     ; steps =             ; one step per line: kind order n0 k0 [duration_rule]
     ;     atc 1 0 0 half_period   ; rule: half_period (default), quarter_period
     ;     tc 1 0 1 0.5            ; or a fraction of the Rabi period
-    ; initial = 0 0         ; K N
+    ; initial = 0 0         ; K N (default 0 0)
     ; target  = basis 2 0   ; or: target = ghz
+    ;                       ; initial and target go with steps only
     samples = 400         ; >= 2
 
     [effective]           ; required by the effective command
@@ -160,7 +161,7 @@ SCHEMA = {
         "preset": (str, None),
         "file": (str, None),
         "steps": (lambda raw: parse_steps(line.split() for line in raw.strip().splitlines()), None),
-        "initial": (lambda raw: parse_cell(raw.split()), (0, 0)),
+        "initial": (lambda raw: parse_cell(raw.split()), None),
         "target": (lambda raw: parse_target(raw.split()), None),
         "samples": (_checked(int, lambda v: v >= 2, ">= 2"), DEFAULT_SAMPLES),
     },
@@ -239,7 +240,10 @@ def _protocol(values: dict) -> ProtocolConfig:
     if values["steps"] is not None:
         if values["target"] is None:
             raise ConfigError("[protocol] is missing required key 'target'")
-        inline = InlineProtocolConfig(values["steps"], values["initial"], *values["target"])
+        inline = InlineProtocolConfig(values["steps"], values["initial"] or (0, 0), *values["target"])
+    for key in ("initial", "target"):
+        if inline is None and values[key] is not None:
+            raise ConfigError(f"[protocol] {key} applies to inline steps only, not to a preset or file")
     return ProtocolConfig(values["preset"], values["file"], inline, values["samples"])
 
 

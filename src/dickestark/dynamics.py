@@ -24,28 +24,6 @@ from .model import (
 DEFAULT_SAMPLES = 400
 
 
-def write_trajectory_csv(path, traj: "Trajectory", coupling: float | None = None) -> None:
-    """Serialize a trajectory: columns t, nq, nph, then one population column
-    per basis cell labeled pop_k{k}_n{n} in flat-index order. When
-    ``coupling`` is given, a lambda_t column (coupling * t) is added so plots
-    can use the dimensionless drive-phase axis."""
-    import csv
-
-    labels = traj.space.labels()
-    header = ["t"] + (["lambda_t"] if coupling is not None else [])
-    header += ["nq", "nph"] + [f"pop_k{k}_n{n}" for k, n in labels]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t))]
-            if coupling is not None:
-                row.append(repr(float(coupling * t)))
-            row += [repr(float(traj.nq[i])), repr(float(traj.nph[i]))]
-            row += [repr(float(p)) for p in traj.populations[i]]
-            writer.writerow(row)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled evolution record over a symmetric-basis space.

@@ -80,27 +80,6 @@ def delta_plus(n: int, k: int, params: ModelParams) -> float:
 
 
 @dataclass(frozen=True)
-class FirstOrderDetuning:
-    """Oscillation frequencies of the two first-order channels at (n, k)."""
-
-    n: int
-    k: int
-    delta_minus: float
-    delta_plus: float
-
-
-def first_order_detunings(n: int, k: int, params: ModelParams) -> FirstOrderDetuning:
-    if n < 0 or not (0 <= k <= params.n_qubits):
-        raise ValueError(f"(n={n}, k={k}) outside the index range")
-    return FirstOrderDetuning(
-        n=n,
-        k=k,
-        delta_minus=delta_minus(n, k, params),
-        delta_plus=delta_plus(n, k, params),
-    )
-
-
-@dataclass(frozen=True)
 class ResonanceTarget:
     """A selective transition to tune to: order 1 couples (k0+1, n0) with
     (k0, n0+1) ('tc') or (k0, n0) with (k0+1, n0+1) ('atc'); order 2 moves
@@ -147,11 +126,9 @@ def solve_first_order_resonance(target: ResonanceTarget, params: ModelParams) ->
     (n0, k0); params.omega_q is ignored."""
     if target.order != 1:
         raise ValueError("target must be first order")
-    n_q = params.n_qubits
-    n0, k0 = target.n0, target.k0
-    if target.kind == "tc":
-        return params.omega_r - params.stark_u * (n0 - k0 + n_q / 2) / n_q
-    return -params.omega_r - params.stark_u * (n0 + k0 + 1 - n_q / 2) / n_q
+    # each detuning is omega_q plus its value at omega_q = 0
+    delta = delta_minus if target.kind == "tc" else delta_plus
+    return 0.0 - delta(target.n0, target.k0, replace(params, omega_q=0.0))
 
 
 def _ratio_over(num: float, den: float) -> float:
@@ -414,13 +391,10 @@ class ChannelReport:
     coupling: float
     detuning: float
     ratio: float  # |detuning| / |coupling|; inf when the channel is uncoupled
+    no_coupling: bool  # coupling == 0.0
     selected: bool  # member of the target's resonant family
     adjacent: bool  # shares a basis cell with the target pair
     risk: bool  # competing channel with ratio below SELECTIVITY_RATIO
-
-    @property
-    def no_coupling(self) -> bool:
-        return self.coupling == 0.0
 
 
 @dataclass(frozen=True)
@@ -441,25 +415,6 @@ class RwaReport:
             if not c.selected and not c.no_coupling and (c.adjacent or not adjacent_only)
         ]
         return min(pool, default=math.inf)
-
-    def rows(self) -> list[dict]:
-        out = []
-        for c in self.channels:
-            out.append(
-                {
-                    "kind": c.kind,
-                    "n": c.n,
-                    "k": c.k,
-                    "coupling": c.coupling,
-                    "detuning": c.detuning,
-                    "ratio": None if math.isinf(c.ratio) else c.ratio,
-                    "no_coupling": c.no_coupling,
-                    "selected": c.selected,
-                    "adjacent": c.adjacent,
-                    "risk": c.risk,
-                }
-            )
-        return out
 
 
 _CHANNEL_PAIRS = {
@@ -521,6 +476,7 @@ def rwa_validity_report(
                 coupling=coupling,
                 detuning=detuning,
                 ratio=ratio,
+                no_coupling=coupling == 0.0,
                 selected=selected,
                 adjacent=adjacent,
                 risk=(not selected) and ratio < SELECTIVITY_RATIO,

@@ -374,7 +374,10 @@ def protocol_from_json(text: str) -> Protocol:
     """Rebuild a protocol from its serialized rules, recomputing frequencies
     and durations (they are never stored). Steps and target follow the same
     grammar as an INI ``[protocol]`` section."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"protocol document is not valid JSON: {exc}") from None
     try:
         params = ModelParams(
             n_qubits=_number("N", doc["N"]),

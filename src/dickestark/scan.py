@@ -9,7 +9,6 @@ runs with identical inputs produce bit-identical output.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,16 +30,6 @@ class ScanCurve:
     def __post_init__(self) -> None:
         for arr in (self.ratios, self.nq, self.nph):
             arr.flags.writeable = False
-
-    def rows(self):
-        return zip(self.ratios, self.nq, self.nph)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ratio", "nq", "nph"])
-            for ratio, nq, nph in self.rows():
-                writer.writerow([repr(float(ratio)), repr(float(nq)), repr(float(nph))])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import builtins
+import errno
+import io
 import json
 import os
 import subprocess
@@ -131,14 +134,22 @@ class TestScanCommand:
         assert "[scan] duration must be positive and finite" in err
         assert not out.exists()
 
-    def test_reproducible_output(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args",
+        [["scan", "--config", "{cfg}"], ["scan", "--preset", "fig4"], ["protocol", "--preset", "ghz_4"]],
+        ids=["scan-config", "scan-preset", "protocol-preset"],
+    )
+    def test_reproducible_output(self, tmp_path, args):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg = tmp_path / "run.ini"
         cfg.write_text(SCAN_INI)
-        main(["scan", "--config", str(cfg), "--out", str(out1)])
-        main(["scan", "--config", str(cfg), "--out", str(out2)])
-        assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
-        assert (out1 / "peaks.json").read_bytes() == (out2 / "peaks.json").read_bytes()
+        args = [arg.format(cfg=cfg) for arg in args]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == sorted(path.name for path in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestProtocolCommand:
@@ -208,6 +219,60 @@ class TestProtocolCommand:
         assert code != 0
         assert "n_max" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTrajectoryCsv:
+    def test_columns_and_axis(self, tmp_path):
+        from dickestark.model import default_n_max
+
+        cfg = tmp_path / "inline.ini"
+        cfg.write_text(INLINE_PROTOCOL_INI)
+        out = tmp_path / "out"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "step1_trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[:4] == ["t", "lambda_t", "nq", "nph"]
+        assert header[4] == "pop_k0_n0"
+        assert len(header) == 4 + (4 + 1) * (default_n_max(0, 4) + 1)
+        assert len(lines) == 50 + 1
+        for line in lines[1:]:
+            row = line.split(",")
+            assert float(row[1]) == pytest.approx(0.006 * float(row[0]))
+
+
+PROTOCOL_FILES = ["step1_trajectory.csv", "step2_trajectory.csv", "protocol.json", "summary.json"]
+
+
+class TestPublish:
+    @pytest.mark.parametrize("victim", PROTOCOL_FILES)
+    def test_disk_full_leaves_no_file_of_the_run(self, tmp_path, monkeypatch, capsys, victim):
+        # the files used to be written one at a time, so a failure on one
+        # left the files written before it
+        real_open = io.open
+
+        def full_disk(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and victim in os.fspath(file):
+                handle.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
+            return handle
+
+        monkeypatch.setattr(io, "open", full_disk)
+        monkeypatch.setattr(builtins, "open", full_disk)
+        out = tmp_path / "out"
+        assert main(["protocol", "--preset", "ghz_4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert os.strerror(errno.ENOSPC) in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_unrelated_file_survives(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        assert main(["protocol", "--preset", "ghz_4", "--out", str(out)]) == 0
+        assert (out / "notes.txt").read_text() == "keep me\n"
+        assert sorted(path.name for path in out.iterdir()) == sorted(PROTOCOL_FILES + ["notes.txt"])
 
 
 class TestEffectiveCommand:
@@ -479,6 +544,18 @@ class TestMalformedInputs:
             ),
             ("protocol", INLINE_PROTOCOL_INI.replace("atc 1 0 0", "atc one 0 0"), "protocol step 1: order"),
             ("protocol", INLINE_PROTOCOL_INI.replace("basis 1 1", "basis x 1"), "[protocol] target"),
+            ("protocol", "[protocol]\npreset = ghz_4\ninitial = 3 3\n", "[protocol] initial applies"),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: None) + "initial = 3 3\n",
+                "[protocol] initial applies",
+            ),
+            ("protocol", "[protocol]\npreset = ghz_4\ntarget = basis 1 1\n", "[protocol] target applies"),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: None) + "target = basis 1 1\n",
+                "[protocol] target applies",
+            ),
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nduration = abc"), "[scan] duration"),
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"), "[scan] min_height"),
         ],
@@ -489,13 +566,17 @@ class TestMalformedInputs:
             "inline-unknown-duration-rule",
             "inline-non-integer-order",
             "inline-non-integer-target-cell",
+            "initial-with-preset",
+            "initial-with-file",
+            "target-with-preset",
+            "target-with-file",
             "scan-non-numeric-duration",
             "scan-nan-min-height",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
-        # each used to raise a traceback (exit 1), name no key or step, or
-        # run a full scan before failing
+        # each used to raise a traceback (exit 1), name no key or step, run
+        # a full scan before failing, or run ignoring the key
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"
@@ -503,6 +584,18 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert cause in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_broken_protocol_file_named(self, tmp_path, capsys):
+        # used to exit 2 with the bare decoder message, naming no file
+        path = tmp_path / "proto.json"
+        path.write_text('{"N": 4,')
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[protocol]\nfile = {path}\n")
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[protocol] file = '{path}': protocol document is not valid JSON: Expecting" in err
         assert not out.exists()
 
 

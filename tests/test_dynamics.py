@@ -291,24 +291,6 @@ class TestRotatingFrame:
         assert np.linalg.norm(exact.amplitudes - psi) < 1e-6
 
 
-class TestTrajectoryCsv:
-    def test_columns_and_axis(self, tmp_path, small_system):
-        from dickestark.dynamics import write_trajectory_csv
-
-        params, space, h = small_system
-        traj = evolve(dicke_state(space, 0, 0), h, duration=5.0, samples=10)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj, coupling=params.coupling)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[:4] == ["t", "lambda_t", "nq", "nph"]
-        assert header[4] == "pop_k0_n0"
-        assert len(header) == 4 + space.dimension
-        assert len(lines) == 11
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(params.coupling * float(first[0]))
-
-
 class TestExcitationStructure:
     def test_total_excitation_conserved_without_pair_terms(self):
         # Zeroing the matrix elements between (k, n) and (k+1, n+1) leaves a

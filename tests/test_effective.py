@@ -9,8 +9,9 @@ from dickestark.effective import (
     ResonanceTarget,
     _bare_second_order_omega_q,
     build_effective_hamiltonian,
+    delta_minus,
+    delta_plus,
     detuned_rabi_probability,
-    first_order_detunings,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -58,11 +59,10 @@ class TestFirstOrderDetunings:
         p = ModelParams(omega_q=0.7, **FIRST_ORDER)
         for n in range(3):
             for k in range(5):
-                d = first_order_detunings(n, k, p)
-                assert d.delta_plus == pytest.approx(
+                assert delta_plus(n, k, p) == pytest.approx(
                     p.omega_r + p.omega_q + p.stark_u * (n + k + 1 - 2) / 4
                 )
-                assert d.delta_minus == pytest.approx(
+                assert delta_minus(n, k, p) == pytest.approx(
                     p.omega_q - p.omega_r + p.stark_u * (n - k + 2) / 4
                 )
 
@@ -70,22 +70,20 @@ class TestFirstOrderDetunings:
         # U = -0.5 puts the (0, 0) photon-absorbing resonance at
         # omega_q = omega_r + 0.25, i.e. ratio -0.250.
         p = ModelParams(omega_q=1.25, **FIRST_ORDER)
-        assert first_order_detunings(0, 0, p).delta_minus == pytest.approx(0.0, abs=1e-15)
+        assert delta_minus(0, 0, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_u_zero_is_channel_independent(self):
         p = ModelParams(n_qubits=4, omega_q=0.8, coupling=0.01, stark_u=0.0, n_max=4)
-        base = first_order_detunings(0, 0, p)
         for n in range(3):
             for k in range(5):
-                d = first_order_detunings(n, k, p)
-                assert d.delta_minus == pytest.approx(base.delta_minus)
-                assert d.delta_plus == pytest.approx(base.delta_plus)
+                assert delta_minus(n, k, p) == pytest.approx(delta_minus(0, 0, p))
+                assert delta_plus(n, k, p) == pytest.approx(delta_plus(0, 0, p))
 
     def test_anti_tc_resonance(self):
         # Derived from the closed form: delta_plus(0,0) = 0 at
         # omega_q = -omega_r - U (1 - N/2) / N = -1.125 for U = -0.5.
         p = ModelParams(omega_q=-1.125, **FIRST_ORDER)
-        assert first_order_detunings(0, 0, p).delta_plus == pytest.approx(0.0, abs=1e-15)
+        assert delta_plus(0, 0, p) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestFirstOrderResonances:
@@ -110,8 +108,8 @@ class TestFirstOrderResonances:
             for k0 in range(4):
                 t = ResonanceTarget(kind, 1, 0, k0)
                 omega_q = solve_first_order_resonance(t, p)
-                d = first_order_detunings(0, k0, ModelParams(**{**FIRST_ORDER, "omega_q": omega_q}))
-                value = d.delta_minus if kind == "tc" else d.delta_plus
+                delta = delta_minus if kind == "tc" else delta_plus
+                value = delta(0, k0, ModelParams(**{**FIRST_ORDER, "omega_q": omega_q}))
                 assert value == pytest.approx(0.0, abs=1e-14)
 
 

@@ -123,14 +123,6 @@ class TestResonanceScan:
             predicted = detuned_rabi_probability(omega, delta, duration)
             assert abs(nq - predicted) < 0.05
 
-    def test_deterministic_csv(self, tmp_path):
-        _, c1 = run_preset("fig4", points=41)
-        _, c2 = run_preset("fig4", points=41)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        c1.write_csv(p1)
-        c2.write_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_grid_validation(self):
         preset = scan_preset("fig3")
         space = build_space(preset.params, BasisKind.SYMMETRIC)
