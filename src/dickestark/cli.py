@@ -70,8 +70,9 @@ def _finite_or_none(value: float) -> float | None:
 def _publish(out_dir: Path, files: dict[str, str]) -> None:
     """Write all of ``files`` into ``out_dir`` or none of them: each is
     staged under a temporary name in ``out_dir`` and renamed into place only
-    once every write has succeeded. On an OSError the staged files are
-    removed and the error propagates."""
+    once every write has succeeded. On an OSError the staged files and the
+    directories this call created are removed and the error propagates."""
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     staged = []
     try:
@@ -84,6 +85,8 @@ def _publish(out_dir: Path, files: dict[str, str]) -> None:
     except OSError:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
         raise
 
 
@@ -238,7 +241,7 @@ def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str,
         # infinite when no competing channel is coupled; JSON has no infinity
         "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
         "min_competing_ratio_all": _finite_or_none(report.min_ratio()),
-        "channels": [{**asdict(c), "ratio": _finite_or_none(c.ratio)} for c in report.channels],
+        "channels": [{**c._asdict(), "ratio": _finite_or_none(c.ratio)} for c in report.channels],
     }
     return {"effective.json": _json(payload)}, (
         f"effective {target.label()}: ratio {payload['ratio']:.6f},"

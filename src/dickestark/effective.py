@@ -16,12 +16,20 @@ and the pair-creating term (k -> k+1, n -> n+1) oscillates at
 both with amplitude Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N).
 Zeroing one of these frequencies for a single (n0, k0) while every other
 channel stays fast yields a selective two-level interaction.
+
+The Stark shift (``_shift``) and the four second-order families
+(``_second_order``) are written once, over accessors for Omega, delta-/+ and
+division: ``second_order_coeffs`` evaluates them for one cell with floats,
+``rwa_validity_report`` once over its whole (n, k) grid with arrays. The
+report lists rows over n, then k, then kind: tc, atc for every cell, then
+tc2, atc2, r2, a2 for every cell at a second-order target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +87,18 @@ def delta_plus(n: int, k: int, params: ModelParams) -> float:
     return params.omega_r + params.omega_q + params.stark_u * (n + k + 1 - n_q / 2) / n_q
 
 
+# The two basis cells each channel kind at (n, k) couples, as (dk, dn)
+# offsets from the cell (k, n).
+_CELLS = {
+    "tc": ((1, 0), (0, 1)),
+    "atc": ((0, 0), (1, 1)),
+    "tc2": ((2, 0), (0, 2)),
+    "atc2": ((0, 0), (2, 2)),
+    "r2": ((2, 0), (0, 0)),
+    "a2": ((0, 2), (0, 0)),
+}
+
+
 @dataclass(frozen=True)
 class ResonanceTarget:
     """A selective transition to tune to: order 1 couples (k0+1, n0) with
@@ -99,12 +119,14 @@ class ResonanceTarget:
         if self.n0 < 0 or self.k0 < 0:
             raise ValueError("n0 and k0 must be non-negative")
 
-    def pair(self) -> tuple[tuple[int, int], tuple[int, int]]:
+    @property
+    def channel(self) -> str:
+        """The channel kind of the selected interaction: tc, atc, tc2 or atc2."""
+        return self.kind if self.order == 1 else self.kind + "2"
+
+    def pair(self) -> tuple[tuple[int, int], ...]:
         """The two (k, n) cells the selected interaction couples."""
-        m = self.order
-        if self.kind == "tc":
-            return (self.k0 + m, self.n0), (self.k0, self.n0 + m)
-        return (self.k0, self.n0), (self.k0 + m, self.n0 + m)
+        return tuple((self.k0 + dk, self.n0 + dn) for dk, dn in _CELLS[self.channel])
 
     def validate(self, params: ModelParams) -> None:
         if self.k0 + self.order > params.n_qubits:
@@ -141,21 +163,46 @@ def _ratio_over(num: float, den: float) -> float:
     return num / den
 
 
-def stark_shift(n: int, k: int, params: ModelParams) -> float:
-    """Second-order diagonal energy correction Delta(n, k) of the cell (k, n),
-    summing the level repulsion from its four dispersive first-order channels
-    (terms whose coupling vanishes at the index boundary drop out)."""
+def _grid_over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``_ratio_over`` on every cell of a grid, raising as it does."""
+    live = num != 0.0
+    low = live & (np.abs(den) < DEGENERACY_FLOOR)
+    if low.any():
+        _ratio_over(num[low][0], den[low][0])
+    return np.divide(num, den, out=np.zeros_like(num), where=live)
+
+
+def _cell_accessors(params: ModelParams):
+    """(om, dm, dp, over) of one cell: the scalar functions at integer (n, k)."""
     return (
-        _ratio_over(_omega(n, k - 1, params) ** 2, delta_minus(n, k - 1, params))
-        + _ratio_over(_omega(n - 1, k - 1, params) ** 2, delta_plus(n - 1, k - 1, params))
-        - _ratio_over(_omega(n - 1, k, params) ** 2, delta_minus(n - 1, k, params))
-        - _ratio_over(_omega(n, k, params) ** 2, delta_plus(n, k, params))
+        lambda n, k: _omega(n, k, params),
+        lambda n, k: delta_minus(n, k, params),
+        lambda n, k: delta_plus(n, k, params),
+        _ratio_over,
     )
 
 
-@dataclass(frozen=True)
-class SecondOrderCoeffs:
-    """Second-order couplings and oscillation frequencies at (n, k).
+def _shift(n, k, om, dm, dp, over):
+    """Stark shift Delta(n, k): the level repulsion on the cell (k, n) from its
+    four dispersive first-order channels. ``n``, ``k`` are ints or index arrays;
+    ``om``, ``dm``, ``dp`` read Omega and delta-/+ there and ``over`` divides."""
+    a, b, c, d = om(n, k - 1), om(n - 1, k - 1), om(n - 1, k), om(n, k)
+    return (
+        over(a * a, dm(n, k - 1))
+        + over(b * b, dp(n - 1, k - 1))
+        - over(c * c, dm(n - 1, k))
+        - over(d * d, dp(n, k))
+    )
+
+
+def stark_shift(n: int, k: int, params: ModelParams) -> float:
+    """Second-order diagonal energy correction Delta(n, k) of the cell (k, n)."""
+    return _shift(n, k, *_cell_accessors(params))
+
+
+class SecondOrderCoeffs(NamedTuple):
+    """Second-order couplings and oscillation frequencies at (n, k): floats
+    for one cell, arrays over the grid of ``rwa_validity_report``.
 
     ``omega_*`` are the two-excitation coupling amplitudes (tc: two photons
     absorbed, atc: two created, r: photon-conserving double atomic flip,
@@ -182,19 +229,25 @@ class SecondOrderCoeffs:
 
 
 def second_order_coeffs(n: int, k: int, params: ModelParams) -> SecondOrderCoeffs:
-    om = lambda nn, kk: _omega(nn, kk, params)
-    dm = lambda nn, kk: delta_minus(nn, kk, params)
-    dp = lambda nn, kk: delta_plus(nn, kk, params)
+    return _second_order(n, k, *_cell_accessors(params))
 
-    omega_tc2 = 0.5 * _pair_coupling(om(n, k + 1) * om(n + 1, k), dm(n, k + 1), dm(n + 1, k), -1)
-    omega_atc2 = 0.5 * _pair_coupling(om(n, k) * om(n + 1, k + 1), dp(n + 1, k + 1), dp(n, k), -1)
+
+def _second_order(n, k, om, dm, dp, over) -> SecondOrderCoeffs:
+    """The four second-order families at (n, k), over the accessors of
+    ``_shift``: floats for one cell, arrays over a grid."""
+    w, w_k, w_n = om(n, k), om(n, k + 1), om(n + 1, k)
+    tc, atc = w_k * w_n, w * om(n + 1, k + 1)
+    r_lo, r_hi = om(n - 1, k) * om(n - 1, k + 1), w * w_k
+    a_lo, a_hi = om(n, k - 1) * om(n + 1, k - 1), w * w_n
+    omega_tc2 = 0.5 * (over(tc, dm(n, k + 1)) - over(tc, dm(n + 1, k)))
+    omega_atc2 = 0.5 * (over(atc, dp(n + 1, k + 1)) - over(atc, dp(n, k)))
     omega_r2 = 0.5 * (
-        _pair_coupling(om(n - 1, k) * om(n - 1, k + 1), dp(n - 1, k + 1), dm(n - 1, k), -1)
-        + _pair_coupling(om(n, k) * om(n, k + 1), dm(n, k + 1), dp(n, k), -1)
+        (over(r_lo, dp(n - 1, k + 1)) - over(r_lo, dm(n - 1, k)))
+        + (over(r_hi, dm(n, k + 1)) - over(r_hi, dp(n, k)))
     )
     omega_a2 = 0.5 * (
-        _pair_coupling(om(n, k - 1) * om(n + 1, k - 1), dp(n + 1, k - 1), dm(n, k - 1), +1)
-        - _pair_coupling(om(n, k) * om(n + 1, k), dp(n, k), dm(n + 1, k), +1)
+        (over(a_lo, dp(n + 1, k - 1)) + over(a_lo, dm(n, k - 1)))
+        - (over(a_hi, dp(n, k)) + over(a_hi, dm(n + 1, k)))
     )
 
     delta_tc2 = dm(n + 1, k) + dm(n, k + 1)
@@ -202,38 +255,16 @@ def second_order_coeffs(n: int, k: int, params: ModelParams) -> SecondOrderCoeff
     delta_r2 = dp(n, k) + dm(n, k + 1)
     delta_a2 = dp(n, k) - dm(n + 1, k)
 
-    shift = lambda nn, kk: stark_shift(nn, kk, params)
-    d_nk = shift(n, k)
+    shift = lambda nn, kk: _shift(nn, kk, om, dm, dp, over)
+    d_00, d_02, d_20, d_22 = shift(n, k), shift(n, k + 2), shift(n + 2, k), shift(n + 2, k + 2)
     return SecondOrderCoeffs(
-        n=n,
-        k=k,
-        stark_shift=d_nk,
-        omega_tc2=omega_tc2,
-        omega_atc2=omega_atc2,
-        omega_r2=omega_r2,
-        omega_a2=omega_a2,
-        delta_tc2=delta_tc2,
-        delta_atc2=delta_atc2,
-        delta_r2=delta_r2,
-        delta_a2=delta_a2,
-        tilde_tc2=delta_tc2 + shift(n, k + 2) - shift(n + 2, k),
-        tilde_atc2=delta_atc2 + shift(n + 2, k + 2) - d_nk,
-        tilde_r2=delta_r2 + shift(n, k + 2) - d_nk,
-        tilde_a2=delta_a2 + shift(n + 2, k) - d_nk,
+        n, k, d_00, omega_tc2, omega_atc2, omega_r2, omega_a2,
+        delta_tc2, delta_atc2, delta_r2, delta_a2,
+        tilde_tc2=delta_tc2 + d_02 - d_20,
+        tilde_atc2=delta_atc2 + d_22 - d_00,
+        tilde_r2=delta_r2 + d_02 - d_00,
+        tilde_a2=delta_a2 + d_20 - d_00,
     )
-
-
-def _pair_coupling(product: float, den_a: float, den_b: float, sign: int) -> float:
-    """product * (1/den_a + sign/den_b) with the zero-numerator convention."""
-    if product == 0.0:
-        return 0.0
-    return _ratio_over(product, den_a) + sign * _ratio_over(product, den_b)
-
-
-def second_order_coupling(target: ResonanceTarget, params: ModelParams) -> float:
-    """Signed two-excitation coupling amplitude for a second-order target."""
-    coeffs = second_order_coeffs(target.n0, target.k0, params)
-    return coeffs.omega_tc2 if target.kind == "tc" else coeffs.omega_atc2
 
 
 def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
@@ -336,7 +367,8 @@ def target_coupling(target: ResonanceTarget, params: ModelParams) -> float:
     Omega(n0, k0); second order: the two-excitation amplitude)."""
     if target.order == 1:
         return rabi_frequency(target.n0, target.k0, params)
-    return second_order_coupling(target, params)
+    coeffs = second_order_coeffs(target.n0, target.k0, params)
+    return coeffs.omega_tc2 if target.kind == "tc" else coeffs.omega_atc2
 
 
 def pulse_duration(target: ResonanceTarget, params: ModelParams, fraction: float = 0.5) -> float:
@@ -356,8 +388,7 @@ def build_effective_hamiltonian(
     with the (signed) coupling amplitude on the two symmetric off-diagonal
     positions. Meaningful when params are tuned to the target's resonance."""
     target.validate(params)
-    (k_a, n_a), (k_b, n_b) = target.pair()
-    i, j = space.index(k_a, n_a), space.index(k_b, n_b)
+    i, j = (space.index(*cell) for cell in target.pair())
     omega = target_coupling(target, params)
     h = np.zeros((space.dimension, space.dimension), dtype=complex)
     h[i, j] = omega
@@ -381,8 +412,7 @@ def detuned_rabi_probability(omega: float, delta: float, t: float) -> float:
     return amplitude * math.sin(0.5 * general * t) ** 2
 
 
-@dataclass(frozen=True)
-class ChannelReport:
+class ChannelReport(NamedTuple):
     """Selectivity data for one interaction channel at fixed parameters."""
 
     kind: str  # "tc" | "atc" | "tc2" | "atc2" | "r2" | "a2"
@@ -417,88 +447,55 @@ class RwaReport:
         return min(pool, default=math.inf)
 
 
-_CHANNEL_PAIRS = {
-    "tc": lambda n, k: ((k + 1, n), (k, n + 1)),
-    "atc": lambda n, k: ((k, n), (k + 1, n + 1)),
-    "tc2": lambda n, k: ((k + 2, n), (k, n + 2)),
-    "atc2": lambda n, k: ((k, n), (k + 2, n + 2)),
-    "r2": lambda n, k: ((k + 2, n), (k, n)),
-    "a2": lambda n, k: ((k, n + 2), (k, n)),
-}
-
-
-def _in_family(kind: str, n: int, k: int, target: ResonanceTarget) -> bool:
-    """Whether channel (kind, n, k) belongs to the target's resonant family:
-    the same-kind channels whose detuning vanishes simultaneously (n - k
-    fixed for tc-like, n + k fixed for atc-like)."""
-    order_kind = target.kind if target.order == 1 else target.kind + "2"
-    if kind != order_kind:
-        return False
-    if target.kind == "tc":
-        return n - k == target.n0 - target.k0
-    return n + k == target.n0 + target.k0
-
-
 def rwa_validity_report(
     target: ResonanceTarget, params: ModelParams, space: HilbertSpace
 ) -> RwaReport:
     """Tabulate |detuning| / |coupling| for every channel of the space at the
-    given parameters (normally tuned to the target's resonance). First-order
-    channels are always listed; the four second-order families are added for
-    second-order targets. Channels below SELECTIVITY_RATIO that are not part
-    of the selected family are flagged as risks; uncoupled channels report an
-    infinite ratio."""
+    given parameters (normally tuned to the target's resonance), in the row
+    order of the module docstring. Channels below SELECTIVITY_RATIO outside
+    the selected family (same kind, n - k fixed for tc-like, n + k for
+    atc-like) are risks; a channel with a cell outside the space is uncoupled
+    and reports an infinite ratio."""
     target.validate(params)
-    pair = set(target.pair())
     n_q, n_max = params.n_qubits, params.n_max
+    n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
+    shape = (n_max + 1, n_q + 1)
+    # Omega over n = -1..n_max+2, k = -1..N+2, every index the formulas reach
+    table = np.array([[_omega(i, j, params) for j in range(-1, n_q + 3)] for i in range(-1, n_max + 3)])
+    om = lambda nn, kk: table[nn + 1, kk + 1]
+    dm = lambda nn, kk: delta_minus(nn, kk, params)
+    dp = lambda nn, kk: delta_plus(nn, kk, params)
 
-    def exists(cell: tuple[int, int]) -> bool:
-        k, n = cell
-        return 0 <= k <= n_q and 0 <= n <= n_max
-
-    channels: list[ChannelReport] = []
-
-    def add(kind: str, n: int, k: int, coupling: float, detuning: float) -> None:
-        cells = _CHANNEL_PAIRS[kind](n, k)
-        if not all(exists(c) for c in cells):
-            coupling = 0.0
-        if coupling == 0.0:
-            ratio = math.inf
-        else:
-            ratio = abs(detuning) / abs(coupling)
-        selected = _in_family(kind, n, k, target)
-        adjacent = bool(pair & set(cells))
-        channels.append(
-            ChannelReport(
-                kind=kind,
-                n=n,
-                k=k,
-                coupling=coupling,
-                detuning=detuning,
-                ratio=ratio,
-                no_coupling=coupling == 0.0,
-                selected=selected,
-                adjacent=adjacent,
-                risk=(not selected) and ratio < SELECTIVITY_RATIO,
-            )
-        )
-
-    for n in range(n_max + 1):
-        for k in range(n_q + 1):
-            omega = _omega(n, k, params)
-            add("tc", n, k, omega, delta_minus(n, k, params))
-            add("atc", n, k, omega, delta_plus(n, k, params))
-
+    kinds = {"tc": (om(n, k), dm(n, k)), "atc": (om(n, k), dp(n, k))}
     if target.order == 2:
-        for n in range(n_max + 1):
-            for k in range(n_q + 1):
-                c = second_order_coeffs(n, k, params)
-                add("tc2", n, k, c.omega_tc2, c.tilde_tc2)
-                add("atc2", n, k, c.omega_atc2, c.tilde_atc2)
-                add("r2", n, k, c.omega_r2, c.tilde_r2)
-                add("a2", n, k, c.omega_a2, c.tilde_a2)
+        c = _second_order(n, k, om, dm, dp, _grid_over)
+        kinds.update(tc2=(c.omega_tc2, c.tilde_tc2), atc2=(c.omega_atc2, c.tilde_atc2))
+        kinds.update(r2=(c.omega_r2, c.tilde_r2), a2=(c.omega_a2, c.tilde_a2))
 
-    return RwaReport(target=target, omega_q=params.omega_q, channels=tuple(channels))
+    sign = -1 if target.kind == "tc" else 1  # n - k or n + k is fixed along a family
+    on_line = n + sign * k == target.n0 + sign * target.k0
+    columns = []
+    for kind, (coupling, detuning) in kinds.items():
+        exists, adjacent = np.ones(shape, bool), np.zeros(shape, bool)
+        for dk, dn in _CELLS[kind]:
+            exists &= (k + dk <= n_q) & (n + dn <= n_max)
+            for pk, pn in target.pair():
+                adjacent |= (k + dk == pk) & (n + dn == pn)
+        coupling = np.where(exists, coupling, 0.0)
+        no_coupling = coupling == 0.0
+        ratio = np.divide(
+            np.abs(detuning), np.abs(coupling), out=np.full(shape, math.inf), where=~no_coupling
+        )
+        selected = on_line & (kind == target.channel)
+        risk = ~selected & (ratio < SELECTIVITY_RATIO)
+        columns.append((kind, n, k, coupling, detuning, ratio, no_coupling, selected, adjacent, risk))
+    fields = []
+    for values in zip(*columns):
+        # rows run over n, then k, then kind, the first-order block first
+        grid = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
+        fields.append(grid[..., :2].ravel().tolist() + grid[..., 2:].ravel().tolist())
+    channels = tuple(map(ChannelReport._make, zip(*fields)))
+    return RwaReport(target=target, omega_q=params.omega_q, channels=channels)
 
 
 def ratio_from_omega_q(omega_q: float, params: ModelParams) -> float:

@@ -246,8 +246,7 @@ def _step_outcome(
     cell: tuple[int, int], rule: StepRule
 ) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
     """Predicted dominant cell(s) after driving ``rule`` from ``cell``."""
-    (k_a, n_a), (k_b, n_b) = rule.target.pair()
-    pair = {(k_a, n_a), (k_b, n_b)}
+    pair = set(rule.target.pair())
     if cell not in pair:
         # the pulse does not touch the current cell; population stays put
         return cell, (cell,)

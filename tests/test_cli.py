@@ -1,5 +1,6 @@
 import builtins
 import errno
+import hashlib
 import io
 import json
 import os
@@ -243,28 +244,49 @@ class TestTrajectoryCsv:
 PROTOCOL_FILES = ["step1_trajectory.csv", "step2_trajectory.csv", "protocol.json", "summary.json"]
 
 
+def _fail_writes_to(monkeypatch, victim):
+    """Make every open for writing of a path containing ``victim`` fail with
+    ENOSPC after creating the file, as a full disk does."""
+    real_open = io.open
+
+    def full_disk(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and victim in os.fspath(file):
+            handle.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
+        return handle
+
+    monkeypatch.setattr(io, "open", full_disk)
+    monkeypatch.setattr(builtins, "open", full_disk)
+
+
 class TestPublish:
     @pytest.mark.parametrize("victim", PROTOCOL_FILES)
     def test_disk_full_leaves_no_file_of_the_run(self, tmp_path, monkeypatch, capsys, victim):
         # the files used to be written one at a time, so a failure on one
-        # left the files written before it
-        real_open = io.open
-
-        def full_disk(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and victim in os.fspath(file):
-                handle.close()
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
-            return handle
-
-        monkeypatch.setattr(io, "open", full_disk)
-        monkeypatch.setattr(builtins, "open", full_disk)
+        # left the files written before it; then the created --out was left
+        # behind empty
+        _fail_writes_to(monkeypatch, victim)
         out = tmp_path / "out"
         assert main(["protocol", "--preset", "ghz_4", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert os.strerror(errno.ENOSPC) in captured.err
         assert captured.out == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_disk_full_removes_created_parents(self, tmp_path, monkeypatch):
+        _fail_writes_to(monkeypatch, "summary.json")
+        assert main(["protocol", "--preset", "ghz_4", "--out", str(tmp_path / "a" / "b")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disk_full_keeps_an_existing_out(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        _fail_writes_to(monkeypatch, "summary.json")
+        assert main(["protocol", "--preset", "ghz_4", "--out", str(out)]) == 2
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me\n"
 
     def test_unrelated_file_survives(self, tmp_path):
         out = tmp_path / "out"
@@ -284,6 +306,26 @@ class TestEffectiveCommand:
         assert data["min_competing_ratio_adjacent"] > 10
         kinds = {row["kind"] for row in data["channels"]}
         assert {"tc", "atc", "tc2", "atc2", "r2", "a2"} <= kinds
+
+    # effective.json of every scan preset, byte for byte: every value in it
+    # is fixed by IEEE arithmetic and correctly rounded square roots alone
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            ("fig2a", "01784c08813ad756c117cd0148861e85c1a8ebfe78ceca07902a921ee6a6546b"),
+            ("fig2b", "e6397d72a32a0325a32640efc0f0b6b54dcee2da440ef670861373cf10920ca9"),
+            ("fig3", "e6397d72a32a0325a32640efc0f0b6b54dcee2da440ef670861373cf10920ca9"),
+            ("fig4", "270f4bc3118c5734c98892fb417dfe329580ce75bcc5992a4739ceb9db98cefd"),
+            ("fig5", "41fc07fcb7722fc33dc8571ab3bd2ef7ef813dcb06ce5b93951a6f6d2b4109cc"),
+            ("fig6", "e7a0d93c64076286cba5460dd1b1bdd5ab7b41cca4c94043f5c01f488270159f"),
+            ("fig7", "e86d8ce790f7718faf334a62782be6a5bdc194a6e6c44b8a85e5e3dfe4474edf"),
+            ("fig8", "264757a523582f94367846da85cfdf883d7151486d56e21b874852ef0fb89b01"),
+        ],
+    )
+    def test_preset_output_is_pinned(self, tmp_path, preset, digest):
+        out = tmp_path / preset
+        assert main(["effective", "--preset", preset, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "effective.json").read_bytes()).hexdigest() == digest
 
     def test_degenerate_stark_coupling(self, tmp_path, capsys):
         cfg = tmp_path / "degen.ini"

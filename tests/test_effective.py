@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dickestark.effective import (
+    SELECTIVITY_RATIO,
     DegenerateDetuningError,
     ResonanceBracketError,
     ResonanceTarget,
@@ -26,6 +28,7 @@ from dickestark.model import (
     ModelParams,
     build_hamiltonian,
     build_space,
+    default_n_max,
     dicke_state,
 )
 
@@ -491,6 +494,94 @@ class TestRwaReport:
         # resonant here but disconnected from the selected pair
         detached = [c for c in report.channels if c.kind == "atc" and c.n + c.k == 1]
         assert all(c.risk and not c.adjacent for c in detached)
+
+
+def _cell_rows(target, params):
+    """The selectivity rows built channel by channel from the per-cell
+    functions, with the table's rules written out on their own."""
+    n_q, n_max, m, n0, k0 = params.n_qubits, params.n_max, target.order, target.n0, target.k0
+    couples = {  # the two (k, n) cells of each channel at (n, k)
+        "tc": lambda n, k: ((k + 1, n), (k, n + 1)),
+        "atc": lambda n, k: ((k, n), (k + 1, n + 1)),
+        "tc2": lambda n, k: ((k + 2, n), (k, n + 2)),
+        "atc2": lambda n, k: ((k, n), (k + 2, n + 2)),
+        "r2": lambda n, k: ((k + 2, n), (k, n)),
+        "a2": lambda n, k: ((k, n + 2), (k, n)),
+    }
+    pair = set(couples[target.kind + ("2" if m == 2 else "")](n0, k0))
+    rows = []
+
+    def add(kind, n, k, coupling, detuning):
+        cells = couples[kind](n, k)
+        if not all(0 <= kk <= n_q and 0 <= nn <= n_max for kk, nn in cells):
+            coupling = 0.0
+        ratio = math.inf if coupling == 0.0 else abs(detuning) / abs(coupling)
+        on_line = n - k == n0 - k0 if target.kind == "tc" else n + k == n0 + k0
+        selected = kind == target.kind + ("2" if m == 2 else "") and on_line
+        adjacent = bool(pair & set(cells))
+        risk = not selected and ratio < SELECTIVITY_RATIO
+        rows.append((kind, n, k, coupling, detuning, ratio, coupling == 0.0, selected, adjacent, risk))
+
+    grid = [(n, k) for n in range(n_max + 1) for k in range(n_q + 1)]
+    for n, k in grid:
+        omega = rabi_frequency(n, k, params) if k < n_q else 0.0
+        add("tc", n, k, omega, delta_minus(n, k, params))
+        add("atc", n, k, omega, delta_plus(n, k, params))
+    if m == 2:
+        for n, k in grid:
+            c = second_order_coeffs(n, k, params)
+            add("tc2", n, k, c.omega_tc2, c.tilde_tc2)
+            add("atc2", n, k, c.omega_atc2, c.tilde_atc2)
+            add("r2", n, k, c.omega_r2, c.tilde_r2)
+            add("a2", n, k, c.omega_a2, c.tilde_a2)
+    return rows
+
+
+class TestReportGridMatchesCells:
+    """rwa_validity_report evaluates every channel over its whole (n, k)
+    grid at once. Each row must equal, bit for bit, the row the per-cell
+    functions give, and the report must raise exactly when some cell's
+    second_order_coeffs raises. omega_q is taken at the solved root and at
+    the bare second-order centre, where first-order detunings of whole
+    families vanish and the degenerate cases sit."""
+
+    def test_rows_equal_the_per_cell_functions(self):
+        rng = np.random.default_rng(2012_08104)
+        compared = {1: 0, 2: 0}
+        refused = 0
+        for n_qubits in range(2, 7):
+            for order in (1, 2):
+                for kind in ("tc", "atc"):
+                    for _ in range(3):
+                        n0 = int(rng.integers(0, 3))
+                        k0 = int(rng.integers(0, n_qubits - order + 1))
+                        target = ResonanceTarget(kind, order, n0, k0)
+                        params = ModelParams(
+                            n_qubits=n_qubits,
+                            coupling=float(rng.uniform(0.01, 0.2)),
+                            stark_u=float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-1.0, 5.0)),
+                            n_max=default_n_max(n0 + order, n_qubits),
+                        )
+                        points = [_bare_second_order_omega_q(target, params)]
+                        try:
+                            points.append(solve_resonance(target, params))
+                        except (DegenerateDetuningError, ResonanceBracketError):
+                            pass
+                        for omega_q in points:
+                            tuned = replace(params, omega_q=omega_q)
+                            space = build_space(tuned, BasisKind.SYMMETRIC)
+                            try:
+                                expected = _cell_rows(target, tuned)
+                            except DegenerateDetuningError:
+                                with pytest.raises(DegenerateDetuningError):
+                                    rwa_validity_report(target, tuned, space)
+                                refused += 1
+                                continue
+                            report = rwa_validity_report(target, tuned, space)
+                            got = [tuple(map(repr, row)) for row in report.channels]
+                            assert got == [tuple(map(repr, row)) for row in expected]
+                            compared[order] += 1
+        assert compared[1] > 0 and compared[2] > 0 and refused > 0
 
 
 class TestSolveResonanceDispatch:
