@@ -18,7 +18,6 @@ from .model import (
     StateVector,
     build_hamiltonian,
     build_space,
-    collective_ops,
     default_n_max,
     dicke_state,
     ladder_coupling,
@@ -27,7 +26,6 @@ from .model import (
 from .effective import (
     ResonanceTarget,
     SecondOrderCoeffs,
-    build_effective_hamiltonian,
     detuned_rabi_probability,
     pulse_duration,
     rabi_frequency,
@@ -72,10 +70,8 @@ __all__ = [
     "StateVector",
     "StepRule",
     "Trajectory",
-    "build_effective_hamiltonian",
     "build_hamiltonian",
     "build_space",
-    "collective_ops",
     "compile_dicke_ladder",
     "compile_ghz4",
     "default_n_max",

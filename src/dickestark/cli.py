@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import presets
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import DEFAULT_SAMPLES, observables
+from .dynamics import DEFAULT_SAMPLES, CutoffExceededError, observables
 from .effective import (
     ratio_from_omega_q,
     rwa_validity_report,
@@ -38,7 +38,6 @@ from .effective import (
 )
 from .model import BasisKind, ModelParams, build_space, default_n_max, dicke_state
 from .protocol import (
-    CutoffExceededError,
     compile_dicke_ladder,
     compile_ghz4,
     compile_from_rules,

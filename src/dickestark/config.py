@@ -19,7 +19,7 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     initial_n  = 0
     window_min = 1.9      ; in (omega_r - omega_q) / omega_r units
     window_max = 2.3
-    points     = 801
+    points     = 801      ; 2..100001 (scan.MAX_SCAN_POINTS)
     duration   = auto     ; auto = half oscillation of the target, or a time
     min_height = 0.5      ; minimum peak prominence, finite
 
@@ -70,6 +70,7 @@ from .effective import ResonanceTarget
 from .model import ModelParams
 from .presets import ScanPreset
 from .protocol import StepRule, parse_cell, parse_steps, parse_target
+from .scan import MAX_SCAN_POINTS
 
 
 class ConfigError(ValueError):
@@ -153,7 +154,10 @@ SCHEMA = {
         "initial_n": (int, REQUIRED),
         "window_min": (float, REQUIRED),
         "window_max": (float, REQUIRED),
-        "points": (_checked(int, lambda v: v >= 2, ">= 2"), 801),
+        "points": (
+            _checked(int, lambda v: 2 <= v <= MAX_SCAN_POINTS, f"in 2..{MAX_SCAN_POINTS}"),
+            801,
+        ),
         "duration": (lambda raw: None if raw == "auto" else float(raw), None),
         "min_height": (_checked(float, math.isfinite, "finite"), 0.5),
     },

@@ -1,9 +1,14 @@
 """Exact time evolution under time-independent Hamiltonians, observable
-extraction, frame transforms, and fidelities.
+extraction, frame transforms, fidelities, and the photon-cutoff guard.
 
 Propagation is spectral: U(t) = V exp(-i w t) V' from the Hermitian
 eigendecomposition, exact up to linear-algebra error, so no integrator
-tolerances enter the production paths.
+tolerances enter the production paths. ``propagate`` and ``evolve`` share one
+kernel that diagonalizes each H once, and only where the state lives: H
+conserves the excitation parity (-1)^(k+n) (``HilbertSpace.parities``), so
+the kernel keeps the parity sector(s) the initial amplitudes occupy and runs
+one ``eigh`` on that block, a real one for the real symmetric model H. If H
+couples the kept sectors to the rest, the block is the whole space.
 """
 
 from __future__ import annotations
@@ -22,6 +27,33 @@ from .model import (
 )
 
 DEFAULT_SAMPLES = 400
+
+CUTOFF_POPULATION = 1e-6
+
+
+class CutoffExceededError(RuntimeError):
+    """More than CUTOFF_POPULATION reached the top photon level, so the Fock
+    cutoff truncates the dynamics. ``where`` names the protocol step or scan
+    point for the message; ``step_index`` is the step's number, else None."""
+
+    def __init__(self, where: str, population: float, step_index: int | None = None):
+        self.population, self.step_index = population, step_index
+        super().__init__(
+            f"{where}: population {population:.2e} in the top photon level"
+            f" exceeds {CUTOFF_POPULATION}; raise n_max"
+        )
+
+
+def require_below_cutoff(
+    populations: np.ndarray, space: HilbertSpace, where: str, step_index: int | None = None
+) -> None:
+    """Raise CutoffExceededError if any row of ``populations`` (one state, or
+    one per sample, in the symmetric basis) holds more than CUTOFF_POPULATION
+    in the top photon level n = n_max; a NaN population raises too."""
+    top_level = slice(space.index(0, space.n_max), None, space.n_max + 1)  # (k, n_max), every k
+    top = float(np.max(np.sum(populations[..., top_level], axis=-1)))
+    if not top <= CUTOFF_POPULATION:
+        raise CutoffExceededError(where, top, step_index)
 
 
 @dataclass(frozen=True)
@@ -60,20 +92,28 @@ class Trajectory:
 
 
 class _Spectral:
-    """Cached eigendecomposition of a Hermitian operator."""
+    """exp(-i H t) acting on one vector, from one eigendecomposition of H
+    restricted to the parity sector(s) that the vector occupies."""
 
-    def __init__(self, h: Operator):
+    def __init__(self, h: Operator, amplitudes: np.ndarray):
         h.require_hermitian(HERMITICITY_TOL)
-        self.space = h.space
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix)
+        parity = h.space.parities()
+        occupied = np.zeros(2, dtype=bool)
+        occupied[parity[amplitudes != 0]] = True
+        keep = occupied[parity]
+        if np.any(h.matrix[keep][:, ~keep]):  # the kept sectors are not invariant under H
+            keep[:] = True
+        self.keep = keep
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix[keep][:, keep])
+        self.coeffs = self.eigenvectors.conj().T @ amplitudes[keep]
 
-    def apply(self, amplitudes: np.ndarray, t) -> np.ndarray:
-        """exp(-i H t) applied to one vector; t may be an array of times, in
+    def apply(self, t) -> np.ndarray:
+        """exp(-i H t) applied to the vector; t may be an array of times, in
         which case one row per time is returned."""
-        coeffs = self.eigenvectors.conj().T @ amplitudes
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         phases = np.exp(-1j * np.outer(t_arr, self.eigenvalues))
-        out = (phases * coeffs) @ self.eigenvectors.T
+        out = np.zeros((t_arr.size, self.keep.size), dtype=complex)
+        out[:, self.keep] = (phases * self.coeffs) @ self.eigenvectors.T
         return out if np.ndim(t) else out[0]
 
 
@@ -91,8 +131,7 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    spec = _Spectral(h)
-    amps = spec.apply(psi0.amplitudes, float(t))
+    amps = _Spectral(h, psi0.amplitudes).apply(float(t))
     amps = amps / np.linalg.norm(amps)
     return StateVector(h.space, amps)
 
@@ -117,9 +156,8 @@ def evolve(
         raise ValueError("samples must be >= 2")
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
-    spec = _Spectral(h)
     times = np.linspace(0.0, duration, samples)
-    states = spec.apply(psi0.amplitudes, times)
+    states = _Spectral(h, psi0.amplitudes).apply(times)
     norms = np.linalg.norm(states, axis=1)
     states = states / norms[:, None]
     pops = np.abs(states) ** 2

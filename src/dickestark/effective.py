@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, Operator, ladder_coupling
+from .model import HilbertSpace, ModelParams, ladder_coupling
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -379,21 +379,6 @@ def pulse_duration(target: ResonanceTarget, params: ModelParams, fraction: float
     if omega == 0.0:
         raise ValueError(f"target {target.label()} has zero coupling")
     return fraction * math.pi / omega
-
-
-def build_effective_hamiltonian(
-    target: ResonanceTarget, params: ModelParams, space: HilbertSpace
-) -> Operator:
-    """The selective two-level Hamiltonian: nonzero only on the target pair,
-    with the (signed) coupling amplitude on the two symmetric off-diagonal
-    positions. Meaningful when params are tuned to the target's resonance."""
-    target.validate(params)
-    i, j = (space.index(*cell) for cell in target.pair())
-    omega = target_coupling(target, params)
-    h = np.zeros((space.dimension, space.dimension), dtype=complex)
-    h[i, j] = omega
-    h[j, i] = omega
-    return Operator(space, h)
 
 
 def detuned_rabi_probability(omega: float, delta: float, t: float) -> float:

@@ -1,5 +1,5 @@
-"""Core Dicke-Stark model: parameters, Hilbert-space indexing, collective
-operators, Dicke states, and exact Hamiltonian builders.
+"""Core Dicke-Stark model: parameters, Hilbert-space indexing, Dicke
+states, and exact Hamiltonian builders.
 
 Conventions
 -----------
@@ -135,16 +135,27 @@ class HilbertSpace:
         k, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
         return k.astype(float), n.astype(float)
 
+    def parities(self) -> np.ndarray:
+        """Excitation parity of every flat index, (k + n) mod 2 in the
+        symmetric basis and (popcount(s) + n) mod 2 in the product basis.
+        H conserves (-1)^(k+n): its coupling term (a + a') Jx flips both."""
+        excited, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
+        if self.kind is BasisKind.PRODUCT:
+            excited = np.array([bin(s).count("1") for s in excited])
+        return (excited + n) % 2
+
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix over a HilbertSpace; treated as immutable."""
+    """Dense matrix over a HilbertSpace; treated as immutable. A real matrix
+    is kept real (float64), so a real symmetric H takes the real ``eigh``;
+    a complex one stays complex."""
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.shape != (self.space.dimension, self.space.dimension):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dimension {self.space.dimension}"
@@ -210,38 +221,6 @@ def ladder_coupling(k: int, n_qubits: int) -> float:
     return math.sqrt((k + 1) * (n_qubits - k))
 
 
-def _fock_annihilator(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
-def _dicke_jx(n_qubits: int) -> np.ndarray:
-    jx = np.zeros((n_qubits + 1, n_qubits + 1))
-    for k in range(n_qubits):
-        f = ladder_coupling(k, n_qubits)
-        jx[k + 1, k] = f
-        jx[k, k + 1] = f
-    return jx
-
-
-def _dicke_jz(n_qubits: int) -> np.ndarray:
-    return np.diag([2.0 * k - n_qubits for k in range(n_qubits + 1)])
-
-
-def collective_ops(space: HilbertSpace) -> tuple[Operator, Operator]:
-    """Collective (Jx, Jz) on the symmetric space, acting trivially on the
-    Fock factor: Jx couples (k, n) <-> (k+1, n) with element f(k) and Jz is
-    diagonal with entries 2k - N."""
-    if space.kind is not BasisKind.SYMMETRIC:
-        raise ValueError("collective_ops requires the symmetric basis")
-    eye_f = np.eye(space.n_max + 1)
-    jx = Operator(space, np.kron(_dicke_jx(space.n_qubits), eye_f))
-    jz = Operator(space, np.kron(_dicke_jz(space.n_qubits), eye_f))
-    return jx, jz
-
-
 def _pauli_sums(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(sum_j sigma_j^x, sum_j sigma_j^z) on the 2^N register, bit j = qubit j."""
     dim = 2**n_qubits
@@ -256,38 +235,42 @@ def _pauli_sums(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
-    """Exact Dicke-Stark Hamiltonian on the given space:
+    """Exact Dicke-Stark Hamiltonian on the given space, as a real symmetric
+    matrix:
 
         H = (omega_q/2) Jz + omega_r a'a + (lambda/sqrt(N)) (a + a') Jx
             + (U/2N) a'a Jz
 
-    In the symmetric basis the diagonal entry at (k, n) is
-    (omega_q + n U/N)(k - N/2) + n omega_r, and the coupling element between
-    (k, n) and (k+1, n+1), and between (k, n+1) and (k+1, n), equals
-    lambda f(k) sqrt(n+1) / sqrt(N).
+    In the symmetric basis it is written straight from its closed form: the
+    diagonal entry at (k, n) is (omega_q + n U/N)(k - N/2) + n omega_r, and
+    the coupling element between (k, n) and (k+1, n+1), and between (k, n+1)
+    and (k+1, n), equals lambda f(k) sqrt(n+1) / sqrt(N). The product basis
+    assembles the operator sums above with Kronecker products, an independent
+    route that the validation suite checks the symmetric basis against.
     """
     n = params.n_qubits
-    a = _fock_annihilator(params.n_max)
-    x = a + a.T
-    nph = a.T @ a
-    eye_f = np.eye(params.n_max + 1)
-
     if space.kind is BasisKind.SYMMETRIC:
-        jx = _dicke_jx(n)
-        jz = _dicke_jz(n)
-        eye_q = np.eye(n + 1)
+        levels = params.n_max + 1
+        k, nph = np.divmod(np.arange(space.dimension), levels)
+        h = np.diag((params.omega_q + nph * params.stark_u / n) * (k - n / 2) + nph * params.omega_r)
+        # (k, n) -> (k+1, n+1) and (k, n+1) -> (k+1, n) for k < N, n < n_max
+        lower = np.flatnonzero((k < n) & (nph < params.n_max))
+        f = np.sqrt((k[lower] + 1.0) * (n - k[lower]))
+        g = (params.coupling / math.sqrt(n)) * (f * np.sqrt(nph[lower] + 1.0))
+        for i, j in ((lower, lower + levels + 1), (lower + 1, lower + levels)):
+            h[i, j] = h[j, i] = g
     elif space.kind is BasisKind.PRODUCT:
+        a = np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)), 1)  # photon annihilator
+        nph = a.T @ a
         jx, jz = _pauli_sums(n)
-        eye_q = np.eye(2**n)
+        h = (
+            0.5 * params.omega_q * np.kron(jz, np.eye(params.n_max + 1))
+            + params.omega_r * np.kron(np.eye(2**n), nph)
+            + (params.coupling / math.sqrt(n)) * np.kron(jx, a + a.T)
+            + (params.stark_u / (2 * n)) * np.kron(jz, nph)
+        )
     else:
         raise ValueError(f"unknown basis kind {space.kind!r}")
-
-    h = (
-        0.5 * params.omega_q * np.kron(jz, eye_f)
-        + params.omega_r * np.kron(eye_q, nph)
-        + (params.coupling / math.sqrt(n)) * np.kron(jx, x)
-        + (params.stark_u / (2 * n)) * np.kron(jz, nph)
-    )
     op = Operator(space, h)
     op.require_hermitian()
     return op

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .dynamics import DEFAULT_SAMPLES, Trajectory, diagonal_part, evolve, fidelity, to_rotating_frame
+from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
 from .effective import ResonanceTarget, pulse_duration, solve_resonance
 from .model import (
     HilbertSpace,
@@ -34,25 +35,11 @@ from .model import (
     dicke_state,
 )
 
-CUTOFF_POPULATION = 1e-6
-
 HALF_PERIOD = 0.5
 QUARTER_PERIOD = 0.25
 
 DURATION_RULE_NAMES = {HALF_PERIOD: "half_period", QUARTER_PERIOD: "quarter_period"}
 DURATION_RULES = {v: k for k, v in DURATION_RULE_NAMES.items()}
-
-
-class CutoffExceededError(RuntimeError):
-    """Population reached the top Fock level during a protocol step."""
-
-    def __init__(self, step_index: int, population: float):
-        self.step_index = step_index
-        self.population = population
-        super().__init__(
-            f"step {step_index}: population {population:.2e} in the top photon level"
-            f" exceeds {CUTOFF_POPULATION}; raise n_max"
-        )
 
 
 @dataclass(frozen=True)
@@ -338,15 +325,12 @@ def run_protocol(
         raise ValueError("; ".join(mismatched))
 
     psi = dicke_state(space, *protocol.initial)
-    top_level = [space.index(k, space.n_max) for k in range(space.n_qubits + 1)]
     trajectories = []
     for index, step in enumerate(protocol.steps, start=1):
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
         traj = evolve(psi, h, step.duration, samples=samples)
-        top_pop = float(np.max(np.sum(traj.populations[:, top_level], axis=1)))
-        if not top_pop <= CUTOFF_POPULATION:
-            raise CutoffExceededError(index, top_pop)
+        require_below_cutoff(traj.populations, space, f"step {index}", step_index=index)
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, diagonal_part(h), step.duration)
 

@@ -4,7 +4,10 @@ resonance peaks.
 
 The scan axis is the dimensionless ratio (omega_r - omega_q) / omega_r.
 Grid points are independent; evaluation order is the grid order, so repeated
-runs with identical inputs produce bit-identical output.
+runs with identical inputs produce bit-identical output. Every point is
+checked against the photon cutoff: a final state with more than
+CUTOFF_POPULATION in the top photon level stops the scan with
+CutoffExceededError, which names the ratio.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import observables, propagate
+from .dynamics import observables, propagate, require_below_cutoff
 from .effective import ResonanceTarget, omega_q_from_ratio
 from .model import HilbertSpace, ModelParams, StateVector, build_hamiltonian
+
+# Bounds the grid's memory and run time (each point diagonalizes one H).
+MAX_SCAN_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ def resonance_scan(
 ) -> ScanCurve:
     """For each grid ratio, rebuild the Hamiltonian with that qubit frequency,
     evolve ``psi0`` for ``duration``, and record the mean atomic and photonic
-    excitation numbers at the final time."""
+    excitation numbers at the final time. Raises CutoffExceededError at the
+    first point whose final state reaches the top photon level."""
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("grid must be nonempty")
@@ -57,10 +64,11 @@ def resonance_scan(
         raise ValueError("initial state does not live in the scan space")
     nq = np.empty(ratios.size)
     nph = np.empty(ratios.size)
-    for i, ratio in enumerate(ratios):
-        tuned = replace(params, omega_q=omega_q_from_ratio(float(ratio), params))
+    for i, ratio in enumerate(ratios.tolist()):
+        tuned = replace(params, omega_q=omega_q_from_ratio(ratio, params))
         h = build_hamiltonian(tuned, space)
         final = propagate(h, psi0, duration)
+        require_below_cutoff(np.abs(final.amplitudes) ** 2, space, f"scan ratio {ratio!r}")
         nq[i], nph[i] = observables(final)
     return ScanCurve(ratios=ratios.copy(), nq=nq, nph=nph, duration=duration)
 
@@ -119,8 +127,8 @@ def scan_grid(window: tuple[float, float], points: int = 801) -> np.ndarray:
     lo, hi = window
     if not (hi > lo):
         raise ValueError(f"window must satisfy hi > lo, got {window}")
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    if not 2 <= points <= MAX_SCAN_POINTS:
+        raise ValueError(f"points must lie in 2..{MAX_SCAN_POINTS}, got {points}")
     return np.linspace(lo, hi, points)
 
 

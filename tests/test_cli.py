@@ -135,6 +135,20 @@ class TestScanCommand:
         assert "[scan] duration must be positive and finite" in err
         assert not out.exists()
 
+    def test_truncated_fock_space_exits_2_naming_the_ratio(self, tmp_path, capsys):
+        # used to exit 0 with the peak at -0.2347 instead of -0.2390
+        cfg = tmp_path / "tight.ini"
+        cfg.write_text(
+            "[model]\nn_qubits = 4\nlambda = 0.2\nstark_u = -0.5\nn_max = 2\n\n"
+            "[scan]\nkind = tc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 1\n"
+            "window_min = -0.6\nwindow_max = 0.1\npoints = 71\n"
+        )
+        out = tmp_path / "never"
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scan ratio -0.6: population" in err and "raise n_max" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [["scan", "--config", "{cfg}"], ["scan", "--preset", "fig4"], ["protocol", "--preset", "ghz_4"]],
@@ -600,6 +614,7 @@ class TestMalformedInputs:
             ),
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nduration = abc"), "[scan] duration"),
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"), "[scan] min_height"),
+            ("scan", SCAN_INI.replace("points = 161", "points = 100002"), "[scan] points = '100002'"),
         ],
         ids=[
             "json-target-without-kind",
@@ -614,6 +629,7 @@ class TestMalformedInputs:
             "target-with-file",
             "scan-non-numeric-duration",
             "scan-nan-min-height",
+            "scan-points-above-cap",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):

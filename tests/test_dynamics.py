@@ -16,7 +16,6 @@ from dickestark.dynamics import (
 )
 from dickestark.effective import (
     ResonanceTarget,
-    build_effective_hamiltonian,
     delta_minus,
     delta_plus,
     rabi_frequency,
@@ -32,6 +31,7 @@ from dickestark.model import (
     dicke_state,
     ladder_coupling,
 )
+from oracles import build_effective_hamiltonian
 
 
 def random_state(space, rng):

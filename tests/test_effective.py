@@ -10,7 +10,6 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
-    build_effective_hamiltonian,
     delta_minus,
     delta_plus,
     detuned_rabi_probability,
@@ -31,6 +30,7 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
 )
+from oracles import build_effective_hamiltonian
 
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
 SECOND_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.1, stark_u=-16.0, n_max=8)

@@ -1,0 +1,189 @@
+"""The spectral kernel against its oracles: the closed-form H against the
+Kronecker-product builder, parity-sector propagation against one complex
+``eigh`` of the whole space, and the photon-cutoff guard of the scan."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dickestark import dynamics, protocol
+from dickestark.dynamics import CutoffExceededError, _Spectral, evolve, observables, propagate
+from dickestark.effective import ResonanceTarget, omega_q_from_ratio, pulse_duration, solve_resonance
+from dickestark.model import (
+    BasisKind,
+    ModelParams,
+    Operator,
+    StateVector,
+    build_hamiltonian,
+    build_space,
+    default_n_max,
+    dicke_state,
+    symmetrization_isometry,
+)
+from dickestark.presets import SCAN_PRESETS, scan_preset
+from dickestark.scan import resonance_scan, scan_grid
+from oracles import full_space_evolution, kron_hamiltonian
+
+
+def draw_params(rng, n_qubits, n_max):
+    return ModelParams(
+        n_qubits=n_qubits,
+        omega_q=float(rng.uniform(-2.0, 2.0)),
+        coupling=float(rng.uniform(0.0, 0.3)),
+        stark_u=float(rng.uniform(-4.0, 4.0)),
+        n_max=n_max,
+    )
+
+
+def random_state(space, rng, sectors=(0, 1)):
+    """A random normalized state supported on the given parity sectors."""
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    amps[~np.isin(space.parities(), sectors)] = 0.0
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+class TestClosedFormHamiltonian:
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_matches_kron_builder(self, n_qubits):
+        rng = np.random.default_rng(100 + n_qubits)
+        for n_max in range(13):
+            params = draw_params(rng, n_qubits, n_max)
+            h = build_hamiltonian(params, build_space(params, BasisKind.SYMMETRIC)).matrix
+            oracle = kron_hamiltonian(params)
+            assert h.dtype == np.float64
+            assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    def test_conserves_parity_in_both_bases(self):
+        rng = np.random.default_rng(3)
+        for n_qubits in (1, 2, 3, 4):
+            params = draw_params(rng, n_qubits, 3)
+            for kind in BasisKind:
+                space = build_space(params, kind)
+                parity = space.parities()
+                h = build_hamiltonian(params, space).matrix
+                assert not np.any(h[parity[:, None] != parity[None, :]])
+
+    def test_parities_agree_across_bases(self):
+        params = ModelParams(n_qubits=3, n_max=2)
+        sym = build_space(params, BasisKind.SYMMETRIC)
+        prod = build_space(params, BasisKind.PRODUCT)
+        rows, cols = np.nonzero(symmetrization_isometry(sym, prod))
+        assert np.array_equal(prod.parities()[rows], sym.parities()[cols])
+        assert [sym.parities()[sym.index(k, n)] for k, n in [(0, 0), (1, 0), (2, 1), (3, 2)]] == [0, 1, 1, 1]
+
+
+class TestOperatorDtype:
+    def test_real_stays_real_and_complex_stays_complex(self):
+        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        assert Operator(space, np.eye(2, dtype=int)).matrix.dtype == np.float64
+        assert Operator(space, np.eye(2)).matrix.dtype == np.float64
+        assert Operator(space, np.eye(2) * 1j).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leaves_the_callers_array_writeable(self, dtype):
+        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        m = np.eye(2, dtype=dtype)
+        assert not Operator(space, m).matrix.flags.writeable
+        m[0, 0] = 2.0
+
+
+class TestSectorPropagation:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_propagate_and_evolve_match_full_space(self, kind, n_qubits):
+        rng = np.random.default_rng(10 * n_qubits + (kind is BasisKind.PRODUCT))
+        n_max = int(rng.integers(1, 6)) if kind is BasisKind.SYMMETRIC else 2
+        params = draw_params(rng, n_qubits, n_max)
+        space = build_space(params, kind)
+        h = build_hamiltonian(params, space)
+        k = int(rng.integers(0, n_qubits + 1))
+        states = [
+            dicke_state(space, k, int(rng.integers(0, n_max + 1))),
+            random_state(space, rng, sectors=(0,)),
+            random_state(space, rng, sectors=(1,)),
+            random_state(space, rng),  # across both parities
+        ]
+        for psi0 in states:
+            t = float(rng.uniform(0.0, 50.0))
+            oracle = full_space_evolution(h.matrix, psi0.amplitudes, t)[0]
+            got = propagate(h, psi0, t).amplitudes
+            assert np.max(np.abs(got - oracle / np.linalg.norm(oracle))) <= 1e-12
+            if kind is BasisKind.PRODUCT:
+                continue  # trajectories are recorded in the symmetric basis only
+            traj = evolve(psi0, h, t, samples=7)
+            oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
+            assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+
+    def test_diagonalizes_only_the_occupied_sector(self):
+        params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
+        space = build_space(params, BasisKind.SYMMETRIC)
+        h = build_hamiltonian(params, space)
+        spec = _Spectral(h, dicke_state(space, 1, 2).amplitudes)
+        assert np.array_equal(spec.keep, space.parities() == 1)
+        assert spec.eigenvalues.size == np.count_nonzero(space.parities() == 1) < space.dimension
+        both = random_state(space, np.random.default_rng(0))
+        assert _Spectral(h, both.amplitudes).keep.all()
+
+    def test_operator_coupling_the_sectors_falls_back_to_the_whole_space(self):
+        params = ModelParams(n_qubits=3, omega_q=0.7, coupling=0.1, stark_u=-1.0, n_max=3)
+        space = build_space(params, BasisKind.SYMMETRIC)
+        m = build_hamiltonian(params, space).matrix.copy()
+        i, j = space.index(0, 0), space.index(1, 0)  # parities 0 and 1
+        m[i, j] = m[j, i] = 0.05
+        h = Operator(space, m)
+        psi0 = dicke_state(space, 0, 0)
+        assert _Spectral(h, psi0.amplitudes).keep.all()
+        oracle = full_space_evolution(m, psi0.amplitudes, 30.0)[0]
+        assert np.max(np.abs(propagate(h, psi0, 30.0).amplitudes - oracle)) <= 1e-12
+        assert abs(oracle[j]) > 1e-3  # the coupling moved population across
+
+
+def per_point_scan(psi0, ratios, duration, params):
+    """The scan as one complex full-space eigh of the Kronecker H per point."""
+    rows = []
+    for ratio in ratios:
+        tuned = replace(params, omega_q=omega_q_from_ratio(float(ratio), params))
+        amps = full_space_evolution(kron_hamiltonian(tuned), psi0.amplitudes, duration)[0]
+        rows.append(observables(StateVector(psi0.space, amps / np.linalg.norm(amps))))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_PRESETS))
+def test_preset_scan_curve_matches_per_point_oracle(name):
+    preset = scan_preset(name)
+    space = build_space(preset.params, BasisKind.SYMMETRIC)
+    psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
+    duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+    grid = scan_grid(preset.window, 101)
+    curve = resonance_scan(psi0, grid, duration, preset.params, space)
+    nq, nph = per_point_scan(psi0, grid, duration, preset.params)
+    assert np.max(np.abs(curve.nq - nq)) <= 1e-10
+    assert np.max(np.abs(curve.nph - nph)) <= 1e-10
+
+
+class TestScanCutoffGuard:
+    # TC(0,0) from (0, 1) at lambda = 0.2: with n_max = 2 the truncated
+    # space moves the peak from -0.2390 to -0.2347 and the scan used to
+    # report it without complaint.
+    TARGET = ResonanceTarget("tc", 1, 0, 0)
+
+    def scan(self, n_max):
+        params = ModelParams(n_qubits=4, coupling=0.2, stark_u=-0.5, n_max=n_max)
+        space = build_space(params, BasisKind.SYMMETRIC)
+        tuned = replace(params, omega_q=solve_resonance(self.TARGET, params))
+        duration = pulse_duration(self.TARGET, tuned)
+        return resonance_scan(dicke_state(space, 0, 1), scan_grid((-0.6, 0.1), 71), duration, params, space)
+
+    def test_truncated_space_raises_naming_the_ratio(self):
+        with pytest.raises(CutoffExceededError, match=r"scan ratio -0\.6: .* raise n_max") as err:
+            self.scan(2)
+        assert err.value.population > dynamics.CUTOFF_POPULATION
+        assert err.value.step_index is None
+
+    def test_default_cutoff_passes(self):
+        curve = self.scan(default_n_max(1, 4))
+        assert curve.nq.size == 71
+
+    def test_protocol_exposes_the_same_error(self):
+        assert protocol.CutoffExceededError is CutoffExceededError

@@ -8,12 +8,12 @@ from dickestark.model import (
     StateVector,
     build_hamiltonian,
     build_space,
-    collective_ops,
     default_n_max,
     dicke_state,
     ladder_coupling,
     symmetrization_isometry,
 )
+from oracles import collective_ops
 
 
 def spaces(n_qubits, n_max, **kw):

@@ -12,6 +12,7 @@ from dickestark.effective import (
 from dickestark.model import BasisKind, build_space, dicke_state
 from dickestark.presets import scan_preset
 from dickestark.scan import (
+    MAX_SCAN_POINTS,
     Peak,
     _parabolic_refine,
     detect_peaks,
@@ -131,6 +132,13 @@ class TestResonanceScan:
             resonance_scan(psi0, np.array([]), 1.0, preset.params, space)
         with pytest.raises(ValueError):
             resonance_scan(psi0, np.array([1.0, 0.5]), 1.0, preset.params, space)
+
+    def test_grid_size_is_capped(self):
+        assert scan_grid((0.0, 1.0), MAX_SCAN_POINTS).size == MAX_SCAN_POINTS
+        with pytest.raises(ValueError, match=f"points must lie in 2..{MAX_SCAN_POINTS}"):
+            scan_grid((0.0, 1.0), MAX_SCAN_POINTS + 1)
+        with pytest.raises(ValueError, match="points must lie in"):
+            scan_grid((0.0, 1.0), 1)
 
     def test_peak_report(self):
         preset, curve = run_preset("fig6", points=161)
