@@ -9,11 +9,19 @@ conserves the excitation parity (-1)^(k+n) (``HilbertSpace.parities``), so
 the kernel keeps the parity sector(s) the initial amplitudes occupy and runs
 one ``eigh`` on that block, a real one for the real symmetric model H. If H
 couples the kept sectors to the rest, the block is the whole space.
+
+Per H the kernel does only what depends on H: one Hermiticity check (the
+builder does not check), the check that the kept block is invariant, one
+``eigh``, and the evaluation at the requested time(s), where real
+eigenvectors multiply the complex amplitudes in real arithmetic. The index
+sets of each (space, occupied parities) are computed once and cached, so a
+scan point that reuses the space and initial state recomputes none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +58,8 @@ def require_below_cutoff(
     """Raise CutoffExceededError if any row of ``populations`` (one state, or
     one per sample, in the symmetric basis) holds more than CUTOFF_POPULATION
     in the top photon level n = n_max; a NaN population raises too."""
-    top_level = slice(space.index(0, space.n_max), None, space.n_max + 1)  # (k, n_max), every k
-    top = float(np.max(np.sum(populations[..., top_level], axis=-1)))
+    top_level = populations[..., space.n_max :: space.n_max + 1]  # (k, n_max), every k
+    top = float(top_level.sum(axis=-1).max())
     if not top <= CUTOFF_POPULATION:
         raise CutoffExceededError(where, top, step_index)
 
@@ -93,28 +101,59 @@ class Trajectory:
 
 class _Spectral:
     """exp(-i H t) acting on one vector, from one eigendecomposition of H
-    restricted to the parity sector(s) that the vector occupies."""
+    restricted to the parity sector(s) that the vector occupies, read through
+    the cached index sets of ``_sector``."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray):
         h.require_hermitian(HERMITICITY_TOL)
-        parity = h.space.parities()
         occupied = np.zeros(2, dtype=bool)
-        occupied[parity[amplitudes != 0]] = True
-        keep = occupied[parity]
-        if np.any(h.matrix[keep][:, ~keep]):  # the kept sectors are not invariant under H
-            keep[:] = True
-        self.keep = keep
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix[keep][:, keep])
-        self.coeffs = self.eigenvectors.conj().T @ amplitudes[keep]
+        occupied[h.space.parities()[amplitudes != 0]] = True
+        kept, block, coupling = _sector(h.space, *occupied.tolist())
+        if coupling is not None and h.matrix.take(coupling).any():
+            kept, block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
+        self.kept, self.dimension = kept, h.space.dimension
+        sector_h = h.matrix.take(block).reshape(kept.size, kept.size)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(sector_h)
+        self.coeffs = _times(self.eigenvectors.conj().T, amplitudes[kept])
 
     def apply(self, t) -> np.ndarray:
         """exp(-i H t) applied to the vector; t may be an array of times, in
         which case one row per time is returned."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        phases = np.exp(-1j * np.outer(t_arr, self.eigenvalues))
-        out = np.zeros((t_arr.size, self.keep.size), dtype=complex)
-        out[:, self.keep] = (phases * self.coeffs) @ self.eigenvectors.T
-        return out if np.ndim(t) else out[0]
+        t = np.asarray(t, dtype=float)
+        # one column per time: a vector for a scalar t, a matrix for an array
+        coeffs = self.coeffs if t.ndim == 0 else self.coeffs[:, None]
+        sector = _times(self.eigenvectors, np.exp(-1j * np.multiply.outer(self.eigenvalues, t)) * coeffs)
+        if self.kept.size == self.dimension:
+            return sector.T
+        out = np.zeros(t.shape + (self.dimension,), dtype=complex)
+        out[..., self.kept] = sector.T
+        return out
+
+
+@lru_cache(maxsize=8)
+def _sector(space: HilbertSpace, even: bool, odd: bool):
+    """Read-only index sets of the given occupied parities of ``space``,
+    computed once per (space, parities): the kept flat indices, the flat
+    (C-order) matrix positions of the kept block, and those from kept rows to
+    dropped columns (None when nothing is dropped)."""
+    keep = np.array([even, odd])[space.parities()]
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    rows = kept[:, None] * space.dimension
+    block = (rows + kept).ravel()
+    coupling = (rows + dropped).ravel() if dropped.size else None
+    for a in (kept, block, coupling):
+        if a is not None:
+            a.flags.writeable = False
+    return kept, block, coupling
+
+
+def _times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a complex vector or matrix z. A real m stays real: z's real
+    and imaginary parts are multiplied as interleaved real columns."""
+    if np.iscomplexobj(m):
+        return m @ z
+    product = m @ z.view(np.float64).reshape(z.shape[0], -1)
+    return product.view(np.complex128).reshape(m.shape[:1] + z.shape[1:])
 
 
 def propagator(h: Operator, t: float) -> Operator:
@@ -131,9 +170,7 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    amps = _Spectral(h, psi0.amplitudes).apply(float(t))
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(h.space, amps)
+    return StateVector(h.space, _Spectral(h, psi0.amplitudes).apply(float(t)))
 
 
 def observables(psi: StateVector) -> tuple[float, float]:
@@ -152,6 +189,11 @@ def evolve(
     [0, duration]; the final stored state equals propagator(H, duration) psi0."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
+    if h.space.kind is not BasisKind.SYMMETRIC:
+        raise ValueError(
+            "evolve records excitation numbers, so it needs the symmetric basis;"
+            " propagate takes either basis"
+        )
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not (np.isfinite(duration) and duration > 0):

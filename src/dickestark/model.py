@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,21 +129,35 @@ class HilbertSpace:
         return [divmod(i, self.n_max + 1) for i in range(self.dimension)]
 
     def excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, n) of every flat index as two float arrays (symmetric basis
-        only): the diagonals of N_q and a'a."""
+        """(k, n) of every flat index as two read-only float arrays (symmetric
+        basis only): the diagonals of N_q and a'a. Computed once per space."""
         if self.kind is not BasisKind.SYMMETRIC:
             raise ValueError("excitation_numbers is defined on the symmetric basis")
-        k, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
-        return k.astype(float), n.astype(float)
+        return self._excitation_numbers
 
     def parities(self) -> np.ndarray:
         """Excitation parity of every flat index, (k + n) mod 2 in the
-        symmetric basis and (popcount(s) + n) mod 2 in the product basis.
-        H conserves (-1)^(k+n): its coupling term (a + a') Jx flips both."""
+        symmetric basis and (popcount(s) + n) mod 2 in the product basis, as a
+        read-only array computed once per space. H conserves (-1)^(k+n): its
+        coupling term (a + a') Jx flips both."""
+        return self._parities
+
+    @cached_property
+    def _excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        k, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
+        return _read_only(k.astype(float)), _read_only(n.astype(float))
+
+    @cached_property
+    def _parities(self) -> np.ndarray:
         excited, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
         if self.kind is BasisKind.PRODUCT:
             excited = np.array([bin(s).count("1") for s in excited])
-        return (excited + n) % 2
+        return _read_only((excited + n) % 2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -164,7 +179,7 @@ class Operator:
         object.__setattr__(self, "matrix", m)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
     def require_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
         defect = self.hermiticity_defect()
@@ -241,24 +256,26 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
         H = (omega_q/2) Jz + omega_r a'a + (lambda/sqrt(N)) (a + a') Jx
             + (U/2N) a'a Jz
 
-    In the symmetric basis it is written straight from its closed form: the
-    diagonal entry at (k, n) is (omega_q + n U/N)(k - N/2) + n omega_r, and
-    the coupling element between (k, n) and (k+1, n+1), and between (k, n+1)
-    and (k+1, n), equals lambda f(k) sqrt(n+1) / sqrt(N). The product basis
-    assembles the operator sums above with Kronecker products, an independent
-    route that the validation suite checks the symmetric basis against.
+    In the symmetric basis it is written from its closed form, which is affine
+    in omega_q: H = H(0) + omega_q Jz/2. The diagonal entry of H(0) at (k, n)
+    is (nU/N)(k - N/2) + n omega_r, and its coupling element between (k, n)
+    and (k+1, n+1), and between (k, n+1) and (k+1, n), equals
+    lambda f(k) sqrt(n+1) / sqrt(N). H(0) and the diagonal k - N/2 of Jz/2
+    are cached per (N, n_max, lambda, U, omega_r) (``_affine_parts``), so a
+    frequency scan copies H(0) and adds one diagonal per point. The product
+    basis assembles the operator sums above with Kronecker products, an
+    independent route that the validation suite checks the symmetric basis
+    against.
+
+    The matrix is not checked for Hermiticity here: every ``eigh`` route
+    (``dynamics.propagate``, ``evolve``, ``propagator``) checks the H it is
+    given, once.
     """
     n = params.n_qubits
     if space.kind is BasisKind.SYMMETRIC:
-        levels = params.n_max + 1
-        k, nph = np.divmod(np.arange(space.dimension), levels)
-        h = np.diag((params.omega_q + nph * params.stark_u / n) * (k - n / 2) + nph * params.omega_r)
-        # (k, n) -> (k+1, n+1) and (k, n+1) -> (k+1, n) for k < N, n < n_max
-        lower = np.flatnonzero((k < n) & (nph < params.n_max))
-        f = np.sqrt((k[lower] + 1.0) * (n - k[lower]))
-        g = (params.coupling / math.sqrt(n)) * (f * np.sqrt(nph[lower] + 1.0))
-        for i, j in ((lower, lower + levels + 1), (lower + 1, lower + levels)):
-            h[i, j] = h[j, i] = g
+        h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
+        h = h0.copy()
+        h.flat[:: h.shape[0] + 1] += params.omega_q * jz_half
     elif space.kind is BasisKind.PRODUCT:
         a = np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)), 1)  # photon annihilator
         nph = a.T @ a
@@ -271,9 +288,26 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
         )
     else:
         raise ValueError(f"unknown basis kind {space.kind!r}")
-    op = Operator(space, h)
-    op.require_hermitian()
-    return op
+    return Operator(space, h)
+
+
+@lru_cache(maxsize=4)
+def _affine_parts(
+    n: int, n_max: int, coupling: float, stark_u: float, omega_r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H(0), diagonal of Jz/2) of the symmetric-basis H, both read-only. A
+    scan needs one entry; the bound keeps the memory flat."""
+    levels = n_max + 1
+    k, nph = np.divmod(np.arange((n + 1) * levels), levels)
+    jz_half = k - n / 2
+    h0 = np.diag(nph * stark_u / n * jz_half + nph * omega_r)
+    # (k, n) -> (k+1, n+1) and (k, n+1) -> (k+1, n) for k < N, n < n_max
+    lower = np.flatnonzero((k < n) & (nph < n_max))
+    f = np.sqrt((k[lower] + 1.0) * (n - k[lower]))
+    g = (coupling / math.sqrt(n)) * (f * np.sqrt(nph[lower] + 1.0))
+    for i, j in ((lower, lower + levels + 1), (lower + 1, lower + levels)):
+        h0[i, j] = h0[j, i] = g
+    return _read_only(h0), _read_only(jz_half)
 
 
 def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:

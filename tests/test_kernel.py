@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dickestark import dynamics, protocol
+from dickestark import dynamics, model, protocol, scan
 from dickestark.dynamics import CutoffExceededError, _Spectral, evolve, observables, propagate
 from dickestark.effective import ResonanceTarget, omega_q_from_ratio, pulse_duration, solve_resonance
 from dickestark.model import (
@@ -29,6 +29,7 @@ from oracles import full_space_evolution, kron_hamiltonian
 def draw_params(rng, n_qubits, n_max):
     return ModelParams(
         n_qubits=n_qubits,
+        omega_r=float(rng.uniform(0.5, 1.5)),
         omega_q=float(rng.uniform(-2.0, 2.0)),
         coupling=float(rng.uniform(0.0, 0.3)),
         stark_u=float(rng.uniform(-4.0, 4.0)),
@@ -46,13 +47,20 @@ def random_state(space, rng, sectors=(0, 1)):
 class TestClosedFormHamiltonian:
     @pytest.mark.parametrize("n_qubits", range(1, 7))
     def test_matches_kron_builder(self, n_qubits):
+        # Several omega_q per parameter set, with repeats and sign flips, so an
+        # H(0) or Jz/2 diagonal that a cached entry kept from an earlier
+        # omega_q would show.
         rng = np.random.default_rng(100 + n_qubits)
         for n_max in range(13):
             params = draw_params(rng, n_qubits, n_max)
-            h = build_hamiltonian(params, build_space(params, BasisKind.SYMMETRIC)).matrix
-            oracle = kron_hamiltonian(params)
-            assert h.dtype == np.float64
-            assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            space = build_space(params, BasisKind.SYMMETRIC)
+            w = params.omega_q
+            for omega_q in (w, -w, float(rng.uniform(-2.0, 2.0)), w, 0.0, -w):
+                tuned = replace(params, omega_q=omega_q)
+                h = build_hamiltonian(tuned, space).matrix
+                oracle = kron_hamiltonian(tuned)
+                assert h.dtype == np.float64
+                assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     def test_conserves_parity_in_both_bases(self):
         rng = np.random.default_rng(3)
@@ -71,6 +79,34 @@ class TestClosedFormHamiltonian:
         rows, cols = np.nonzero(symmetrization_isometry(sym, prod))
         assert np.array_equal(prod.parities()[rows], sym.parities()[cols])
         assert [sym.parities()[sym.index(k, n)] for k, n in [(0, 0), (1, 0), (2, 1), (3, 2)]] == [0, 1, 1, 1]
+
+
+class TestCachedArrays:
+    def test_cached_arrays_are_read_only(self):
+        params = ModelParams(n_qubits=3, omega_q=0.8, coupling=0.1, stark_u=-2.0, n_max=4)
+        space = build_space(params, BasisKind.SYMMETRIC)
+        h = build_hamiltonian(params, space)
+        h0, jz_half = model._affine_parts(3, 4, 0.1, -2.0, 1.0)
+        sector = dynamics._sector(space, False, True)
+        cached = [h0, jz_half, h.matrix, space.parities(), *space.excitation_numbers(), *sector]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 7
+        assert np.array_equal(build_hamiltonian(params, space).matrix, h.matrix)
+
+    def test_scans_in_sequence_share_no_state(self):
+        def curve(name):
+            preset = scan_preset(name)
+            space = build_space(preset.params, BasisKind.SYMMETRIC)
+            psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
+            duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+            return resonance_scan(psi0, scan_grid(preset.window, 61), duration, preset.params, space)
+
+        model._affine_parts.cache_clear()
+        dynamics._sector.cache_clear()
+        first, _, again = curve("fig3"), curve("fig8"), curve("fig3")
+        assert first.nq.tobytes() == again.nq.tobytes()
+        assert first.nph.tobytes() == again.nph.tobytes()
 
 
 class TestOperatorDtype:
@@ -115,15 +151,24 @@ class TestSectorPropagation:
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
             assert np.max(np.abs(traj.states - oracle)) <= 1e-12
 
+    def test_evolve_refuses_the_product_basis_naming_the_rule(self):
+        params = ModelParams(n_qubits=2, n_max=2)
+        space = build_space(params, BasisKind.PRODUCT)
+        h = build_hamiltonian(params, space)
+        psi0 = dicke_state(space, 1, 0)
+        with pytest.raises(ValueError, match="evolve .* needs the symmetric basis; propagate takes either"):
+            evolve(psi0, h, 1.0)
+        assert propagate(h, psi0, 1.0).space == space
+
     def test_diagonalizes_only_the_occupied_sector(self):
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
         space = build_space(params, BasisKind.SYMMETRIC)
         h = build_hamiltonian(params, space)
         spec = _Spectral(h, dicke_state(space, 1, 2).amplitudes)
-        assert np.array_equal(spec.keep, space.parities() == 1)
+        assert np.array_equal(spec.kept, np.flatnonzero(space.parities() == 1))
         assert spec.eigenvalues.size == np.count_nonzero(space.parities() == 1) < space.dimension
         both = random_state(space, np.random.default_rng(0))
-        assert _Spectral(h, both.amplitudes).keep.all()
+        assert _Spectral(h, both.amplitudes).kept.size == space.dimension
 
     def test_operator_coupling_the_sectors_falls_back_to_the_whole_space(self):
         params = ModelParams(n_qubits=3, omega_q=0.7, coupling=0.1, stark_u=-1.0, n_max=3)
@@ -133,7 +178,7 @@ class TestSectorPropagation:
         m[i, j] = m[j, i] = 0.05
         h = Operator(space, m)
         psi0 = dicke_state(space, 0, 0)
-        assert _Spectral(h, psi0.amplitudes).keep.all()
+        assert _Spectral(h, psi0.amplitudes).kept.size == space.dimension
         oracle = full_space_evolution(m, psi0.amplitudes, 30.0)[0]
         assert np.max(np.abs(propagate(h, psi0, 30.0).amplitudes - oracle)) <= 1e-12
         assert abs(oracle[j]) > 1e-3  # the coupling moved population across
@@ -160,6 +205,30 @@ def test_preset_scan_curve_matches_per_point_oracle(name):
     nq, nph = per_point_scan(psi0, grid, duration, preset.params)
     assert np.max(np.abs(curve.nq - nq)) <= 1e-10
     assert np.max(np.abs(curve.nph - nph)) <= 1e-10
+
+
+def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
+    """One build, one Hermiticity check and one eigh per grid point, and
+    nothing else: the builder does not check, and the kernel checks once."""
+    calls = {"build": 0, "hermitian": 0, "eigh": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(scan, "build_hamiltonian", counting("build", scan.build_hamiltonian))
+    monkeypatch.setattr(Operator, "require_hermitian", counting("hermitian", Operator.require_hermitian))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    preset = scan_preset("fig3")
+    space = build_space(preset.params, BasisKind.SYMMETRIC)
+    psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
+    duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+    curve = resonance_scan(psi0, scan_grid(preset.window, 17), duration, preset.params, space)
+    assert curve.nq.size == 17
+    assert calls == {"build": 17, "hermitian": 17, "eigh": 17}
 
 
 class TestScanCutoffGuard:
