@@ -170,7 +170,14 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        m = self.matrix
+        dtype = complex if np.iscomplexobj(m) else float
+        # A read-only array that owns its data is taken as is (the builder
+        # hands over a fresh H); any other array is copied, so the caller's
+        # array stays the caller's.
+        owned = isinstance(m, np.ndarray) and m.base is None and not m.flags.writeable
+        if not (owned and m.dtype == dtype):
+            m = np.array(m, dtype=dtype)
         if m.shape != (self.space.dimension, self.space.dimension):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dimension {self.space.dimension}"
@@ -208,6 +215,12 @@ class StateVector:
 
     def population(self, k: int, n: int) -> float:
         return float(abs(self.amplitudes[self.space.index(k, n)]) ** 2)
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """|amplitude|^2 of every flat index, read-only, computed once per
+        state."""
+        return _read_only(np.abs(self.amplitudes) ** 2)
 
 
 def build_space(params: ModelParams, kind: BasisKind) -> HilbertSpace:
@@ -288,7 +301,7 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
         )
     else:
         raise ValueError(f"unknown basis kind {space.kind!r}")
-    return Operator(space, h)
+    return Operator(space, _read_only(h))
 
 
 @lru_cache(maxsize=4)

@@ -68,7 +68,7 @@ def resonance_scan(
         tuned = replace(params, omega_q=omega_q_from_ratio(ratio, params))
         h = build_hamiltonian(tuned, space)
         final = propagate(h, psi0, duration)
-        require_below_cutoff(np.abs(final.amplitudes) ** 2, space, f"scan ratio {ratio!r}")
+        require_below_cutoff(final.populations, space, f"scan ratio {ratio!r}")
         nq[i], nph[i] = observables(final)
     return ScanCurve(ratios=ratios.copy(), nq=nq, nph=nph, duration=duration)
 

@@ -96,6 +96,16 @@ class TestEvolve:
         traj = evolve(psi0, diagonal_part(h), duration=9.0, samples=40)
         assert np.max(np.abs(traj.populations - traj.populations[0])) < 1e-12
 
+    def test_last_sample_is_the_propagated_state(self, small_system):
+        _, space, h = small_system
+        rng = np.random.default_rng(29)
+        for samples in (2, 3, 400, 2001):
+            psi0 = random_state(space, rng)
+            duration = float(rng.uniform(1.0, 3000.0))
+            traj = evolve(psi0, h, duration, samples=samples)
+            final = propagate(h, psi0, duration).amplitudes
+            assert np.max(np.abs(traj.states[-1] - final)) <= 1e-15
+
     def test_norm_conservation(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(17)
@@ -168,6 +178,15 @@ class TestEvolve:
         _, space, h = small_system
         with pytest.raises(ValueError, match="t must be finite"):
             propagate(h, dicke_state(space, 0, 0), float("nan"))
+
+    def test_trajectory_rejects_one_sample_off_in_norm(self, small_system):
+        _, space, h = small_system
+        traj = evolve(dicke_state(space, 0, 0), h, duration=40.0, samples=9)
+        states = np.array(traj.states)
+        states[4] *= 1.0 + 1e-9
+        pops = np.abs(states) ** 2
+        with pytest.raises(ValueError, match="norm drift 1.0..e-09 exceeds"):
+            Trajectory(space, traj.times, states, pops, traj.nq, traj.nph)
 
     def test_nan_trajectory_rejected(self, small_system):
         _, space, _ = small_system

@@ -1,6 +1,8 @@
 """The spectral kernel against its oracles: the closed-form H against the
 Kronecker-product builder, parity-sector propagation against one complex
-``eigh`` of the whole space, and the photon-cutoff guard of the scan."""
+``eigh`` of the whole space, the time grid of ``evolve`` against direct
+exponentials and against values recorded before it was rewritten, and the
+photon-cutoff guard of the scan."""
 
 from dataclasses import replace
 
@@ -21,7 +23,7 @@ from dickestark.model import (
     dicke_state,
     symmetrization_isometry,
 )
-from dickestark.presets import SCAN_PRESETS, scan_preset
+from dickestark.presets import SCAN_PRESETS, protocol_preset, scan_preset
 from dickestark.scan import resonance_scan, scan_grid
 from oracles import full_space_evolution, kron_hamiltonian
 
@@ -88,7 +90,10 @@ class TestCachedArrays:
         h = build_hamiltonian(params, space)
         h0, jz_half = model._affine_parts(3, 4, 0.1, -2.0, 1.0)
         sector = dynamics._sector(space, False, True)
+        psi = dicke_state(space, 1, 2)
+        assert psi.populations is psi.populations  # computed once per state
         cached = [h0, jz_half, h.matrix, space.parities(), *space.excitation_numbers(), *sector]
+        cached.append(psi.populations)
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 7
@@ -122,6 +127,18 @@ class TestOperatorDtype:
         m = np.eye(2, dtype=dtype)
         assert not Operator(space, m).matrix.flags.writeable
         m[0, 0] = 2.0
+
+    def test_takes_a_read_only_array_it_owns_without_copying(self):
+        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        owned = np.eye(2)
+        owned.flags.writeable = False
+        assert Operator(space, owned).matrix is owned
+        view = np.eye(2)[:]  # read-only, but its base stays writeable
+        view.flags.writeable = False
+        assert not np.shares_memory(Operator(space, view).matrix, view)
+        params = ModelParams(n_qubits=2, n_max=3)
+        h = build_hamiltonian(params, build_space(params, BasisKind.SYMMETRIC))
+        assert h.matrix.base is None and not h.matrix.flags.writeable
 
 
 class TestSectorPropagation:
@@ -182,6 +199,118 @@ class TestSectorPropagation:
         oracle = full_space_evolution(m, psi0.amplitudes, 30.0)[0]
         assert np.max(np.abs(propagate(h, psi0, 30.0).amplitudes - oracle)) <= 1e-12
         assert abs(oracle[j]) > 1e-3  # the coupling moved population across
+
+
+# Rounding bound of the block-product phases, in units of 2^-52 max(1, max|w t|):
+# the times (a b) step + r step and s step, the products w t and the
+# exponentials each round by at most an ulp, which stays below 2 units; 8
+# leaves room for the eigenvalues of two different diagonalizations.
+PHASE_ULPS = 8
+
+
+def phase_bound(w, times):
+    return PHASE_ULPS * 2.0**-52 * max(1.0, float(np.max(np.abs(np.multiply.outer(w, times)))))
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("samples", [2, 3, 4, 17, 400, 401, 2000])
+    def test_phases_match_direct_exponentials(self, samples):
+        rng = np.random.default_rng(samples)
+        w = rng.uniform(-8.0, 8.0, 30)
+        coeffs = rng.normal(size=30) + 1j * rng.normal(size=30)
+        coeffs /= np.linalg.norm(coeffs)
+        duration = 800.0
+        times = np.linspace(0.0, duration, samples)
+        got = dynamics._phase_grid(w, coeffs, duration, samples)
+        direct = coeffs[:, None] * np.exp(-1j * np.outer(w, times))
+        assert got.shape == (30, samples)
+        assert np.max(np.abs(got - direct)) <= phase_bound(w, times)
+        assert np.array_equal(got[:, -1], np.exp(-1j * (w * duration)) * coeffs)
+
+    def test_long_evolution_matches_full_space(self):
+        rng = np.random.default_rng(3000)
+        for n_qubits in (2, 3, 5):
+            params = draw_params(rng, n_qubits, int(rng.integers(2, 9)))
+            space = build_space(params, BasisKind.SYMMETRIC)
+            h = build_hamiltonian(params, space)
+            for sectors in ((0,), (1,), (0, 1)):
+                psi0 = random_state(space, rng, sectors)
+                traj = evolve(psi0, h, 3000.0, samples=401)
+                oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
+                bound = phase_bound(np.linalg.eigvalsh(h.matrix), traj.times)
+                assert np.max(np.abs(traj.states - oracle)) <= bound
+
+
+# (step nq and nph at samples 0, 133, 266, 399; final populations above 1e-3)
+# of the two protocol presets at 400 samples, recorded before evolve took its
+# phases from block products and stopped renormalizing.
+SAMPLE_INDICES = [0, 133, 266, 399]
+RECORDED_STEPS = {
+    "ghz_4": [
+        (
+            [2.3304383245915907e-32, 0.13558497957630927, 0.496927627989377, 0.9962655722803233],
+            [4.891223968790934e-32, 0.13549562914249988, 0.49661723884545134, 0.9956598327527125],
+            {(0, 0): 0.502035343881647, (2, 2): 0.4971593510722577},
+        ),
+        (
+            [0.9962655722803255, 1.2389749033296162, 1.7289465586010881, 1.9725423053552227],
+            [0.9956598327527147, 0.7500430344587636, 0.2607177882629275, 0.007032773072276365],
+            {(0, 0): 0.5034240227355242, (1, 1): 0.004062369820017838, (4, 0): 0.49140289821934435},
+        ),
+    ],
+    "dicke_ladder_4": [
+        (
+            [7.415245276035366e-34, 0.25000640741489166, 0.7501470871345786, 1.000426670754977],
+            [2.2299740569120752e-33, 0.2500069485142243, 0.7501483470260663, 1.0004281765152878],
+            {(0, 0): 0.0012643025161344955, (1, 1): 0.997022331495472, (2, 2): 0.0016906740738423295},
+        ),
+        (
+            [1.000426670754977, 1.2452019256823645, 1.7431657665717748, 1.9956075609023327],
+            [1.0004281765152878, 0.7536749376695597, 0.2567997743624832, 0.004582436214779655],
+            {
+                (0, 0): 0.0014625168911396884,
+                (0, 2): 0.0010546288844043852,
+                (2, 0): 0.9954956950804114,
+                (3, 1): 0.0010706687961953086,
+            },
+        ),
+        (
+            [1.9956075609023334, 2.2605763679292226, 2.7578965790380807, 2.9903213832089537],
+            [0.004582436214779676, 0.2692251658147762, 0.7664337362734036, 0.9990581709275924],
+            {
+                (0, 0): 0.001473774093644284,
+                (2, 0): 0.0024497921948112397,
+                (3, 1): 0.9930667697498803,
+                (4, 2): 0.0011512540854075658,
+            },
+        ),
+        (
+            [2.9903213832089537, 3.2320176676838295, 3.7313967802556705, 3.9787151444876994],
+            [0.9990581709275924, 0.7557466556004813, 0.2561056912230851, 0.009134496020408504],
+            {
+                (0, 0): 0.0014811401953346728,
+                (2, 0): 0.002831143299103837,
+                (2, 2): 0.0012032282517500906,
+                (3, 1): 0.001542250580982366,
+                (4, 0): 0.9903456074734046,
+            },
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_STEPS))
+def test_protocol_preset_trajectories_match_the_recorded_values(name):
+    params = protocol_preset(name)
+    compiled = protocol.compile_ghz4(params) if name == "ghz_4" else protocol.compile_dicke_ladder(4, 4, params)
+    space = build_space(params, BasisKind.SYMMETRIC)
+    result = protocol.run_protocol(compiled, params, space, samples=400)
+    assert len(result.per_step) == len(RECORDED_STEPS[name])
+    for traj, (nq, nph, final) in zip(result.per_step, RECORDED_STEPS[name]):
+        assert np.max(np.abs(traj.nq[SAMPLE_INDICES] - nq)) <= 1e-12
+        assert np.max(np.abs(traj.nph[SAMPLE_INDICES] - nph)) <= 1e-12
+        cells = [space.index(k, n) for k, n in final]
+        assert np.max(np.abs(traj.populations[-1, cells] - list(final.values()))) <= 1e-12
 
 
 def per_point_scan(psi0, ratios, duration, params):
