@@ -42,7 +42,6 @@ from .dynamics import (
     fidelity,
     observables,
     propagate,
-    propagator,
     to_rotating_frame,
 )
 from .protocol import (
@@ -84,7 +83,6 @@ __all__ = [
     "observables",
     "peak_report",
     "propagate",
-    "propagator",
     "protocol_from_json",
     "pulse_duration",
     "rabi_frequency",

@@ -4,11 +4,12 @@ extraction, frame transforms, fidelities, and the photon-cutoff guard.
 Propagation is spectral: U(t) = V exp(-i w t) V' from the Hermitian
 eigendecomposition, exact up to linear-algebra error, so no integrator
 tolerances enter the production paths. ``propagate`` and ``evolve`` share one
-kernel that diagonalizes each H once, and only where the state lives: H
-conserves the excitation parity (-1)^(k+n) (``HilbertSpace.parities``), so
-the kernel keeps the parity sector(s) the initial amplitudes occupy and runs
-one ``eigh`` on that block, a real one for the real symmetric model H. If H
-couples the kept sectors to the rest, the block is the whole space.
+kernel, the package's only ``eigh``, which diagonalizes each H once, and only
+where the state lives: H conserves the excitation parity (-1)^(k+n)
+(``HilbertSpace.parities``), so the kernel keeps the parity sector(s) the
+initial amplitudes occupy and runs one ``eigh`` on that block, a real one for
+the real symmetric model H. If H couples the kept sectors to the rest, the
+block is the whole space.
 
 Per H the kernel does only what depends on H: one Hermiticity check (the
 builder does not check), the check that the kept block is invariant, one
@@ -106,9 +107,6 @@ class Trajectory:
     def final(self) -> StateVector:
         return StateVector(self.space, self.states[-1])
 
-    def state_at(self, i: int) -> StateVector:
-        return StateVector(self.space, self.states[i])
-
 
 class _Spectral:
     """exp(-i H t) acting on one vector, from one eigendecomposition of H
@@ -194,16 +192,8 @@ def _times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return product.view(np.complex128).reshape(m.shape[:1] + z.shape[1:])
 
 
-def propagator(h: Operator, t: float) -> Operator:
-    """Unitary U(t) = exp(-i H t) via Hermitian eigendecomposition."""
-    h.require_hermitian(HERMITICITY_TOL)
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(h.space, u)
-
-
 def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
-    """exp(-i H t) |psi0> without building the full propagator matrix."""
+    """exp(-i H t) |psi0>, without building the matrix exp(-i H t)."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not np.isfinite(t):
@@ -269,26 +259,12 @@ def fidelity(psi: StateVector, target: StateVector) -> float:
     return float(abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2)
 
 
-def energy_expectation(psi: StateVector, h: Operator) -> float:
+def to_rotating_frame(psi: StateVector, h: Operator, t: float) -> StateVector:
+    """Apply R'(t) = exp(+i H0 t), where H0 is the diagonal (free) part of H:
+    the interaction-picture image of a lab-frame state. Populations are
+    untouched; only phases rotate."""
     if psi.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
-    return float(np.real(np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes)))
-
-
-def to_rotating_frame(psi: StateVector, h0: Operator, t: float) -> StateVector:
-    """Apply R'(t) = exp(+i H0 t) for diagonal H0: the interaction-picture
-    image of a lab-frame state. Populations are untouched; only phases
-    rotate."""
-    if psi.space != h0.space:
-        raise ValueError("state and frame generator live in different spaces")
-    m = h0.matrix
-    diag = np.diag(m)
-    if np.max(np.abs(m - np.diag(diag))) > 1e-12:
-        raise ValueError("frame generator must be diagonal in the working basis")
+    diag = np.diagonal(h.matrix)
     amps = psi.amplitudes * np.exp(1j * diag.real * t)
     return StateVector(psi.space, amps)
-
-
-def diagonal_part(h: Operator) -> Operator:
-    """The diagonal (free) part of a Hamiltonian, usable as a frame generator."""
-    return Operator(h.space, np.diag(np.diag(h.matrix)))

@@ -280,9 +280,8 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     independent route that the validation suite checks the symmetric basis
     against.
 
-    The matrix is not checked for Hermiticity here: every ``eigh`` route
-    (``dynamics.propagate``, ``evolve``, ``propagator``) checks the H it is
-    given, once.
+    The matrix is not checked for Hermiticity here: the one ``eigh`` route
+    (``dynamics.propagate`` and ``evolve``) checks the H it is given, once.
     """
     n = params.n_qubits
     if space.kind is BasisKind.SYMMETRIC:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_SAMPLES, Trajectory, diagonal_part, evolve, fidelity, to_rotating_frame
+from .dynamics import DEFAULT_SAMPLES, Trajectory, evolve, fidelity, to_rotating_frame
 from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
 from .effective import ResonanceTarget, pulse_duration, solve_resonance
 from .model import (
@@ -332,7 +332,7 @@ def run_protocol(
         traj = evolve(psi, h, step.duration, samples=samples)
         require_below_cutoff(traj.populations, space, f"step {index}", step_index=index)
         trajectories.append(traj)
-        psi = to_rotating_frame(traj.final, diagonal_part(h), step.duration)
+        psi = to_rotating_frame(traj.final, h, step.duration)
 
     target = protocol.target_state(space)
     exact = fidelity(psi, target)

@@ -5,13 +5,10 @@ import pytest
 
 from dickestark.dynamics import (
     Trajectory,
-    diagonal_part,
-    energy_expectation,
     evolve,
     fidelity,
     observables,
     propagate,
-    propagator,
     to_rotating_frame,
 )
 from dickestark.effective import (
@@ -31,7 +28,7 @@ from dickestark.model import (
     dicke_state,
     ladder_coupling,
 )
-from oracles import build_effective_hamiltonian
+from oracles import build_effective_hamiltonian, full_space_evolution
 
 
 def random_state(space, rng):
@@ -46,38 +43,47 @@ def small_system():
     return params, space, build_hamiltonian(params, space)
 
 
+def propagated_columns(h, t):
+    """exp(-i H t) as a matrix, one ``propagate`` per basis vector."""
+    identity = np.eye(h.space.dimension)
+    return np.column_stack([propagate(h, StateVector(h.space, e), t).amplitudes for e in identity])
+
+
 class TestPropagator:
     def test_zero_time_is_identity(self, small_system):
         _, space, h = small_system
-        u = propagator(h, 0.0)
-        assert np.max(np.abs(u.matrix - np.eye(space.dimension))) < 1e-12
+        u = propagated_columns(h, 0.0)
+        assert np.max(np.abs(u - np.eye(space.dimension))) < 1e-12
 
     def test_unitary(self, small_system):
         _, space, h = small_system
-        u = propagator(h, 7.3)
-        defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(space.dimension)))
+        u = propagated_columns(h, 7.3)
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(space.dimension)))
         assert defect < 1e-10
 
     def test_preserves_norm(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(3)
-        u = propagator(h, 11.0)
         for _ in range(5):
             psi = random_state(space, rng)
-            assert np.linalg.norm(u.matrix @ psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            out = propagate(h, psi, 11.0)
+            assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_group_property(self, small_system):
-        _, _, h = small_system
-        u1 = propagator(h, 2.2)
-        u2 = propagator(h, 5.9)
-        u12 = propagator(h, 8.1)
-        assert np.max(np.abs(u1.matrix @ u2.matrix - u12.matrix)) < 1e-10
+        _, space, h = small_system
+        psi = random_state(space, np.random.default_rng(7))
+        stepped = propagate(h, propagate(h, psi, 2.2), 5.9)
+        direct = propagate(h, psi, 8.1)
+        assert np.max(np.abs(stepped.amplitudes - direct.amplitudes)) < 1e-10
 
     def test_rejects_non_hermitian(self, small_system):
         _, space, _ = small_system
         bad = Operator(space, np.triu(np.ones((space.dimension, space.dimension))))
-        with pytest.raises(ValueError):
-            propagator(bad, 1.0)
+        psi0 = dicke_state(space, 0, 0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            propagate(bad, psi0, 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(psi0, bad, duration=1.0)
 
 
 class TestEvolve:
@@ -86,14 +92,15 @@ class TestEvolve:
         rng = np.random.default_rng(11)
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=13.0, samples=57)
-        direct = propagator(h, 13.0).matrix @ psi0.amplitudes
+        direct = full_space_evolution(h.matrix, psi0.amplitudes, 13.0)[0]
         assert np.max(np.abs(traj.states[-1] - direct)) < 1e-10
 
     def test_diagonal_hamiltonian_freezes_populations(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(5)
         psi0 = random_state(space, rng)
-        traj = evolve(psi0, diagonal_part(h), duration=9.0, samples=40)
+        free = Operator(space, np.diag(np.diag(h.matrix)))
+        traj = evolve(psi0, free, duration=9.0, samples=40)
         assert np.max(np.abs(traj.populations - traj.populations[0])) < 1e-12
 
     def test_last_sample_is_the_propagated_state(self, small_system):
@@ -119,9 +126,9 @@ class TestEvolve:
         rng = np.random.default_rng(23)
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=150.0, samples=150)
-        energies = [energy_expectation(traj.state_at(i), h) for i in range(150)]
+        energies = np.array([np.vdot(state, h.matrix @ state).real for state in traj.states])
         scale = max(abs(energies[0]), 1.0)
-        assert np.max(np.abs(np.asarray(energies) - energies[0])) / scale < 1e-10
+        assert np.max(np.abs(energies - energies[0])) / scale < 1e-10
 
     def test_ladder_first_step_transfer(self):
         # Pair-creating resonance from the collective ground state: after a
@@ -240,21 +247,15 @@ class TestRotatingFrame:
         _, space, h = small_system
         rng = np.random.default_rng(2)
         psi = random_state(space, rng)
-        out = to_rotating_frame(psi, diagonal_part(h), 0.0)
+        out = to_rotating_frame(psi, h, 0.0)
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_populations_invariant(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(4)
         psi = random_state(space, rng)
-        out = to_rotating_frame(psi, diagonal_part(h), 37.0)
+        out = to_rotating_frame(psi, h, 37.0)
         assert np.allclose(np.abs(out.amplitudes), np.abs(psi.amplitudes))
-
-    def test_rejects_nondiagonal(self, small_system):
-        _, space, h = small_system
-        psi = dicke_state(space, 0, 0)
-        with pytest.raises(ValueError):
-            to_rotating_frame(psi, h, 1.0)
 
     def test_matches_channelwise_interaction_picture(self):
         # Oracle: integrate the interaction-picture Hamiltonian assembled
@@ -264,7 +265,6 @@ class TestRotatingFrame:
         params = ModelParams(n_qubits=2, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=3)
         space = build_space(params, BasisKind.SYMMETRIC)
         h = build_hamiltonian(params, space)
-        h0 = diagonal_part(h)
 
         channels = []
         for n in range(params.n_max):
@@ -306,7 +306,7 @@ class TestRotatingFrame:
             psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
 
-        exact = to_rotating_frame(propagate(h, psi0, duration), h0, duration)
+        exact = to_rotating_frame(propagate(h, psi0, duration), h, duration)
         assert np.linalg.norm(exact.amplitudes - psi) < 1e-6
 
 

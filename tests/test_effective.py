@@ -320,7 +320,7 @@ class TestSecondOrderSideChannels:
 
         from scipy.optimize import brentq
 
-        from dickestark.dynamics import diagonal_part, propagate, to_rotating_frame
+        from dickestark.dynamics import propagate, to_rotating_frame
 
         base = ModelParams(n_qubits=4, omega_q=0.25, coupling=0.01, stark_u=2.0, n_max=8)
         u_star = brentq(
@@ -336,7 +336,7 @@ class TestSecondOrderSideChannels:
         h = build_hamiltonian(tuned, space)
         psi0 = dicke_state(space, 0, 0)
         t = 0.2 / abs(g)
-        psi = to_rotating_frame(propagate(h, psi0, t), diagonal_part(h), t)
+        psi = to_rotating_frame(propagate(h, psi0, t), h, t)
         amp = psi.amplitudes[space.index(0, 2)]
         predicted = math.sin(abs(g) * t) ** 2
         assert abs(abs(amp) ** 2 - predicted) / predicted < 0.05

@@ -25,6 +25,7 @@ from dickestark.model import (
 )
 from dickestark.presets import SCAN_PRESETS, protocol_preset, scan_preset
 from dickestark.scan import resonance_scan, scan_grid
+from dickestark.validate import UNITARITY_LIMIT, check_unitarity
 from oracles import full_space_evolution, kron_hamiltonian
 
 
@@ -199,6 +200,22 @@ class TestSectorPropagation:
         oracle = full_space_evolution(m, psi0.amplitudes, 30.0)[0]
         assert np.max(np.abs(propagate(h, psi0, 30.0).amplitudes - oracle)) <= 1e-12
         assert abs(oracle[j]) > 1e-3  # the coupling moved population across
+
+    def test_unitarity_check_runs_this_kernel(self, monkeypatch):
+        # A kernel that keeps every norm but is not unitary: the invariant
+        # suite's unitarity check must see it.
+        true_apply = _Spectral.apply
+
+        def bent_apply(self, t):
+            out = np.array(true_apply(self, t))
+            out[0] += 1e-6
+            return out / np.linalg.norm(out)
+
+        assert check_unitarity(np.random.default_rng(0)).passed
+        monkeypatch.setattr(_Spectral, "apply", bent_apply)
+        check = check_unitarity(np.random.default_rng(0))
+        assert not check.passed
+        assert check.value > UNITARITY_LIMIT
 
 
 # Rounding bound of the block-product phases, in units of 2^-52 max(1, max|w t|):

@@ -189,6 +189,25 @@ class TestHamiltonian:
                 if not allowed:
                     assert h.matrix[i, j] == 0.0
 
+    def test_validation_flags_an_off_ladder_element(self, monkeypatch):
+        # |dk| = 1 but |dn| = 2: off the ladder, so the invariant suite's
+        # excitation-structure check must report it.
+        from dickestark import validate
+
+        true_build = validate.build_hamiltonian
+
+        def leaky_build(params, space):
+            m = np.array(true_build(params, space).matrix)
+            i, j = space.index(0, 0), space.index(1, 2)
+            m[i, j] = m[j, i] = 0.25
+            return Operator(space, m)
+
+        assert validate.check_excitation_structure().passed
+        monkeypatch.setattr(validate, "build_hamiltonian", leaky_build)
+        check = validate.check_excitation_structure()
+        assert not check.passed
+        assert check.value == 0.25
+
     def test_top_of_ladder_closed(self):
         params = ModelParams(n_qubits=3, n_max=3, coupling=0.2)
         sym = build_space(params, BasisKind.SYMMETRIC)
