@@ -11,7 +11,6 @@ protocols (Dicke ladder, GHZ).
 """
 
 from .model import (
-    BasisKind,
     HilbertSpace,
     ModelParams,
     Operator,
@@ -21,7 +20,6 @@ from .model import (
     default_n_max,
     dicke_state,
     ladder_coupling,
-    symmetrization_isometry,
 )
 from .effective import (
     ResonanceTarget,
@@ -56,7 +54,6 @@ from .protocol import (
 from .scan import Peak, ScanCurve, detect_peaks, peak_report, resonance_scan, scan_grid
 
 __all__ = [
-    "BasisKind",
     "HilbertSpace",
     "ModelParams",
     "Operator",
@@ -95,7 +92,6 @@ __all__ = [
     "solve_first_order_resonance",
     "solve_resonance",
     "solve_second_order_resonance",
-    "symmetrization_isometry",
     "to_rotating_frame",
 ]
 

@@ -36,7 +36,7 @@ from .effective import (
     target_coupling,
     pulse_duration,
 )
-from .model import BasisKind, ModelParams, build_space, default_n_max, dicke_state
+from .model import ModelParams, build_space, default_n_max, dicke_state
 from .protocol import (
     compile_dicke_ladder,
     compile_ghz4,
@@ -122,7 +122,7 @@ def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict
         else pulse_duration(target, tuned, job.duration_fraction)
     )
 
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     psi0 = dicke_state(space, job.initial_k, job.initial_n)
     grid = scan_grid(job.window, job.points)
     curve = resonance_scan(psi0, grid, duration, params, space)
@@ -169,7 +169,7 @@ def _compile_protocol(config: RunConfig, preset_name: str | None):
 
 def cmd_protocol(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
     proto, params = _compile_protocol(config, preset_name)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     samples = config.protocol.samples if config.protocol is not None else DEFAULT_SAMPLES
     result = run_protocol(proto, params, space, samples=samples)
 
@@ -226,7 +226,7 @@ def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str,
 
     omega_q = solve_resonance(target, params)
     tuned = replace(params, omega_q=omega_q)
-    space = build_space(tuned, BasisKind.SYMMETRIC)
+    space = build_space(tuned)
     coupling = target_coupling(target, tuned)
     report = rwa_validity_report(target, tuned, space)
     min_adjacent = report.min_ratio(adjacent_only=True)

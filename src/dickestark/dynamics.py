@@ -3,9 +3,10 @@ extraction, frame transforms, fidelities, and the photon-cutoff guard.
 
 Propagation is spectral: U(t) = V exp(-i w t) V' from the Hermitian
 eigendecomposition, exact up to linear-algebra error, so no integrator
-tolerances enter the production paths. ``propagate`` and ``evolve`` share one
-kernel, the package's only ``eigh``, which diagonalizes each H once, and only
-where the state lives: H conserves the excitation parity (-1)^(k+n)
+tolerances enter the production paths. Every state lives in the symmetric
+(Dicke ladder x Fock) space. ``propagate`` and ``evolve`` share one kernel,
+the only ``eigh`` outside the validation suite's product-basis oracle, which
+diagonalizes each H once, and only where the state lives: H conserves the excitation parity (-1)^(k+n)
 (``HilbertSpace.parities``), so the kernel keeps the parity sector(s) the
 initial amplitudes occupy and runs one ``eigh`` on that block, a real one for
 the real symmetric model H. If H couples the kept sectors to the rest, the
@@ -36,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
-    BasisKind,
     HilbertSpace,
     Operator,
     StateVector,
@@ -66,8 +66,8 @@ def require_below_cutoff(
     populations: np.ndarray, space: HilbertSpace, where: str, step_index: int | None = None
 ) -> None:
     """Raise CutoffExceededError if any row of ``populations`` (one state, or
-    one per sample, in the symmetric basis) holds more than CUTOFF_POPULATION
-    in the top photon level n = n_max; a NaN population raises too."""
+    one per sample) holds more than CUTOFF_POPULATION in the top photon level
+    n = n_max; a NaN population raises too."""
     top_level = populations[..., space.n_max :: space.n_max + 1]  # (k, n_max), every k
     top = float(top_level.sum(axis=-1).max())
     if not top <= CUTOFF_POPULATION:
@@ -76,7 +76,7 @@ def require_below_cutoff(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled evolution record over a symmetric-basis space.
+    """Uniformly sampled evolution record over a HilbertSpace.
 
     ``states`` holds one row per sample; ``populations[i, j]`` is the
     probability of the basis cell with flat index j (label (k, n)) at
@@ -202,9 +202,7 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
 
 
 def observables(psi: StateVector) -> tuple[float, float]:
-    """(mean atomic excitation, mean photon number) of a symmetric-basis state."""
-    if psi.space.kind is not BasisKind.SYMMETRIC:
-        raise ValueError("observables are defined on the symmetric basis")
+    """(mean atomic excitation, mean photon number) of a state."""
     ks, ns = psi.space.excitation_numbers()
     return float(ks @ psi.populations), float(ns @ psi.populations)
 
@@ -223,11 +221,6 @@ def evolve(
     renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
-    if h.space.kind is not BasisKind.SYMMETRIC:
-        raise ValueError(
-            "evolve records excitation numbers, so it needs the symmetric basis;"
-            " propagate takes either basis"
-        )
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not (np.isfinite(duration) and duration > 0):

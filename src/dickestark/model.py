@@ -6,8 +6,9 @@ Conventions
 Frequencies are quoted in units of the resonator frequency, so omega_r = 1
 fixes the time unit 1/omega_r. The symmetric basis stores amplitudes k-major
 with flat index ``k*(n_max+1) + n`` for k atomic excitations and n photons.
-The product basis uses ``s*(n_max+1) + n`` where bit j of the integer s marks
-qubit j excited.
+Every state the model prepares is permutation-symmetric, so this (N+1)(n_max+1)
+space is the only one built here; the full 2^N product basis is the
+validation suite's independent oracle (``validate``).
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ NORM_TOL = 1e-10
 
 
 class BasisKind(Enum):
-    """Which sector of the N-qubit + resonator problem a space indexes."""
+    """The one basis a space indexes: the Dicke ladder (N+1 levels) x Fock.
+    Kept only as ``build_space``'s optional argument, which the benchmark's
+    workloads still pass."""
 
-    SYMMETRIC = "symmetric"  # Dicke ladder (N+1 levels) x Fock
-    PRODUCT = "product"  # full 2^N qubit register x Fock
+    SYMMETRIC = "symmetric"
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,14 @@ def default_n_max(n_initial: int, n_qubits: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Indexing of one basis sector, with bijective (labels) <-> flat maps."""
+    """Indexing of the symmetric basis, with bijective (k, n) <-> flat maps."""
 
-    kind: BasisKind
     n_qubits: int
     n_max: int
     dimension: int
 
     def index(self, k: int, n: int) -> int:
-        """Flat index of |D_N^k> x |n> (symmetric basis only)."""
-        if self.kind is not BasisKind.SYMMETRIC:
-            raise ValueError("index(k, n) is defined on the symmetric basis")
+        """Flat index of |D_N^k> x |n>."""
         if not (0 <= k <= self.n_qubits):
             raise ValueError(f"k={k} outside 0..{self.n_qubits}")
         if not (0 <= n <= self.n_max):
@@ -104,41 +103,23 @@ class HilbertSpace:
         return k * (self.n_max + 1) + n
 
     def label(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`: (k, n) for a symmetric flat index."""
-        if self.kind is not BasisKind.SYMMETRIC:
-            raise ValueError("label(index) is defined on the symmetric basis")
+        """Inverse of :meth:`index`: (k, n) for a flat index."""
         if not (0 <= index < self.dimension):
             raise ValueError(f"index {index} outside 0..{self.dimension - 1}")
         return divmod(index, self.n_max + 1)
 
-    def product_index(self, bits: int, n: int) -> int:
-        """Flat index of |bits> x |n| (product basis only); bit j of ``bits``
-        marks qubit j excited."""
-        if self.kind is not BasisKind.PRODUCT:
-            raise ValueError("product_index is defined on the product basis")
-        if not (0 <= bits < 2**self.n_qubits):
-            raise ValueError(f"bits={bits} outside 0..{2 ** self.n_qubits - 1}")
-        if not (0 <= n <= self.n_max):
-            raise ValueError(f"n={n} outside 0..{self.n_max}")
-        return bits * (self.n_max + 1) + n
-
     def labels(self) -> list[tuple[int, int]]:
-        """All (k, n) labels in flat-index order (symmetric basis only)."""
-        if self.kind is not BasisKind.SYMMETRIC:
-            raise ValueError("labels() is defined on the symmetric basis")
+        """All (k, n) labels in flat-index order."""
         return [divmod(i, self.n_max + 1) for i in range(self.dimension)]
 
     def excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, n) of every flat index as two read-only float arrays (symmetric
-        basis only): the diagonals of N_q and a'a. Computed once per space."""
-        if self.kind is not BasisKind.SYMMETRIC:
-            raise ValueError("excitation_numbers is defined on the symmetric basis")
+        """(k, n) of every flat index as two read-only float arrays: the
+        diagonals of N_q and a'a. Computed once per space."""
         return self._excitation_numbers
 
     def parities(self) -> np.ndarray:
-        """Excitation parity of every flat index, (k + n) mod 2 in the
-        symmetric basis and (popcount(s) + n) mod 2 in the product basis, as a
-        read-only array computed once per space. H conserves (-1)^(k+n): its
+        """Excitation parity (k + n) mod 2 of every flat index, as a read-only
+        array computed once per space. H conserves (-1)^(k+n): its
         coupling term (a + a') Jx flips both."""
         return self._parities
 
@@ -149,10 +130,8 @@ class HilbertSpace:
 
     @cached_property
     def _parities(self) -> np.ndarray:
-        excited, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
-        if self.kind is BasisKind.PRODUCT:
-            excited = np.array([bin(s).count("1") for s in excited])
-        return _read_only((excited + n) % 2)
+        k, n = np.divmod(np.arange(self.dimension), self.n_max + 1)
+        return _read_only((k + n) % 2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -223,21 +202,18 @@ class StateVector:
         return _read_only(np.abs(self.amplitudes) ** 2)
 
 
-def build_space(params: ModelParams, kind: BasisKind) -> HilbertSpace:
-    """Construct the Hilbert space of the requested kind for these parameters."""
-    levels = params.n_max + 1
-    if kind is BasisKind.SYMMETRIC:
-        dim = (params.n_qubits + 1) * levels
-    elif kind is BasisKind.PRODUCT:
-        dim = 2**params.n_qubits * levels
-    else:
+def build_space(params: ModelParams, kind: BasisKind = BasisKind.SYMMETRIC) -> HilbertSpace:
+    """Construct the symmetric-basis Hilbert space for these parameters.
+    ``kind`` admits only BasisKind.SYMMETRIC."""
+    if kind is not BasisKind.SYMMETRIC:
         raise ValueError(f"unknown basis kind {kind!r}")
+    dim = (params.n_qubits + 1) * (params.n_max + 1)
     if dim > MAX_DIMENSION:
         raise ValueError(
             f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION};"
             " reduce n_qubits or n_max"
         )
-    return HilbertSpace(kind=kind, n_qubits=params.n_qubits, n_max=params.n_max, dimension=dim)
+    return HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max, dimension=dim)
 
 
 def ladder_coupling(k: int, n_qubits: int) -> float:
@@ -249,57 +225,29 @@ def ladder_coupling(k: int, n_qubits: int) -> float:
     return math.sqrt((k + 1) * (n_qubits - k))
 
 
-def _pauli_sums(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_j sigma_j^x, sum_j sigma_j^z) on the 2^N register, bit j = qubit j."""
-    dim = 2**n_qubits
-    sx = np.zeros((dim, dim))
-    sz = np.zeros((dim, dim))
-    for s in range(dim):
-        ones = bin(s).count("1")
-        sz[s, s] = 2.0 * ones - n_qubits
-        for j in range(n_qubits):
-            sx[s ^ (1 << j), s] += 1.0
-    return sx, sz
-
-
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
-    """Exact Dicke-Stark Hamiltonian on the given space, as a real symmetric
-    matrix:
+    """Exact Dicke-Stark Hamiltonian on the symmetric space, as a real
+    symmetric matrix:
 
         H = (omega_q/2) Jz + omega_r a'a + (lambda/sqrt(N)) (a + a') Jx
             + (U/2N) a'a Jz
 
-    In the symmetric basis it is written from its closed form, which is affine
-    in omega_q: H = H(0) + omega_q Jz/2. The diagonal entry of H(0) at (k, n)
+    It is written from its closed form, which is affine in omega_q: H = H(0) + omega_q Jz/2. The diagonal entry of H(0) at (k, n)
     is (nU/N)(k - N/2) + n omega_r, and its coupling element between (k, n)
     and (k+1, n+1), and between (k, n+1) and (k+1, n), equals
     lambda f(k) sqrt(n+1) / sqrt(N). H(0) and the diagonal k - N/2 of Jz/2
     are cached per (N, n_max, lambda, U, omega_r) (``_affine_parts``), so a
-    frequency scan copies H(0) and adds one diagonal per point. The product
-    basis assembles the operator sums above with Kronecker products, an
-    independent route that the validation suite checks the symmetric basis
-    against.
+    frequency scan copies H(0) and adds one diagonal per point. The
+    validation suite checks it against the operator sums above assembled with
+    Kronecker products on the full product basis, an independent route.
 
     The matrix is not checked for Hermiticity here: the one ``eigh`` route
     (``dynamics.propagate`` and ``evolve``) checks the H it is given, once.
     """
     n = params.n_qubits
-    if space.kind is BasisKind.SYMMETRIC:
-        h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
-        h = h0.copy()
-        h.flat[:: h.shape[0] + 1] += params.omega_q * jz_half
-    elif space.kind is BasisKind.PRODUCT:
-        a = np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)), 1)  # photon annihilator
-        nph = a.T @ a
-        jx, jz = _pauli_sums(n)
-        h = (
-            0.5 * params.omega_q * np.kron(jz, np.eye(params.n_max + 1))
-            + params.omega_r * np.kron(np.eye(2**n), nph)
-            + (params.coupling / math.sqrt(n)) * np.kron(jx, a + a.T)
-            + (params.stark_u / (2 * n)) * np.kron(jz, nph)
-        )
-    else:
-        raise ValueError(f"unknown basis kind {space.kind!r}")
+    h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
+    h = h0.copy()
+    h.flat[:: h.shape[0] + 1] += params.omega_q * jz_half
     return Operator(space, _read_only(h))
 
 
@@ -323,37 +271,8 @@ def _affine_parts(
 
 
 def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:
-    """The state |D_N^k> x |n>: a unit basis vector in the symmetric basis, or
-    the equal-amplitude superposition of all C(N, k) bitstrings with k
-    excitations in the product basis."""
-    if not (0 <= k <= space.n_qubits):
-        raise ValueError(f"k={k} outside 0..{space.n_qubits}")
-    if not (0 <= n <= space.n_max):
-        raise ValueError(f"n={n} outside 0..{space.n_max}")
+    """The state |D_N^k> x |n>, a unit basis vector."""
     amps = np.zeros(space.dimension, dtype=complex)
-    if space.kind is BasisKind.SYMMETRIC:
-        amps[space.index(k, n)] = 1.0
-    else:
-        weight = 1.0 / math.sqrt(math.comb(space.n_qubits, k))
-        for s in range(2**space.n_qubits):
-            if bin(s).count("1") == k:
-                amps[space.product_index(s, n)] = weight
+    amps[space.index(k, n)] = 1.0
     return StateVector(space, amps)
-
-
-def symmetrization_isometry(sym: HilbertSpace, prod: HilbertSpace) -> np.ndarray:
-    """Isometry V (product-dim x symmetric-dim) embedding the symmetric sector
-    into the product basis; V^dag V = I and V^dag projects onto the sector."""
-    if sym.kind is not BasisKind.SYMMETRIC or prod.kind is not BasisKind.PRODUCT:
-        raise ValueError("expected (symmetric, product) spaces")
-    if sym.n_qubits != prod.n_qubits or sym.n_max != prod.n_max:
-        raise ValueError("spaces differ in n_qubits or n_max")
-    v = np.zeros((prod.dimension, sym.dimension))
-    for k in range(sym.n_qubits + 1):
-        weight = 1.0 / math.sqrt(math.comb(sym.n_qubits, k))
-        for s in range(2**sym.n_qubits):
-            if bin(s).count("1") == k:
-                for n in range(sym.n_max + 1):
-                    v[prod.product_index(s, n), sym.index(k, n)] = weight
-    return v
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from dickestark.effective import ResonanceTarget, target_coupling
 from dickestark.model import (
-    BasisKind,
     HilbertSpace,
     ModelParams,
     Operator,
@@ -43,8 +42,6 @@ def collective_ops(space: HilbertSpace) -> tuple[Operator, Operator]:
     """Collective (Jx, Jz) on the symmetric space, acting trivially on the
     Fock factor: Jx couples (k, n) <-> (k+1, n) with element f(k) and Jz is
     diagonal with entries 2k - N."""
-    if space.kind is not BasisKind.SYMMETRIC:
-        raise ValueError("collective_ops requires the symmetric basis")
     eye_f = np.eye(space.n_max + 1)
     jx = Operator(space, np.kron(dicke_jx(space.n_qubits), eye_f))
     jz = Operator(space, np.kron(dicke_jz(space.n_qubits), eye_f))

@@ -14,7 +14,7 @@ from dickestark.effective import (
     ratio_from_omega_q,
     solve_resonance,
 )
-from dickestark.model import BasisKind, build_space, dicke_state
+from dickestark.model import build_space, dicke_state
 from dickestark.presets import scan_preset
 from dickestark.protocol import compile_dicke_ladder, compile_ghz4, run_protocol
 from dickestark.scan import detect_peaks, resonance_scan, scan_grid
@@ -44,7 +44,7 @@ def _run_preset_scan(name: str):
     predicted = ratio_from_omega_q(omega_q_star, params)
     tuned = replace(params, omega_q=omega_q_star)
     duration = pulse_duration(preset.target, tuned, preset.duration_fraction)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     grid = scan_grid(preset.window, preset.points)
     start = time.perf_counter()
@@ -101,7 +101,7 @@ def test_criterion_3_ghz_fidelity():
     params = preset.params
     start = time.perf_counter()
     proto = compile_ghz4(params)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     result = run_protocol(proto, params, space)
     elapsed = time.perf_counter() - start
     failures = []
@@ -125,7 +125,7 @@ def test_criterion_4_dicke_ladder_populations():
     preset = scan_preset("fig3")
     params = preset.params
     proto = compile_dicke_ladder(4, 4, params)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     result = run_protocol(proto, params, space)
     failures = []
     final_pop = result.final.population(4, 0)
@@ -152,7 +152,7 @@ def test_criterion_5_detuned_rabi_lineshape():
     omega = rabi_frequency(0, 0, params)
     duration = pulse_duration(preset.target, params, 0.5)
     r_star = ratio_from_omega_q(solve_resonance(preset.target, params), params)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     grid = scan_grid(preset.window, preset.points)
     curve = resonance_scan(psi0, grid, duration, params, space)

@@ -434,9 +434,9 @@ def built_n_max(monkeypatch):
     seen = []
     original = cli.build_space
 
-    def spy(params, kind):
+    def spy(params):
         seen.append(params.n_max)
-        return original(params, kind)
+        return original(params)
 
     monkeypatch.setattr(cli, "build_space", spy)
     return seen
@@ -701,3 +701,38 @@ class TestValidateCommand:
         names = {c["name"] for c in report["checks"]}
         assert "basis-equivalence" in names
         assert "rwa-selectivity" in names
+
+    @pytest.mark.parametrize(
+        "method, failing",
+        [
+            ("apply", {"unitarity", "basis-equivalence", "cutoff-doubling-stability"}),
+            ("on_grid", {"norm-and-energy-conservation"}),
+        ],
+    )
+    def test_norm_drifting_kernel_yields_failed_rows(self, tmp_path, monkeypatch, method, failing):
+        # A kernel whose output is 1 + 1e-6 too long: every check that runs it
+        # reports a failed row with the measured defect, the others still pass,
+        # and the report is written with exit code 1.
+        from dickestark.dynamics import _Spectral
+
+        true_method = getattr(_Spectral, method)
+        monkeypatch.setattr(_Spectral, method, lambda self, *a: true_method(self, *a) * (1 + 1e-6))
+        cfg = tmp_path / "val.ini"
+        cfg.write_text("[validate]\ndraws = 10\nseed = 1\n")
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads((out / "validation.json").read_text())["checks"]}
+        assert {name for name, c in checks.items() if not c["passed"]} == failing
+        for name in failing - {"cutoff-doubling-stability"}:
+            assert checks[name]["value"] > 1e-7
+        if "cutoff-doubling-stability" in failing:
+            assert "norm drift 1.00e-06" in checks["cutoff-doubling-stability"]["detail"]
+
+def test_readme_library_example_runs(capsys):
+    # The fenced python blocks of README.md run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out.split()[-1]) > 0.99

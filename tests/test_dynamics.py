@@ -19,7 +19,6 @@ from dickestark.effective import (
     solve_first_order_resonance,
 )
 from dickestark.model import (
-    BasisKind,
     ModelParams,
     Operator,
     StateVector,
@@ -39,7 +38,7 @@ def random_state(space, rng):
 @pytest.fixture
 def small_system():
     params = ModelParams(n_qubits=3, omega_q=0.9, coupling=0.08, stark_u=-0.6, n_max=4)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     return params, space, build_hamiltonian(params, space)
 
 
@@ -138,7 +137,7 @@ class TestEvolve:
             ResonanceTarget("atc", 1, 0, 0), ModelParams(**base)
         )
         params = ModelParams(omega_q=omega_q, **base)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h = build_hamiltonian(params, space)
         psi0 = dicke_state(space, 0, 0)
         duration = math.pi / (2 * rabi_frequency(0, 0, params))
@@ -156,7 +155,7 @@ class TestEvolve:
         target = ResonanceTarget(kind, 1, n0, k0)
         omega_q = solve_first_order_resonance(target, ModelParams(**base))
         params = ModelParams(omega_q=omega_q, **base)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h_full = build_hamiltonian(params, space)
         h_eff = build_effective_hamiltonian(target, params, space)
         psi0 = dicke_state(space, *start)
@@ -170,7 +169,7 @@ class TestEvolve:
         psi0 = dicke_state(space, 0, 0)
         with pytest.raises(ValueError):
             evolve(psi0, h, duration=1.0, samples=1)
-        other = build_space(ModelParams(n_qubits=2, n_max=4), BasisKind.SYMMETRIC)
+        other = build_space(ModelParams(n_qubits=2, n_max=4))
         with pytest.raises(ValueError):
             evolve(dicke_state(other, 0, 0), h, duration=1.0)
 
@@ -206,7 +205,7 @@ class TestEvolve:
 class TestObservables:
     def test_basis_state(self):
         params = ModelParams(n_qubits=4, n_max=3)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         psi = dicke_state(space, 2, 0)
         nq, nph = observables(psi)
         assert nq == pytest.approx(2.0)
@@ -215,7 +214,7 @@ class TestObservables:
 
     def test_superposition(self):
         params = ModelParams(n_qubits=4, n_max=3)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         amps = np.zeros(space.dimension, dtype=complex)
         amps[space.index(0, 0)] = 1 / math.sqrt(2)
         amps[space.index(2, 2)] = 1 / math.sqrt(2)
@@ -229,15 +228,15 @@ class TestObservables:
 class TestFidelity:
     def test_identical_and_orthogonal(self):
         params = ModelParams(n_qubits=2, n_max=2)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         a = dicke_state(space, 0, 0)
         b = dicke_state(space, 1, 1)
         assert fidelity(a, a) == pytest.approx(1.0)
         assert fidelity(a, b) == pytest.approx(0.0)
 
     def test_space_mismatch(self):
-        s1 = build_space(ModelParams(n_qubits=2, n_max=2), BasisKind.SYMMETRIC)
-        s2 = build_space(ModelParams(n_qubits=2, n_max=3), BasisKind.SYMMETRIC)
+        s1 = build_space(ModelParams(n_qubits=2, n_max=2))
+        s2 = build_space(ModelParams(n_qubits=2, n_max=3))
         with pytest.raises(ValueError):
             fidelity(dicke_state(s1, 0, 0), dicke_state(s2, 0, 0))
 
@@ -263,7 +262,7 @@ class TestRotatingFrame:
         # + h.c.) psi, with fixed-step fourth-order stepping, and compare to
         # the frame-transformed exact evolution.
         params = ModelParams(n_qubits=2, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=3)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h = build_hamiltonian(params, space)
 
         channels = []
@@ -315,7 +314,7 @@ class TestExcitationStructure:
         # Zeroing the matrix elements between (k, n) and (k+1, n+1) leaves a
         # Hamiltonian that commutes with the total excitation number exactly.
         params = ModelParams(n_qubits=3, omega_q=0.7, coupling=0.2, stark_u=-1.1, n_max=4)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h = np.array(build_hamiltonian(params, space).matrix)
         for k in range(params.n_qubits):
             for n in range(params.n_max):

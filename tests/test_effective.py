@@ -23,7 +23,6 @@ from dickestark.effective import (
     solve_second_order_resonance,
 )
 from dickestark.model import (
-    BasisKind,
     ModelParams,
     build_hamiltonian,
     build_space,
@@ -253,7 +252,7 @@ class TestSecondOrderResonances:
         t = ResonanceTarget("atc", 2, 0, 0)
         omega_q = solve_second_order_resonance(t, p)
         tuned = ModelParams(**{**SECOND_ORDER, "omega_q": omega_q})
-        space = build_space(tuned, BasisKind.SYMMETRIC)
+        space = build_space(tuned)
         h = build_hamiltonian(tuned, space)
         w, v = np.linalg.eigh(h.matrix)
         ia, ib = space.index(0, 0), space.index(2, 2)
@@ -292,7 +291,7 @@ class TestSecondOrderSideChannels:
             xtol=1e-15,
         )
         tuned = replace(base, omega_q=omega_q)
-        space = build_space(tuned, BasisKind.SYMMETRIC)
+        space = build_space(tuned)
         h = build_hamiltonian(tuned, space)
         cells = [(0, 1), (2, 1), (4, 1)]
         idx = [space.index(k, n) for k, n in cells]
@@ -332,7 +331,7 @@ class TestSecondOrderSideChannels:
         tuned = replace(base, stark_u=u_star)
         g = second_order_coeffs(0, 0, tuned).omega_a2
         assert g < 0
-        space = build_space(tuned, BasisKind.SYMMETRIC)
+        space = build_space(tuned)
         h = build_hamiltonian(tuned, space)
         psi0 = dicke_state(space, 0, 0)
         t = 0.2 / abs(g)
@@ -346,7 +345,7 @@ class TestSecondOrderSideChannels:
 class TestEffectiveHamiltonian:
     def test_first_order_tc_block(self):
         p = ModelParams(omega_q=1.25, **FIRST_ORDER)
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         t = ResonanceTarget("tc", 1, 0, 0)
         h = build_effective_hamiltonian(t, p, space)
         i, j = space.index(1, 0), space.index(0, 1)
@@ -360,7 +359,7 @@ class TestEffectiveHamiltonian:
 
     def test_second_order_pairs(self):
         p = ModelParams(omega_q=-1.0003, **SECOND_ORDER)
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         h = build_effective_hamiltonian(ResonanceTarget("atc", 2, 0, 0), p, space)
         i, j = space.index(0, 0), space.index(2, 2)
         expected = second_order_coeffs(0, 0, p).omega_atc2
@@ -369,7 +368,7 @@ class TestEffectiveHamiltonian:
 
     def test_out_of_space_target(self):
         p = ModelParams(n_qubits=2, omega_q=1.0, coupling=0.01, stark_u=-0.5, n_max=3)
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         with pytest.raises(ValueError):
             build_effective_hamiltonian(ResonanceTarget("atc", 2, 0, 1), p, space)
 
@@ -438,7 +437,7 @@ class TestRwaReport:
         t = ResonanceTarget(kind, 1, n0, k0)
         omega_q = solve_first_order_resonance(t, p)
         tuned = ModelParams(**{**base, "omega_q": omega_q})
-        return t, tuned, build_space(tuned, BasisKind.SYMMETRIC)
+        return t, tuned, build_space(tuned)
 
     def test_selected_channel_ratio_zero(self):
         t, p, space = self.fig_params("tc", 0, 1)
@@ -483,7 +482,7 @@ class TestRwaReport:
         t = ResonanceTarget("atc", 2, 0, 0)
         omega_q = solve_second_order_resonance(t, p)
         tuned = ModelParams(**{**SECOND_ORDER, "omega_q": omega_q})
-        space = build_space(tuned, BasisKind.SYMMETRIC)
+        space = build_space(tuned)
         report = rwa_validity_report(t, tuned, space)
         kinds = {c.kind for c in report.channels}
         assert {"tc", "atc", "tc2", "atc2", "r2", "a2"} <= kinds
@@ -569,7 +568,7 @@ class TestReportGridMatchesCells:
                             pass
                         for omega_q in points:
                             tuned = replace(params, omega_q=omega_q)
-                            space = build_space(tuned, BasisKind.SYMMETRIC)
+                            space = build_space(tuned)
                             try:
                                 expected = _cell_rows(target, tuned)
                             except DegenerateDetuningError:

@@ -1,5 +1,5 @@
 """The spectral kernel against its oracles: the closed-form H against the
-Kronecker-product builder, parity-sector propagation against one complex
+Kronecker-product builders, parity-sector propagation against one complex
 ``eigh`` of the whole space, the time grid of ``evolve`` against direct
 exponentials and against values recorded before it was rewritten, and the
 photon-cutoff guard of the scan."""
@@ -13,7 +13,6 @@ from dickestark import dynamics, model, protocol, scan
 from dickestark.dynamics import CutoffExceededError, _Spectral, evolve, observables, propagate
 from dickestark.effective import ResonanceTarget, omega_q_from_ratio, pulse_duration, solve_resonance
 from dickestark.model import (
-    BasisKind,
     ModelParams,
     Operator,
     StateVector,
@@ -21,11 +20,15 @@ from dickestark.model import (
     build_space,
     default_n_max,
     dicke_state,
-    symmetrization_isometry,
 )
 from dickestark.presets import SCAN_PRESETS, protocol_preset, scan_preset
 from dickestark.scan import resonance_scan, scan_grid
-from dickestark.validate import UNITARITY_LIMIT, check_unitarity
+from dickestark.validate import (
+    UNITARITY_LIMIT,
+    _product_hamiltonian,
+    _product_isometry,
+    check_unitarity,
+)
 from oracles import full_space_evolution, kron_hamiltonian
 
 
@@ -38,6 +41,13 @@ def draw_params(rng, n_qubits, n_max):
         stark_u=float(rng.uniform(-4.0, 4.0)),
         n_max=n_max,
     )
+
+
+def product_parities(params):
+    """(popcount(s) + n) mod 2 of every product-basis index s*(n_max+1) + n."""
+    levels = params.n_max + 1
+    cells = range(2**params.n_qubits * levels)
+    return np.array([(bin(i // levels).count("1") + i % levels) % 2 for i in cells])
 
 
 def random_state(space, rng, sectors=(0, 1)):
@@ -56,7 +66,7 @@ class TestClosedFormHamiltonian:
         rng = np.random.default_rng(100 + n_qubits)
         for n_max in range(13):
             params = draw_params(rng, n_qubits, n_max)
-            space = build_space(params, BasisKind.SYMMETRIC)
+            space = build_space(params)
             w = params.omega_q
             for omega_q in (w, -w, float(rng.uniform(-2.0, 2.0)), w, 0.0, -w):
                 tuned = replace(params, omega_q=omega_q)
@@ -67,27 +77,29 @@ class TestClosedFormHamiltonian:
 
     def test_conserves_parity_in_both_bases(self):
         rng = np.random.default_rng(3)
-        for n_qubits in (1, 2, 3, 4):
+        for n_qubits in range(1, 6):
             params = draw_params(rng, n_qubits, 3)
-            for kind in BasisKind:
-                space = build_space(params, kind)
-                parity = space.parities()
-                h = build_hamiltonian(params, space).matrix
+            space = build_space(params)
+            for parity, h in [
+                (space.parities(), build_hamiltonian(params, space).matrix),
+                (product_parities(params), _product_hamiltonian(params)),
+            ]:
                 assert not np.any(h[parity[:, None] != parity[None, :]])
 
     def test_parities_agree_across_bases(self):
-        params = ModelParams(n_qubits=3, n_max=2)
-        sym = build_space(params, BasisKind.SYMMETRIC)
-        prod = build_space(params, BasisKind.PRODUCT)
-        rows, cols = np.nonzero(symmetrization_isometry(sym, prod))
-        assert np.array_equal(prod.parities()[rows], sym.parities()[cols])
+        for n_qubits in range(1, 6):
+            params = ModelParams(n_qubits=n_qubits, n_max=2)
+            sym = build_space(params)
+            rows, cols = np.nonzero(_product_isometry(params))
+            assert np.array_equal(product_parities(params)[rows], sym.parities()[cols])
+        sym = build_space(ModelParams(n_qubits=3, n_max=2))
         assert [sym.parities()[sym.index(k, n)] for k, n in [(0, 0), (1, 0), (2, 1), (3, 2)]] == [0, 1, 1, 1]
 
 
 class TestCachedArrays:
     def test_cached_arrays_are_read_only(self):
         params = ModelParams(n_qubits=3, omega_q=0.8, coupling=0.1, stark_u=-2.0, n_max=4)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h = build_hamiltonian(params, space)
         h0, jz_half = model._affine_parts(3, 4, 0.1, -2.0, 1.0)
         sector = dynamics._sector(space, False, True)
@@ -103,7 +115,7 @@ class TestCachedArrays:
     def test_scans_in_sequence_share_no_state(self):
         def curve(name):
             preset = scan_preset(name)
-            space = build_space(preset.params, BasisKind.SYMMETRIC)
+            space = build_space(preset.params)
             psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
             duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
             return resonance_scan(psi0, scan_grid(preset.window, 61), duration, preset.params, space)
@@ -117,20 +129,20 @@ class TestCachedArrays:
 
 class TestOperatorDtype:
     def test_real_stays_real_and_complex_stays_complex(self):
-        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        space = build_space(ModelParams(n_qubits=1, n_max=0))
         assert Operator(space, np.eye(2, dtype=int)).matrix.dtype == np.float64
         assert Operator(space, np.eye(2)).matrix.dtype == np.float64
         assert Operator(space, np.eye(2) * 1j).matrix.dtype == np.complex128
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_leaves_the_callers_array_writeable(self, dtype):
-        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        space = build_space(ModelParams(n_qubits=1, n_max=0))
         m = np.eye(2, dtype=dtype)
         assert not Operator(space, m).matrix.flags.writeable
         m[0, 0] = 2.0
 
     def test_takes_a_read_only_array_it_owns_without_copying(self):
-        space = build_space(ModelParams(n_qubits=1, n_max=0), BasisKind.SYMMETRIC)
+        space = build_space(ModelParams(n_qubits=1, n_max=0))
         owned = np.eye(2)
         owned.flags.writeable = False
         assert Operator(space, owned).matrix is owned
@@ -138,18 +150,17 @@ class TestOperatorDtype:
         view.flags.writeable = False
         assert not np.shares_memory(Operator(space, view).matrix, view)
         params = ModelParams(n_qubits=2, n_max=3)
-        h = build_hamiltonian(params, build_space(params, BasisKind.SYMMETRIC))
+        h = build_hamiltonian(params, build_space(params))
         assert h.matrix.base is None and not h.matrix.flags.writeable
 
 
 class TestSectorPropagation:
-    @pytest.mark.parametrize("kind", list(BasisKind))
     @pytest.mark.parametrize("n_qubits", range(1, 7))
-    def test_propagate_and_evolve_match_full_space(self, kind, n_qubits):
-        rng = np.random.default_rng(10 * n_qubits + (kind is BasisKind.PRODUCT))
-        n_max = int(rng.integers(1, 6)) if kind is BasisKind.SYMMETRIC else 2
+    def test_propagate_and_evolve_match_full_space(self, n_qubits):
+        rng = np.random.default_rng(10 * n_qubits)
+        n_max = int(rng.integers(1, 6))
         params = draw_params(rng, n_qubits, n_max)
-        space = build_space(params, kind)
+        space = build_space(params)
         h = build_hamiltonian(params, space)
         k = int(rng.integers(0, n_qubits + 1))
         states = [
@@ -163,24 +174,13 @@ class TestSectorPropagation:
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, t)[0]
             got = propagate(h, psi0, t).amplitudes
             assert np.max(np.abs(got - oracle / np.linalg.norm(oracle))) <= 1e-12
-            if kind is BasisKind.PRODUCT:
-                continue  # trajectories are recorded in the symmetric basis only
             traj = evolve(psi0, h, t, samples=7)
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
             assert np.max(np.abs(traj.states - oracle)) <= 1e-12
 
-    def test_evolve_refuses_the_product_basis_naming_the_rule(self):
-        params = ModelParams(n_qubits=2, n_max=2)
-        space = build_space(params, BasisKind.PRODUCT)
-        h = build_hamiltonian(params, space)
-        psi0 = dicke_state(space, 1, 0)
-        with pytest.raises(ValueError, match="evolve .* needs the symmetric basis; propagate takes either"):
-            evolve(psi0, h, 1.0)
-        assert propagate(h, psi0, 1.0).space == space
-
     def test_diagonalizes_only_the_occupied_sector(self):
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         h = build_hamiltonian(params, space)
         spec = _Spectral(h, dicke_state(space, 1, 2).amplitudes)
         assert np.array_equal(spec.kept, np.flatnonzero(space.parities() == 1))
@@ -190,7 +190,7 @@ class TestSectorPropagation:
 
     def test_operator_coupling_the_sectors_falls_back_to_the_whole_space(self):
         params = ModelParams(n_qubits=3, omega_q=0.7, coupling=0.1, stark_u=-1.0, n_max=3)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         m = build_hamiltonian(params, space).matrix.copy()
         i, j = space.index(0, 0), space.index(1, 0)  # parities 0 and 1
         m[i, j] = m[j, i] = 0.05
@@ -248,7 +248,7 @@ class TestTimeGrid:
         rng = np.random.default_rng(3000)
         for n_qubits in (2, 3, 5):
             params = draw_params(rng, n_qubits, int(rng.integers(2, 9)))
-            space = build_space(params, BasisKind.SYMMETRIC)
+            space = build_space(params)
             h = build_hamiltonian(params, space)
             for sectors in ((0,), (1,), (0, 1)):
                 psi0 = random_state(space, rng, sectors)
@@ -320,7 +320,7 @@ RECORDED_STEPS = {
 def test_protocol_preset_trajectories_match_the_recorded_values(name):
     params = protocol_preset(name)
     compiled = protocol.compile_ghz4(params) if name == "ghz_4" else protocol.compile_dicke_ladder(4, 4, params)
-    space = build_space(params, BasisKind.SYMMETRIC)
+    space = build_space(params)
     result = protocol.run_protocol(compiled, params, space, samples=400)
     assert len(result.per_step) == len(RECORDED_STEPS[name])
     for traj, (nq, nph, final) in zip(result.per_step, RECORDED_STEPS[name]):
@@ -343,7 +343,7 @@ def per_point_scan(psi0, ratios, duration, params):
 @pytest.mark.parametrize("name", sorted(SCAN_PRESETS))
 def test_preset_scan_curve_matches_per_point_oracle(name):
     preset = scan_preset(name)
-    space = build_space(preset.params, BasisKind.SYMMETRIC)
+    space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
     grid = scan_grid(preset.window, 101)
@@ -369,7 +369,7 @@ def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     monkeypatch.setattr(Operator, "require_hermitian", counting("hermitian", Operator.require_hermitian))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     preset = scan_preset("fig3")
-    space = build_space(preset.params, BasisKind.SYMMETRIC)
+    space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
     curve = resonance_scan(psi0, scan_grid(preset.window, 17), duration, preset.params, space)
@@ -385,7 +385,7 @@ class TestScanCutoffGuard:
 
     def scan(self, n_max):
         params = ModelParams(n_qubits=4, coupling=0.2, stark_u=-0.5, n_max=n_max)
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         tuned = replace(params, omega_q=solve_resonance(self.TARGET, params))
         duration = pulse_duration(self.TARGET, tuned)
         return resonance_scan(dicke_state(space, 0, 1), scan_grid((-0.6, 0.1), 71), duration, params, space)

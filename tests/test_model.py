@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dickestark.model import (
-    BasisKind,
     ModelParams,
     Operator,
     StateVector,
@@ -11,35 +10,41 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
     ladder_coupling,
-    symmetrization_isometry,
 )
+from dickestark.validate import _product_hamiltonian, _product_isometry
 from oracles import collective_ops
+
+# The product-basis oracle at every N from 1 to 5, odd N included.
+ORACLE_N = range(1, 6)
 
 
 def spaces(n_qubits, n_max, **kw):
     params = ModelParams(n_qubits=n_qubits, n_max=n_max, **kw)
-    return (
-        params,
-        build_space(params, BasisKind.SYMMETRIC),
-        build_space(params, BasisKind.PRODUCT),
-    )
+    return params, build_space(params)
+
+
+def product_index(bits, n, n_max):
+    """Flat product-basis index of |bits> x |n>; bit j of ``bits`` marks
+    qubit j excited."""
+    return bits * (n_max + 1) + n
 
 
 class TestSpaces:
     def test_symmetric_dimension(self):
-        _, sym, _ = spaces(4, 5)
+        _, sym = spaces(4, 5)
         assert sym.dimension == 30
 
     def test_product_dimension(self):
-        _, _, prod = spaces(2, 3)
-        assert prod.dimension == 16
+        params, sym = spaces(2, 3)
+        assert _product_hamiltonian(params).shape == (16, 16)
+        assert _product_isometry(params).shape == (16, sym.dimension)
 
     def test_minimal_symmetric_dimension(self):
-        _, sym, _ = spaces(1, 0)
+        _, sym = spaces(1, 0)
         assert sym.dimension == 2
 
     def test_index_roundtrip(self):
-        _, sym, _ = spaces(3, 4)
+        _, sym = spaces(3, 4)
         seen = set()
         for k in range(4):
             for n in range(5):
@@ -49,14 +54,16 @@ class TestSpaces:
         assert seen == set(range(sym.dimension))
 
     def test_flat_index_convention(self):
-        _, sym, _ = spaces(4, 5)
+        _, sym = spaces(4, 5)
         assert sym.index(1, 0) == 6
         assert sym.index(0, 5) == 5
 
     def test_dimension_guard(self):
-        params = ModelParams(n_qubits=20, n_max=10)
+        params = ModelParams(n_qubits=1000, n_max=10)
         with pytest.raises(ValueError, match="maximum"):
-            build_space(params, BasisKind.PRODUCT)
+            build_space(params)
+        with pytest.raises(ValueError, match="unknown basis kind"):
+            build_space(ModelParams(n_qubits=2), "product")
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -75,22 +82,20 @@ class TestSpaces:
             ModelParams(n_qubits=2, **{field: value})
 
     def test_nan_state_rejected(self):
-        _, sym, _ = spaces(2, 2)
+        _, sym = spaces(2, 2)
         with pytest.raises(ValueError, match="state norm nan"):
             StateVector(sym, np.full(sym.dimension, np.nan))
 
     def test_nan_operator_is_not_hermitian(self):
-        _, sym, _ = spaces(2, 2)
+        _, sym = spaces(2, 2)
         op = Operator(sym, np.full((sym.dimension, sym.dimension), np.nan))
         with pytest.raises(ValueError, match="not Hermitian"):
             op.require_hermitian()
 
     def test_excitation_numbers_match_labels(self):
-        _, sym, prod = spaces(3, 4)
+        _, sym = spaces(3, 4)
         ks, ns = sym.excitation_numbers()
         assert list(zip(ks, ns)) == sym.labels()
-        with pytest.raises(ValueError, match="symmetric"):
-            prod.excitation_numbers()
 
     def test_default_n_max(self):
         assert default_n_max(0, 4) == 8
@@ -99,7 +104,7 @@ class TestSpaces:
 
 class TestCollectiveOps:
     def test_jz_ground_expectation(self):
-        _, sym, _ = spaces(4, 3)
+        _, sym = spaces(4, 3)
         _, jz = collective_ops(sym)
         psi = dicke_state(sym, 0, 0)
         val = np.real(np.vdot(psi.amplitudes, jz.matrix @ psi.amplitudes))
@@ -113,7 +118,7 @@ class TestCollectiveOps:
         assert ladder_coupling(5, 4) == 0.0
 
     def test_jx_structure(self):
-        _, sym, _ = spaces(4, 2)
+        _, sym = spaces(4, 2)
         jx, _ = collective_ops(sym)
         m = jx.matrix
         for i in range(sym.dimension):
@@ -129,10 +134,10 @@ class TestCollectiveOps:
     def test_jx_matches_product_basis_projection(self):
         # Oracle: build sum_j sigma_j^x brute-force in the product basis and
         # pull it back through the symmetrization isometry.
-        for n_qubits in (2, 3):
-            params, sym, prod = spaces(n_qubits, 2)
+        for n_qubits in ORACLE_N:
+            params, sym = spaces(n_qubits, 2)
             jx, _ = collective_ops(sym)
-            v = symmetrization_isometry(sym, prod)
+            v = _product_isometry(params)
             sx = np.zeros((2**n_qubits, 2**n_qubits))
             for s in range(2**n_qubits):
                 for j in range(n_qubits):
@@ -141,23 +146,18 @@ class TestCollectiveOps:
             projected = v.T @ sx_full @ v
             assert np.allclose(projected, jx.matrix, atol=1e-12)
 
-    def test_requires_symmetric_basis(self):
-        _, _, prod = spaces(2, 2)
-        with pytest.raises(ValueError):
-            collective_ops(prod)
-
 
 class TestHamiltonian:
     def test_hermitian(self):
-        for kind in BasisKind:
-            params = ModelParams(n_qubits=3, n_max=4, omega_q=0.9, coupling=0.05, stark_u=-0.7)
-            space = build_space(params, kind)
-            h = build_hamiltonian(params, space)
-            assert h.hermiticity_defect() <= 1e-12
+        params = ModelParams(n_qubits=3, n_max=4, omega_q=0.9, coupling=0.05, stark_u=-0.7)
+        h = build_hamiltonian(params, build_space(params))
+        assert h.hermiticity_defect() <= 1e-12
+        h_prod = _product_hamiltonian(params)
+        assert np.array_equal(h_prod, h_prod.T)
 
     def test_diagonal_entries(self):
         params = ModelParams(n_qubits=4, n_max=4, omega_q=1.3, coupling=0.02, stark_u=-0.5)
-        sym = build_space(params, BasisKind.SYMMETRIC)
+        sym = build_space(params)
         h = build_hamiltonian(params, sym)
         for k in range(5):
             for n in range(5):
@@ -166,7 +166,7 @@ class TestHamiltonian:
 
     def test_coupling_element(self):
         params = ModelParams(n_qubits=4, n_max=3, coupling=0.006)
-        sym = build_space(params, BasisKind.SYMMETRIC)
+        sym = build_space(params)
         h = build_hamiltonian(params, sym)
         # <D^1, 0| H |D^0, 1> = lambda f(0) sqrt(1) / sqrt(4) = 0.006
         assert h.matrix[sym.index(1, 0), sym.index(0, 1)] == pytest.approx(0.006)
@@ -177,7 +177,7 @@ class TestHamiltonian:
         # H couples (k, n) only to (k +- 1, n +- 1) and (k +- 1, n -+ 1);
         # every other off-diagonal entry is exactly zero.
         params = ModelParams(n_qubits=3, n_max=3, omega_q=0.8, coupling=0.1, stark_u=-2.0)
-        sym = build_space(params, BasisKind.SYMMETRIC)
+        sym = build_space(params)
         h = build_hamiltonian(params, sym)
         for i in range(sym.dimension):
             k, n = sym.label(i)
@@ -210,7 +210,7 @@ class TestHamiltonian:
 
     def test_top_of_ladder_closed(self):
         params = ModelParams(n_qubits=3, n_max=3, coupling=0.2)
-        sym = build_space(params, BasisKind.SYMMETRIC)
+        sym = build_space(params)
         h = build_hamiltonian(params, sym)
         for n in range(4):
             row = sym.index(3, n)
@@ -224,66 +224,87 @@ class TestHamiltonian:
     def test_symmetric_eigenvalues_subset_of_product(self):
         # Oracle: diagonalize both bases at desk scale; the symmetric sector
         # spectrum must appear inside the product spectrum.
-        params = ModelParams(n_qubits=2, n_max=3, omega_q=0.85, coupling=0.13, stark_u=-0.9)
-        sym = build_space(params, BasisKind.SYMMETRIC)
-        prod = build_space(params, BasisKind.PRODUCT)
-        ev_sym = np.linalg.eigvalsh(build_hamiltonian(params, sym).matrix)
-        ev_prod = np.linalg.eigvalsh(build_hamiltonian(params, prod).matrix)
-        for e in ev_sym:
-            assert np.min(np.abs(ev_prod - e)) < 1e-10
+        for n_qubits in ORACLE_N:
+            params, sym = spaces(n_qubits, 3, omega_q=0.85, coupling=0.13, stark_u=-0.9)
+            ev_sym = np.linalg.eigvalsh(build_hamiltonian(params, sym).matrix)
+            ev_prod = np.linalg.eigvalsh(_product_hamiltonian(params))
+            for e in ev_sym:
+                assert np.min(np.abs(ev_prod - e)) < 1e-10
 
     def test_product_block_equals_symmetric(self):
         # H_prod V = V H_sym: the symmetric sector is invariant and the
         # restriction reproduces the symmetric-basis matrix.
-        params = ModelParams(n_qubits=3, n_max=2, omega_q=1.1, coupling=0.07, stark_u=-1.3)
-        sym = build_space(params, BasisKind.SYMMETRIC)
-        prod = build_space(params, BasisKind.PRODUCT)
-        v = symmetrization_isometry(sym, prod)
-        h_sym = build_hamiltonian(params, sym).matrix
-        h_prod = build_hamiltonian(params, prod).matrix
-        assert np.allclose(h_prod @ v, v @ h_sym, atol=1e-12)
+        for n_qubits in ORACLE_N:
+            params, sym = spaces(n_qubits, 4, omega_q=1.1, coupling=0.07, stark_u=-1.3)
+            v = _product_isometry(params)
+            h_sym = build_hamiltonian(params, sym).matrix
+            h_prod = _product_hamiltonian(params)
+            assert np.max(np.abs(h_prod @ v - v @ h_sym)) <= 1e-14
+
+    def test_basis_equivalence_oracle_is_independent_of_the_builder(self, monkeypatch):
+        # One coupling element of H(0) off by 1 %: the product route must not
+        # go through the builder it checks, so the check must see it.
+        from dickestark import model, validate
+
+        true_parts = model._affine_parts
+
+        def bent_parts(*key):
+            h0, jz_half = true_parts(*key)
+            h0 = h0.copy()
+            i, j = np.argwhere(np.triu(h0, 1))[0]
+            h0[i, j] = h0[j, i] = 1.01 * h0[i, j]
+            return h0, jz_half
+
+        assert validate.check_basis_equivalence(np.random.default_rng(0), draws=20).passed
+        monkeypatch.setattr(model, "_affine_parts", bent_parts)
+        check = validate.check_basis_equivalence(np.random.default_rng(0), draws=20)
+        assert not check.passed
+        assert check.value > 1e-3
 
 
 class TestDickeStates:
     def test_symmetric_unit_vector(self):
-        _, sym, _ = spaces(4, 2)
+        _, sym = spaces(4, 2)
         psi = dicke_state(sym, 2, 1)
         expected = np.zeros(sym.dimension)
         expected[sym.index(2, 1)] = 1.0
         assert np.allclose(psi.amplitudes, expected)
 
+    # The oracle's isometry maps |D_N^k> x |n> to its product-basis image.
     def test_product_two_qubit_w_state(self):
-        params, _, prod = spaces(2, 2)
-        psi = dicke_state(prod, 1, 2)
+        params, sym = spaces(2, 2)
+        image = _product_isometry(params) @ dicke_state(sym, 1, 2).amplitudes
         # (|eg> + |ge>)/sqrt(2) x |2>
-        nz = {i: a for i, a in enumerate(psi.amplitudes) if a != 0}
-        assert set(nz) == {prod.product_index(0b01, 2), prod.product_index(0b10, 2)}
+        nz = {i: a for i, a in enumerate(image) if a != 0}
+        assert set(nz) == {product_index(0b01, 2, 2), product_index(0b10, 2, 2)}
         for a in nz.values():
             assert a == pytest.approx(1 / np.sqrt(2))
 
     def test_ground_state_is_all_g(self):
-        _, _, prod = spaces(4, 1)
-        psi = dicke_state(prod, 0, 0)
-        nz = np.flatnonzero(psi.amplitudes)
-        assert list(nz) == [prod.product_index(0, 0)]
-        assert psi.amplitudes[nz[0]] == pytest.approx(1.0)
+        params, sym = spaces(4, 1)
+        image = _product_isometry(params) @ dicke_state(sym, 0, 0).amplitudes
+        nz = np.flatnonzero(image)
+        assert list(nz) == [product_index(0, 0, 1)]
+        assert image[nz[0]] == pytest.approx(1.0)
 
     def test_normalized(self):
         for n_qubits in (1, 2, 4):
-            _, sym, prod = spaces(n_qubits, 2)
-            for space in (sym, prod):
-                for k in range(n_qubits + 1):
-                    psi = dicke_state(space, k, 1)
-                    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            params, sym = spaces(n_qubits, 2)
+            v = _product_isometry(params)
+            for k in range(n_qubits + 1):
+                psi = dicke_state(sym, k, 1)
+                assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(v @ psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range(self):
-        _, sym, _ = spaces(2, 1)
+        _, sym = spaces(2, 1)
         with pytest.raises(ValueError):
             dicke_state(sym, 3, 0)
         with pytest.raises(ValueError):
             dicke_state(sym, 0, 2)
 
     def test_isometry(self):
-        _, sym, prod = spaces(3, 2)
-        v = symmetrization_isometry(sym, prod)
-        assert np.allclose(v.T @ v, np.eye(sym.dimension), atol=1e-14)
+        for n_qubits in ORACLE_N:
+            params, sym = spaces(n_qubits, 2)
+            v = _product_isometry(params)
+            assert np.allclose(v.T @ v, np.eye(sym.dimension), atol=1e-14)

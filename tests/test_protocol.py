@@ -12,7 +12,6 @@ from dickestark.effective import (
     rabi_frequency,
 )
 from dickestark.model import (
-    BasisKind,
     ModelParams,
     build_space,
     default_n_max,
@@ -107,7 +106,7 @@ class TestCompileGhz4:
 class TestRunLadder:
     def test_full_ladder(self):
         p = ladder_params()
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         proto = compile_dicke_ladder(4, 4, p)
         result = run_protocol(proto, p, space)
         assert result.final.population(4, 0) >= 0.98
@@ -123,7 +122,7 @@ class TestRunLadder:
         # Halving the coupling (durations rescale automatically) must improve
         # selectivity: the fidelity change is bounded by the leakage scale
         # 1 - F and cannot go down.
-        space = build_space(ladder_params(), BasisKind.SYMMETRIC)
+        space = build_space(ladder_params())
         f_base = run_protocol(compile_dicke_ladder(4, 4, ladder_params()), ladder_params(), space).fidelity
         half = ModelParams(**{**LADDER, "coupling": 0.003}, n_max=default_n_max(0, 4))
         f_half = run_protocol(compile_dicke_ladder(4, 4, half), half, space).fidelity
@@ -135,7 +134,7 @@ class TestRunLadder:
 class TestRunGhz:
     def test_equal_superposition_after_first_step(self):
         p = ghz_params()
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         result = run_protocol(compile_ghz4(p), p, space)
         boundary = result.step_boundary_populations()[0]
         assert boundary[(0, 0)] == pytest.approx(0.5, abs=0.02)
@@ -143,7 +142,7 @@ class TestRunGhz:
 
     def test_final_fidelity(self):
         p = ghz_params()
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         result = run_protocol(compile_ghz4(p), p, space)
         assert result.fidelity_optimized == pytest.approx(0.9952, abs=0.002)
         # the exact-phase overlap is reported too, together with the realized
@@ -155,7 +154,7 @@ class TestRunGhz:
         from dickestark.dynamics import observables
 
         p = ghz_params()
-        space = build_space(p, BasisKind.SYMMETRIC)
+        space = build_space(p)
         result = run_protocol(compile_ghz4(p), p, space)
         nq, nph = observables(result.final)
         assert nq == pytest.approx(2.0, abs=0.05)
@@ -181,7 +180,7 @@ class TestGuards:
         # level is reached by the sequence.
         proto = compile_ghz4(ghz_params())
         tight = ghz_params(n_max=2)
-        space = build_space(tight, BasisKind.SYMMETRIC)
+        space = build_space(tight)
         with pytest.raises(CutoffExceededError) as err:
             run_protocol(proto, tight, space)
         assert err.value.step_index == 1
@@ -193,7 +192,7 @@ class TestGuards:
     def test_params_mismatch(self):
         proto = compile_ghz4(ghz_params())
         other = ModelParams(**{**GHZ, "coupling": 0.2}, n_max=8)
-        space = build_space(other, BasisKind.SYMMETRIC)
+        space = build_space(other)
         with pytest.raises(ValueError, match="does not match"):
             run_protocol(proto, other, space)
 
@@ -216,7 +215,7 @@ class TestGuards:
         import dickestark.protocol as protocol_module
 
         params = ghz_params()
-        space = build_space(params, BasisKind.SYMMETRIC)
+        space = build_space(params)
         nan_traj = SimpleNamespace(populations=np.full((2, space.dimension), np.nan))
         monkeypatch.setattr(protocol_module, "evolve", lambda *args, **kwargs: nan_traj)
         with pytest.raises(CutoffExceededError):

@@ -9,7 +9,7 @@ from dickestark.effective import (
     ratio_from_omega_q,
     solve_first_order_resonance,
 )
-from dickestark.model import BasisKind, build_space, dicke_state
+from dickestark.model import build_space, dicke_state
 from dickestark.presets import scan_preset
 from dickestark.scan import (
     MAX_SCAN_POINTS,
@@ -24,7 +24,7 @@ from dickestark.scan import (
 
 def run_preset(name, points=None):
     preset = scan_preset(name)
-    space = build_space(preset.params, BasisKind.SYMMETRIC)
+    space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
     grid = scan_grid(preset.window, points or preset.points)
@@ -100,7 +100,7 @@ class TestResonanceScan:
     def test_far_detuned_point_is_inert(self):
         # |delta| > 100 Omega caps the transfer at 4/(100^2 + 4).
         preset = scan_preset("fig3")
-        space = build_space(preset.params, BasisKind.SYMMETRIC)
+        space = build_space(preset.params)
         psi0 = dicke_state(space, 0, 0)
         duration = pulse_duration(preset.target, preset.params)
         grid = np.array([2.124, 3.2])  # second point ~1.1 away from resonance
@@ -126,7 +126,7 @@ class TestResonanceScan:
 
     def test_grid_validation(self):
         preset = scan_preset("fig3")
-        space = build_space(preset.params, BasisKind.SYMMETRIC)
+        space = build_space(preset.params)
         psi0 = dicke_state(space, 0, 0)
         with pytest.raises(ValueError):
             resonance_scan(psi0, np.array([]), 1.0, preset.params, space)
