@@ -23,16 +23,18 @@ scan point that reuses the space and initial state recomputes none of them.
 phases exp(-i w t_s) are block products of about 2 sqrt(samples) complex
 exponentials per eigenvalue (``_phase_grid``), exact to the rounding of w t
 itself; the populations are re^2 + im^2 of the sector amplitudes, and the
-excitation numbers are read from them; states and populations are scattered
-into the full space once. Nothing is renormalized: ``Trajectory`` checks the
-norm of every sample, so its drift check measures the kernel's unitarity.
+excitation numbers are read from them. ``Trajectory`` stores the sector: its
+full-space ``states`` and ``populations`` are scattered on first access, and
+``final`` scatters the last sample only. Nothing is renormalized:
+``Trajectory`` checks the norm of every sample, so its drift check measures
+the kernel's unitarity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .model import (
     StateVector,
     HERMITICITY_TOL,
     NORM_TOL,
+    _read_only,
 )
 
 DEFAULT_SAMPLES = 400
@@ -63,49 +66,74 @@ class CutoffExceededError(RuntimeError):
 
 
 def require_below_cutoff(
-    populations: np.ndarray, space: HilbertSpace, where: str, step_index: int | None = None
+    populations: np.ndarray,
+    space: HilbertSpace,
+    where: str,
+    step_index: int | None = None,
+    kept: np.ndarray | None = None,
 ) -> None:
-    """Raise CutoffExceededError if any row of ``populations`` (one state, or
-    one per sample) holds more than CUTOFF_POPULATION in the top photon level
-    n = n_max; a NaN population raises too."""
-    top_level = populations[..., space.n_max :: space.n_max + 1]  # (k, n_max), every k
-    top = float(top_level.sum(axis=-1).max())
+    """Raise CutoffExceededError if any column of ``populations`` (one state,
+    or one column per sample) holds more than CUTOFF_POPULATION in the top
+    photon level n = n_max; a NaN population raises too. Its rows are the
+    flat indices ``kept`` (a sector), or the whole space if None."""
+    n = space.n_max
+    top_level = populations[n :: n + 1] if kept is None else populations[kept % (n + 1) == n]
+    top = float(top_level.sum(axis=0).max())
     if not top <= CUTOFF_POPULATION:
         raise CutoffExceededError(where, top, step_index)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled evolution record over a HilbertSpace.
+    """Uniformly sampled evolution record over a HilbertSpace, stored in the
+    sector the state occupies.
 
-    ``states`` holds one row per sample; ``populations[i, j]`` is the
-    probability of the basis cell with flat index j (label (k, n)) at
-    sample i. ``nq`` and ``nph`` are the mean atomic and photonic
-    excitation numbers. Construction checks that every sample's norm is 1
-    to within NORM_TOL.
+    ``kept`` holds the sector's flat indices; ``sector_states[r, i]`` is the
+    amplitude of flat index kept[r] at sample i, and ``sector_populations``
+    its probability. Every other amplitude is zero. ``nq`` and ``nph`` are
+    the mean atomic and photonic excitation numbers. Construction checks
+    that every sample's norm is 1 to within NORM_TOL.
     """
 
     space: HilbertSpace
     times: np.ndarray
-    states: np.ndarray
-    populations: np.ndarray
+    kept: np.ndarray
+    sector_states: np.ndarray
+    sector_populations: np.ndarray
     nq: np.ndarray
     nph: np.ndarray
 
     def __post_init__(self) -> None:
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        parts = np.ascontiguousarray(self.states, dtype=complex).view(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-        drift = float(np.max(np.abs(norms - 1.0)))
+        drift = float(np.max(np.abs(np.sqrt(self.sector_populations.sum(axis=0)) - 1.0)))
         if not drift <= NORM_TOL:
             raise ValueError(f"trajectory norm drift {drift:.3e} exceeds {NORM_TOL}")
-        for arr in (self.times, self.states, self.populations, self.nq, self.nph):
+        sector = (self.kept, self.sector_states, self.sector_populations)
+        for arr in (self.times, *sector, self.nq, self.nph):
             arr.flags.writeable = False
+
+    def scatter(self, sector: np.ndarray) -> np.ndarray:
+        """Sector values (one row per kept index, one column per sample, or
+        a single column) as a fresh read-only full-space array: one row per
+        sample, zeros outside the sector."""
+        out = np.zeros(sector.shape[1:] + (self.space.dimension,), dtype=sector.dtype)
+        out[..., self.kept] = sector.T
+        return _read_only(out)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """One full-space state per sample (row), scattered on first access."""
+        return self.scatter(self.sector_states)
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """[i, j]: the probability of flat index j at sample i, scattered on first access."""
+        return self.scatter(self.sector_populations)
 
     @property
     def final(self) -> StateVector:
-        return StateVector(self.space, self.states[-1])
+        return StateVector(self.space, self.scatter(self.sector_states[:, -1]))
 
 
 class _Spectral:
@@ -198,7 +226,7 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return StateVector(h.space, _Spectral(h, psi0.amplitudes).apply(float(t)))
+    return StateVector(h.space, _read_only(_Spectral(h, psi0.amplitudes).apply(float(t))))
 
 
 def observables(psi: StateVector) -> tuple[float, float]:
@@ -216,9 +244,9 @@ def evolve(
 
     Only the occupied parity sector is evaluated per sample: its phases come
     from block products (``_phase_grid``), its populations are re^2 + im^2 of
-    its amplitudes, and nq and nph are read from those. States and
-    populations are scattered into the full space once each. No sample is
-    renormalized; ``Trajectory`` checks every norm."""
+    its amplitudes, and nq and nph are read from those. The trajectory keeps
+    the sector; its full-space states and populations are scattered only
+    when read. No sample is renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
     if samples < 2:
@@ -230,16 +258,13 @@ def evolve(
     sector = spectral.on_grid(duration, samples)  # (kept, samples)
     parts = sector.view(np.float64)
     sector_pops = parts[:, 0::2] ** 2 + parts[:, 1::2] ** 2
-    states = np.zeros((samples, h.space.dimension), dtype=complex)
-    states[:, kept] = sector.T
-    pops = np.zeros((samples, h.space.dimension))
-    pops[:, kept] = sector_pops.T
     ks, ns = h.space.excitation_numbers()
     return Trajectory(
         space=h.space,
         times=np.linspace(0.0, duration, samples),
-        states=states,
-        populations=pops,
+        kept=kept,
+        sector_states=sector,
+        sector_populations=sector_pops,
         nq=ks[kept] @ sector_pops,
         nph=ns[kept] @ sector_pops,
     )
@@ -260,4 +285,4 @@ def to_rotating_frame(psi: StateVector, h: Operator, t: float) -> StateVector:
         raise ValueError("state and Hamiltonian live in different spaces")
     diag = np.diagonal(h.matrix)
     amps = psi.amplitudes * np.exp(1j * diag.real * t)
-    return StateVector(psi.space, amps)
+    return StateVector(psi.space, _read_only(amps))

@@ -139,6 +139,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(m, dtype) -> np.ndarray:
+    """``m`` as a read-only ``dtype`` array. A read-only array that owns its
+    data is taken as is (the builder and the kernel hand over fresh arrays);
+    any other array is copied, so the caller's array stays the caller's and
+    no view of it can change the result."""
+    owned = isinstance(m, np.ndarray) and m.base is None and not m.flags.writeable
+    return _read_only(m if owned and m.dtype == dtype else np.array(m, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense matrix over a HilbertSpace; treated as immutable. A real matrix
@@ -149,19 +158,11 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        dtype = complex if np.iscomplexobj(m) else float
-        # A read-only array that owns its data is taken as is (the builder
-        # hands over a fresh H); any other array is copied, so the caller's
-        # array stays the caller's.
-        owned = isinstance(m, np.ndarray) and m.base is None and not m.flags.writeable
-        if not (owned and m.dtype == dtype):
-            m = np.array(m, dtype=dtype)
+        m = _owned(self.matrix, complex if np.iscomplexobj(self.matrix) else float)
         if m.shape != (self.space.dimension, self.space.dimension):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dimension {self.space.dimension}"
             )
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def hermiticity_defect(self) -> float:
@@ -175,13 +176,15 @@ class Operator:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitude vector over a HilbertSpace."""
+    """Normalized complex amplitude vector over a HilbertSpace; immutable.
+    The amplitudes are copied unless they are a read-only array that owns
+    its data."""
 
     space: HilbertSpace
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = _owned(self.amplitudes, complex)
         if a.shape != (self.space.dimension,):
             raise ValueError(
                 f"amplitude shape {a.shape} does not match dimension {self.space.dimension}"
@@ -189,7 +192,6 @@ class StateVector:
         norm = float(np.linalg.norm(a))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-        a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
     def population(self, k: int, n: int) -> float:
@@ -274,5 +276,5 @@ def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:
     """The state |D_N^k> x |n>, a unit basis vector."""
     amps = np.zeros(space.dimension, dtype=complex)
     amps[space.index(k, n)] = 1.0
-    return StateVector(space, amps)
+    return StateVector(space, _read_only(amps))
 

@@ -300,7 +300,7 @@ class ProtocolResult:
     def step_boundary_populations(self) -> list[dict[tuple[int, int], float]]:
         out = []
         for traj in self.per_step:
-            pops = traj.populations[-1]
+            pops = traj.scatter(traj.sector_populations[:, -1])
             out.append({traj.space.label(i): float(p) for i, p in enumerate(pops)})
         return out
 
@@ -330,7 +330,9 @@ def run_protocol(
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
         traj = evolve(psi, h, step.duration, samples=samples)
-        require_below_cutoff(traj.populations, space, f"step {index}", step_index=index)
+        require_below_cutoff(
+            traj.sector_populations, space, f"step {index}", step_index=index, kept=traj.kept
+        )
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)
 

@@ -188,18 +188,19 @@ class TestEvolve:
     def test_trajectory_rejects_one_sample_off_in_norm(self, small_system):
         _, space, h = small_system
         traj = evolve(dicke_state(space, 0, 0), h, duration=40.0, samples=9)
-        states = np.array(traj.states)
-        states[4] *= 1.0 + 1e-9
-        pops = np.abs(states) ** 2
+        sector = np.array(traj.sector_states)
+        sector[:, 4] *= 1.0 + 1e-9
+        pops = np.abs(sector) ** 2
         with pytest.raises(ValueError, match="norm drift 1.0..e-09 exceeds"):
-            Trajectory(space, traj.times, states, pops, traj.nq, traj.nph)
+            Trajectory(space, traj.times, traj.kept, sector, pops, traj.nq, traj.nph)
 
     def test_nan_trajectory_rejected(self, small_system):
         _, space, _ = small_system
-        states = np.full((2, space.dimension), np.nan, dtype=complex)
-        pops, zeros = np.abs(states) ** 2, np.zeros(2)
+        kept = np.arange(space.dimension)
+        sector = np.full((space.dimension, 2), np.nan, dtype=complex)
+        pops, zeros = np.abs(sector) ** 2, np.zeros(2)
         with pytest.raises(ValueError, match="norm drift nan"):
-            Trajectory(space, np.array([0.0, 1.0]), states, pops, zeros, zeros.copy())
+            Trajectory(space, np.array([0.0, 1.0]), kept, sector, pops, zeros, zeros.copy())
 
 
 class TestObservables:

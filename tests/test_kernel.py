@@ -154,6 +154,39 @@ class TestOperatorDtype:
         assert h.matrix.base is None and not h.matrix.flags.writeable
 
 
+class TestStateVectorOwnership:
+    def test_a_view_of_the_callers_array_cannot_change_the_state(self):
+        space = build_space(ModelParams(n_qubits=2, n_max=1))
+        b = np.zeros(space.dimension, dtype=complex)
+        b[0] = 1
+        v = b[:]
+        psi = StateVector(space, b)
+        v[0] = 5
+        assert np.linalg.norm(psi.amplitudes) == 1.0
+        assert b.flags.writeable and not psi.amplitudes.flags.writeable
+
+    def test_takes_the_kernels_read_only_outputs_without_copying(self, monkeypatch):
+        taken = []
+        owned = model._owned
+
+        def spy(m, dtype):
+            a = owned(m, dtype)
+            taken.append(a is m)
+            return a
+
+        params = ModelParams(n_qubits=3, omega_q=0.8, coupling=0.1, stark_u=-2.0, n_max=4)
+        space = build_space(params)
+        h = build_hamiltonian(params, space)
+        monkeypatch.setattr(model, "_owned", spy)
+        psi0 = dicke_state(space, 1, 2)
+        final = propagate(h, psi0, 3.0)
+        dynamics.to_rotating_frame(evolve(psi0, h, 3.0, samples=5).final, h, 3.0)
+        assert taken == [True] * 4
+        fresh = np.array(final.amplitudes)
+        fresh.flags.writeable = False
+        assert StateVector(space, fresh).amplitudes is fresh
+
+
 class TestSectorPropagation:
     @pytest.mark.parametrize("n_qubits", range(1, 7))
     def test_propagate_and_evolve_match_full_space(self, n_qubits):

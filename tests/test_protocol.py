@@ -161,6 +161,35 @@ class TestRunGhz:
         assert nph == pytest.approx(0.0, abs=0.05)
 
 
+class TestSectorResidentTrajectory:
+    @pytest.mark.parametrize(
+        "n_qubits, samples, ghz", [(4, 400, True), (4, 400, False), (6, 2000, False)]
+    )
+    def test_full_space_arrays_are_scattered_only_on_demand(self, n_qubits, samples, ghz):
+        if ghz:
+            params = ghz_params()
+            proto = compile_ghz4(params)
+        else:
+            params = ModelParams(n_max=default_n_max(0, n_qubits), **{**LADDER, "n_qubits": n_qubits})
+            proto = compile_dicke_ladder(n_qubits, n_qubits, params)
+        space = build_space(params)
+        result = run_protocol(proto, params, space, samples=samples)
+        boundaries = result.step_boundary_populations()
+        for traj in result.per_step:
+            assert "states" not in traj.__dict__ and "populations" not in traj.__dict__
+        for traj, pops in zip(result.per_step, boundaries):
+            states = np.zeros((samples, space.dimension), dtype=complex)
+            states[:, traj.kept] = traj.sector_states.T
+            populations = np.zeros((samples, space.dimension))
+            populations[:, traj.kept] = traj.sector_populations.T
+            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.populations, populations)
+            assert traj.populations is traj.populations and not traj.populations.flags.writeable
+            # the boundary dict as read off the full-space array
+            assert pops == {space.label(i): float(p) for i, p in enumerate(traj.populations[-1])}
+            assert list(pops) == space.labels()
+
+
 class TestGuards:
     def test_zero_step_protocol_rejected(self):
         with pytest.raises(ValueError, match="at least one step"):
@@ -216,7 +245,10 @@ class TestGuards:
 
         params = ghz_params()
         space = build_space(params)
-        nan_traj = SimpleNamespace(populations=np.full((2, space.dimension), np.nan))
+        nan_traj = SimpleNamespace(
+            kept=np.arange(space.dimension),
+            sector_populations=np.full((space.dimension, 2), np.nan),
+        )
         monkeypatch.setattr(protocol_module, "evolve", lambda *args, **kwargs: nan_traj)
         with pytest.raises(CutoffExceededError):
             run_protocol(compile_ghz4(params), params, space)
