@@ -30,6 +30,8 @@ from . import presets
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import DEFAULT_SAMPLES, CutoffExceededError, observables
 from .effective import (
+    HALF_PERIOD,
+    QUARTER_PERIOD,
     ratio_from_omega_q,
     rwa_validity_report,
     solve_resonance,
@@ -116,11 +118,7 @@ def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict
     omega_q_star = solve_resonance(target, params)
     predicted = ratio_from_omega_q(omega_q_star, params)
     tuned = replace(params, omega_q=omega_q_star)
-    duration = (
-        job.duration
-        if job.duration is not None
-        else pulse_duration(target, tuned, job.duration_fraction)
-    )
+    duration = job.duration if job.duration is not None else pulse_duration(target, tuned)
 
     space = build_space(params)
     psi0 = dicke_state(space, job.initial_k, job.initial_n)
@@ -235,8 +233,8 @@ def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str,
         "omega_q": omega_q,
         "ratio": ratio_from_omega_q(omega_q, params),
         "coupling": coupling,
-        "duration_half_period": pulse_duration(target, tuned, 0.5),
-        "duration_quarter_period": pulse_duration(target, tuned, 0.25),
+        "duration_half_period": pulse_duration(target, tuned, HALF_PERIOD),
+        "duration_quarter_period": pulse_duration(target, tuned, QUARTER_PERIOD),
         # infinite when no competing channel is coupled; JSON has no infinity
         "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
         "min_competing_ratio_all": _finite_or_none(report.min_ratio()),

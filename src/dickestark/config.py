@@ -17,8 +17,8 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     k0         = 0
     initial_k  = 0
     initial_n  = 0
-    window_min = 1.9      ; in (omega_r - omega_q) / omega_r units
-    window_max = 2.3
+    window_min = 1.9      ; in (omega_r - omega_q) / omega_r units, finite
+    window_max = 2.3      ; finite, > window_min
     points     = 801      ; 2..100001 (scan.MAX_SCAN_POINTS)
     duration   = auto     ; auto = half oscillation of the target, or a time
     min_height = 0.5      ; minimum peak prominence, finite
@@ -40,8 +40,8 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     k0    = 0
 
     [validate]            ; optional for the validate command
-    draws = 100
-    seed  = 0
+    draws = 100           ; >= 1
+    seed  = 0             ; >= 0
 
     [output]
     directory = out
@@ -152,8 +152,8 @@ SCHEMA = {
         **_TARGET,
         "initial_k": (int, REQUIRED),
         "initial_n": (int, REQUIRED),
-        "window_min": (float, REQUIRED),
-        "window_max": (float, REQUIRED),
+        "window_min": (_checked(float, math.isfinite, "finite"), REQUIRED),
+        "window_max": (_checked(float, math.isfinite, "finite"), REQUIRED),
         "points": (
             _checked(int, lambda v: 2 <= v <= MAX_SCAN_POINTS, f"in 2..{MAX_SCAN_POINTS}"),
             801,
@@ -170,7 +170,10 @@ SCHEMA = {
         "samples": (_checked(int, lambda v: v >= 2, ">= 2"), DEFAULT_SAMPLES),
     },
     "effective": _TARGET,
-    "validate": {"draws": (_checked(int, lambda v: v >= 1, ">= 1"), 100), "seed": (int, 0)},
+    "validate": {
+        "draws": (_checked(int, lambda v: v >= 1, ">= 1"), 100),
+        "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
+    },
     "output": {
         "directory": (str, "out"),
         "format": (_checked(str.lower, ("csv", "json").__contains__, "csv or json"), "csv"),

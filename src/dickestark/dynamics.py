@@ -42,7 +42,6 @@ from .model import (
     HilbertSpace,
     Operator,
     StateVector,
-    HERMITICITY_TOL,
     NORM_TOL,
     _read_only,
 )
@@ -142,7 +141,7 @@ class _Spectral:
     the cached index sets of ``_sector``."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray):
-        h.require_hermitian(HERMITICITY_TOL)
+        h.require_hermitian()
         occupied = np.zeros(2, dtype=bool)
         occupied[h.space.parities()[amplitudes != 0]] = True
         kept, block, coupling = _sector(h.space, *occupied.tolist())

@@ -45,6 +45,10 @@ SELECTIVITY_RATIO = 10.0
 
 ROOT_TOLERANCE = 1e-10
 
+# Pulse lengths as fractions of the population-oscillation period pi/|Omega|.
+HALF_PERIOD = 0.5
+QUARTER_PERIOD = 0.25
+
 
 class DegenerateDetuningError(ValueError):
     """A first-order detuning required by a second-order coefficient is
@@ -282,33 +286,27 @@ def _bare_second_order_omega_q(target: ResonanceTarget, params: ModelParams) -> 
     return -params.omega_r - params.stark_u * (2 * n0 + 2 * k0 + 4 - n_q) / (2 * n_q)
 
 
-def solve_second_order_resonance(
-    target: ResonanceTarget,
-    params: ModelParams,
-    bracket: tuple[float, float] | None = None,
-) -> float:
+def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -> float:
     """omega_q zeroing the Stark-corrected frequency of a second-order target,
     found by bracketed false-position (Illinois) refinement (the tilde
     frequency depends on omega_q nonlinearly through the Stark shifts).
 
-    The default bracket is the bare linear solution widened by
-    10 lambda^2 N / |U|, since the Stark corrections are O(lambda^2 / delta).
+    The bracket is the bare linear solution widened by
+    max(10 lambda^2 N / |U|, 1e-6), since the Stark corrections are
+    O(lambda^2 / delta); ResonanceBracketError when it holds no sign change.
     """
     if target.order != 2:
         raise ValueError("target must be second order")
     target.validate(params)
     if params.stark_u == 0.0:
         raise ValueError("second-order selectivity requires a nonzero Stark coupling")
-    if bracket is None:
-        center = _bare_second_order_omega_q(target, params)
-        width = 10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u)
-        width = max(width, 1e-6)
-        bracket = (center - width, center + width)
+    center = _bare_second_order_omega_q(target, params)
+    width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
+    lo, hi = center - width, center + width
 
     def objective(omega_q: float) -> float:
         return tilde_frequency(target, replace(params, omega_q=omega_q))
 
-    lo, hi = sorted(bracket)
     f_lo, f_hi = objective(lo), objective(hi)
     if f_lo == 0.0:
         return lo
@@ -371,10 +369,12 @@ def target_coupling(target: ResonanceTarget, params: ModelParams) -> float:
     return coeffs.omega_tc2 if target.kind == "tc" else coeffs.omega_atc2
 
 
-def pulse_duration(target: ResonanceTarget, params: ModelParams, fraction: float = 0.5) -> float:
+def pulse_duration(
+    target: ResonanceTarget, params: ModelParams, fraction: float = HALF_PERIOD
+) -> float:
     """Duration of a pulse driving the selected transition: ``fraction`` of
-    the population-oscillation period pi/|Omega| (0.5 transfers fully, 0.25
-    prepares the equal superposition)."""
+    the population-oscillation period pi/|Omega|. HALF_PERIOD, the default,
+    transfers fully; QUARTER_PERIOD prepares the equal superposition."""
     omega = abs(target_coupling(target, params))
     if omega == 0.0:
         raise ValueError(f"target {target.label()} has zero coupling")

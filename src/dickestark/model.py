@@ -88,11 +88,15 @@ def default_n_max(n_initial: int, n_qubits: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Indexing of the symmetric basis, with bijective (k, n) <-> flat maps."""
+    """Indexing of the symmetric basis, with bijective (k, n) <-> flat maps.
+    Its dimension, (N+1)(n_max+1), is derived from the two fields."""
 
     n_qubits: int
     n_max: int
-    dimension: int
+
+    @cached_property
+    def dimension(self) -> int:
+        return (self.n_qubits + 1) * (self.n_max + 1)
 
     def index(self, k: int, n: int) -> int:
         """Flat index of |D_N^k> x |n>."""
@@ -168,9 +172,9 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def require_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
+    def require_hermitian(self) -> None:
         defect = self.hermiticity_defect()
-        if not defect <= tol:
+        if not defect <= HERMITICITY_TOL:
             raise ValueError(f"operator is not Hermitian: max|M - M^dag| = {defect:.3e}")
 
 
@@ -209,13 +213,13 @@ def build_space(params: ModelParams, kind: BasisKind = BasisKind.SYMMETRIC) -> H
     ``kind`` admits only BasisKind.SYMMETRIC."""
     if kind is not BasisKind.SYMMETRIC:
         raise ValueError(f"unknown basis kind {kind!r}")
-    dim = (params.n_qubits + 1) * (params.n_max + 1)
-    if dim > MAX_DIMENSION:
+    space = HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max)
+    if space.dimension > MAX_DIMENSION:
         raise ValueError(
-            f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION};"
+            f"dimension {space.dimension} exceeds the supported maximum {MAX_DIMENSION};"
             " reduce n_qubits or n_max"
         )
-    return HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max, dimension=dim)
+    return space
 
 
 def ladder_coupling(k: int, n_qubits: int) -> float:

@@ -21,7 +21,9 @@ SECOND_ORDER_STARK = -16.0
 @dataclass(frozen=True)
 class ScanPreset:
     """A scan job: a named preset, or a config's [scan] section, whose
-    ``params`` are None because its model comes from [model]."""
+    ``params`` are None because its model comes from [model]. Each point
+    evolves for ``duration``, or for pulse_duration's half period of the
+    target when it is None."""
 
     name: str
     params: ModelParams | None
@@ -30,27 +32,20 @@ class ScanPreset:
     target: ResonanceTarget
     window: tuple[float, float]
     points: int = 801
-    duration_fraction: float = 0.5
     min_height: float = 0.5
-    duration: float | None = None  # None = duration_fraction of the period
+    duration: float | None = None
 
 
-def _first_order_params(initial_n: int) -> ModelParams:
+def _params(order: int, initial_n: int) -> ModelParams:
+    coupling, stark_u = {
+        1: (FIRST_ORDER_COUPLING, FIRST_ORDER_STARK),
+        2: (SECOND_ORDER_COUPLING, SECOND_ORDER_STARK),
+    }[order]
     return ModelParams(
         n_qubits=4,
         omega_r=1.0,
-        coupling=FIRST_ORDER_COUPLING,
-        stark_u=FIRST_ORDER_STARK,
-        n_max=default_n_max(initial_n, 4),
-    )
-
-
-def _second_order_params(initial_n: int) -> ModelParams:
-    return ModelParams(
-        n_qubits=4,
-        omega_r=1.0,
-        coupling=SECOND_ORDER_COUPLING,
-        stark_u=SECOND_ORDER_STARK,
+        coupling=coupling,
+        stark_u=stark_u,
         n_max=default_n_max(initial_n, 4),
     )
 
@@ -61,7 +56,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         # Photon-absorbing transition from |D^0, 1>: peak at ratio -0.250.
         ScanPreset(
             name="fig2a",
-            params=_first_order_params(1),
+            params=_params(1, 1),
             initial_k=0,
             initial_n=1,
             target=ResonanceTarget("tc", 1, 0, 0),
@@ -71,7 +66,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         # physics as fig3, kept as its own name for the zero-photon panel).
         ScanPreset(
             name="fig2b",
-            params=_first_order_params(0),
+            params=_params(1, 0),
             initial_k=0,
             initial_n=0,
             target=ResonanceTarget("atc", 1, 0, 0),
@@ -79,7 +74,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         ),
         ScanPreset(
             name="fig3",
-            params=_first_order_params(0),
+            params=_params(1, 0),
             initial_k=0,
             initial_n=0,
             target=ResonanceTarget("atc", 1, 0, 0),
@@ -87,7 +82,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         ),
         ScanPreset(
             name="fig4",
-            params=_first_order_params(1),
+            params=_params(1, 1),
             initial_k=1,
             initial_n=1,
             target=ResonanceTarget("tc", 1, 0, 1),
@@ -95,7 +90,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         ),
         ScanPreset(
             name="fig5",
-            params=_first_order_params(0),
+            params=_params(1, 0),
             initial_k=2,
             initial_n=0,
             target=ResonanceTarget("atc", 1, 0, 2),
@@ -103,7 +98,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         ),
         ScanPreset(
             name="fig6",
-            params=_first_order_params(1),
+            params=_params(1, 1),
             initial_k=3,
             initial_n=1,
             target=ResonanceTarget("tc", 1, 0, 3),
@@ -113,7 +108,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         # scale with the second-order coupling.
         ScanPreset(
             name="fig7",
-            params=_second_order_params(0),
+            params=_params(2, 0),
             initial_k=0,
             initial_n=0,
             target=ResonanceTarget("atc", 2, 0, 0),
@@ -121,7 +116,7 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
         ),
         ScanPreset(
             name="fig8",
-            params=_second_order_params(2),
+            params=_params(2, 2),
             initial_k=2,
             initial_n=2,
             target=ResonanceTarget("tc", 2, 0, 2),
@@ -133,22 +128,22 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
 
 # Protocol presets: the model each reference sequence is compiled for.
 PROTOCOL_PRESETS: dict[str, ModelParams] = {
-    "dicke_ladder_4": _first_order_params(0),
-    "ghz_4": _second_order_params(0),
+    "dicke_ladder_4": _params(1, 0),
+    "ghz_4": _params(2, 0),
 }
 
 
-def protocol_preset(name: str) -> ModelParams:
+def _lookup(kind: str, table: dict, name: str):
     try:
-        return PROTOCOL_PRESETS[name]
+        return table[name]
     except KeyError:
-        known = ", ".join(PROTOCOL_PRESETS)
-        raise ValueError(f"unknown protocol preset {name!r}; known: {known}") from None
+        known = ", ".join(sorted(table))
+        raise ValueError(f"unknown {kind} preset {name!r}; known presets: {known}") from None
+
+
+def protocol_preset(name: str) -> ModelParams:
+    return _lookup("protocol", PROTOCOL_PRESETS, name)
 
 
 def scan_preset(name: str) -> ScanPreset:
-    try:
-        return SCAN_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCAN_PRESETS))
-        raise ValueError(f"unknown scan preset {name!r}; known presets: {known}") from None
+    return _lookup("scan", SCAN_PRESETS, name)

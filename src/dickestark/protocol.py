@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_SAMPLES, Trajectory, evolve, fidelity, to_rotating_frame
 from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
-from .effective import ResonanceTarget, pulse_duration, solve_resonance
+from .effective import HALF_PERIOD, QUARTER_PERIOD, ResonanceTarget, pulse_duration, solve_resonance
 from .model import (
     HilbertSpace,
     ModelParams,
@@ -35,8 +35,8 @@ from .model import (
     dicke_state,
 )
 
-HALF_PERIOD = 0.5
-QUARTER_PERIOD = 0.25
+# Predicted population shares at or below this do not list a cell.
+SHARE_FLOOR = 1e-9
 
 DURATION_RULE_NAMES = {HALF_PERIOD: "half_period", QUARTER_PERIOD: "quarter_period"}
 DURATION_RULES = {v: k for k, v in DURATION_RULE_NAMES.items()}
@@ -73,8 +73,10 @@ class Protocol:
     """Compiled pulse sequence with its initial and target states.
 
     ``params`` are the model parameters the steps were solved for; their
-    omega_q and n_max play no part. ``expected`` lists, per step, the cells
-    that should carry essentially all population at the step boundary.
+    omega_q and n_max play no part. ``expected`` lists, per step and in
+    (k, n) order, the cells predicted to carry essentially all population at
+    the step boundary: those whose two-level share (``_step_shares``) is
+    above SHARE_FLOOR.
     ``target_kind`` is "basis" for a single (k, n) cell or "ghz" for
     (|D^0> - |D^N>)/sqrt(2) x |0>.
     """
@@ -209,14 +211,14 @@ def compile_from_rules(
     hand-entered."""
     steps = []
     expected = []
-    cell = initial
+    shares = {initial: 1.0}
     for rule in rules:
         omega_q = solve_resonance(rule.target, params)
         tuned = replace(params, omega_q=omega_q)
         duration = pulse_duration(rule.target, tuned, rule.fraction)
         steps.append(PulseStep(omega_q=omega_q, duration=duration, label=rule.target.label()))
-        cell, cells = _step_outcome(cell, rule)
-        expected.append(cells)
+        shares = _step_shares(shares, rule)
+        expected.append(tuple(sorted(c for c, share in shares.items() if share > SHARE_FLOOR)))
     return Protocol(
         name=name,
         params=params,
@@ -229,18 +231,21 @@ def compile_from_rules(
     )
 
 
-def _step_outcome(
-    cell: tuple[int, int], rule: StepRule
-) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Predicted dominant cell(s) after driving ``rule`` from ``cell``."""
-    pair = set(rule.target.pair())
-    if cell not in pair:
-        # the pulse does not touch the current cell; population stays put
-        return cell, (cell,)
-    other = (pair - {cell}).pop()
-    if rule.fraction == QUARTER_PERIOD:
-        return other, (cell, other)
-    return other, (other,)
+def _step_shares(
+    shares: dict[tuple[int, int], float], rule: StepRule
+) -> dict[tuple[int, int], float]:
+    """Predicted population share per cell after driving ``rule``: when one
+    cell of the target's pair is occupied, sin^2(pi fraction) of its share
+    moves to the other (the Rabi period is pi/|Omega|). When both are, the
+    transfer depends on their relative phase, which is not tracked, so every
+    share stays."""
+    a, b = rule.target.pair()
+    occupied = [cell for cell in (a, b) if shares.get(cell, 0.0) > SHARE_FLOOR]
+    if len(occupied) != 1:
+        return shares
+    source = occupied[0]
+    moved = shares[source] * math.sin(math.pi * rule.fraction) ** 2
+    return {**shares, source: shares[source] - moved, b if source == a else a: moved}
 
 
 def compile_dicke_ladder(n_qubits: int, k_target: int, params: ModelParams) -> Protocol:

@@ -12,6 +12,7 @@ CutoffExceededError, which names the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,8 +126,8 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, fl
 
 def scan_grid(window: tuple[float, float], points: int = 801) -> np.ndarray:
     lo, hi = window
-    if not (hi > lo):
-        raise ValueError(f"window must satisfy hi > lo, got {window}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite with hi > lo, got {window}")
     if not 2 <= points <= MAX_SCAN_POINTS:
         raise ValueError(f"points must lie in 2..{MAX_SCAN_POINTS}, got {points}")
     return np.linspace(lo, hi, points)

@@ -108,9 +108,9 @@ def _product_isometry(params: ModelParams) -> np.ndarray:
     return np.kron(w, np.eye(params.n_max + 1))
 
 
-def check_hermiticity(rng, draws: int = 10) -> CheckResult:
+def check_hermiticity(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(10):
         params = _oracle_params(rng)
         h = build_hamiltonian(params, build_space(params))
         h_prod = _product_hamiltonian(params)
@@ -120,12 +120,12 @@ def check_hermiticity(rng, draws: int = 10) -> CheckResult:
     )
 
 
-def check_unitarity(rng, draws: int = 5) -> CheckResult:
+def check_unitarity(rng) -> CheckResult:
     """U(t) built column by column by the kernel of ``propagate`` on each
     basis vector. A basis vector occupies one parity sector, so every column
     runs the sector kernel that scans and protocols run."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(5):
         params = _oracle_params(rng)
         space = build_space(params)
         h = build_hamiltonian(params, space)
@@ -226,7 +226,7 @@ def check_cutoff_stability() -> CheckResult:
             p = replace(params, omega_q=omega_q, n_max=n_max)
             space = build_space(p)
             psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-            duration = pulse_duration(preset.target, p, preset.duration_fraction)
+            duration = pulse_duration(preset.target, p)
             final = _Spectral(build_hamiltonian(p, space), psi0.amplitudes).apply(duration)
             drift = max(drift, abs(float(np.linalg.norm(final)) - 1.0))
             ks, ns = space.excitation_numbers()
@@ -292,26 +292,14 @@ def check_degeneracy_guard() -> CheckResult:
     params = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.05, stark_u=0.0, n_max=4)
     try:
         second_order_coeffs(0, 0, params)
+        rejected, detail = False, "expected DegenerateDetuningError was not raised"
     except DegenerateDetuningError:
-        return CheckResult(
-            "degeneracy-guard",
-            "U=0 at resonance",
-            True,
-            None,
-            None,
-            detail="degenerate parameter point rejected as required",
-        )
-    return CheckResult(
-        "degeneracy-guard",
-        "U=0 at resonance",
-        False,
-        None,
-        None,
-        detail="expected DegenerateDetuningError was not raised",
-    )
+        rejected, detail = True, "degenerate parameter point rejected as required"
+    return CheckResult("degeneracy-guard", "U=0 at resonance", rejected, None, None, detail)
 
 
-def check_rabi_bounds(rng, samples: int = 10_000) -> CheckResult:
+def check_rabi_bounds(rng) -> CheckResult:
+    samples = 10_000
     omegas = rng.uniform(0.0, 2.0, samples)
     deltas = rng.uniform(-5.0, 5.0, samples)
     times = rng.uniform(0.0, 100.0, samples)

@@ -43,7 +43,7 @@ def _run_preset_scan(name: str):
     omega_q_star = solve_resonance(preset.target, params)
     predicted = ratio_from_omega_q(omega_q_star, params)
     tuned = replace(params, omega_q=omega_q_star)
-    duration = pulse_duration(preset.target, tuned, preset.duration_fraction)
+    duration = pulse_duration(preset.target, tuned)
     space = build_space(params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
     grid = scan_grid(preset.window, preset.points)

@@ -615,6 +615,17 @@ class TestMalformedInputs:
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nduration = abc"), "[scan] duration"),
             ("scan", SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"), "[scan] min_height"),
             ("scan", SCAN_INI.replace("points = 161", "points = 100002"), "[scan] points = '100002'"),
+            ("validate", "[validate]\nseed = -3\n", "[validate] seed = '-3': must be >= 0"),
+            (
+                "scan",
+                SCAN_INI.replace("window_max = 0.075", "window_max = inf"),
+                "[scan] window_max = 'inf': must be finite",
+            ),
+            (
+                "scan",
+                SCAN_INI.replace("window_min = -0.325", "window_min = nan"),
+                "[scan] window_min = 'nan': must be finite",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -630,6 +641,9 @@ class TestMalformedInputs:
             "scan-non-numeric-duration",
             "scan-nan-min-height",
             "scan-points-above-cap",
+            "validate-negative-seed",
+            "scan-infinite-window-max",
+            "scan-nan-window-min",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):

@@ -187,10 +187,13 @@ class TestSecondOrderResonances:
         assert solve_second_order_resonance(t, p) == pytest.approx(bare, abs=1e-9)
 
     def test_bad_bracket_raises(self):
-        p = ModelParams(**SECOND_ORDER)
-        t = ResonanceTarget("atc", 2, 0, 0)
-        with pytest.raises(ResonanceBracketError):
-            solve_second_order_resonance(t, p, bracket=(-0.5, -0.4))
+        # a drawn point whose tilde frequency keeps one sign over the bracket
+        p = ModelParams(
+            n_qubits=5, coupling=0.10044488984044224, stark_u=-2.1567098707322545, n_max=11
+        )
+        t = ResonanceTarget("tc", 2, 2, 3)
+        with pytest.raises(ResonanceBracketError, match="no sign change"):
+            solve_second_order_resonance(t, p)
 
     def test_matches_brentq_oracle(self):
         # scipy is a test-only oracle. Targets: the fig7 / ghz_4 step-1 and

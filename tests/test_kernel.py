@@ -117,7 +117,7 @@ class TestCachedArrays:
             preset = scan_preset(name)
             space = build_space(preset.params)
             psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-            duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+            duration = pulse_duration(preset.target, preset.params)
             return resonance_scan(psi0, scan_grid(preset.window, 61), duration, preset.params, space)
 
         model._affine_parts.cache_clear()
@@ -378,7 +378,7 @@ def test_preset_scan_curve_matches_per_point_oracle(name):
     preset = scan_preset(name)
     space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-    duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+    duration = pulse_duration(preset.target, preset.params)
     grid = scan_grid(preset.window, 101)
     curve = resonance_scan(psi0, grid, duration, preset.params, space)
     nq, nph = per_point_scan(psi0, grid, duration, preset.params)
@@ -404,7 +404,7 @@ def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     preset = scan_preset("fig3")
     space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-    duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+    duration = pulse_duration(preset.target, preset.params)
     curve = resonance_scan(psi0, scan_grid(preset.window, 17), duration, preset.params, space)
     assert curve.nq.size == 17
     assert calls == {"build": 17, "hermitian": 17, "eigh": 17}

@@ -23,6 +23,7 @@ from dickestark.protocol import (
     PulseStep,
     StepRule,
     compile_dicke_ladder,
+    compile_from_rules,
     compile_ghz4,
     parse_cell,
     parse_steps,
@@ -159,6 +160,31 @@ class TestRunGhz:
         nq, nph = observables(result.final)
         assert nq == pytest.approx(2.0, abs=0.05)
         assert nph == pytest.approx(0.0, abs=0.05)
+
+
+class TestExpectedCells:
+    @staticmethod
+    def _listed_share(proto, p):
+        result = run_protocol(proto, p, build_space(p))
+        return [
+            sum(pops[cell] for cell in cells)
+            for pops, cells in zip(result.step_boundary_populations(), proto.expected)
+        ]
+
+    def test_ghz_keeps_the_untouched_component(self):
+        # step 2 leaves the (0, 0) half of the superposition where it is
+        p = ghz_params()
+        proto = compile_ghz4(p)
+        assert proto.expected == (((0, 0), (2, 2)), ((0, 0), (4, 0)))
+        assert min(self._listed_share(proto, p)) >= 0.99
+
+    def test_full_period_pulse_returns_to_the_start(self):
+        # a whole Rabi period carries the population back to (0, 0)
+        p = ladder_params()
+        rules = [StepRule(ResonanceTarget("atc", 1, 0, 0), 1.0)]
+        proto = compile_from_rules("full_period", p, rules, (0, 0), "basis", (0, 0))
+        assert proto.expected == (((0, 0),),)
+        assert self._listed_share(proto, p)[0] >= 0.99
 
 
 class TestSectorResidentTrajectory:

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def run_preset(name, points=None):
     preset = scan_preset(name)
     space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-    duration = pulse_duration(preset.target, preset.params, preset.duration_fraction)
+    duration = pulse_duration(preset.target, preset.params)
     grid = scan_grid(preset.window, points or preset.points)
     curve = resonance_scan(psi0, grid, duration, preset.params, space)
     return preset, curve
@@ -132,6 +134,14 @@ class TestResonanceScan:
             resonance_scan(psi0, np.array([]), 1.0, preset.params, space)
         with pytest.raises(ValueError):
             resonance_scan(psi0, np.array([1.0, 0.5]), 1.0, preset.params, space)
+
+    @pytest.mark.parametrize(
+        "window", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 1.0)]
+    )
+    def test_grid_refuses_a_non_finite_or_empty_window(self, window):
+        # (0, inf) satisfies hi > lo, but linspace over it yields NaN points
+        with pytest.raises(ValueError, match="window must be finite with hi > lo"):
+            scan_grid(window)
 
     def test_grid_size_is_capped(self):
         assert scan_grid((0.0, 1.0), MAX_SCAN_POINTS).size == MAX_SCAN_POINTS
