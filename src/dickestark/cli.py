@@ -7,8 +7,9 @@ protocol   compile and run a pulse sequence (per-step CSV + JSON summary)
 effective  resonance solution, couplings, durations, and the selectivity table
 validate   machine-readable invariant report; nonzero exit on any failure
 
-Each command reads either ``--config FILE`` (grammar in config.py) or
-``--preset NAME`` and returns its files as {name: text}, rendered by
+Each command takes its job from ``--preset NAME`` or from its own section of
+``--config FILE`` (grammar in config.py), never both; a [model] section may
+go with either. It returns its files as {name: text}, rendered by
 ``_csv`` (repr(float) cells) and ``_json`` (no NaN or infinity). ``main``
 then writes them all or none (``_publish``) into ``--out DIR`` if given,
 else into the config's [output] directory, and prints the command's summary.
@@ -93,16 +94,15 @@ def _publish(out_dir: Path, files: dict[str, str]) -> None:
 
 def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) -> ModelParams:
     """The [model] section over the preset's parameters. The photon cutoff is
-    the [model] n_max if given, else the preset's, else
-    default_n_max(photon, N), where ``photon`` is the highest photon number
-    the run starts a transition from."""
+    the [model] n_max if given, else default_n_max(photon, N) for the model
+    run, where ``photon`` is the highest photon number the run starts a
+    transition from."""
     model = config.model if config.model is not None else preset
     if model is None:
         raise ConfigError("a [model] section is required (or --preset)")
     if config.model_n_max_explicit:
         return model
-    n_max = preset.n_max if preset is not None else default_n_max(photon, model.n_qubits)
-    return replace(model, n_max=n_max)
+    return replace(model, n_max=default_n_max(photon, model.n_qubits))
 
 
 def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict[str, str], str]:
@@ -141,7 +141,7 @@ def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict
 
 
 def _compile_protocol(config: RunConfig, preset_name: str | None):
-    if preset_name is None and config.protocol is not None and config.protocol.preset:
+    if config.protocol is not None and config.protocol.preset:
         preset_name = config.protocol.preset
 
     if preset_name is not None:
@@ -215,12 +215,13 @@ def cmd_protocol(config: RunConfig, preset_name: str | None) -> tuple[dict[str, 
 def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
     if preset_name is not None:
         preset = presets.scan_preset(preset_name)
-        base, target = preset.params, preset.target
+        base, target, initial_n = preset.params, preset.target, preset.initial_n
     elif config.effective is not None:
-        base, target = None, config.effective
+        base, target, initial_n = None, config.effective, 0
     else:
         raise ConfigError("effective requires [model] and [effective] sections (or --preset)")
-    params = _resolve_params(config, base, target.n0)
+    # as scan: a preset's run starts from its initial cell
+    params = _resolve_params(config, base, max(initial_n, target.n0))
 
     omega_q = solve_resonance(target, params)
     tuned = replace(params, omega_q=omega_q)
@@ -290,6 +291,8 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else RunConfig()
         out_dir = args.out or Path(config.output.directory)
         preset = getattr(args, "preset", None)
+        if preset is not None and getattr(config, args.command) is not None:
+            raise ConfigError(f"--preset {preset} and the [{args.command}] section each name a job; give one")
         code = 0
         if args.command == "scan":
             files, summary = cmd_scan(config, preset, args.format or config.output.format)

@@ -31,7 +31,7 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     ; initial = 0 0         ; K N (default 0 0)
     ; target  = basis 2 0   ; or: target = ghz
     ;                       ; initial and target go with steps only
-    samples = 400         ; >= 2
+    samples = 400         ; 2..10001 (dynamics.MAX_SAMPLES)
 
     [effective]           ; required by the effective command
     kind  = atc
@@ -52,11 +52,12 @@ converter and a default, or is required. A malformed value is a ConfigError
 naming "[section] key = 'value'". Steps and target follow the same grammar
 as a protocol JSON file (protocol.parse_steps, parse_target).
 
-Photon cutoff: an n_max in [model] wins; otherwise a preset's own n_max;
-otherwise default_n_max(p, N) = p + N + 4, where p is the highest photon
-number the run starts a transition from: max(initial_n, n0) for scan, the
-initial n and every step's n0 for protocol, n0 for effective. A [model]
-section given with a protocol file must match the file's physics.
+Photon cutoff: an n_max in [model] wins; otherwise default_n_max(p, N) =
+p + N + 4 for the model run, where p is the highest photon number the run
+starts a transition from: max(initial_n, n0) for scan and for effective
+--preset (the preset's initial cell), the initial n and every step's n0 for
+protocol, n0 for an [effective] section. A [model] section given with a
+protocol file must match the file's physics.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_SAMPLES
+from .dynamics import DEFAULT_SAMPLES, MAX_SAMPLES
 from .effective import ResonanceTarget
 from .model import ModelParams
 from .presets import ScanPreset
@@ -167,7 +168,10 @@ SCHEMA = {
         "steps": (lambda raw: parse_steps(line.split() for line in raw.strip().splitlines()), None),
         "initial": (lambda raw: parse_cell(raw.split()), None),
         "target": (lambda raw: parse_target(raw.split()), None),
-        "samples": (_checked(int, lambda v: v >= 2, ">= 2"), DEFAULT_SAMPLES),
+        "samples": (
+            _checked(int, lambda v: 2 <= v <= MAX_SAMPLES, f"in 2..{MAX_SAMPLES}"),
+            DEFAULT_SAMPLES,
+        ),
     },
     "effective": _TARGET,
     "validate": {
@@ -255,7 +259,7 @@ def _protocol(values: dict) -> ProtocolConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

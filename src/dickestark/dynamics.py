@@ -47,6 +47,9 @@ from .model import (
 )
 
 DEFAULT_SAMPLES = 400
+# A trajectory keeps every sample's sector amplitudes and populations, so its
+# memory grows linearly in samples: 5x the largest sampling in use (2000).
+MAX_SAMPLES = 10_001
 
 CUTOFF_POPULATION = 1e-6
 
@@ -248,8 +251,8 @@ def evolve(
     when read. No sample is renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
     spectral = _Spectral(h, psi0.amplitudes)

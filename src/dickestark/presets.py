@@ -1,13 +1,15 @@
 """Named parameter sets reproducing the reference scans and protocols.
 
 First-order presets use lambda = 0.006, U = -0.5; the two-excitation presets
-use lambda = 0.1, U = -16 (all in units of omega_r = 1). Scan windows are
-chosen to bracket each resonance with an 801-point grid.
+use lambda = 0.1, U = -16 (all in units of omega_r = 1). Every preset is
+N = 4, and its model follows from its target's order and its starting photon
+number (``_params``). Scan windows are chosen to bracket each resonance with
+an 801-point grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .effective import ResonanceTarget
 from .model import ModelParams, default_n_max
@@ -36,92 +38,43 @@ class ScanPreset:
     duration: float | None = None
 
 
-def _params(order: int, initial_n: int) -> ModelParams:
+def _params(order: int, photon: int) -> ModelParams:
+    """The N = 4 model for targets of ``order``, cut off at
+    default_n_max(photon, 4) as the CLI's rule gives for the same run."""
     coupling, stark_u = {
         1: (FIRST_ORDER_COUPLING, FIRST_ORDER_STARK),
         2: (SECOND_ORDER_COUPLING, SECOND_ORDER_STARK),
     }[order]
-    return ModelParams(
-        n_qubits=4,
-        omega_r=1.0,
-        coupling=coupling,
-        stark_u=stark_u,
-        n_max=default_n_max(initial_n, 4),
-    )
+    return ModelParams(n_qubits=4, coupling=coupling, stark_u=stark_u, n_max=default_n_max(photon, 4))
 
+
+def _scan_preset(
+    name: str, initial: tuple[int, int], target: ResonanceTarget, window: tuple[float, float]
+) -> ScanPreset:
+    """A scan of ``window`` from the cell ``initial`` = (k, n), its model
+    derived from ``target``."""
+    params = _params(target.order, max(initial[1], target.n0))
+    return ScanPreset(name, params, *initial, target, window)
+
+
+# Pair-creating transition from the ground cell: peak at 2.125.
+_FIG3 = _scan_preset("fig3", (0, 0), ResonanceTarget("atc", 1, 0, 0), (1.9, 2.3))
 
 SCAN_PRESETS: dict[str, ScanPreset] = {
     preset.name: preset
     for preset in (
         # Photon-absorbing transition from |D^0, 1>: peak at ratio -0.250.
-        ScanPreset(
-            name="fig2a",
-            params=_params(1, 1),
-            initial_k=0,
-            initial_n=1,
-            target=ResonanceTarget("tc", 1, 0, 0),
-            window=(-0.45, -0.05),
-        ),
-        # Pair-creating transition from the ground cell: peak at 2.125 (same
-        # physics as fig3, kept as its own name for the zero-photon panel).
-        ScanPreset(
-            name="fig2b",
-            params=_params(1, 0),
-            initial_k=0,
-            initial_n=0,
-            target=ResonanceTarget("atc", 1, 0, 0),
-            window=(1.9, 2.3),
-        ),
-        ScanPreset(
-            name="fig3",
-            params=_params(1, 0),
-            initial_k=0,
-            initial_n=0,
-            target=ResonanceTarget("atc", 1, 0, 0),
-            window=(1.9, 2.3),
-        ),
-        ScanPreset(
-            name="fig4",
-            params=_params(1, 1),
-            initial_k=1,
-            initial_n=1,
-            target=ResonanceTarget("tc", 1, 0, 1),
-            window=(-0.325, 0.075),
-        ),
-        ScanPreset(
-            name="fig5",
-            params=_params(1, 0),
-            initial_k=2,
-            initial_n=0,
-            target=ResonanceTarget("atc", 1, 0, 2),
-            window=(1.675, 2.075),
-        ),
-        ScanPreset(
-            name="fig6",
-            params=_params(1, 1),
-            initial_k=3,
-            initial_n=1,
-            target=ResonanceTarget("tc", 1, 0, 3),
-            window=(-0.075, 0.325),
-        ),
+        _scan_preset("fig2a", (0, 1), ResonanceTarget("tc", 1, 0, 0), (-0.45, -0.05)),
+        # fig3's scan under the zero-photon panel's name
+        replace(_FIG3, name="fig2b"),
+        _FIG3,
+        _scan_preset("fig4", (1, 1), ResonanceTarget("tc", 1, 0, 1), (-0.325, 0.075)),
+        _scan_preset("fig5", (2, 0), ResonanceTarget("atc", 1, 0, 2), (1.675, 2.075)),
+        _scan_preset("fig6", (3, 1), ResonanceTarget("tc", 1, 0, 3), (-0.075, 0.325)),
         # Two-excitation resonances: narrow windows resolve peaks whose widths
         # scale with the second-order coupling.
-        ScanPreset(
-            name="fig7",
-            params=_params(2, 0),
-            initial_k=0,
-            initial_n=0,
-            target=ResonanceTarget("atc", 2, 0, 0),
-            window=(1.96, 2.04),
-        ),
-        ScanPreset(
-            name="fig8",
-            params=_params(2, 2),
-            initial_k=2,
-            initial_n=2,
-            target=ResonanceTarget("tc", 2, 0, 2),
-            window=(-0.035, 0.045),
-        ),
+        _scan_preset("fig7", (0, 0), ResonanceTarget("atc", 2, 0, 0), (1.96, 2.04)),
+        _scan_preset("fig8", (2, 2), ResonanceTarget("tc", 2, 0, 2), (-0.035, 0.045)),
     )
 }
 

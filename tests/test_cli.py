@@ -14,6 +14,9 @@ import dickestark
 
 from dickestark.cli import main
 from dickestark.config import ConfigError, parse_config
+from dickestark.dynamics import MAX_SAMPLES
+from dickestark.model import default_n_max
+from dickestark.presets import SCAN_PRESETS, scan_preset
 
 SCAN_INI = """
 [model]
@@ -563,6 +566,64 @@ class TestInputResolution:
         assert "[model]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["scan", "effective"])
+    @pytest.mark.parametrize("name", sorted(SCAN_PRESETS))
+    def test_scan_preset_cutoff_follows_the_rule(self, tmp_path, built_n_max, command, name):
+        # a preset's cutoff is the rule's, p = max(initial_n, n0), for both commands
+        preset = scan_preset(name)
+        assert main([command, "--preset", name, "--out", str(tmp_path / "out")]) == 0
+        assert built_n_max == [default_n_max(max(preset.initial_n, preset.target.n0), 4)]
+
+    @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
+    def test_protocol_preset_cutoff_follows_the_rule(self, tmp_path, built_n_max, name):
+        # every step of both presets starts from n = 0
+        assert main(["protocol", "--preset", name, "--out", str(tmp_path / "out")]) == 0
+        assert built_n_max == [default_n_max(0, 4)]
+
+    def test_preset_with_other_n_derives_its_own_cutoff(self, tmp_path, built_n_max):
+        # used to build N = 4's cutoff, 8
+        cfg = tmp_path / "n6.ini"
+        cfg.write_text("[model]\nn_qubits = 6\nlambda = 0.006\nstark_u = -0.5\n")
+        assert main(["scan", "--preset", "fig3", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built_n_max == [default_n_max(0, 6)] == [10]
+
+
+class TestPresetWithJobSection:
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            ("scan", "fig3", SCAN_INI),
+            ("protocol", "ghz_4", INLINE_PROTOCOL_INI),
+            ("effective", "fig8", MODEL_N_MAX_6 + "[effective]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\n"),
+        ],
+        ids=["scan", "protocol", "effective"],
+    )
+    def test_exits_2_naming_both(self, tmp_path, capsys, command, name, text):
+        # used to run the preset, ignore the section and exit 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        assert main([command, "--preset", name, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--preset {name}" in err
+        assert f"[{command}] section" in err
+        assert not out.exists()
+
+
+class TestProtocolSamplesCap:
+    def test_cap_is_accepted(self):
+        cfg = parse_config(INLINE_PROTOCOL_INI.replace("samples = 50", f"samples = {MAX_SAMPLES}"))
+        assert cfg.protocol.samples == MAX_SAMPLES
+
+    def test_above_cap_exits_2_naming_the_key(self, tmp_path, capsys):
+        # used to be accepted up to any size
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(INLINE_PROTOCOL_INI.replace("samples = 50", f"samples = {MAX_SAMPLES + 1}"))
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[protocol] samples = '{MAX_SAMPLES + 1}': must be in 2..{MAX_SAMPLES}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _ladder_file(tmp_path, edit) -> str:
     """A [protocol] section reading a dicke_ladder_4 file changed by ``edit``."""
@@ -750,3 +811,35 @@ def test_readme_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert float(capsys.readouterr().out.split()[-1]) > 0.99
+
+
+def _readme_ini(tmp_path) -> Path:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```ini\n")[1:]]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    return path
+
+
+@pytest.mark.parametrize("command", ["scan", "protocol"])
+def test_readme_config_example_runs(tmp_path, command):
+    # its inline "; ..." comments used to stay in the values: exit 2
+    cfg = _readme_ini(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / ("peaks.json" if command == "scan" else "summary.json")).exists()
+
+
+def test_config_grammar_block_parses():
+    # the grammar in config.py's docstring, with its inline comments
+    import textwrap
+
+    import dickestark.config as config
+
+    grammar = config.__doc__.split("rejected):\n", 1)[1].split("\nEvery section", 1)[0]
+    cfg = parse_config(textwrap.dedent(grammar))
+    assert cfg.model.n_max == 8 and cfg.model_n_max_explicit
+    assert cfg.scan.target.label() == "aTC(0,0)"
+    assert cfg.protocol.preset == "ghz_4" and cfg.protocol.samples == 400
+    assert cfg.output.format == "csv"

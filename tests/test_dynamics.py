@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickestark.dynamics import (
+    MAX_SAMPLES,
     Trajectory,
     evolve,
     fidelity,
@@ -172,6 +173,14 @@ class TestEvolve:
         other = build_space(ModelParams(n_qubits=2, n_max=4))
         with pytest.raises(ValueError):
             evolve(dicke_state(other, 0, 0), h, duration=1.0)
+
+    def test_samples_above_the_cap_rejected(self, small_system):
+        # a trajectory's memory grows linearly in samples; used to be unbounded
+        _, space, h = small_system
+        psi0 = dicke_state(space, 0, 0)
+        with pytest.raises(ValueError, match=f"samples must lie in 2..{MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
+            evolve(psi0, h, duration=1.0, samples=MAX_SAMPLES + 1)
+        assert len(evolve(psi0, h, duration=1.0, samples=MAX_SAMPLES).times) == MAX_SAMPLES
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
     def test_non_finite_duration_rejected(self, small_system, duration):
