@@ -9,7 +9,8 @@ validate   machine-readable invariant report; nonzero exit on any failure
 
 Each command takes its job from ``--preset NAME`` or from its own section of
 ``--config FILE`` (grammar in config.py), never both; a [model] section may
-go with either. It returns its files as {name: text}, rendered by
+go with either. ``main`` alone makes that choice, and without ``--config``
+it runs ``parse_config("")``. A command returns its files as {name: text}, rendered by
 ``_csv`` (repr(float) cells) and ``_json`` (no NaN or infinity). ``main``
 then writes them all or none (``_publish``) into ``--out DIR`` if given,
 else into the config's [output] directory, and prints the command's summary.
@@ -28,11 +29,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import presets
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, ProtocolConfig, RunConfig, ValidateConfig, parse_config
 from .dynamics import DEFAULT_SAMPLES, CutoffExceededError, observables
 from .effective import (
     HALF_PERIOD,
     QUARTER_PERIOD,
+    ResonanceTarget,
     ratio_from_omega_q,
     rwa_validity_report,
     solve_resonance,
@@ -105,13 +107,7 @@ def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) 
     return replace(model, n_max=default_n_max(photon, model.n_qubits))
 
 
-def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict[str, str], str]:
-    if preset_name is not None:
-        job = presets.scan_preset(preset_name)
-    elif config.scan is not None:
-        job = config.scan
-    else:
-        raise ConfigError("scan requires [model] and [scan] sections (or --preset)")
+def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict[str, str], str]:
     target = job.target
     params = _resolve_params(config, job.params, max(job.initial_n, target.n0))
 
@@ -140,36 +136,30 @@ def cmd_scan(config: RunConfig, preset_name: str | None, fmt: str) -> tuple[dict
     return {**data, "peaks.json": _json(asdict(report))}, summary
 
 
-def _compile_protocol(config: RunConfig, preset_name: str | None):
-    if config.protocol is not None and config.protocol.preset:
-        preset_name = config.protocol.preset
-
-    if preset_name is not None:
+def _compile_protocol(config: RunConfig, job: ProtocolConfig):
+    if job.preset is not None:
         # both presets start every transition from n = 0
-        params = _resolve_params(config, presets.protocol_preset(preset_name), 0)
-        if preset_name == "ghz_4":
+        params = _resolve_params(config, presets.protocol_preset(job.preset), 0)
+        if job.preset == "ghz_4":
             return compile_ghz4(params), params
         return compile_dicke_ladder(4, 4, params), params
 
-    if config.protocol is None:
-        raise ConfigError("protocol requires a [protocol] section (or --preset)")
-    if config.protocol.file is not None:
+    if job.file is not None:
         try:
-            proto = protocol_from_json(Path(config.protocol.file).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"[protocol] file = {config.protocol.file!r}: {exc}") from None
+            proto = protocol_from_json(Path(job.file).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[protocol] file = {job.file!r}: {exc}") from None
         photon = highest_start_photon(proto.initial, proto.rules)
         return proto, _resolve_params(config, proto.params, photon)
-    inline = config.protocol.inline
+    inline = job.inline
     params = _resolve_params(config, None, highest_start_photon(inline.initial, inline.rules))
     return compile_from_rules("custom", params, **vars(inline)), params
 
 
-def cmd_protocol(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
-    proto, params = _compile_protocol(config, preset_name)
+def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str], str]:
+    proto, params = _compile_protocol(config, job)
     space = build_space(params)
-    samples = config.protocol.samples if config.protocol is not None else DEFAULT_SAMPLES
-    result = run_protocol(proto, params, space, samples=samples)
+    result = run_protocol(proto, params, space, samples=job.samples)
 
     nq, nph = observables(result.final)
     summary = {
@@ -212,15 +202,12 @@ def cmd_protocol(config: RunConfig, preset_name: str | None) -> tuple[dict[str, 
     )
 
 
-def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str, str], str]:
-    if preset_name is not None:
-        preset = presets.scan_preset(preset_name)
-        base, target, initial_n = preset.params, preset.target, preset.initial_n
-    elif config.effective is not None:
-        base, target, initial_n = None, config.effective, 0
+def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) -> tuple[dict[str, str], str]:
+    if isinstance(job, presets.ScanPreset):
+        # as scan: a preset's run starts from its initial cell
+        base, target, initial_n = job.params, job.target, job.initial_n
     else:
-        raise ConfigError("effective requires [model] and [effective] sections (or --preset)")
-    # as scan: a preset's run starts from its initial cell
+        base, target, initial_n = None, job, 0
     params = _resolve_params(config, base, max(initial_n, target.n0))
 
     omega_q = solve_resonance(target, params)
@@ -248,10 +235,10 @@ def cmd_effective(config: RunConfig, preset_name: str | None) -> tuple[dict[str,
     )
 
 
-def cmd_validate(config: RunConfig) -> tuple[dict[str, str], str, int]:
+def cmd_validate(job: ValidateConfig) -> tuple[dict[str, str], str, int]:
     from .validate import run_validation
 
-    checks, ok = run_validation(draws=config.validate.draws, seed=config.validate.seed)
+    checks, ok = run_validation(draws=job.draws, seed=job.seed)
     lines = [
         f"{'PASS' if check.passed else 'FAIL'} {check.name} [{check.scale}] {check.detail}".rstrip()
         for check in checks
@@ -288,20 +275,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else RunConfig()
+        config = parse_config(args.config.read_text(encoding="utf-8") if args.config else "")
         out_dir = args.out or Path(config.output.directory)
-        preset = getattr(args, "preset", None)
-        if preset is not None and getattr(config, args.command) is not None:
-            raise ConfigError(f"--preset {preset} and the [{args.command}] section each name a job; give one")
+        # the job: the command's section, or --preset NAME as the record that
+        # section parses to ([protocol] preset = NAME for protocol)
+        job, preset = getattr(config, args.command), getattr(args, "preset", None)
+        if preset is not None:
+            if job is not None:
+                raise ConfigError(f"--preset {preset} and the [{args.command}] section each name a job; give one")
+            if args.command == "protocol":
+                job = ProtocolConfig(preset, None, None, DEFAULT_SAMPLES)
+            else:
+                job = presets.scan_preset(preset)
+        elif job is None:
+            raise ConfigError(f"{args.command} requires --preset NAME or a [{args.command}] section")
         code = 0
         if args.command == "scan":
-            files, summary = cmd_scan(config, preset, args.format or config.output.format)
+            files, summary = cmd_scan(config, job, args.format or config.output.format)
         elif args.command == "protocol":
-            files, summary = cmd_protocol(config, preset)
+            files, summary = cmd_protocol(config, job)
         elif args.command == "effective":
-            files, summary = cmd_effective(config, preset)
+            files, summary = cmd_effective(config, job)
         else:
-            files, summary, code = cmd_validate(config)
+            files, summary, code = cmd_validate(job)
         _publish(out_dir, files)
     except (ValueError, CutoffExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,9 +48,11 @@ Grammar (all keys shown; unknown sections or keys are rejected):
     format    = csv       ; csv | json, for the scan data file
 
 Every section is read through one schema (SCHEMA below): each key has a
-converter and a default, or is required. A malformed value is a ConfigError
-naming "[section] key = 'value'". Steps and target follow the same grammar
-as a protocol JSON file (protocol.parse_steps, parse_target).
+converter and a default, or is required. A malformed value, an empty preset,
+file or directory among them, is a ConfigError naming "[section] key =
+'value'". Steps and target follow the same grammar as a protocol JSON file
+(protocol.parse_steps, parse_target). The empty run is parse_config(""): an
+absent [validate] or [output] section takes the schema's defaults.
 
 Photon cutoff: an n_max in [model] wins; otherwise default_n_max(p, N) =
 p + N + 4 for the model run, where p is the highest photon number the run
@@ -71,7 +73,7 @@ from .effective import ResonanceTarget
 from .model import ModelParams
 from .presets import ScanPreset
 from .protocol import StepRule, parse_cell, parse_steps, parse_target
-from .scan import MAX_SCAN_POINTS
+from .scan import DEFAULT_MIN_HEIGHT, DEFAULT_SCAN_POINTS, MAX_SCAN_POINTS
 
 
 class ConfigError(ValueError):
@@ -98,30 +100,32 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ValidateConfig:
-    draws: int = 100
-    seed: int = 0
+    draws: int
+    seed: int
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
-    format: str = "csv"
+    directory: str
+    format: str
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed run configuration; the defaults are the empty file.
+    """A parsed run configuration; the empty run is parse_config("").
+    An absent section is None, except [validate] and [output], which take
+    SCHEMA's defaults.
 
     ``model.n_max`` holds the [model] n_max only if ``model_n_max_explicit``;
     otherwise it is 0 and the command derives the cutoff from its run."""
 
-    model: ModelParams | None = None
-    model_n_max_explicit: bool = False
-    scan: ScanPreset | None = None
-    protocol: ProtocolConfig | None = None
-    effective: ResonanceTarget | None = None
-    validate: ValidateConfig = ValidateConfig()
-    output: OutputConfig = OutputConfig()
+    model: ModelParams | None
+    model_n_max_explicit: bool
+    scan: ScanPreset | None
+    protocol: ProtocolConfig | None
+    effective: ResonanceTarget | None
+    validate: ValidateConfig
+    output: OutputConfig
 
 
 def _checked(convert, ok, what: str):
@@ -137,6 +141,7 @@ def _checked(convert, ok, what: str):
 
 
 REQUIRED = object()
+_NON_EMPTY = _checked(str, bool, "non-empty")
 
 _TARGET = {"kind": (str.lower, REQUIRED), **{key: (int, REQUIRED) for key in ("order", "n0", "k0")}}
 
@@ -157,14 +162,14 @@ SCHEMA = {
         "window_max": (_checked(float, math.isfinite, "finite"), REQUIRED),
         "points": (
             _checked(int, lambda v: 2 <= v <= MAX_SCAN_POINTS, f"in 2..{MAX_SCAN_POINTS}"),
-            801,
+            DEFAULT_SCAN_POINTS,
         ),
         "duration": (lambda raw: None if raw == "auto" else float(raw), None),
-        "min_height": (_checked(float, math.isfinite, "finite"), 0.5),
+        "min_height": (_checked(float, math.isfinite, "finite"), DEFAULT_MIN_HEIGHT),
     },
     "protocol": {
-        "preset": (str, None),
-        "file": (str, None),
+        "preset": (_NON_EMPTY, None),
+        "file": (_NON_EMPTY, None),
         "steps": (lambda raw: parse_steps(line.split() for line in raw.strip().splitlines()), None),
         "initial": (lambda raw: parse_cell(raw.split()), None),
         "target": (lambda raw: parse_target(raw.split()), None),
@@ -179,7 +184,7 @@ SCHEMA = {
         "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
     },
     "output": {
-        "directory": (str, "out"),
+        "directory": (_NON_EMPTY, "out"),
         "format": (_checked(str.lower, ("csv", "json").__contains__, "csv or json"), "csv"),
     },
 }
@@ -260,6 +265,7 @@ def _protocol(values: dict) -> ProtocolConfig:
 
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_dict({"validate": {}, "output": {}})  # absent, these take SCHEMA's defaults
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -276,11 +282,6 @@ def parse_config(text: str) -> RunConfig:
         scan=scan and _scan(scan),
         protocol=protocol and _protocol(protocol),
         effective=effective and _target("effective", effective),
-        validate=ValidateConfig(**(validate or {})),
-        output=OutputConfig(**(output or {})),
+        validate=ValidateConfig(**validate),
+        output=OutputConfig(**output),
     )
-
-
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

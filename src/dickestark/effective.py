@@ -152,6 +152,7 @@ def solve_first_order_resonance(target: ResonanceTarget, params: ModelParams) ->
     (n0, k0); params.omega_q is ignored."""
     if target.order != 1:
         raise ValueError("target must be first order")
+    target.validate(params)
     # each detuning is omega_q plus its value at omega_q = 0
     delta = delta_minus if target.kind == "tc" else delta_plus
     return 0.0 - delta(target.n0, target.k0, replace(params, omega_q=0.0))
@@ -355,7 +356,6 @@ def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 def solve_resonance(target: ResonanceTarget, params: ModelParams) -> float:
     """omega_q putting the target on resonance, at its order."""
     if target.order == 1:
-        target.validate(params)
         return solve_first_order_resonance(target, params)
     return solve_second_order_resonance(target, params)
 

@@ -3,8 +3,8 @@
 First-order presets use lambda = 0.006, U = -0.5; the two-excitation presets
 use lambda = 0.1, U = -16 (all in units of omega_r = 1). Every preset is
 N = 4, and its model follows from its target's order and its starting photon
-number (``_params``). Scan windows are chosen to bracket each resonance with
-an 801-point grid.
+number (``_params``). Scan windows are chosen to bracket each resonance on the
+default grid of DEFAULT_SCAN_POINTS points.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from .effective import ResonanceTarget
 from .model import ModelParams, default_n_max
+from .scan import DEFAULT_MIN_HEIGHT, DEFAULT_SCAN_POINTS
 
 FIRST_ORDER_COUPLING = 0.006
 FIRST_ORDER_STARK = -0.5
@@ -33,8 +34,8 @@ class ScanPreset:
     initial_n: int
     target: ResonanceTarget
     window: tuple[float, float]
-    points: int = 801
-    min_height: float = 0.5
+    points: int = DEFAULT_SCAN_POINTS
+    min_height: float = DEFAULT_MIN_HEIGHT
     duration: float | None = None
 
 

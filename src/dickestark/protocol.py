@@ -178,9 +178,10 @@ def _show(values) -> str:
 
 
 def _number(name: str, value, convert=int):
-    """``convert(value)``, refusing what int() would truncate, such as 1.5."""
+    """``convert(value)``, refusing what int() would truncate, such as 1.5,
+    and JSON's true and false, which int() and float() read as 1 and 0."""
     try:
-        if convert(value) == float(value):
+        if not isinstance(value, bool) and convert(value) == float(value):
             return convert(value)
     except (TypeError, ValueError):
         pass

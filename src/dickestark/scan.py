@@ -23,6 +23,9 @@ from .model import HilbertSpace, ModelParams, StateVector, build_hamiltonian
 
 # Bounds the grid's memory and run time (each point diagonalizes one H).
 MAX_SCAN_POINTS = 100_001
+# The defaults of a scan job: grid points, and the minimum peak prominence.
+DEFAULT_SCAN_POINTS = 801
+DEFAULT_MIN_HEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, fl
     return location, height
 
 
-def scan_grid(window: tuple[float, float], points: int = 801) -> np.ndarray:
+def scan_grid(window: tuple[float, float], points: int = DEFAULT_SCAN_POINTS) -> np.ndarray:
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite with hi > lo, got {window}")
@@ -144,7 +147,7 @@ class PeakReport:
 
 
 def peak_report(
-    curve: ScanCurve, target: ResonanceTarget, predicted_ratio: float, min_height: float = 0.5
+    curve: ScanCurve, target: ResonanceTarget, predicted_ratio: float, min_height: float = DEFAULT_MIN_HEIGHT
 ) -> PeakReport:
     """The strongest detected peak, paired with the predicted location of the
     target resonance."""

@@ -478,9 +478,13 @@ class TestInputResolution:
 
     @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
     def test_preset_file_and_inline_agree(self, tmp_path, name):
-        # the file and inline forms used to run at other cutoffs than the preset
-        outs = {source: tmp_path / source for source in ("preset", "file", "inline")}
+        # the file and inline forms used to run at other cutoffs than the
+        # preset; [protocol] preset = NAME names the same job as --preset NAME
+        outs = {source: tmp_path / source for source in ("preset", "file", "inline", "section")}
         assert main(["protocol", "--preset", name, "--out", str(outs["preset"])]) == 0
+        section_ini = tmp_path / "section.ini"
+        section_ini.write_text(f"[protocol]\npreset = {name}\nsamples = 400\n")
+        assert main(["protocol", "--config", str(section_ini), "--out", str(outs["section"])]) == 0
         file_ini = tmp_path / "file.ini"
         file_ini.write_text(f"[protocol]\nfile = {outs['preset'] / 'protocol.json'}\n")
         assert main(["protocol", "--config", str(file_ini), "--out", str(outs["file"])]) == 0
@@ -495,7 +499,7 @@ class TestInputResolution:
 
         csvs = sorted(p.name for p in outs["preset"].glob("step*_trajectory.csv"))
         assert csvs
-        for source in ("file", "inline"):
+        for source in ("file", "inline", "section"):
             for csv_name in csvs:
                 assert (outs[source] / csv_name).read_bytes() == (outs["preset"] / csv_name).read_bytes()
             assert summary(source) == summary("preset")
@@ -687,6 +691,24 @@ class TestMalformedInputs:
                 SCAN_INI.replace("window_min = -0.325", "window_min = nan"),
                 "[scan] window_min = 'nan': must be finite",
             ),
+            ("protocol", "[protocol]\npreset =\n", "[protocol] preset = '': must be non-empty"),
+            ("protocol", "[protocol]\nfile =\n", "[protocol] file = '': must be non-empty"),
+            ("validate", "[output]\ndirectory =\n", "[output] directory = '': must be non-empty"),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: doc.update({"lambda": True})),
+                "lambda must be a number, got True",
+            ),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(order=True)),
+                "protocol step 1: order must be an integer, got True",
+            ),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: doc["initial"].update(k=False)),
+                "k must be an integer, got False",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -705,11 +727,18 @@ class TestMalformedInputs:
             "validate-negative-seed",
             "scan-infinite-window-max",
             "scan-nan-window-min",
+            "empty-preset",
+            "empty-file",
+            "empty-output-directory",
+            "json-boolean-lambda",
+            "json-boolean-order",
+            "json-boolean-initial-k",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
         # each used to raise a traceback (exit 1), name no key or step, run
-        # a full scan before failing, or run ignoring the key
+        # a full scan before failing, or run ignoring the key (an empty
+        # output directory, a JSON boolean read as 1 or 0)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"
@@ -731,6 +760,17 @@ class TestMalformedInputs:
         assert f"[protocol] file = '{path}': protocol document is not valid JSON: Expecting" in err
         assert not out.exists()
 
+    def test_unreadable_protocol_file_named(self, tmp_path, capsys):
+        # used to exit 2 with the bare OSError message, naming no key
+        path = tmp_path / "missing.json"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[protocol]\nfile = {path}\n")
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[protocol] file = '{path}': [Errno 2] No such file or directory" in err
+        assert not out.exists()
+
 
 class TestOutputDirectory:
     @pytest.mark.parametrize("out_args, expected", [(["--out", "out"], "out"), ([], "elsewhere")])
@@ -742,6 +782,15 @@ class TestOutputDirectory:
         assert main(["scan", "--config", str(cfg)] + out_args) == 0
         assert (tmp_path / expected / "scan.csv").exists()
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [expected]
+
+    def test_empty_directory_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # used to exit 0 and write into the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[output]\ndirectory =\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "[output] directory = '': must be non-empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 def test_runtime_needs_no_scipy(tmp_path):
@@ -776,6 +825,16 @@ class TestValidateCommand:
         names = {c["name"] for c in report["checks"]}
         assert "basis-equivalence" in names
         assert "rwa-selectivity" in names
+
+    def test_no_config_is_the_empty_config(self, tmp_path):
+        # the run without --config is parse_config(""), as is an empty file
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        assert main(["validate", "--out", str(tmp_path / "none")]) == 0
+        assert main(["validate", "--config", str(empty), "--out", str(tmp_path / "empty")]) == 0
+        assert (tmp_path / "none" / "validation.json").read_bytes() == (
+            tmp_path / "empty" / "validation.json"
+        ).read_bytes()
 
     @pytest.mark.parametrize(
         "method, failing",

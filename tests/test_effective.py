@@ -602,3 +602,17 @@ class TestSolveResonanceDispatch:
             ResonanceTarget("tc", 3, 0, 0)
         with pytest.raises(ValueError):
             ResonanceTarget("xx", 1, 0, 0)
+
+    @pytest.mark.parametrize("solve", [solve_first_order_resonance, solve_resonance])
+    @pytest.mark.parametrize(
+        "target, cause",
+        [
+            (ResonanceTarget("tc", 1, 0, 5), "k0=5 with order 1 exceeds N=4"),
+            (ResonanceTarget("atc", 1, 8, 0), "target needs photon number 9 > n_max=8"),
+        ],
+        ids=["k0-beyond-N", "photon-beyond-n_max"],
+    )
+    def test_first_order_solver_checks_its_target(self, solve, target, cause):
+        # solve_first_order_resonance used to return 0.625 for k0 = 5 at N = 4
+        with pytest.raises(ValueError, match=cause):
+            solve(target, ModelParams(**FIRST_ORDER))
