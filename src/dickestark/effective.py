@@ -20,20 +20,24 @@ channel stays fast yields a selective two-level interaction.
 The Stark shift (``_shift``) and the four second-order families
 (``_second_order``) are written once, over accessors for Omega, delta-/+ and
 division: ``second_order_coeffs`` evaluates them for one cell with floats,
-``rwa_validity_report`` once over its whole (n, k) grid with arrays. The
-report lists rows over n, then k, then kind: tc, atc for every cell, then
-tc2, atc2, r2, a2 for every cell at a second-order target.
+``rwa_validity_report`` once over its whole (n, k) grid with arrays. Omega
+does not depend on omega_q: both read one cached table (``_omega_table``),
+shared by a resonance solve and its report; delta-/+ are the affine
+expressions above. The report holds one array per value and mask over
+(kind, n, k). Its rows, built on first read, run over n, then k, then kind:
+tc, atc for every cell, then tc2, atc2, r2, a2 at a second-order target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, ladder_coupling
+from .model import HilbertSpace, ModelParams, _read_only, ladder_coupling
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -69,16 +73,17 @@ def rabi_frequency(n: int, k: int, params: ModelParams) -> float:
         raise ValueError(f"k={k} outside 0..{params.n_qubits - 1}")
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
-    return _omega(n, k, params)
+    return params.coupling * ladder_coupling(k, params.n_qubits) * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
 
 
-def _omega(n: int, k: int, params: ModelParams) -> float:
-    """Omega(n, k), extended by zero outside the physical index range so the
-    second-order sums need no explicit boundary guards."""
-    if n < 0:
-        return 0.0
-    f = ladder_coupling(k, params.n_qubits)
-    return params.coupling * f * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
+@lru_cache(maxsize=4)
+def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
+    """Read-only Omega(n, k) at [n + 1, k + 1] for every index the formulas
+    reach from a cell of the space, n = -1..n_max+2 and k = -1..N+2: zero off
+    the physical range, else ``rabi_frequency``'s operations in its order."""
+    k = np.arange(-1, n_qubits + 3)
+    f = np.sqrt(np.maximum((k + 1) * (n_qubits - k), 0))  # f(k), zero off 0 <= k < N
+    return _read_only(coupling * f * np.sqrt(np.arange(n_max + 4.0))[:, None] / math.sqrt(n_qubits))
 
 
 def delta_minus(n: int, k: int, params: ModelParams) -> float:
@@ -177,12 +182,15 @@ def _grid_over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=live)
 
 
-def _cell_accessors(params: ModelParams):
-    """(om, dm, dp, over) of one cell: the scalar functions at integer (n, k)."""
+def _cell_accessors(n: int, k: int, params: ModelParams):
+    """(om, dm, dp, over) at integer indices around the cell (k, n) of the space."""
+    if not (0 <= n <= params.n_max and 0 <= k <= params.n_qubits):
+        raise ValueError(f"cell (n={n}, k={k}) outside the space 0..{params.n_max} x 0..{params.n_qubits}")
+    item = _omega_table(params.n_qubits, params.n_max, params.coupling).item
     return (
-        lambda n, k: _omega(n, k, params),
-        lambda n, k: delta_minus(n, k, params),
-        lambda n, k: delta_plus(n, k, params),
+        lambda nn, kk: item(nn + 1, kk + 1),
+        lambda nn, kk: delta_minus(nn, kk, params),
+        lambda nn, kk: delta_plus(nn, kk, params),
         _ratio_over,
     )
 
@@ -198,11 +206,6 @@ def _shift(n, k, om, dm, dp, over):
         - over(c * c, dm(n - 1, k))
         - over(d * d, dp(n, k))
     )
-
-
-def stark_shift(n: int, k: int, params: ModelParams) -> float:
-    """Second-order diagonal energy correction Delta(n, k) of the cell (k, n)."""
-    return _shift(n, k, *_cell_accessors(params))
 
 
 class SecondOrderCoeffs(NamedTuple):
@@ -234,7 +237,7 @@ class SecondOrderCoeffs(NamedTuple):
 
 
 def second_order_coeffs(n: int, k: int, params: ModelParams) -> SecondOrderCoeffs:
-    return _second_order(n, k, *_cell_accessors(params))
+    return _second_order(n, k, *_cell_accessors(n, k, params))
 
 
 def _second_order(n, k, om, dm, dp, over) -> SecondOrderCoeffs:
@@ -398,7 +401,8 @@ def detuned_rabi_probability(omega: float, delta: float, t: float) -> float:
 
 
 class ChannelReport(NamedTuple):
-    """Selectivity data for one interaction channel at fixed parameters."""
+    """Selectivity data for one interaction channel at fixed parameters, or,
+    as ``RwaReport.columns``, for every channel, each field an array."""
 
     kind: str  # "tc" | "atc" | "tc2" | "atc2" | "r2" | "a2"
     n: int
@@ -412,75 +416,71 @@ class ChannelReport(NamedTuple):
     risk: bool  # competing channel with ratio below SELECTIVITY_RATIO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RwaReport:
-    """Ratio table over every channel of the space for one tuned target."""
+    """Ratio table over every channel of the space for one tuned target.
+
+    ``columns`` holds one array per value and mask over (kind, n, k), kinds
+    in ``_CELLS`` order (tc and atc alone at first order), labels broadcast
+    to that shape. ``min_ratio`` reduces them; ``channels`` rows are built
+    on first read, in the module's row order."""
 
     target: ResonanceTarget
     omega_q: float
-    channels: tuple[ChannelReport, ...]
+    columns: ChannelReport
+
+    @cached_property
+    def channels(self) -> tuple[ChannelReport, ...]:
+        grid = np.empty((len(self.columns),) + self.columns.ratio.shape, object)
+        for i, column in enumerate(self.columns):
+            grid[i] = column
+        rows = grid.transpose(2, 3, 1, 0)  # (n, k, kind, field); one tolist per block of kinds
+        first, second = (b.reshape(-1, len(grid)).tolist() for b in (rows[:, :, :2], rows[:, :, 2:]))
+        return tuple(map(ChannelReport._make, first + second))
 
     def risks(self) -> list[ChannelReport]:
         return [c for c in self.channels if c.risk]
 
     def min_ratio(self, adjacent_only: bool = False) -> float:
-        pool = [
-            c.ratio
-            for c in self.channels
-            if not c.selected and not c.no_coupling and (c.adjacent or not adjacent_only)
-        ]
-        return min(pool, default=math.inf)
+        c = self.columns
+        pool = ~c.selected & ~c.no_coupling & (c.adjacent | (not adjacent_only))
+        return float(c.ratio.min(initial=math.inf, where=pool))
 
 
-def rwa_validity_report(
-    target: ResonanceTarget, params: ModelParams, space: HilbertSpace
-) -> RwaReport:
+def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: HilbertSpace) -> RwaReport:
     """Tabulate |detuning| / |coupling| for every channel of the space at the
-    given parameters (normally tuned to the target's resonance), in the row
-    order of the module docstring. Channels below SELECTIVITY_RATIO outside
-    the selected family (same kind, n - k fixed for tc-like, n + k for
-    atc-like) are risks; a channel with a cell outside the space is uncoupled
-    and reports an infinite ratio."""
+    given parameters (normally tuned to the target's resonance). Channels
+    below SELECTIVITY_RATIO outside the selected family (same kind, n - k
+    fixed for tc-like, n + k for atc-like) are risks; a channel with a cell
+    outside the space is uncoupled and reports an infinite ratio."""
     target.validate(params)
     n_q, n_max = params.n_qubits, params.n_max
     n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
-    shape = (n_max + 1, n_q + 1)
-    # Omega over n = -1..n_max+2, k = -1..N+2, every index the formulas reach
-    table = np.array([[_omega(i, j, params) for j in range(-1, n_q + 3)] for i in range(-1, n_max + 3)])
+    table = _omega_table(n_q, n_max, params.coupling)
     om = lambda nn, kk: table[nn + 1, kk + 1]
     dm = lambda nn, kk: delta_minus(nn, kk, params)
     dp = lambda nn, kk: delta_plus(nn, kk, params)
-
-    kinds = {"tc": (om(n, k), dm(n, k)), "atc": (om(n, k), dp(n, k))}
+    couplings, detunings = [om(n, k)] * 2, [dm(n, k), dp(n, k)]
     if target.order == 2:
         c = _second_order(n, k, om, dm, dp, _grid_over)
-        kinds.update(tc2=(c.omega_tc2, c.tilde_tc2), atc2=(c.omega_atc2, c.tilde_atc2))
-        kinds.update(r2=(c.omega_r2, c.tilde_r2), a2=(c.omega_a2, c.tilde_a2))
+        couplings += c[3:7]  # omega_* and tilde_* of tc2, atc2, r2, a2
+        detunings += c[11:15]
+    kinds = np.array(list(_CELLS)[: len(couplings)], object)[:, None, None]
 
+    # each kind's two cells (k + dk, n + dn), over (kind, cell, n, k)
+    dk, dn = np.array([_CELLS[kind] for kind in kinds.flat]).transpose(2, 0, 1)[..., None, None]
+    exists = ((k + dk <= n_q) & (n + dn <= n_max)).all(axis=1)
+    on_pair = [(k + dk == pk) & (n + dn == pn) for pk, pn in target.pair()]
+    adjacent = (on_pair[0] | on_pair[1]).any(axis=1)
+    coupling, detuning = np.where(exists, couplings, 0.0), np.array(detunings)
+    no_coupling = coupling == 0.0
+    ratio = np.divide(abs(detuning), abs(coupling), out=np.full(coupling.shape, math.inf), where=~no_coupling)
     sign = -1 if target.kind == "tc" else 1  # n - k or n + k is fixed along a family
     on_line = n + sign * k == target.n0 + sign * target.k0
-    columns = []
-    for kind, (coupling, detuning) in kinds.items():
-        exists, adjacent = np.ones(shape, bool), np.zeros(shape, bool)
-        for dk, dn in _CELLS[kind]:
-            exists &= (k + dk <= n_q) & (n + dn <= n_max)
-            for pk, pn in target.pair():
-                adjacent |= (k + dk == pk) & (n + dn == pn)
-        coupling = np.where(exists, coupling, 0.0)
-        no_coupling = coupling == 0.0
-        ratio = np.divide(
-            np.abs(detuning), np.abs(coupling), out=np.full(shape, math.inf), where=~no_coupling
-        )
-        selected = on_line & (kind == target.channel)
-        risk = ~selected & (ratio < SELECTIVITY_RATIO)
-        columns.append((kind, n, k, coupling, detuning, ratio, no_coupling, selected, adjacent, risk))
-    fields = []
-    for values in zip(*columns):
-        # rows run over n, then k, then kind, the first-order block first
-        grid = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
-        fields.append(grid[..., :2].ravel().tolist() + grid[..., 2:].ravel().tolist())
-    channels = tuple(map(ChannelReport._make, zip(*fields)))
-    return RwaReport(target=target, omega_q=params.omega_q, channels=channels)
+    selected = on_line & (kinds == target.channel)
+    risk = ~selected & (ratio < SELECTIVITY_RATIO)
+    columns = ChannelReport(kinds, n, k, coupling, detuning, ratio, no_coupling, selected, adjacent, risk)
+    return RwaReport(target, params.omega_q, columns)
 
 
 def ratio_from_omega_q(omega_q: float, params: ModelParams) -> float:

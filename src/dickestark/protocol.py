@@ -190,11 +190,15 @@ def _number(name: str, value, convert=int):
 
 
 def _fraction(rule) -> float:
+    """A DURATION_RULES name or a number, refusing JSON's true and false as
+    ``_number`` does."""
     try:
-        return float(DURATION_RULES.get(rule, rule))
+        if not isinstance(rule, bool):
+            return float(DURATION_RULES.get(rule, rule))
     except (TypeError, ValueError):
-        names = ", ".join(DURATION_RULES)
-        raise ValueError(f"duration_rule must be {names} or a number, got {rule!r}") from None
+        pass
+    names = ", ".join(DURATION_RULES)
+    raise ValueError(f"duration_rule must be {names} or a number, got {rule!r}")
 
 
 def compile_from_rules(

@@ -8,15 +8,30 @@ by faster routes.
   space, without the parity-sector restriction.
 - ``build_effective_hamiltonian`` is the selective two-level model of one
   target, compared with the exact dynamics at its resonance.
+- ``scalar_second_order_root`` is the second-order resonance solve with
+  every Omega computed one cell at a time (``cell_omega``), the route the
+  package's cached Omega table replaced; the two must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from dickestark.effective import ResonanceTarget, target_coupling
+from dickestark.effective import (
+    ROOT_TOLERANCE,
+    ResonanceBracketError,
+    ResonanceTarget,
+    _bare_second_order_omega_q,
+    _illinois,
+    _ratio_over,
+    _second_order,
+    delta_minus,
+    delta_plus,
+    target_coupling,
+)
 from dickestark.model import (
     HilbertSpace,
     ModelParams,
@@ -86,3 +101,52 @@ def build_effective_hamiltonian(
     h[i, j] = omega
     h[j, i] = omega
     return Operator(space, h)
+
+
+def cell_omega(n: int, k: int, params: ModelParams) -> float:
+    """Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N) for one cell, zero
+    outside the physical index range."""
+    if n < 0:
+        return 0.0
+    f = ladder_coupling(k, params.n_qubits)
+    return params.coupling * f * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
+
+
+def scalar_tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
+    """The second-order target's tilde frequency, every Omega from
+    ``cell_omega``."""
+    coeffs = _second_order(
+        target.n0,
+        target.k0,
+        lambda n, k: cell_omega(n, k, params),
+        lambda n, k: delta_minus(n, k, params),
+        lambda n, k: delta_plus(n, k, params),
+        _ratio_over,
+    )
+    return coeffs.tilde_tc2 if target.kind == "tc" else coeffs.tilde_atc2
+
+
+def scalar_second_order_root(target: ResonanceTarget, params: ModelParams) -> float:
+    """The bare centre widened by max(10 lambda^2 N / |U|, 1e-6), then
+    Illinois refinement of ``scalar_tilde_frequency``; ResonanceBracketError
+    without a sign change or above ROOT_TOLERANCE at the root, and
+    DegenerateDetuningError from any evaluation on a degenerate point."""
+    target.validate(params)
+    center = _bare_second_order_omega_q(target, params)
+    width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
+    lo, hi = center - width, center + width
+
+    def objective(omega_q: float) -> float:
+        return scalar_tilde_frequency(target, replace(params, omega_q=omega_q))
+
+    f_lo, f_hi = objective(lo), objective(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        raise ResonanceBracketError("no sign change over the bracket")
+    root = _illinois(objective, lo, hi, f_lo, f_hi)
+    if not abs(objective(root)) <= ROOT_TOLERANCE:
+        raise ResonanceBracketError("residual above ROOT_TOLERANCE")
+    return float(root)

@@ -709,6 +709,11 @@ class TestMalformedInputs:
                 lambda tmp: _ladder_file(tmp, lambda doc: doc["initial"].update(k=False)),
                 "k must be an integer, got False",
             ),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(duration_rule=True)),
+                "protocol step 1: duration_rule must be half_period, quarter_period or a number, got True",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -733,6 +738,7 @@ class TestMalformedInputs:
             "json-boolean-lambda",
             "json-boolean-order",
             "json-boolean-initial-k",
+            "json-boolean-duration-rule",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):

@@ -10,6 +10,7 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
+    _omega_table,
     delta_minus,
     delta_plus,
     detuned_rabi_probability,
@@ -29,10 +30,14 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
 )
-from oracles import build_effective_hamiltonian
+from oracles import build_effective_hamiltonian, cell_omega, scalar_second_order_root
 
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
 SECOND_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.1, stark_u=-16.0, n_max=8)
+
+
+def _stark_shift(n, k, params):
+    return second_order_coeffs(n, k, params).stark_shift
 
 
 class TestRabiFrequency:
@@ -150,14 +155,12 @@ class TestSecondOrderCoeffs:
 
     def test_tilde_composition(self):
         p = ModelParams(omega_q=-1.0003, **SECOND_ORDER)
-        from dickestark.effective import stark_shift
-
         c = second_order_coeffs(0, 0, p)
         assert c.tilde_atc2 == pytest.approx(
-            c.delta_atc2 + stark_shift(2, 2, p) - stark_shift(0, 0, p)
+            c.delta_atc2 + _stark_shift(2, 2, p) - _stark_shift(0, 0, p)
         )
         assert c.tilde_tc2 == pytest.approx(
-            c.delta_tc2 + stark_shift(0, 2, p) - stark_shift(2, 0, p)
+            c.delta_tc2 + _stark_shift(0, 2, p) - _stark_shift(2, 0, p)
         )
 
 
@@ -284,8 +287,6 @@ class TestSecondOrderSideChannels:
 
         from scipy.optimize import brentq
 
-        from dickestark.effective import stark_shift
-
         base = ModelParams(n_qubits=4, omega_q=2.0, coupling=0.02, stark_u=-8.0, n_max=6)
         omega_q = brentq(
             lambda wq: second_order_coeffs(1, 0, replace(base, omega_q=wq)).tilde_r2,
@@ -298,7 +299,7 @@ class TestSecondOrderSideChannels:
         h = build_hamiltonian(tuned, space)
         cells = [(0, 1), (2, 1), (4, 1)]
         idx = [space.index(k, n) for k, n in cells]
-        diag = [h.matrix[i, i].real + stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
+        diag = [h.matrix[i, i].real + _stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
         g1 = second_order_coeffs(1, 0, tuned).omega_r2
         g2 = second_order_coeffs(1, 2, tuned).omega_r2
         h_eff = np.array(
@@ -543,15 +544,17 @@ class TestReportGridMatchesCells:
     """rwa_validity_report evaluates every channel over its whole (n, k)
     grid at once. Each row must equal, bit for bit, the row the per-cell
     functions give, and the report must raise exactly when some cell's
-    second_order_coeffs raises. omega_q is taken at the solved root and at
-    the bare second-order centre, where first-order detunings of whole
-    families vanish and the degenerate cases sit."""
+    second_order_coeffs raises. Its minima and risks, reduced over the
+    columns, must equal the same reductions over the rows. omega_q is taken
+    at the solved root and at the bare second-order centre, where
+    first-order detunings of whole families vanish and the degenerate cases
+    sit. N runs to 7, an odd N beyond the presets."""
 
     def test_rows_equal_the_per_cell_functions(self):
         rng = np.random.default_rng(2012_08104)
         compared = {1: 0, 2: 0}
         refused = 0
-        for n_qubits in range(2, 7):
+        for n_qubits in range(2, 8):
             for order in (1, 2):
                 for kind in ("tc", "atc"):
                     for _ in range(3):
@@ -580,10 +583,65 @@ class TestReportGridMatchesCells:
                                 refused += 1
                                 continue
                             report = rwa_validity_report(target, tuned, space)
-                            got = [tuple(map(repr, row)) for row in report.channels]
+                            rows = report.channels
+                            got = [tuple(map(repr, row)) for row in rows]
                             assert got == [tuple(map(repr, row)) for row in expected]
+                            competing = [c for c in rows if not c.selected and not c.no_coupling]
+                            assert repr(report.min_ratio()) == repr(
+                                min((c.ratio for c in competing), default=math.inf)
+                            )
+                            assert repr(report.min_ratio(adjacent_only=True)) == repr(
+                                min((c.ratio for c in competing if c.adjacent), default=math.inf)
+                            )
+                            assert report.risks() == [c for c in rows if c.risk]
                             compared[order] += 1
         assert compared[1] > 0 and compared[2] > 0 and refused > 0
+
+
+class TestSolverMatchesScalarOracle:
+    """The second-order solve reads Omega from one cached table; the oracle
+    computes every Omega one cell at a time. Over seeded draws the solver
+    must return the same float, or refuse with the same error type, and the
+    table must equal the cell values bit for bit."""
+
+    def test_same_root_or_same_refusal(self):
+        rng = np.random.default_rng(2012_08104_2)
+        outcomes = {"root": 0, "DegenerateDetuningError": 0, "ResonanceBracketError": 0}
+        for n_qubits in range(2, 7):
+            for kind in ("tc", "atc"):
+                for n0 in range(3):
+                    for _ in range(3):
+                        target = ResonanceTarget(kind, 2, n0, int(rng.integers(0, n_qubits - 1)))
+                        params = ModelParams(
+                            n_qubits=n_qubits,
+                            coupling=float(rng.uniform(0.01, 0.2)),
+                            stark_u=float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-1.0, 5.0)),
+                            n_max=default_n_max(n0 + 2, n_qubits),
+                        )
+                        try:
+                            expected = scalar_second_order_root(target, params)
+                        except (DegenerateDetuningError, ResonanceBracketError) as exc:
+                            with pytest.raises(type(exc)):
+                                solve_resonance(target, params)
+                            outcomes[type(exc).__name__] += 1
+                            continue
+                        assert solve_resonance(target, params) == expected
+                        outcomes["root"] += 1
+        assert all(count > 0 for count in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("n_qubits, n_max, coupling", [(1, 0, 0.3), (4, 6, 0.1), (7, 3, 0.017)])
+    def test_omega_table_equals_the_cell_values(self, n_qubits, n_max, coupling):
+        params = ModelParams(n_qubits=n_qubits, coupling=coupling, n_max=n_max)
+        table = _omega_table(n_qubits, n_max, coupling)
+        cells = [
+            [cell_omega(n, k, params) for k in range(-1, n_qubits + 3)] for n in range(-1, n_max + 3)
+        ]
+        assert table.tolist() == cells
+        assert not table.flags.writeable
+        # the table covers the reach of every cell of the space, and no other
+        for n, k in [(n_max + 1, 0), (-1, 0), (0, n_qubits + 1), (0, -1)]:
+            with pytest.raises(ValueError, match=rf"cell \(n={n}, k={k}\) outside the space"):
+                second_order_coeffs(n, k, params)
 
 
 class TestSolveResonanceDispatch:

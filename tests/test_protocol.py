@@ -310,6 +310,10 @@ class TestSerialization:
             (lambda doc: doc.update(target="ghz"), "missing field"),
             (lambda doc: doc.update(steps=3), "missing field"),
             (lambda doc: doc["steps"][0].update(duration_rule="halfperiod"), "protocol step 1: duration_rule"),
+            (
+                lambda doc: doc["steps"][0].update(duration_rule=True),
+                "protocol step 1: duration_rule must be half_period, quarter_period or a number, got True",
+            ),
             (lambda doc: doc["steps"][1].update(order="two"), "protocol step 2: order must be an integer"),
             (lambda doc: doc["steps"][1].update(k0=1.5), "protocol step 2: k0 must be an integer, got 1.5"),
             (lambda doc: doc["target"].update(k="x"), "k must be an integer, got 'x'"),
