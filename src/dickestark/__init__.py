@@ -24,7 +24,6 @@ from .model import (
 from .effective import (
     ResonanceTarget,
     SecondOrderCoeffs,
-    detuned_rabi_probability,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -72,7 +71,6 @@ __all__ = [
     "compile_ghz4",
     "default_n_max",
     "detect_peaks",
-    "detuned_rabi_probability",
     "dicke_state",
     "evolve",
     "fidelity",

@@ -1,6 +1,6 @@
 """Effective-theory layer: first- and second-order couplings, detunings,
-Stark shifts, resonance conditions, the detuned-Rabi lineshape, and
-selectivity (rotating-wave validity) diagnostics.
+Stark shifts, resonance conditions, pulse durations, and selectivity
+(rotating-wave validity) diagnostics.
 
 All closed forms below refer to the interaction picture of the Dicke-Stark
 Hamiltonian with respect to its diagonal part. A coupling term that raises
@@ -382,22 +382,6 @@ def pulse_duration(
     if omega == 0.0:
         raise ValueError(f"target {target.label()} has zero coupling")
     return fraction * math.pi / omega
-
-
-def detuned_rabi_probability(omega: float, delta: float, t: float) -> float:
-    """Transfer probability of a two-level system with coupling ``omega`` and
-    detuning ``delta`` after time ``t``:
-
-        P(t) = 4 omega^2 / (4 omega^2 + delta^2)
-               * sin^2( sqrt(4 omega^2 + delta^2) t / 2 )
-    """
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
-    if omega == 0.0:
-        return 0.0
-    general = math.sqrt(4 * omega**2 + delta**2)
-    amplitude = 4 * omega**2 / general**2
-    return amplitude * math.sin(0.5 * general * t) ** 2
 
 
 class ChannelReport(NamedTuple):

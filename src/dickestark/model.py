@@ -76,6 +76,13 @@ class ModelParams:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        # the symmetric-space dimension, checked before any solve or build
+        dimension = (self.n_qubits + 1) * (self.n_max + 1)
+        if dimension > MAX_DIMENSION:
+            raise ValueError(
+                f"dimension {dimension} exceeds the supported maximum {MAX_DIMENSION};"
+                " reduce n_qubits or n_max"
+            )
 
 
 def default_n_max(n_initial: int, n_qubits: int) -> int:
@@ -213,13 +220,7 @@ def build_space(params: ModelParams, kind: BasisKind = BasisKind.SYMMETRIC) -> H
     ``kind`` admits only BasisKind.SYMMETRIC."""
     if kind is not BasisKind.SYMMETRIC:
         raise ValueError(f"unknown basis kind {kind!r}")
-    space = HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max)
-    if space.dimension > MAX_DIMENSION:
-        raise ValueError(
-            f"dimension {space.dimension} exceeds the supported maximum {MAX_DIMENSION};"
-            " reduce n_qubits or n_max"
-        )
-    return space
+    return HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max)
 
 
 def ladder_coupling(k: int, n_qubits: int) -> float:

@@ -1,7 +1,9 @@
-"""Machine-checkable invariant suite: operator contracts, conservation laws,
-basis-equivalence oracles at small N, cutoff stability, and selectivity
-ratios at every preset resonance. None of the thresholds depend on external
-reference values.
+"""Machine-checkable invariant suite, one row per check: Hermiticity,
+unitarity, norm and energy conservation, the excitation structure, basis
+equivalence with a product-basis oracle at small N, cutoff stability, and
+selectivity ratios at every preset resonance. Each row can fail on a faulty
+model or kernel; closed-form identities are asserted in the unit tests. None
+of the thresholds depend on external reference values.
 
 The product-basis oracle is private to this module: the full 2^N register x
 Fock space, flat index ``s*(n_max+1) + n`` where bit j of s marks qubit j
@@ -22,17 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import _Spectral
-from .effective import (
-    SELECTIVITY_RATIO,
-    DegenerateDetuningError,
-    ResonanceTarget,
-    detuned_rabi_probability,
-    rwa_validity_report,
-    second_order_coeffs,
-    solve_resonance,
-    tilde_frequency,
-    pulse_duration,
-)
+from .effective import SELECTIVITY_RATIO, pulse_duration, rwa_validity_report, solve_resonance
 from .model import (
     HERMITICITY_TOL,
     NORM_TOL,
@@ -48,7 +40,6 @@ UNITARITY_LIMIT = 1e-10
 ENERGY_DRIFT_LIMIT = 1e-10
 BASIS_EQUIVALENCE_LIMIT = 1e-8
 CUTOFF_STABILITY_LIMIT = 1e-8
-TILDE_RESIDUAL_LIMIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -272,48 +263,6 @@ def check_selectivity() -> CheckResult:
     )
 
 
-def check_tilde_consistency() -> CheckResult:
-    params = ModelParams(n_qubits=4, coupling=0.1, stark_u=-16.0, n_max=8)
-    worst = 0.0
-    for target in (ResonanceTarget("atc", 2, 0, 0), ResonanceTarget("tc", 2, 0, 2)):
-        omega_q = solve_resonance(target, params)
-        residual = abs(tilde_frequency(target, replace(params, omega_q=omega_q)))
-        worst = max(worst, residual)
-    return CheckResult(
-        "second-order-tilde-residual",
-        "N=4 two-excitation presets",
-        worst < TILDE_RESIDUAL_LIMIT,
-        worst,
-        TILDE_RESIDUAL_LIMIT,
-    )
-
-
-def check_degeneracy_guard() -> CheckResult:
-    params = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.05, stark_u=0.0, n_max=4)
-    try:
-        second_order_coeffs(0, 0, params)
-        rejected, detail = False, "expected DegenerateDetuningError was not raised"
-    except DegenerateDetuningError:
-        rejected, detail = True, "degenerate parameter point rejected as required"
-    return CheckResult("degeneracy-guard", "U=0 at resonance", rejected, None, None, detail)
-
-
-def check_rabi_bounds(rng) -> CheckResult:
-    samples = 10_000
-    omegas = rng.uniform(0.0, 2.0, samples)
-    deltas = rng.uniform(-5.0, 5.0, samples)
-    times = rng.uniform(0.0, 100.0, samples)
-    worst = 0.0
-    ok = True
-    for omega, delta, t in zip(omegas, deltas, times):
-        p = detuned_rabi_probability(float(omega), float(delta), float(t))
-        ok = ok and 0.0 <= p <= 1.0
-        worst = max(worst, max(-p, p - 1.0))
-    return CheckResult(
-        "detuned-rabi-bounds", f"{samples} samples", ok, worst, 0.0
-    )
-
-
 def run_validation(draws: int = 100, seed: int = 0) -> tuple[list[CheckResult], bool]:
     rng = np.random.default_rng(seed)
     checks = [
@@ -324,8 +273,5 @@ def run_validation(draws: int = 100, seed: int = 0) -> tuple[list[CheckResult], 
         check_basis_equivalence(rng, draws=draws),
         check_cutoff_stability(),
         check_selectivity(),
-        check_tilde_consistency(),
-        check_degeneracy_guard(),
-        check_rabi_bounds(rng),
     ]
     return checks, all(c.passed for c in checks)

@@ -11,6 +11,8 @@ by faster routes.
 - ``scalar_second_order_root`` is the second-order resonance solve with
   every Omega computed one cell at a time (``cell_omega``), the route the
   package's cached Omega table replaced; the two must agree bit for bit.
+- ``detuned_rabi_probability`` is the closed-form two-level lineshape that
+  scan peaks are compared with.
 """
 
 from __future__ import annotations
@@ -86,6 +88,23 @@ def full_space_evolution(h: np.ndarray, amplitudes: np.ndarray, times) -> np.nda
     coeffs = v.conj().T @ amplitudes
     phases = np.exp(-1j * np.outer(np.atleast_1d(times), w))
     return (phases * coeffs) @ v.T
+
+
+def detuned_rabi_probability(omega, delta, t):
+    """Transfer probability of a two-level system with coupling ``omega`` and
+    detuning ``delta`` after time ``t``, elementwise over arrays:
+
+        P(t) = 4 omega^2 / (4 omega^2 + delta^2)
+               * sin^2( sqrt(4 omega^2 + delta^2) t / 2 )
+
+    zero where omega = 0."""
+    omega, delta, t = (np.asarray(v, dtype=float) for v in (omega, delta, t))
+    if np.any(omega < 0):
+        raise ValueError("omega must be >= 0")
+    rate2 = 4 * omega**2
+    general2 = rate2 + delta**2
+    amplitude = np.divide(rate2, general2, out=np.zeros(general2.shape), where=rate2 > 0)
+    return amplitude * np.sin(0.5 * np.sqrt(general2) * t) ** 2
 
 
 def build_effective_hamiltonian(

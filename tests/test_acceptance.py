@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 
 from dickestark.effective import (
-    detuned_rabi_probability,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -26,6 +25,7 @@ from dickestark.validate import (
     check_unitarity,
     check_conservation,
 )
+from oracles import detuned_rabi_probability
 
 
 def _report(number: int, title: str, failures: list[str], detail: str = "") -> None:

@@ -714,6 +714,20 @@ class TestMalformedInputs:
                 lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(duration_rule=True)),
                 "protocol step 1: duration_rule must be half_period, quarter_period or a number, got True",
             ),
+            (
+                "effective",
+                "[model]\nn_qubits = 1000000\nlambda = 0.1\nstark_u = -16\n\n"
+                "[effective]\nkind = atc\norder = 2\nn0 = 0\nk0 = 0\n",
+                "dimension",
+            ),
+            (
+                "protocol",
+                lambda tmp: _ladder_file(
+                    tmp,
+                    lambda doc: doc.update(N=1_000_000, steps=[{"kind": "atc", "order": 2, "n0": 0, "k0": 0}]),
+                ),
+                "dimension",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -739,12 +753,15 @@ class TestMalformedInputs:
             "json-boolean-order",
             "json-boolean-initial-k",
             "json-boolean-duration-rule",
+            "effective-oversize-space",
+            "json-oversize-space",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
         # each used to raise a traceback (exit 1), name no key or step, run
-        # a full scan before failing, or run ignoring the key (an empty
-        # output directory, a JSON boolean read as 1 or 0)
+        # a full scan before failing, run ignoring the key (an empty output
+        # directory, a JSON boolean read as 1 or 0), or allocate the Omega
+        # table of an oversize space in a second-order solve
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"
@@ -828,9 +845,15 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "validation.json").read_text())
         assert report["passed"] is True
-        names = {c["name"] for c in report["checks"]}
-        assert "basis-equivalence" in names
-        assert "rwa-selectivity" in names
+        assert [c["name"] for c in report["checks"]] == [
+            "hermiticity",
+            "unitarity",
+            "norm-and-energy-conservation",
+            "excitation-structure",
+            "basis-equivalence",
+            "cutoff-doubling-stability",
+            "rwa-selectivity",
+        ]
 
     def test_no_config_is_the_empty_config(self, tmp_path):
         # the run without --config is parse_config(""), as is an empty file

@@ -13,7 +13,6 @@ from dickestark.effective import (
     _omega_table,
     delta_minus,
     delta_plus,
-    detuned_rabi_probability,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -30,7 +29,12 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
 )
-from oracles import build_effective_hamiltonian, cell_omega, scalar_second_order_root
+from oracles import (
+    build_effective_hamiltonian,
+    cell_omega,
+    detuned_rabi_probability,
+    scalar_second_order_root,
+)
 
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
 SECOND_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.1, stark_u=-16.0, n_max=8)
@@ -130,10 +134,11 @@ class TestSecondOrderCoeffs:
             for k in range(3):
                 assert second_order_coeffs(n, k, p).omega_tc2 == pytest.approx(0.0, abs=1e-18)
 
-    def test_degenerate_point_rejected(self):
+    @pytest.mark.parametrize("n_max", [4, 6])
+    def test_degenerate_point_rejected(self, n_max):
         # At U = 0 and omega_q = omega_r every delta_minus vanishes, which is
         # a degenerate parameter point, not a computable coefficient.
-        p = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.05, stark_u=0.0, n_max=6)
+        p = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.05, stark_u=0.0, n_max=n_max)
         with pytest.raises(DegenerateDetuningError):
             second_order_coeffs(0, 0, p)
 
@@ -399,12 +404,12 @@ class TestDetunedRabi:
 
     def test_bounds_random_samples(self):
         rng = np.random.default_rng(7)
-        for _ in range(10_000):
-            omega = rng.uniform(0, 2)
-            delta = rng.uniform(-5, 5)
-            t = rng.uniform(0, 100)
-            p = detuned_rabi_probability(omega, delta, t)
-            assert 0.0 <= p <= 1.0
+        samples = 10_000
+        p = detuned_rabi_probability(
+            rng.uniform(0, 2, samples), rng.uniform(-5, 5, samples), rng.uniform(0, 100, samples)
+        )
+        assert p.shape == (samples,)
+        assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_matches_two_level_integration(self):
         # Oracle: RK4 integration of the rotating-frame two-level system

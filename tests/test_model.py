@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,10 @@ class TestSpaces:
         assert sym.index(0, 5) == 5
 
     def test_dimension_guard(self):
-        params = ModelParams(n_qubits=1000, n_max=10)
         with pytest.raises(ValueError, match="maximum"):
-            build_space(params)
+            ModelParams(n_qubits=1000, n_max=10)
+        with pytest.raises(ValueError, match="maximum"):
+            replace(ModelParams(n_qubits=1000, n_max=1), n_max=10)
         with pytest.raises(ValueError, match="unknown basis kind"):
             build_space(ModelParams(n_qubits=2), "product")
 

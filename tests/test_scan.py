@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dickestark.effective import (
-    detuned_rabi_probability,
     pulse_duration,
     rabi_frequency,
     ratio_from_omega_q,
@@ -22,6 +21,7 @@ from dickestark.scan import (
     resonance_scan,
     scan_grid,
 )
+from oracles import detuned_rabi_probability
 
 
 def run_preset(name, points=None):
