@@ -19,13 +19,11 @@ from .model import (
     build_space,
     default_n_max,
     dicke_state,
-    ladder_coupling,
 )
 from .effective import (
     ResonanceTarget,
     SecondOrderCoeffs,
     pulse_duration,
-    rabi_frequency,
     ratio_from_omega_q,
     rwa_validity_report,
     second_order_coeffs,
@@ -74,13 +72,11 @@ __all__ = [
     "dicke_state",
     "evolve",
     "fidelity",
-    "ladder_coupling",
     "observables",
     "peak_report",
     "propagate",
     "protocol_from_json",
     "pulse_duration",
-    "rabi_frequency",
     "ratio_from_omega_q",
     "resonance_scan",
     "run_protocol",

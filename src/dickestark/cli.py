@@ -139,7 +139,13 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
 def _compile_protocol(config: RunConfig, job: ProtocolConfig):
     if job.preset is not None:
         # both presets start every transition from n = 0
-        params = _resolve_params(config, presets.protocol_preset(job.preset), 0)
+        preset = presets.protocol_preset(job.preset)
+        params = _resolve_params(config, preset, 0)
+        if params.n_qubits != preset.n_qubits:
+            raise ConfigError(
+                f"protocol preset {job.preset!r} is compiled for N = {preset.n_qubits},"
+                f" but [model] n_qubits = {params.n_qubits}"
+            )
         if job.preset == "ghz_4":
             return compile_ghz4(params), params
         return compile_dicke_ladder(4, 4, params), params

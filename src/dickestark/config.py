@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 from .dynamics import DEFAULT_SAMPLES, MAX_SAMPLES
 from .effective import ResonanceTarget
-from .model import ModelParams
+from .model import ModelParams, default_n_max
 from .presets import ScanPreset
 from .protocol import StepRule, parse_cell, parse_steps, parse_target
 from .scan import DEFAULT_MIN_HEIGHT, DEFAULT_SCAN_POINTS, MAX_SCAN_POINTS
@@ -117,7 +117,8 @@ class RunConfig:
     SCHEMA's defaults.
 
     ``model.n_max`` holds the [model] n_max only if ``model_n_max_explicit``;
-    otherwise it is 0 and the command derives the cutoff from its run."""
+    otherwise it is default_n_max(0, N), the smallest cutoff a run derives,
+    at which parsing checks the space; the command derives its own."""
 
     model: ModelParams | None
     model_n_max_explicit: bool
@@ -224,7 +225,7 @@ def _model(values: dict) -> ModelParams:
             omega_r=values["omega_r"],
             coupling=values["lambda"],
             stark_u=values["stark_u"],
-            n_max=values["n_max"] or 0,
+            n_max=default_n_max(0, values["n_qubits"]) if values["n_max"] is None else values["n_max"],
         )
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from None

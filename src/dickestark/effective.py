@@ -21,23 +21,23 @@ The Stark shift (``_shift``) and the four second-order families
 (``_second_order``) are written once, over accessors for Omega, delta-/+ and
 division: ``second_order_coeffs`` evaluates them for one cell with floats,
 ``rwa_validity_report`` once over its whole (n, k) grid with arrays. Omega
-does not depend on omega_q: both read one cached table (``_omega_table``),
-shared by a resonance solve and its report; delta-/+ are the affine
-expressions above. The report holds one array per value and mask over
-(kind, n, k). Its rows, built on first read, run over n, then k, then kind:
-tc, atc for every cell, then tc2, atc2, r2, a2 at a second-order target.
+does not depend on omega_q: all, ``target_coupling`` too, read the cached
+table ``model._omega_table`` that H's coupling elements come from; delta-/+
+are the affine expressions above. The report holds one array per value and
+mask over (kind, n, k). Its rows, built on first read, run over n, then k,
+then kind: tc, atc for every cell, then tc2, atc2, r2, a2 at second order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, _read_only, ladder_coupling
+from .model import HilbertSpace, ModelParams, _omega_table
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -62,28 +62,6 @@ class DegenerateDetuningError(ValueError):
 class ResonanceBracketError(ValueError):
     """The root bracket for a second-order resonance does not enclose a sign
     change (or the solve failed to converge)."""
-
-
-def rabi_frequency(n: int, k: int, params: ModelParams) -> float:
-    """First-order coupling Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N) of
-    the transition |D^k+1, .> <-> |D^k, .> moving one photon."""
-    if k == params.n_qubits:
-        raise ValueError(f"k={k} has no upward coupling (f(N) = 0)")
-    if not (0 <= k < params.n_qubits):
-        raise ValueError(f"k={k} outside 0..{params.n_qubits - 1}")
-    if n < 0:
-        raise ValueError(f"n={n} must be >= 0")
-    return params.coupling * ladder_coupling(k, params.n_qubits) * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
-
-
-@lru_cache(maxsize=4)
-def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
-    """Read-only Omega(n, k) at [n + 1, k + 1] for every index the formulas
-    reach from a cell of the space, n = -1..n_max+2 and k = -1..N+2: zero off
-    the physical range, else ``rabi_frequency``'s operations in its order."""
-    k = np.arange(-1, n_qubits + 3)
-    f = np.sqrt(np.maximum((k + 1) * (n_qubits - k), 0))  # f(k), zero off 0 <= k < N
-    return _read_only(coupling * f * np.sqrt(np.arange(n_max + 4.0))[:, None] / math.sqrt(n_qubits))
 
 
 def delta_minus(n: int, k: int, params: ModelParams) -> float:
@@ -366,8 +344,9 @@ def solve_resonance(target: ResonanceTarget, params: ModelParams) -> float:
 def target_coupling(target: ResonanceTarget, params: ModelParams) -> float:
     """Signed coupling amplitude of the selected transition (first order:
     Omega(n0, k0); second order: the two-excitation amplitude)."""
+    target.validate(params)
     if target.order == 1:
-        return rabi_frequency(target.n0, target.k0, params)
+        return _omega_table(params.n_qubits, params.n_max, params.coupling).item(target.n0 + 1, target.k0 + 1)
     coeffs = second_order_coeffs(target.n0, target.k0, params)
     return coeffs.omega_tc2 if target.kind == "tc" else coeffs.omega_atc2
 

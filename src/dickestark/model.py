@@ -223,15 +223,6 @@ def build_space(params: ModelParams, kind: BasisKind = BasisKind.SYMMETRIC) -> H
     return HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max)
 
 
-def ladder_coupling(k: int, n_qubits: int) -> float:
-    """Dicke-ladder matrix element f(k) = sqrt((k+1)(N-k)) of the collective
-    flip between k and k+1 excitations; zero outside 0 <= k < N, so there is
-    no coupling out of the top of the ladder."""
-    if k < 0 or k >= n_qubits:
-        return 0.0
-    return math.sqrt((k + 1) * (n_qubits - k))
-
-
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     """Exact Dicke-Stark Hamiltonian on the symmetric space, as a real
     symmetric matrix:
@@ -239,14 +230,15 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
         H = (omega_q/2) Jz + omega_r a'a + (lambda/sqrt(N)) (a + a') Jx
             + (U/2N) a'a Jz
 
-    It is written from its closed form, which is affine in omega_q: H = H(0) + omega_q Jz/2. The diagonal entry of H(0) at (k, n)
-    is (nU/N)(k - N/2) + n omega_r, and its coupling element between (k, n)
-    and (k+1, n+1), and between (k, n+1) and (k+1, n), equals
-    lambda f(k) sqrt(n+1) / sqrt(N). H(0) and the diagonal k - N/2 of Jz/2
-    are cached per (N, n_max, lambda, U, omega_r) (``_affine_parts``), so a
-    frequency scan copies H(0) and adds one diagonal per point. The
-    validation suite checks it against the operator sums above assembled with
-    Kronecker products on the full product basis, an independent route.
+    It is written from its closed form, which is affine in omega_q: H = H(0) +
+    omega_q Jz/2. The diagonal entry of H(0) at (k, n) is (nU/N)(k - N/2) +
+    n omega_r; its coupling element between (k, n) and (k+1, n+1), and between
+    (k, n+1) and (k+1, n), is Omega(n, k) of ``_omega_table``, as in the
+    effective layer. H(0) and the diagonal k - N/2 of Jz/2 are cached per
+    (N, n_max, lambda, U, omega_r) (``_affine_parts``), so a frequency scan
+    copies H(0) and adds one diagonal per point. The validation suite checks
+    it against the operator sums above assembled with Kronecker products on
+    the full product basis, an independent route.
 
     The matrix is not checked for Hermiticity here: the one ``eigh`` route
     (``dynamics.propagate`` and ``evolve``) checks the H it is given, once.
@@ -270,11 +262,22 @@ def _affine_parts(
     h0 = np.diag(nph * stark_u / n * jz_half + nph * omega_r)
     # (k, n) -> (k+1, n+1) and (k, n+1) -> (k+1, n) for k < N, n < n_max
     lower = np.flatnonzero((k < n) & (nph < n_max))
-    f = np.sqrt((k[lower] + 1.0) * (n - k[lower]))
-    g = (coupling / math.sqrt(n)) * (f * np.sqrt(nph[lower] + 1.0))
+    g = _omega_table(n, n_max, coupling)[nph[lower] + 1, k[lower] + 1]
     for i, j in ((lower, lower + levels + 1), (lower + 1, lower + levels)):
         h0[i, j] = h0[j, i] = g
     return _read_only(h0), _read_only(jz_half)
+
+
+@lru_cache(maxsize=4)
+def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
+    """The one source of the first-order coupling, read by H(0) and the
+    effective layer: Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N), with
+    f(k) = sqrt((k+1)(N-k)), read-only at [n + 1, k + 1] for n = -1..n_max+2
+    and k = -1..N+2, every index the effective formulas reach from a cell of
+    the space; zero off n >= 0 and 0 <= k < N."""
+    k = np.arange(-1, n_qubits + 3)
+    f = np.sqrt(np.maximum((k + 1) * (n_qubits - k), 0))
+    return _read_only(coupling * f * np.sqrt(np.arange(n_max + 4.0))[:, None] / math.sqrt(n_qubits))
 
 
 def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:

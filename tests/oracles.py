@@ -1,6 +1,8 @@
 """Test-only oracles: independent constructions of what the package computes
 by faster routes.
 
+- ``ladder_f`` is the Dicke-ladder element f(k), written here apart from
+  the package's Omega table, for ``dicke_jx`` and ``cell_omega``.
 - ``kron_hamiltonian`` assembles the symmetric-basis H from Kronecker
   products of the collective operators, an independent route to the closed
   forms that ``build_hamiltonian`` writes.
@@ -34,18 +36,19 @@ from dickestark.effective import (
     delta_plus,
     target_coupling,
 )
-from dickestark.model import (
-    HilbertSpace,
-    ModelParams,
-    Operator,
-    ladder_coupling,
-)
+from dickestark.model import HilbertSpace, ModelParams, Operator
+
+
+def ladder_f(k: int, n_qubits: int) -> float:
+    """Dicke-ladder element f(k) = sqrt((k+1)(N-k)) of the collective flip
+    between k and k+1 excitations; zero outside 0 <= k < N."""
+    return math.sqrt((k + 1) * (n_qubits - k)) if 0 <= k < n_qubits else 0.0
 
 
 def dicke_jx(n_qubits: int) -> np.ndarray:
     jx = np.zeros((n_qubits + 1, n_qubits + 1))
     for k in range(n_qubits):
-        f = ladder_coupling(k, n_qubits)
+        f = ladder_f(k, n_qubits)
         jx[k + 1, k] = f
         jx[k, k + 1] = f
     return jx
@@ -127,7 +130,7 @@ def cell_omega(n: int, k: int, params: ModelParams) -> float:
     outside the physical index range."""
     if n < 0:
         return 0.0
-    f = ladder_coupling(k, params.n_qubits)
+    f = ladder_f(k, params.n_qubits)
     return params.coupling * f * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from dickestark.effective import (
     pulse_duration,
-    rabi_frequency,
     ratio_from_omega_q,
     solve_resonance,
 )
@@ -25,7 +24,7 @@ from dickestark.validate import (
     check_unitarity,
     check_conservation,
 )
-from oracles import detuned_rabi_probability
+from oracles import cell_omega, detuned_rabi_probability
 
 
 def _report(number: int, title: str, failures: list[str], detail: str = "") -> None:
@@ -149,7 +148,7 @@ def test_criterion_4_dicke_ladder_populations():
 def test_criterion_5_detuned_rabi_lineshape():
     preset = scan_preset("fig2a")
     params = preset.params
-    omega = rabi_frequency(0, 0, params)
+    omega = cell_omega(0, 0, params)
     duration = pulse_duration(preset.target, params, 0.5)
     r_star = ratio_from_omega_q(solve_resonance(preset.target, params), params)
     space = build_space(params)

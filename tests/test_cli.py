@@ -641,6 +641,9 @@ def _ladder_file(tmp_path, edit) -> str:
     return f"[protocol]\nfile = {path}\n"
 
 
+EFFECTIVE_ATC = "\n[effective]\nkind = atc\nn0 = 0\nk0 = 0\norder = "
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, text, cause",
@@ -728,6 +731,27 @@ class TestMalformedInputs:
                 ),
                 "dimension",
             ),
+            (
+                "protocol",
+                "[protocol]\npreset = nosuch\n",
+                "unknown protocol preset 'nosuch'; known presets: dicke_ladder_4, ghz_4",
+            ),
+            (
+                "protocol",
+                INLINE_PROTOCOL_INI.replace("target = basis 1 1\n", ""),
+                "[protocol] is missing required key 'target'",
+            ),
+            ("scan", "[model\nn_qubits = 4\n", "cannot parse config"),
+            (
+                "effective",
+                "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = 0\n" + EFFECTIVE_ATC + "2\n",
+                "second-order selectivity requires a nonzero Stark coupling",
+            ),
+            (
+                "effective",
+                "[model]\nn_qubits = 4\nlambda = 0\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+                "target aTC(0,0) has zero coupling",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -755,6 +779,11 @@ class TestMalformedInputs:
             "json-boolean-duration-rule",
             "effective-oversize-space",
             "json-oversize-space",
+            "unknown-preset-in-section",
+            "steps-without-target",
+            "unparsable-config",
+            "second-order-at-zero-stark",
+            "zero-coupling",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
@@ -793,6 +822,59 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"[protocol] file = '{path}': [Errno 2] No such file or directory" in err
         assert not out.exists()
+
+
+MODEL_N6 = "[model]\nn_qubits = 6\nlambda = 0.006\nstark_u = -0.5\n"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (["scan", "--preset", "nosuch"], "unknown scan preset 'nosuch'; known presets: fig2a"),
+            (["effective", "--preset", "nosuch"], "unknown scan preset 'nosuch'; known presets: fig2a"),
+            (["protocol", "--preset", "nosuch"], "unknown protocol preset 'nosuch'; known presets: dicke_ladder_4"),
+            (["scan"], "scan requires --preset NAME or a [scan] section"),
+        ],
+        ids=["scan-unknown-preset", "effective-unknown-preset", "protocol-unknown-preset", "scan-no-job"],
+    )
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, args, cause):
+        out = tmp_path / "never"
+        assert main(args + ["--out", str(out)]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
+    @pytest.mark.parametrize("via", ["flag", "section"])
+    def test_protocol_preset_with_other_n_names_preset_and_key(self, tmp_path, capsys, name, via):
+        # used to exit 2 with the compiler's own message, which names neither
+        # the preset nor the [model] key
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MODEL_N6 + (f"\n[protocol]\npreset = {name}\n" if via == "section" else ""))
+        out = tmp_path / "never"
+        preset = ["--preset", name] if via == "flag" else []
+        assert main(["protocol", *preset, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"protocol preset '{name}' is compiled for N = 4, but [model] n_qubits = 6" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_qubits, dimension", [(1000, 1006005), (1_000_000, 1000006000005)])
+    def test_model_dimension_checked_at_the_smallest_cutoff(self, tmp_path, capsys, n_qubits, dimension):
+        # [model] used to be checked at n_max = 0: N = 1000 passed parsing and
+        # failed in the command naming no section, N = 10^6 named 1000001
+        text = f"[model]\nn_qubits = {n_qubits}\nlambda = 0.006\nstark_u = -0.5\n"
+        with pytest.raises(ConfigError, match=rf"^\[model\]: dimension {dimension} exceeds"):
+            parse_config(text)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[model]: dimension {dimension}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_n_max_holds_the_smallest_derived_cutoff(self):
+        cfg = parse_config(MODEL_N6)
+        assert cfg.model.n_max == default_n_max(0, 6) and not cfg.model_n_max_explicit
 
 
 class TestOutputDirectory:

@@ -16,7 +16,6 @@ from dickestark.effective import (
     ResonanceTarget,
     delta_minus,
     delta_plus,
-    rabi_frequency,
     solve_first_order_resonance,
 )
 from dickestark.model import (
@@ -26,9 +25,8 @@ from dickestark.model import (
     build_hamiltonian,
     build_space,
     dicke_state,
-    ladder_coupling,
 )
-from oracles import build_effective_hamiltonian, full_space_evolution
+from oracles import build_effective_hamiltonian, cell_omega, full_space_evolution
 
 
 def random_state(space, rng):
@@ -141,7 +139,7 @@ class TestEvolve:
         space = build_space(params)
         h = build_hamiltonian(params, space)
         psi0 = dicke_state(space, 0, 0)
-        duration = math.pi / (2 * rabi_frequency(0, 0, params))
+        duration = math.pi / (2 * cell_omega(0, 0, params))
         traj = evolve(psi0, h, duration, samples=100)
         assert traj.final.population(1, 1) >= 0.98
 
@@ -160,7 +158,7 @@ class TestEvolve:
         h_full = build_hamiltonian(params, space)
         h_eff = build_effective_hamiltonian(target, params, space)
         psi0 = dicke_state(space, *start)
-        period = math.pi / rabi_frequency(n0, k0, params)
+        period = math.pi / cell_omega(n0, k0, params)
         t_full = evolve(psi0, h_full, period, samples=160)
         t_eff = evolve(psi0, h_eff, period, samples=160)
         assert np.max(np.abs(t_full.populations - t_eff.populations)) < 0.02
@@ -278,12 +276,7 @@ class TestRotatingFrame:
         channels = []
         for n in range(params.n_max):
             for k in range(params.n_qubits):
-                omega = (
-                    params.coupling
-                    * ladder_coupling(k, params.n_qubits)
-                    * math.sqrt(n + 1)
-                    / math.sqrt(params.n_qubits)
-                )
+                omega = cell_omega(n, k, params)
                 up_tc = np.zeros((space.dimension, space.dimension), dtype=complex)
                 up_tc[space.index(k + 1, n), space.index(k, n + 1)] = omega
                 channels.append((up_tc, delta_minus(n, k, params)))

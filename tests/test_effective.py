@@ -10,20 +10,20 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
-    _omega_table,
     delta_minus,
     delta_plus,
     pulse_duration,
-    rabi_frequency,
     ratio_from_omega_q,
     rwa_validity_report,
     second_order_coeffs,
     solve_first_order_resonance,
     solve_resonance,
     solve_second_order_resonance,
+    target_coupling,
 )
 from dickestark.model import (
     ModelParams,
+    _omega_table,
     build_hamiltonian,
     build_space,
     default_n_max,
@@ -45,24 +45,46 @@ def _stark_shift(n, k, params):
 
 
 class TestRabiFrequency:
-    def test_reference_values(self):
+    # first-order Omega(n, k): the table at [n + 1, k + 1], and target_coupling
+    # of either kind at (n0, k0) = (n, k)
+    @pytest.mark.parametrize(
+        "n, k, expected",
+        [(0, 0, 0.006), (1, 0, 0.006 * math.sqrt(2)), (0, 1, 0.006 * math.sqrt(6) / 2)],
+    )
+    def test_reference_values(self, n, k, expected):
         p = ModelParams(**FIRST_ORDER)
-        assert rabi_frequency(0, 0, p) == pytest.approx(0.006)
-        assert rabi_frequency(1, 0, p) == pytest.approx(0.006 * math.sqrt(2))
-        assert rabi_frequency(0, 1, p) == pytest.approx(0.006 * math.sqrt(6) / 2)
+        assert _omega_table(4, 8, 0.006)[n + 1, k + 1] == pytest.approx(expected)
+        for kind in ("tc", "atc"):
+            assert target_coupling(ResonanceTarget(kind, 1, n, k), p) == pytest.approx(expected)
 
     def test_positive(self):
         p = ModelParams(**FIRST_ORDER)
         for n in range(4):
             for k in range(4):
-                assert rabi_frequency(n, k, p) > 0
+                assert _omega_table(4, 8, 0.006)[n + 1, k + 1] > 0
+                assert target_coupling(ResonanceTarget("atc", 1, n, k), p) > 0
 
     def test_top_of_ladder_rejected(self):
         p = ModelParams(**FIRST_ORDER)
-        with pytest.raises(ValueError, match="no upward coupling"):
-            rabi_frequency(0, 4, p)
-        with pytest.raises(ValueError):
-            rabi_frequency(-1, 0, p)
+        assert _omega_table(4, 8, 0.006)[1, 5] == 0.0  # f(N) = 0
+        with pytest.raises(ValueError, match="k0=4 with order 1 exceeds N=4"):
+            target_coupling(ResonanceTarget("tc", 1, 0, 4), p)
+        with pytest.raises(ValueError, match="n0 and k0 must be non-negative"):
+            ResonanceTarget("tc", 1, -1, 0)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_hamiltonian_element_is_the_target_coupling(self, n_qubits):
+        # H(0) couples each first-order pair by the very float the effective
+        # layer reports; the two used to differ by rounding
+        p = ModelParams(n_qubits=n_qubits, omega_q=0.0, coupling=0.037, stark_u=-0.5, n_max=4)
+        space = build_space(p)
+        h = build_hamiltonian(p, space).matrix
+        for kind in ("tc", "atc"):
+            for n0 in range(p.n_max):
+                for k0 in range(n_qubits):
+                    target = ResonanceTarget(kind, 1, n0, k0)
+                    i, j = (space.index(*cell) for cell in target.pair())
+                    assert h[i, j] == h[j, i] == target_coupling(target, p)
 
 
 class TestFirstOrderDetunings:
@@ -532,7 +554,7 @@ def _cell_rows(target, params):
 
     grid = [(n, k) for n in range(n_max + 1) for k in range(n_q + 1)]
     for n, k in grid:
-        omega = rabi_frequency(n, k, params) if k < n_q else 0.0
+        omega = cell_omega(n, k, params)
         add("tc", n, k, omega, delta_minus(n, k, params))
         add("atc", n, k, omega, delta_plus(n, k, params))
     if m == 2:
@@ -679,3 +701,17 @@ class TestSolveResonanceDispatch:
         # solve_first_order_resonance used to return 0.625 for k0 = 5 at N = 4
         with pytest.raises(ValueError, match=cause):
             solve(target, ModelParams(**FIRST_ORDER))
+
+    @pytest.mark.parametrize(
+        "target, cause",
+        [
+            (ResonanceTarget("atc", 2, 0, 3), "k0=3 with order 2 exceeds N=4"),
+            (ResonanceTarget("tc", 2, 7, 0), "target needs photon number 9 > n_max=8"),
+        ],
+        ids=["k0-beyond-N", "photon-beyond-n_max"],
+    )
+    def test_second_order_coupling_checks_its_target(self, target, cause):
+        # used to raise a degenerate-detuning error for k0 = 3 at N = 4, and
+        # to return a number for a pair beyond the cutoff
+        with pytest.raises(ValueError, match=cause):
+            target_coupling(target, ModelParams(**SECOND_ORDER))

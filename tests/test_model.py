@@ -11,10 +11,9 @@ from dickestark.model import (
     build_space,
     default_n_max,
     dicke_state,
-    ladder_coupling,
 )
 from dickestark.validate import _product_hamiltonian, _product_isometry
-from oracles import collective_ops
+from oracles import collective_ops, ladder_f
 
 # The product-basis oracle at every N from 1 to 5, odd N included.
 ORACLE_N = range(1, 6)
@@ -114,11 +113,11 @@ class TestCollectiveOps:
         assert val == pytest.approx(-4.0, abs=1e-14)
 
     def test_ladder_coupling_values(self):
-        assert ladder_coupling(0, 4) == pytest.approx(2.0)
-        assert ladder_coupling(1, 4) == pytest.approx(np.sqrt(6.0))
-        assert ladder_coupling(4, 4) == 0.0
-        assert ladder_coupling(-1, 4) == 0.0
-        assert ladder_coupling(5, 4) == 0.0
+        assert ladder_f(0, 4) == pytest.approx(2.0)
+        assert ladder_f(1, 4) == pytest.approx(np.sqrt(6.0))
+        assert ladder_f(4, 4) == 0.0
+        assert ladder_f(-1, 4) == 0.0
+        assert ladder_f(5, 4) == 0.0
 
     def test_jx_structure(self):
         _, sym = spaces(4, 2)
@@ -129,7 +128,7 @@ class TestCollectiveOps:
             for j in range(sym.dimension):
                 kp, np_ = sym.label(j)
                 if abs(kp - k) == 1 and np_ == n:
-                    expected = ladder_coupling(min(k, kp), 4)
+                    expected = ladder_f(min(k, kp), 4)
                     assert m[i, j] == pytest.approx(expected)
                 else:
                     assert m[i, j] == 0.0

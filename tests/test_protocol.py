@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dickestark.effective import (
+    QUARTER_PERIOD,
     ResonanceTarget,
     ratio_from_omega_q,
     second_order_coeffs,
-    rabi_frequency,
 )
 from dickestark.model import (
     ModelParams,
@@ -31,6 +31,7 @@ from dickestark.protocol import (
     protocol_from_json,
     run_protocol,
 )
+from oracles import cell_omega
 
 LADDER = dict(n_qubits=4, omega_r=1.0, omega_q=1.0, coupling=0.006, stark_u=-0.5)
 GHZ = dict(n_qubits=4, omega_r=1.0, omega_q=1.0, coupling=0.1, stark_u=-16.0)
@@ -55,7 +56,7 @@ class TestCompileDickeLadder:
         p = ladder_params()
         proto = compile_dicke_ladder(4, 4, p)
         for j, step in enumerate(proto.steps, start=1):
-            expected = math.pi / (2 * rabi_frequency(0, j - 1, p))
+            expected = math.pi / (2 * cell_omega(0, j - 1, p))
             assert step.duration == pytest.approx(expected)
         assert proto.steps[0].duration == pytest.approx(math.pi / (2 * 0.006))
 
@@ -185,6 +186,15 @@ class TestExpectedCells:
         proto = compile_from_rules("full_period", p, rules, (0, 0), "basis", (0, 0))
         assert proto.expected == (((0, 0),),)
         assert self._listed_share(proto, p)[0] >= 0.99
+
+    def test_both_cells_occupied_keeps_every_share(self):
+        # the second quarter period finds both cells of its pair occupied, and
+        # the transfer then depends on an untracked relative phase
+        p = ladder_params()
+        rules = [StepRule(ResonanceTarget("atc", 1, 0, 0), QUARTER_PERIOD)] * 2
+        proto = compile_from_rules("two_quarters", p, rules, (0, 0), "basis", (1, 1))
+        assert proto.expected == (((0, 0), (1, 1)),) * 2
+        assert min(self._listed_share(proto, p)) >= 0.99
 
 
 class TestSectorResidentTrajectory:

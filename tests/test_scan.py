@@ -6,7 +6,6 @@ import pytest
 
 from dickestark.effective import (
     pulse_duration,
-    rabi_frequency,
     ratio_from_omega_q,
     solve_first_order_resonance,
 )
@@ -21,7 +20,7 @@ from dickestark.scan import (
     resonance_scan,
     scan_grid,
 )
-from oracles import detuned_rabi_probability
+from oracles import cell_omega, detuned_rabi_probability
 
 
 def run_preset(name, points=None):
@@ -115,7 +114,7 @@ class TestResonanceScan:
         # ratio -0.250, with the initial-state nq as baseline.
         preset, curve = run_preset("fig2a", points=161)
         params = preset.params
-        omega = rabi_frequency(0, 0, params)
+        omega = cell_omega(0, 0, params)
         duration = pulse_duration(preset.target, params)
         resonant = solve_first_order_resonance(preset.target, params)
         r_star = ratio_from_omega_q(resonant, params)
