@@ -179,7 +179,7 @@ def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str]
             }
             for step in proto.steps
         ],
-        "fidelity": result.fidelity_optimized if proto.target_kind == "ghz" else result.fidelity,
+        "fidelity": result.fidelity_optimized,
         "fidelity_phase_exact": result.fidelity,
         "fidelity_phase_optimized": result.fidelity_optimized,
         "target_phase": result.target_phase,
@@ -220,6 +220,8 @@ def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) 
     tuned = replace(params, omega_q=omega_q)
     space = build_space(tuned)
     coupling = target_coupling(target, tuned)
+    # a target with zero coupling is refused here, before the report is built
+    half, quarter = (pulse_duration(target, tuned, period) for period in (HALF_PERIOD, QUARTER_PERIOD))
     report = rwa_validity_report(target, tuned, space)
     min_adjacent = report.min_ratio(adjacent_only=True)
     payload = {
@@ -227,8 +229,8 @@ def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) 
         "omega_q": omega_q,
         "ratio": ratio_from_omega_q(omega_q, params),
         "coupling": coupling,
-        "duration_half_period": pulse_duration(target, tuned, HALF_PERIOD),
-        "duration_quarter_period": pulse_duration(target, tuned, QUARTER_PERIOD),
+        "duration_half_period": half,
+        "duration_quarter_period": quarter,
         # infinite when no competing channel is coupled; JSON has no infinity
         "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
         "min_competing_ratio_all": _finite_or_none(report.min_ratio()),

@@ -1,20 +1,20 @@
 """Exact time evolution under time-independent Hamiltonians, observable
 extraction, frame transforms, fidelities, and the photon-cutoff guard.
 
-Propagation is spectral: U(t) = V exp(-i w t) V' from the Hermitian
-eigendecomposition, exact up to linear-algebra error, so no integrator
-tolerances enter the production paths. Every state lives in the symmetric
-(Dicke ladder x Fock) space. ``propagate`` and ``evolve`` share one kernel,
-the only ``eigh`` outside the validation suite's product-basis oracle, which
-diagonalizes each H once, and only where the state lives: H conserves the excitation parity (-1)^(k+n)
+Propagation is spectral: U(t) = V exp(-i w t) V^T from the eigendecomposition
+of the real symmetric H (an ``Operator`` is real), exact up to linear-algebra
+error, so no integrator tolerances enter the production paths. Every state
+lives in the symmetric (Dicke ladder x Fock) space. ``propagate`` and
+``evolve`` share one kernel, the only ``eigh`` outside the validation suite's
+product-basis oracle, which diagonalizes each H once, and only where the
+state lives: H conserves the excitation parity (-1)^(k+n)
 (``HilbertSpace.parities``), so the kernel keeps the parity sector(s) the
-initial amplitudes occupy and runs one ``eigh`` on that block, a real one for
-the real symmetric model H. If H couples the kept sectors to the rest, the
-block is the whole space.
+initial amplitudes occupy and runs one real ``eigh`` on that block. If H
+couples the kept sectors to the rest, the block is the whole space.
 
-Per H the kernel does only what depends on H: one Hermiticity check (the
+Per H the kernel does only what depends on H: one symmetry check (the
 builder does not check), the check that the kept block is invariant, one
-``eigh``, and the evaluation at the requested time(s), where real
+``eigh``, and the evaluation at the requested time(s), where the real
 eigenvectors multiply the complex amplitudes in real arithmetic. The index
 sets of each (space, occupied parities) are computed once and cached, so a
 scan point that reuses the space and initial state recomputes none of them.
@@ -24,8 +24,8 @@ phases exp(-i w t_s) are block products of about 2 sqrt(samples) complex
 exponentials per eigenvalue (``_phase_grid``), exact to the rounding of w t
 itself; the populations are re^2 + im^2 of the sector amplitudes, and the
 excitation numbers are read from them. ``Trajectory`` stores the sector: its
-full-space ``states`` and ``populations`` are scattered on first access, and
-``final`` scatters the last sample only. Nothing is renormalized:
+full-space ``populations`` are scattered on first access, and ``final``
+scatters the last sample only. Nothing is renormalized:
 ``Trajectory`` checks the norm of every sample, so its drift check measures
 the kernel's unitarity.
 """
@@ -56,11 +56,10 @@ CUTOFF_POPULATION = 1e-6
 
 class CutoffExceededError(RuntimeError):
     """More than CUTOFF_POPULATION reached the top photon level, so the Fock
-    cutoff truncates the dynamics. ``where`` names the protocol step or scan
-    point for the message; ``step_index`` is the step's number, else None."""
+    cutoff truncates the dynamics. ``where`` names the step or scan point."""
 
-    def __init__(self, where: str, population: float, step_index: int | None = None):
-        self.population, self.step_index = population, step_index
+    def __init__(self, where: str, population: float):
+        self.population = population
         super().__init__(
             f"{where}: population {population:.2e} in the top photon level"
             f" exceeds {CUTOFF_POPULATION}; raise n_max"
@@ -71,7 +70,6 @@ def require_below_cutoff(
     populations: np.ndarray,
     space: HilbertSpace,
     where: str,
-    step_index: int | None = None,
     kept: np.ndarray | None = None,
 ) -> None:
     """Raise CutoffExceededError if any column of ``populations`` (one state,
@@ -82,7 +80,7 @@ def require_below_cutoff(
     top_level = populations[n :: n + 1] if kept is None else populations[kept % (n + 1) == n]
     top = float(top_level.sum(axis=0).max())
     if not top <= CUTOFF_POPULATION:
-        raise CutoffExceededError(where, top, step_index)
+        raise CutoffExceededError(where, top)
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,6 @@ class Trajectory:
         return _read_only(out)
 
     @cached_property
-    def states(self) -> np.ndarray:
-        """One full-space state per sample (row), scattered on first access."""
-        return self.scatter(self.sector_states)
-
-    @cached_property
     def populations(self) -> np.ndarray:
         """[i, j]: the probability of flat index j at sample i, scattered on first access."""
         return self.scatter(self.sector_populations)
@@ -153,7 +146,7 @@ class _Spectral:
         self.kept, self.dimension = kept, h.space.dimension
         sector_h = h.matrix.take(block).reshape(kept.size, kept.size)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(sector_h)
-        self.coeffs = _times(self.eigenvectors.conj().T, amplitudes[kept])
+        self.coeffs = _times(self.eigenvectors.T, amplitudes[kept])
 
     def apply(self, t: float) -> np.ndarray:
         """exp(-i H t) applied to the vector, over the whole space."""
@@ -214,10 +207,9 @@ def _sector(space: HilbertSpace, even: bool, odd: bool):
 
 
 def _times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a complex vector or matrix z. A real m stays real: z's real
-    and imaginary parts are multiplied as interleaved real columns."""
-    if np.iscomplexobj(m):
-        return m @ z
+    """m @ z for a real matrix m and a complex vector or matrix z, in real
+    arithmetic: z's real and imaginary parts are multiplied as interleaved
+    real columns."""
     product = m @ z.view(np.float64).reshape(z.shape[0], -1)
     return product.view(np.complex128).reshape(m.shape[:1] + z.shape[1:])
 
@@ -247,8 +239,8 @@ def evolve(
     Only the occupied parity sector is evaluated per sample: its phases come
     from block products (``_phase_grid``), its populations are re^2 + im^2 of
     its amplitudes, and nq and nph are read from those. The trajectory keeps
-    the sector; its full-space states and populations are scattered only
-    when read. No sample is renormalized; ``Trajectory`` checks every norm."""
+    the sector; its full-space populations are scattered only when read.
+    No sample is renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not 2 <= samples <= MAX_SAMPLES:
@@ -286,5 +278,5 @@ def to_rotating_frame(psi: StateVector, h: Operator, t: float) -> StateVector:
     if psi.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
     diag = np.diagonal(h.matrix)
-    amps = psi.amplitudes * np.exp(1j * diag.real * t)
+    amps = psi.amplitudes * np.exp(1j * diag * t)
     return StateVector(psi.space, _read_only(amps))

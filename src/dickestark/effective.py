@@ -401,9 +401,6 @@ class RwaReport:
         first, second = (b.reshape(-1, len(grid)).tolist() for b in (rows[:, :, :2], rows[:, :, 2:]))
         return tuple(map(ChannelReport._make, first + second))
 
-    def risks(self) -> list[ChannelReport]:
-        return [c for c in self.channels if c.risk]
-
     def min_ratio(self, adjacent_only: bool = False) -> float:
         c = self.columns
         pool = ~c.selected & ~c.no_coupling & (c.adjacent | (not adjacent_only))

@@ -113,12 +113,6 @@ class HilbertSpace:
             raise ValueError(f"n={n} outside 0..{self.n_max}")
         return k * (self.n_max + 1) + n
 
-    def label(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`: (k, n) for a flat index."""
-        if not (0 <= index < self.dimension):
-            raise ValueError(f"index {index} outside 0..{self.dimension - 1}")
-        return divmod(index, self.n_max + 1)
-
     def labels(self) -> list[tuple[int, int]]:
         """All (k, n) labels in flat-index order."""
         return [divmod(i, self.n_max + 1) for i in range(self.dimension)]
@@ -161,28 +155,27 @@ def _owned(m, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense matrix over a HilbertSpace; treated as immutable. A real matrix
-    is kept real (float64), so a real symmetric H takes the real ``eigh``;
-    a complex one stays complex."""
+    """Real dense matrix over a HilbertSpace, the model's real symmetric H,
+    kept read-only as float64 for the real ``eigh``. A complex matrix is
+    refused: a cast would drop its imaginary part."""
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _owned(self.matrix, complex if np.iscomplexobj(self.matrix) else float)
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("operator matrix must be real; the model's H is real symmetric")
+        m = _owned(self.matrix, float)
         if m.shape != (self.space.dimension, self.space.dimension):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dimension {self.space.dimension}"
             )
         object.__setattr__(self, "matrix", m)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
     def require_hermitian(self) -> None:
-        defect = self.hermiticity_defect()
+        defect = float(np.abs(self.matrix - self.matrix.T).max())
         if not defect <= HERMITICITY_TOL:
-            raise ValueError(f"operator is not Hermitian: max|M - M^dag| = {defect:.3e}")
+            raise ValueError(f"operator is not Hermitian: max|M - M^T| = {defect:.3e}")
 
 
 @dataclass(frozen=True)

@@ -311,7 +311,7 @@ class ProtocolResult:
         out = []
         for traj in self.per_step:
             pops = traj.scatter(traj.sector_populations[:, -1])
-            out.append({traj.space.label(i): float(p) for i, p in enumerate(pops)})
+            out.append({cell: float(p) for cell, p in zip(traj.space.labels(), pops)})
         return out
 
 
@@ -340,9 +340,7 @@ def run_protocol(
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
         traj = evolve(psi, h, step.duration, samples=samples)
-        require_below_cutoff(
-            traj.sector_populations, space, f"step {index}", step_index=index, kept=traj.kept
-        )
+        require_below_cutoff(traj.sector_populations, space, f"step {index}", kept=traj.kept)
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)
 

@@ -119,7 +119,7 @@ def build_effective_hamiltonian(
     target.validate(params)
     i, j = (space.index(*cell) for cell in target.pair())
     omega = target_coupling(target, params)
-    h = np.zeros((space.dimension, space.dimension), dtype=complex)
+    h = np.zeros((space.dimension, space.dimension))
     h[i, j] = omega
     h[j, i] = omega
     return Operator(space, h)

@@ -19,7 +19,6 @@ from dickestark.scan import detect_peaks, resonance_scan, scan_grid
 from dickestark.validate import (
     check_basis_equivalence,
     check_cutoff_stability,
-    check_hermiticity,
     check_selectivity,
     check_unitarity,
     check_conservation,
@@ -194,7 +193,6 @@ def test_criterion_7_property_suite():
     checks = [
         check_unitarity(rng),
         check_conservation(rng),
-        check_hermiticity(rng),
         check_cutoff_stability(),
         check_selectivity(),
     ]
@@ -202,4 +200,4 @@ def test_criterion_7_property_suite():
         f"{c.name}: value {c.value} vs threshold {c.threshold}" for c in checks if not c.passed
     ]
     detail = ", ".join(f"{c.name}={c.value:.2e}" if c.value else c.name for c in checks)
-    _report(7, "property suite (unitarity, conservation, hermiticity, cutoff, selectivity)", failures, detail)
+    _report(7, "property suite (unitarity, conservation, cutoff, selectivity)", failures, detail)

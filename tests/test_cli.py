@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dickestark
@@ -354,6 +355,22 @@ class TestEffectiveCommand:
         assert code != 0
         err = capsys.readouterr().err
         assert "detuning" in err or "degenerate" in err
+
+    def test_zero_coupling_is_refused_before_the_report(self, tmp_path, capsys, monkeypatch):
+        # the selectivity report used to be built in full (every ratio
+        # infinite) before the zero coupling was refused
+        from dickestark import cli
+
+        calls = []
+        true_report = cli.rwa_validity_report
+        monkeypatch.setattr(cli, "rwa_validity_report", lambda *a: calls.append(a) or true_report(*a))
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text("[model]\nn_qubits = 4\nlambda = 0\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n")
+        out = tmp_path / "never"
+        assert main(["effective", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "target aTC(0,0) has zero coupling" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestInputGuards:
@@ -928,7 +945,6 @@ class TestValidateCommand:
         report = json.loads((out / "validation.json").read_text())
         assert report["passed"] is True
         assert [c["name"] for c in report["checks"]] == [
-            "hermiticity",
             "unitarity",
             "norm-and-energy-conservation",
             "excitation-structure",
@@ -936,6 +952,25 @@ class TestValidateCommand:
             "cutoff-doubling-stability",
             "rwa-selectivity",
         ]
+
+    def test_non_hermitian_hamiltonian_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the kernel refuses an asymmetric H before any row is reported, so
+        # the suite needs no Hermiticity row of its own
+        from dickestark import validate
+        from dickestark.model import Operator
+
+        true_build = validate.build_hamiltonian
+
+        def asymmetric(params, space):
+            m = np.array(true_build(params, space).matrix)
+            m[0, 1] += 1e-6
+            return Operator(space, m)
+
+        monkeypatch.setattr(validate, "build_hamiltonian", asymmetric)
+        out = tmp_path / "never"
+        assert main(["validate", "--out", str(out)]) == 2
+        assert "operator is not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_config_is_the_empty_config(self, tmp_path):
         # the run without --config is parse_config(""), as is an empty file

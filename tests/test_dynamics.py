@@ -91,7 +91,7 @@ class TestEvolve:
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=13.0, samples=57)
         direct = full_space_evolution(h.matrix, psi0.amplitudes, 13.0)[0]
-        assert np.max(np.abs(traj.states[-1] - direct)) < 1e-10
+        assert np.max(np.abs(traj.scatter(traj.sector_states)[-1] - direct)) < 1e-10
 
     def test_diagonal_hamiltonian_freezes_populations(self, small_system):
         _, space, h = small_system
@@ -109,14 +109,14 @@ class TestEvolve:
             duration = float(rng.uniform(1.0, 3000.0))
             traj = evolve(psi0, h, duration, samples=samples)
             final = propagate(h, psi0, duration).amplitudes
-            assert np.max(np.abs(traj.states[-1] - final)) <= 1e-15
+            assert np.max(np.abs(traj.scatter(traj.sector_states)[-1] - final)) <= 1e-15
 
     def test_norm_conservation(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(17)
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=200.0, samples=400)
-        norms = np.linalg.norm(traj.states, axis=1)
+        norms = np.linalg.norm(traj.scatter(traj.sector_states), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_energy_conservation(self, small_system):
@@ -124,7 +124,8 @@ class TestEvolve:
         rng = np.random.default_rng(23)
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=150.0, samples=150)
-        energies = np.array([np.vdot(state, h.matrix @ state).real for state in traj.states])
+        states = traj.scatter(traj.sector_states)
+        energies = np.array([np.vdot(state, h.matrix @ state).real for state in states])
         scale = max(abs(energies[0]), 1.0)
         assert np.max(np.abs(energies - energies[0])) / scale < 1e-10
 

@@ -489,7 +489,7 @@ class TestRwaReport:
         # selected pair.
         t, p, space = self.fig_params("tc", 0, 1)
         report = rwa_validity_report(t, p, space)
-        risky = {(c.kind, c.n, c.k) for c in report.risks()}
+        risky = {(c.kind, c.n, c.k) for c in report.channels if c.risk}
         assert ("tc", 2, 2) in risky
         row = [c for c in report.channels if (c.kind, c.n, c.k) == ("tc", 2, 2)][0]
         assert 9.5 < row.ratio < 10.0
@@ -506,7 +506,7 @@ class TestRwaReport:
         report = rwa_validity_report(t, p, space)
         assert all(c.no_coupling for c in report.channels)
         assert all(math.isinf(c.ratio) for c in report.channels)
-        assert not report.risks()
+        assert not any(c.risk for c in report.channels)
 
     def test_second_order_report_includes_two_photon_channels(self):
         p = ModelParams(**SECOND_ORDER)
@@ -571,9 +571,9 @@ class TestReportGridMatchesCells:
     """rwa_validity_report evaluates every channel over its whole (n, k)
     grid at once. Each row must equal, bit for bit, the row the per-cell
     functions give, and the report must raise exactly when some cell's
-    second_order_coeffs raises. Its minima and risks, reduced over the
-    columns, must equal the same reductions over the rows. omega_q is taken
-    at the solved root and at the bare second-order centre, where
+    second_order_coeffs raises, risk flags included. Its minima, reduced
+    over the columns, must equal the same reductions over the rows. omega_q
+    is taken at the solved root and at the bare second-order centre, where
     first-order detunings of whole families vanish and the degenerate cases
     sit. N runs to 7, an odd N beyond the presets."""
 
@@ -620,7 +620,6 @@ class TestReportGridMatchesCells:
                             assert repr(report.min_ratio(adjacent_only=True)) == repr(
                                 min((c.ratio for c in competing if c.adjacent), default=math.inf)
                             )
-                            assert report.risks() == [c for c in rows if c.risk]
                             compared[order] += 1
         assert compared[1] > 0 and compared[2] > 0 and refused > 0
 

@@ -128,13 +128,21 @@ class TestCachedArrays:
 
 
 class TestOperatorDtype:
-    def test_real_stays_real_and_complex_stays_complex(self):
+    def test_real_matrices_are_kept_as_float64(self):
         space = build_space(ModelParams(n_qubits=1, n_max=0))
         assert Operator(space, np.eye(2, dtype=int)).matrix.dtype == np.float64
         assert Operator(space, np.eye(2)).matrix.dtype == np.float64
-        assert Operator(space, np.eye(2) * 1j).matrix.dtype == np.complex128
 
-    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "m", [np.eye(2) * 1j, np.eye(2, dtype=complex), [[1.0, 1j], [-1j, 1.0]]]
+    )
+    def test_refuses_a_complex_matrix_naming_the_cause(self, m):
+        # a cast to float would drop the imaginary part, even of a Hermitian matrix
+        space = build_space(ModelParams(n_qubits=1, n_max=0))
+        with pytest.raises(ValueError, match="operator matrix must be real"):
+            Operator(space, m)
+
+    @pytest.mark.parametrize("dtype", [int, float])
     def test_leaves_the_callers_array_writeable(self, dtype):
         space = build_space(ModelParams(n_qubits=1, n_max=0))
         m = np.eye(2, dtype=dtype)
@@ -209,7 +217,7 @@ class TestSectorPropagation:
             assert np.max(np.abs(got - oracle / np.linalg.norm(oracle))) <= 1e-12
             traj = evolve(psi0, h, t, samples=7)
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
-            assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+            assert np.max(np.abs(traj.scatter(traj.sector_states) - oracle)) <= 1e-12
 
     def test_diagonalizes_only_the_occupied_sector(self):
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
@@ -288,7 +296,7 @@ class TestTimeGrid:
                 traj = evolve(psi0, h, 3000.0, samples=401)
                 oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
                 bound = phase_bound(np.linalg.eigvalsh(h.matrix), traj.times)
-                assert np.max(np.abs(traj.states - oracle)) <= bound
+                assert np.max(np.abs(traj.scatter(traj.sector_states) - oracle)) <= bound
 
 
 # (step nq and nph at samples 0, 133, 266, 399; final populations above 1e-3)
@@ -424,10 +432,9 @@ class TestScanCutoffGuard:
         return resonance_scan(dicke_state(space, 0, 1), scan_grid((-0.6, 0.1), 71), duration, params, space)
 
     def test_truncated_space_raises_naming_the_ratio(self):
-        with pytest.raises(CutoffExceededError, match=r"scan ratio -0\.6: .* raise n_max") as err:
+        with pytest.raises(CutoffExceededError, match=r"^scan ratio -0\.6: .* raise n_max") as err:
             self.scan(2)
         assert err.value.population > dynamics.CUTOFF_POPULATION
-        assert err.value.step_index is None
 
     def test_default_cutoff_passes(self):
         curve = self.scan(default_n_max(1, 4))

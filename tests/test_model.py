@@ -46,11 +46,13 @@ class TestSpaces:
 
     def test_index_roundtrip(self):
         _, sym = spaces(3, 4)
+        labels = sym.labels()
+        assert len(labels) == sym.dimension
         seen = set()
         for k in range(4):
             for n in range(5):
                 i = sym.index(k, n)
-                assert sym.label(i) == (k, n)
+                assert labels[i] == (k, n)
                 seen.add(i)
         assert seen == set(range(sym.dimension))
 
@@ -123,10 +125,9 @@ class TestCollectiveOps:
         _, sym = spaces(4, 2)
         jx, _ = collective_ops(sym)
         m = jx.matrix
-        for i in range(sym.dimension):
-            k, n = sym.label(i)
-            for j in range(sym.dimension):
-                kp, np_ = sym.label(j)
+        labels = sym.labels()
+        for i, (k, n) in enumerate(labels):
+            for j, (kp, np_) in enumerate(labels):
                 if abs(kp - k) == 1 and np_ == n:
                     expected = ladder_f(min(k, kp), 4)
                     assert m[i, j] == pytest.approx(expected)
@@ -153,9 +154,39 @@ class TestHamiltonian:
     def test_hermitian(self):
         params = ModelParams(n_qubits=3, n_max=4, omega_q=0.9, coupling=0.05, stark_u=-0.7)
         h = build_hamiltonian(params, build_space(params))
-        assert h.hermiticity_defect() <= 1e-12
+        assert np.array_equal(h.matrix, h.matrix.T)
         h_prod = _product_hamiltonian(params)
         assert np.array_equal(h_prod, h_prod.T)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    def test_exactly_symmetric_over_random_draws(self, n_qubits):
+        # the kernel's one symmetry check per H relies on the builder
+        # writing each coupling to both triangles, at every N and cutoff
+        rng = np.random.default_rng(100 + n_qubits)
+        for n_max in range(7):
+            params = ModelParams(
+                n_qubits=n_qubits,
+                omega_r=float(rng.uniform(0.5, 1.5)),
+                omega_q=float(rng.uniform(-2.0, 2.0)),
+                coupling=float(rng.uniform(0.0, 0.3)),
+                stark_u=float(rng.uniform(-4.0, 4.0)),
+                n_max=n_max,
+            )
+            m = build_hamiltonian(params, build_space(params)).matrix
+            assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 5))
+    def test_product_basis_oracle_exactly_symmetric(self, n_qubits):
+        rng = np.random.default_rng(200 + n_qubits)
+        params = ModelParams(
+            n_qubits=n_qubits,
+            omega_q=float(rng.uniform(-2.0, 2.0)),
+            coupling=float(rng.uniform(0.0, 0.3)),
+            stark_u=float(rng.uniform(-4.0, 4.0)),
+            n_max=int(rng.integers(0, 5)),
+        )
+        m = _product_hamiltonian(params)
+        assert np.array_equal(m, m.T)
 
     def test_diagonal_entries(self):
         params = ModelParams(n_qubits=4, n_max=4, omega_q=1.3, coupling=0.02, stark_u=-0.5)
@@ -181,12 +212,11 @@ class TestHamiltonian:
         params = ModelParams(n_qubits=3, n_max=3, omega_q=0.8, coupling=0.1, stark_u=-2.0)
         sym = build_space(params)
         h = build_hamiltonian(params, sym)
-        for i in range(sym.dimension):
-            k, n = sym.label(i)
-            for j in range(sym.dimension):
+        labels = sym.labels()
+        for i, (k, n) in enumerate(labels):
+            for j, (kp, np_) in enumerate(labels):
                 if i == j:
                     continue
-                kp, np_ = sym.label(j)
                 allowed = abs(kp - k) == 1 and abs(np_ - n) == 1
                 if not allowed:
                     assert h.matrix[i, j] == 0.0
