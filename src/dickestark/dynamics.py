@@ -4,20 +4,20 @@ extraction, frame transforms, fidelities, and the photon-cutoff guard.
 Propagation is spectral: U(t) = V exp(-i w t) V^T from the eigendecomposition
 of the real symmetric H (an ``Operator`` is real), exact up to linear-algebra
 error, so no integrator tolerances enter the production paths. Every state
-lives in the symmetric (Dicke ladder x Fock) space. ``propagate`` and
-``evolve`` share one kernel, the only ``eigh`` outside the validation suite's
-product-basis oracle, which diagonalizes each H once, and only where the
-state lives: H conserves the excitation parity (-1)^(k+n)
-(``HilbertSpace.parities``), so the kernel keeps the parity sector(s) the
-initial amplitudes occupy and runs one real ``eigh`` on that block. If H
-couples the kept sectors to the rest, the block is the whole space.
+lives in the symmetric (Dicke ladder x Fock) space. ``propagate``,
+``evolve`` and the frequency scan share one kernel, the only ``eigh``
+outside the validation suite's product-basis oracle, which diagonalizes each
+H once, and only where the state lives: H conserves the excitation parity
+(-1)^(k+n) (``HilbertSpace.parities``), so the kernel keeps the parity
+sector(s) the initial amplitudes occupy and runs one real ``eigh`` on that
+block. If H couples the kept sectors to the rest, the block is the whole space.
 
-Per H the kernel does only what depends on H: one symmetry check (the
-builder does not check), the check that the kept block is invariant, one
-``eigh``, and the evaluation at the requested time(s), where the real
-eigenvectors multiply the complex amplitudes in real arithmetic. The index
-sets of each (space, occupied parities) are computed once and cached, so a
-scan point that reuses the space and initial state recomputes none of them.
+Its per-scan part, ``_Sector``, checks the symmetry of H (the builder does
+not) and that H leaves the kept block invariant. Both read only the
+off-diagonal of H, which all the H of a frequency scan share, so a scan runs
+them once; ``propagate`` and ``evolve`` once per H. Its per-H part,
+``_Spectral``, runs the ``eigh`` on the cached sector index sets; the real
+eigenvectors multiply the complex amplitudes in real arithmetic.
 
 ``evolve`` evaluates its uniform time grid in the kept sector only. The
 phases exp(-i w t_s) are block products of about 2 sqrt(samples) complex
@@ -66,19 +66,17 @@ class CutoffExceededError(RuntimeError):
         )
 
 
-def require_below_cutoff(
-    populations: np.ndarray,
-    space: HilbertSpace,
-    where: str,
-    kept: np.ndarray | None = None,
-) -> None:
-    """Raise CutoffExceededError if any column of ``populations`` (one state,
-    or one column per sample) holds more than CUTOFF_POPULATION in the top
-    photon level n = n_max; a NaN population raises too. Its rows are the
-    flat indices ``kept`` (a sector), or the whole space if None."""
-    n = space.n_max
-    top_level = populations[n :: n + 1] if kept is None else populations[kept % (n + 1) == n]
-    top = float(top_level.sum(axis=0).max())
+def _top_populations(populations: np.ndarray, space: HilbertSpace, kept: np.ndarray) -> np.ndarray:
+    """The population in the top photon level n = n_max of each column of
+    ``populations``, whose rows are the flat indices ``kept``."""
+    return populations[kept % (space.n_max + 1) == space.n_max].sum(axis=0)
+
+
+def require_below_cutoff(populations: np.ndarray, space: HilbertSpace, where: str, kept: np.ndarray) -> None:
+    """Raise CutoffExceededError if any column of ``populations`` (one column
+    per sample, one row per flat index of ``kept``) holds more than
+    CUTOFF_POPULATION in the top photon level; a NaN population raises too."""
+    top = float(_top_populations(populations, space, kept).max())
     if not top <= CUTOFF_POPULATION:
         raise CutoffExceededError(where, top)
 
@@ -131,22 +129,31 @@ class Trajectory:
         return StateVector(self.space, self.scatter(self.sector_states[:, -1]))
 
 
-class _Spectral:
-    """exp(-i H t) acting on one vector, from one eigendecomposition of H
-    restricted to the parity sector(s) that the vector occupies, read through
-    the cached index sets of ``_sector``."""
+class _Sector:
+    """The parity sector(s) that a vector occupies under H, read through the
+    cached index sets of ``_sector``, after H's symmetry check and the check
+    that H leaves them invariant: valid for every H with H's off-diagonal."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray):
         h.require_hermitian()
         occupied = np.zeros(2, dtype=bool)
         occupied[h.space.parities()[amplitudes != 0]] = True
-        kept, block, coupling = _sector(h.space, *occupied.tolist())
+        self.kept, self.block, coupling = _sector(h.space, *occupied.tolist())
         if coupling is not None and h.matrix.take(coupling).any():
-            kept, block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
-        self.kept, self.dimension = kept, h.space.dimension
-        sector_h = h.matrix.take(block).reshape(kept.size, kept.size)
+            self.kept, self.block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
+
+
+class _Spectral:
+    """exp(-i H t) acting on one vector, from one eigendecomposition of H
+    restricted to the sector of ``_Sector``: the kernel's per-H part and the
+    package's one ``eigh``. ``sector`` is checked on this H unless given."""
+
+    def __init__(self, h: Operator, amplitudes: np.ndarray, sector: _Sector | None = None):
+        sector = sector or _Sector(h, amplitudes)
+        self.kept, self.dimension = sector.kept, h.space.dimension
+        sector_h = h.matrix.take(sector.block).reshape(self.kept.size, self.kept.size)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(sector_h)
-        self.coeffs = _times(self.eigenvectors.T, amplitudes[kept])
+        self.coeffs = _times(self.eigenvectors.T, amplitudes[self.kept])
 
     def apply(self, t: float) -> np.ndarray:
         """exp(-i H t) applied to the vector, over the whole space."""

@@ -233,8 +233,8 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     it against the operator sums above assembled with Kronecker products on
     the full product basis, an independent route.
 
-    The matrix is not checked for Hermiticity here: the one ``eigh`` route
-    (``dynamics.propagate`` and ``evolve``) checks the H it is given, once.
+    The matrix is not checked for Hermiticity here: the kernel checks the H
+    it is given, once (``dynamics._Sector``), and a scan only its first H.
     """
     n = params.n_qubits
     h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)

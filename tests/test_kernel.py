@@ -75,6 +75,26 @@ class TestClosedFormHamiltonian:
                 assert h.dtype == np.float64
                 assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    def test_omega_q_moves_only_the_diagonal(self, n_qubits):
+        # The scan checks symmetry and sector invariance on its first H only:
+        # complete because H(w1) - H(w2) is (w1 - w2) Jz/2, and every
+        # off-diagonal element is bit-identical across omega_q.
+        rng = np.random.default_rng(700 + n_qubits)
+        for n_max in range(7):
+            params = draw_params(rng, n_qubits, n_max)
+            space = build_space(params)
+            jz_half = np.divmod(np.arange(space.dimension), n_max + 1)[0] - n_qubits / 2
+            w1, w2 = (float(w) for w in rng.uniform(-2.0, 2.0, 2))
+            h1 = build_hamiltonian(replace(params, omega_q=w1), space).matrix
+            h2 = build_hamiltonian(replace(params, omega_q=w2), space).matrix
+            off = ~np.eye(space.dimension, dtype=bool)
+            assert h1[off].tobytes() == h2[off].tobytes()
+            # rounding of w jz, h0 + w jz, the difference and the reference
+            h0 = np.diagonal(build_hamiltonian(replace(params, omega_q=0.0), space).matrix)
+            bound = 2.0**-51 * (np.abs(h0) + (abs(w1) + abs(w2)) * np.abs(jz_half))
+            assert np.all(np.abs(np.diagonal(h1 - h2) - (w1 - w2) * jz_half) <= bound)
+
     def test_conserves_parity_in_both_bases(self):
         rng = np.random.default_rng(3)
         for n_qubits in range(1, 6):
@@ -395,8 +415,9 @@ def test_preset_scan_curve_matches_per_point_oracle(name):
 
 
 def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
-    """One build, one Hermiticity check and one eigh per grid point, and
-    nothing else: the builder does not check, and the kernel checks once."""
+    """One build and one eigh per grid point, and one Hermiticity check per
+    scan: the builder does not check, and the points' H share their
+    off-diagonal, which the kernel checks once, on the first H."""
     calls = {"build": 0, "hermitian": 0, "eigh": 0}
 
     def counting(name, fn):
@@ -415,7 +436,60 @@ def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     duration = pulse_duration(preset.target, preset.params)
     curve = resonance_scan(psi0, scan_grid(preset.window, 17), duration, preset.params, space)
     assert curve.nq.size == 17
-    assert calls == {"build": 17, "hermitian": 17, "eigh": 17}
+    assert calls == {"build": 17, "hermitian": 1, "eigh": 17}
+
+
+def per_point_propagate_scan(psi0, ratios, duration, params, space):
+    """``resonance_scan`` one point at a time: ``propagate``, the full-space
+    cutoff check and ``observables`` per grid point, in grid order."""
+    rows = []
+    for ratio in ratios.tolist():
+        h = build_hamiltonian(replace(params, omega_q=omega_q_from_ratio(ratio, params)), space)
+        final = propagate(h, psi0, duration)
+        every = np.arange(space.dimension)
+        dynamics.require_below_cutoff(final.populations, space, f"scan ratio {ratio!r}", every)
+        rows.append(observables(final))
+    return np.array(rows).T
+
+
+def low_photon_state(space, rng):
+    """A random state on both parities with at most two photons."""
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    amps[np.arange(space.dimension) % (space.n_max + 1) > 2] = 0.0
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("points", [7, 8, 9, 15, 16, 17, 23, 24, 25])
+def test_scan_chunk_edges_match_per_point_propagation(points):
+    # A last chunk one short of, equal to and one past SCAN_CHUNK, on the
+    # fig8 preset and on a state across both parities (the whole space kept).
+    assert scan.SCAN_CHUNK == 8
+    preset = scan_preset("fig8")
+    params = ModelParams(n_qubits=3, coupling=0.02, stark_u=-1.5, n_max=9)
+    cases = [
+        (dicke_state(build_space(preset.params), preset.initial_k, preset.initial_n), preset.params, preset.window),
+        (low_photon_state(build_space(params), np.random.default_rng(points)), params, (-1.0, 1.0)),
+    ]
+    for psi0, params, window in cases:
+        duration = pulse_duration(preset.target, preset.params)
+        grid = scan_grid(window, points)
+        curve = resonance_scan(psi0, grid, duration, params, psi0.space)
+        nq, nph = per_point_propagate_scan(psi0, grid, duration, params, psi0.space)
+        assert np.max(np.abs(curve.nq - nq)) <= 1e-13
+        assert np.max(np.abs(curve.nph - nph)) <= 1e-13
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
+def test_scan_refuses_a_non_finite_duration_before_any_build(monkeypatch, duration):
+    calls = []
+    monkeypatch.setattr(scan, "build_hamiltonian", lambda *a: calls.append("build"))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh"))
+    preset = scan_preset("fig3")
+    space = build_space(preset.params)
+    psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        resonance_scan(psi0, scan_grid(preset.window, 9), duration, preset.params, space)
+    assert calls == []
 
 
 class TestScanCutoffGuard:
@@ -424,17 +498,32 @@ class TestScanCutoffGuard:
     # report it without complaint.
     TARGET = ResonanceTarget("tc", 1, 0, 0)
 
-    def scan(self, n_max):
+    def scan(self, n_max, grid=scan_grid((-0.6, 0.1), 71), run=resonance_scan):
         params = ModelParams(n_qubits=4, coupling=0.2, stark_u=-0.5, n_max=n_max)
         space = build_space(params)
         tuned = replace(params, omega_q=solve_resonance(self.TARGET, params))
         duration = pulse_duration(self.TARGET, tuned)
-        return resonance_scan(dicke_state(space, 0, 1), scan_grid((-0.6, 0.1), 71), duration, params, space)
+        return run(dicke_state(space, 0, 1), grid, duration, params, space)
 
     def test_truncated_space_raises_naming_the_ratio(self):
         with pytest.raises(CutoffExceededError, match=r"^scan ratio -0\.6: .* raise n_max") as err:
             self.scan(2)
         assert err.value.population > dynamics.CUTOFF_POPULATION
+
+    @pytest.mark.parametrize("n_max, first", [(4, 4), (5, 25), (6, 47)])
+    def test_names_the_first_ratio_over_the_cutoff_inside_a_chunk(self, n_max, first):
+        # On the wide window the first over-cutoff points sit at positions 4,
+        # 1 and 7 of their chunks; the error names the same ratio and
+        # population as the per-point scan.
+        assert first % scan.SCAN_CHUNK != 0
+        grid = scan_grid((-3.0, 3.0), 121)
+        with pytest.raises(CutoffExceededError) as oracle:
+            self.scan(n_max, grid, run=per_point_propagate_scan)
+        with pytest.raises(CutoffExceededError) as err:
+            self.scan(n_max, grid)
+        assert str(oracle.value).startswith(f"scan ratio {grid.tolist()[first]!r}: ")
+        assert str(err.value) == str(oracle.value)
+        assert err.value.population == pytest.approx(oracle.value.population, rel=1e-12)
 
     def test_default_cutoff_passes(self):
         curve = self.scan(default_n_max(1, 4))
