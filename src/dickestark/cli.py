@@ -133,7 +133,7 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
         f" (predicted {report.predicted_location:.6f},"
         f" error {report.abs_error:.2e}), height {report.height:.4f}"
     )
-    return {**data, "peaks.json": _json(asdict(report))}, summary
+    return {**data, "peaks.json": _json({**asdict(report), "n_max": params.n_max})}, summary
 
 
 def _compile_protocol(config: RunConfig, job: ProtocolConfig):
@@ -189,6 +189,7 @@ def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str]
             {f"k{k}_n{n}": p for (k, n), p in pops.items() if p > 1e-12}
             for pops in result.step_boundary_populations()
         ],
+        "n_max": params.n_max,
     }
 
     # per step: t, the drive-phase axis lambda_t = coupling * t, nq, nph, and
@@ -235,6 +236,7 @@ def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) 
         "min_competing_ratio_adjacent": _finite_or_none(min_adjacent),
         "min_competing_ratio_all": _finite_or_none(report.min_ratio()),
         "channels": [{**c._asdict(), "ratio": _finite_or_none(c.ratio)} for c in report.channels],
+        "n_max": params.n_max,
     }
     return {"effective.json": _json(payload)}, (
         f"effective {target.label()}: ratio {payload['ratio']:.6f},"

@@ -55,7 +55,7 @@ file or directory among them, is a ConfigError naming "[section] key =
 absent [validate] or [output] section takes the schema's defaults.
 
 Photon cutoff: an n_max in [model] wins; otherwise default_n_max(p, N) =
-p + N + 4 for the model run, where p is the highest photon number the run
+p + N + 2 for the model run, where p is the highest photon number the run
 starts a transition from: max(initial_n, n0) for scan and for effective
 --preset (the preset's initial cell), the initial n and every step's n0 for
 protocol, n0 for an [effective] section. A [model] section given with a

@@ -87,10 +87,12 @@ class ModelParams:
 
 def default_n_max(n_initial: int, n_qubits: int) -> int:
     """Default photon cutoff for a run whose largest initial photon number is
-    ``n_initial``: the protocols reach at most n_initial + 2 photons and
-    leakage beyond is perturbative, so n_initial + N + 4 leaves a wide margin
-    (cutoff-doubling checks confirm 1e-8 stability)."""
-    return n_initial + n_qubits + 4
+    ``n_initial``: n_initial + N + 2. A selective pulse moves at most two
+    photons; the constant 2 is the smallest for which the sweep of
+    ``tests/test_cutoff_sweep.py::test_default_cutoff_is_stable`` sees no
+    guard trip and no observable moving by more than
+    validate.CUTOFF_STABILITY_LIMIT (1e-8) when the cutoff is raised by two."""
+    return n_initial + n_qubits + 2
 
 
 @dataclass(frozen=True)

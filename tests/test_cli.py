@@ -330,20 +330,50 @@ class TestEffectiveCommand:
     @pytest.mark.parametrize(
         "preset, digest",
         [
-            ("fig2a", "01784c08813ad756c117cd0148861e85c1a8ebfe78ceca07902a921ee6a6546b"),
-            ("fig2b", "e6397d72a32a0325a32640efc0f0b6b54dcee2da440ef670861373cf10920ca9"),
-            ("fig3", "e6397d72a32a0325a32640efc0f0b6b54dcee2da440ef670861373cf10920ca9"),
-            ("fig4", "270f4bc3118c5734c98892fb417dfe329580ce75bcc5992a4739ceb9db98cefd"),
-            ("fig5", "41fc07fcb7722fc33dc8571ab3bd2ef7ef813dcb06ce5b93951a6f6d2b4109cc"),
-            ("fig6", "e7a0d93c64076286cba5460dd1b1bdd5ab7b41cca4c94043f5c01f488270159f"),
-            ("fig7", "e86d8ce790f7718faf334a62782be6a5bdc194a6e6c44b8a85e5e3dfe4474edf"),
-            ("fig8", "264757a523582f94367846da85cfdf883d7151486d56e21b874852ef0fb89b01"),
+            ("fig2a", "4c8ec97502a355a6be084258cde09680c3c2e25cc45fe373139126e48a4f6f61"),
+            ("fig2b", "88be73b61946818e1b5ef3bead5c154e9278a8f2e1bb18c3fb7dbfd4a0299448"),
+            ("fig3", "88be73b61946818e1b5ef3bead5c154e9278a8f2e1bb18c3fb7dbfd4a0299448"),
+            ("fig4", "b79b72b8ac0d0199cef3733e6bcd183a37a6244fc2d7a1dd767b5eaa1aee147a"),
+            ("fig5", "775c8700a597a6bbb63f83408915c22c53bf7ac62a78a436a91c3cf4291bf433"),
+            ("fig6", "5db49653691cb08c70ee9899762313a45d203d401042e1033e6023c39916debe"),
+            ("fig7", "57ebf9004f6503b9fd43541fb69de95018c8bd742fc971ba4a91deb4fd71857f"),
+            ("fig8", "1b2894eebf027f45177af4c6b6b681231bdec3e7fb4f5a88504c5ec0a7c3202e"),
         ],
     )
     def test_preset_output_is_pinned(self, tmp_path, preset, digest):
         out = tmp_path / preset
         assert main(["effective", "--preset", preset, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "effective.json").read_bytes()).hexdigest() == digest
+
+    # rows of channels that leave the derived space, out of 70 to 270 rows
+    @pytest.mark.parametrize(
+        "preset, leaving",
+        [("fig2a", 8), ("fig2b", 8), ("fig3", 8), ("fig4", 8), ("fig5", 8), ("fig6", 8), ("fig7", 28), ("fig8", 28)],
+    )
+    def test_two_more_levels_change_only_the_rows_that_leave_the_space(self, tmp_path, preset, leaving):
+        # the same preset physics under a [model] two photon levels above the
+        # derived cutoff
+        params = scan_preset(preset).params
+        cfg = tmp_path / "higher.ini"
+        cfg.write_text(
+            f"[model]\nn_qubits = {params.n_qubits}\nlambda = {params.coupling!r}\n"
+            f"stark_u = {params.stark_u!r}\nn_max = {params.n_max + 2}\n"
+        )
+        outs = {name: tmp_path / name for name in ("derived", "higher")}
+        assert main(["effective", "--preset", preset, "--out", str(outs["derived"])]) == 0
+        assert main(["effective", "--preset", preset, "--config", str(cfg), "--out", str(outs["higher"])]) == 0
+        derived, higher = (json.loads((out / "effective.json").read_text()) for out in outs.values())
+
+        assert (derived["n_max"], higher["n_max"]) == (params.n_max, params.n_max + 2)
+        for key in derived.keys() - {"channels", "n_max"}:
+            assert derived[key] == higher[key], key
+        rows = {(row["kind"], row["n"], row["k"]): row for row in higher["channels"]}
+        changed = [row for row in derived["channels"] if row != rows[row["kind"], row["n"], row["k"]]]
+        assert len(changed) == leaving
+        for row in changed:
+            # uncoupled in the derived space only: a cell beyond its n_max
+            assert row["no_coupling"] and not rows[row["kind"], row["n"], row["k"]]["no_coupling"]
+            assert not (row["selected"] or row["adjacent"])
 
     def test_degenerate_stark_coupling(self, tmp_path, capsys):
         cfg = tmp_path / "degen.ini"
@@ -469,21 +499,21 @@ class TestInputResolution:
         cfg.write_text(TC60_N2_INI)
         out = tmp_path / "eff"
         assert main(["effective", "--config", str(cfg), "--out", str(out)]) == 0
-        assert built_n_max == [6 + 2 + 4]
+        assert built_n_max == [6 + 2 + 2]
         assert json.loads((out / "effective.json").read_text())["target"]["label"] == "TC(6,0)"
 
     @pytest.mark.parametrize(
         "args, text, n_max",
         [
-            (["scan"], SCAN_INI, 1 + 4 + 4),  # max(initial_n, n0) = 1
+            (["scan"], SCAN_INI, 1 + 4 + 2),  # max(initial_n, n0) = 1
             (
                 ["protocol"],
                 "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n"
                 "[protocol]\nsteps =\n    tc 1 0 1 half_period\n"
                 "initial = 1 1\ntarget = basis 2 0\nsamples = 50\n",
-                1 + 4 + 4,  # the initial n
+                1 + 4 + 2,  # the initial n
             ),
-            (["effective"], TC60_N2_INI, 6 + 2 + 4),  # n0
+            (["effective"], TC60_N2_INI, 6 + 2 + 2),  # n0
         ],
         ids=["scan", "protocol", "effective"],
     )
@@ -601,12 +631,45 @@ class TestInputResolution:
         assert main(["protocol", "--preset", name, "--out", str(tmp_path / "out")]) == 0
         assert built_n_max == [default_n_max(0, 4)]
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    @pytest.mark.parametrize(
+        "args, name, keys",
+        [
+            (["scan", "--preset", "fig4"], "peaks.json", "location height predicted_location abs_error"),
+            (
+                ["effective", "--preset", "fig4"],
+                "effective.json",
+                "target omega_q ratio coupling duration_half_period duration_quarter_period"
+                " min_competing_ratio_adjacent min_competing_ratio_all channels",
+            ),
+            (
+                ["protocol", "--preset", "dicke_ladder_4"],
+                "summary.json",
+                "protocol steps fidelity fidelity_phase_exact fidelity_phase_optimized target_phase"
+                " final_nq final_nph step_boundary_populations",
+            ),
+        ],
+        ids=["scan", "effective", "protocol"],
+    )
+    def test_outputs_record_the_cutoff(self, tmp_path, args, name, keys, explicit):
+        # appended after the keys the file held before, in their order
+        out = tmp_path / "out"
+        if explicit:
+            cfg = tmp_path / "model.ini"
+            cfg.write_text(MODEL_N_MAX_6.replace("n_max = 6", "n_max = 9"))
+            args = args + ["--config", str(cfg)]
+        assert main(args + ["--out", str(out)]) == 0
+        data = json.loads((out / name).read_text())
+        assert list(data) == keys.split() + ["n_max"]
+        # fig4 starts from one photon, the ladder from none
+        assert data["n_max"] == (9 if explicit else default_n_max(1 if "fig4" in args else 0, 4))
+
     def test_preset_with_other_n_derives_its_own_cutoff(self, tmp_path, built_n_max):
-        # used to build N = 4's cutoff, 8
+        # used to build N = 4's cutoff
         cfg = tmp_path / "n6.ini"
         cfg.write_text("[model]\nn_qubits = 6\nlambda = 0.006\nstark_u = -0.5\n")
         assert main(["scan", "--preset", "fig3", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert built_n_max == [default_n_max(0, 6)] == [10]
+        assert built_n_max == [default_n_max(0, 6)] == [8]
 
 
 class TestPresetWithJobSection:
@@ -875,7 +938,7 @@ class TestRefusals:
         assert f"protocol preset '{name}' is compiled for N = 4, but [model] n_qubits = 6" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_qubits, dimension", [(1000, 1006005), (1_000_000, 1000006000005)])
+    @pytest.mark.parametrize("n_qubits, dimension", [(63, 4224), (1000, 1004003), (1_000_000, 1000004000003)])
     def test_model_dimension_checked_at_the_smallest_cutoff(self, tmp_path, capsys, n_qubits, dimension):
         # [model] used to be checked at n_max = 0: N = 1000 passed parsing and
         # failed in the command naming no section, N = 10^6 named 1000001
@@ -889,9 +952,11 @@ class TestRefusals:
         assert f"[model]: dimension {dimension}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_model_without_n_max_holds_the_smallest_derived_cutoff(self):
-        cfg = parse_config(MODEL_N6)
-        assert cfg.model.n_max == default_n_max(0, 6) and not cfg.model_n_max_explicit
+    # N = 62 is the largest N whose smallest derived space fits: 63 x 65 = 4095
+    @pytest.mark.parametrize("n_qubits", [6, 62])
+    def test_model_without_n_max_holds_the_smallest_derived_cutoff(self, n_qubits):
+        cfg = parse_config(MODEL_N6.replace("n_qubits = 6", f"n_qubits = {n_qubits}"))
+        assert cfg.model.n_max == default_n_max(0, n_qubits) and not cfg.model_n_max_explicit
 
 
 class TestOutputDirectory:

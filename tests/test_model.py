@@ -102,8 +102,8 @@ class TestSpaces:
         assert list(zip(ks, ns)) == sym.labels()
 
     def test_default_n_max(self):
-        assert default_n_max(0, 4) == 8
-        assert default_n_max(2, 4) == 10
+        assert default_n_max(0, 4) == 6
+        assert default_n_max(2, 4) == 8
 
 
 class TestCollectiveOps:
