@@ -22,11 +22,10 @@ from .model import (
 )
 from .effective import (
     ResonanceTarget,
-    SecondOrderCoeffs,
     pulse_duration,
     ratio_from_omega_q,
     rwa_validity_report,
-    second_order_coeffs,
+    second_order,
     solve_first_order_resonance,
     solve_resonance,
     solve_second_order_resonance,
@@ -59,7 +58,6 @@ __all__ = [
     "PulseStep",
     "ResonanceTarget",
     "ScanCurve",
-    "SecondOrderCoeffs",
     "StateVector",
     "StepRule",
     "Trajectory",
@@ -82,7 +80,7 @@ __all__ = [
     "run_protocol",
     "rwa_validity_report",
     "scan_grid",
-    "second_order_coeffs",
+    "second_order",
     "solve_first_order_resonance",
     "solve_resonance",
     "solve_second_order_resonance",

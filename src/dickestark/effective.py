@@ -17,15 +17,21 @@ both with amplitude Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N).
 Zeroing one of these frequencies for a single (n0, k0) while every other
 channel stays fast yields a selective two-level interaction.
 
-The Stark shift (``_shift``) and the four second-order families
-(``_second_order``) are written once, over accessors for Omega, delta-/+ and
-division: ``second_order_coeffs`` evaluates them for one cell with floats,
-``rwa_validity_report`` once over its whole (n, k) grid with arrays. Omega
-does not depend on omega_q: all, ``target_coupling`` too, read the cached
-table ``model._omega_table`` that H's coupling elements come from; delta-/+
-are the affine expressions above. The report holds one array per value and
-mask over (kind, n, k). Its rows, built on first read, run over n, then k,
-then kind: tc, atc for every cell, then tc2, atc2, r2, a2 at second order.
+Second order is one sum over first-order steps, the time-averaged effective
+Hamiltonian of D. F. V. James and J. Jerke, Can. J. Phys. 85, 625 (2007). A
+step (dk, dn) in {-1, 1}^2 from a cell (k, n) is driven by the channel at
+(n + min(dn, 0), k + min(dk, 0)), with G = Omega there, at omega = E(to) -
+E(from): dk delta_plus there when dk = dn, else dk delta_minus. The Stark
+shift of a cell is -sum G^2 / omega over its four steps. Two cells two steps
+apart couple with 1/2 sum over paths of G1 G2 (1/omega2 - 1/omega1), at the
+tilde frequency omega1 + omega2 + Delta(to) - Delta(from). The four
+second-order families pair, as (dk, dn) offsets, tc2 (0,2) -> (2,0), atc2
+(0,0) -> (2,2), r2 (0,0) -> (2,0) and a2 (0,0) -> (0,2). Omega is the cached
+table ``model._omega_table`` behind H's coupling elements; delta-/+ are
+affine in omega_q, so every pole of a tilde frequency has a closed form. One
+cell is evaluated with floats (the solver), the whole (n, k) grid of
+``rwa_validity_report`` with arrays; its rows, built on first read, run over
+n, then k, then kind: tc, atc, then tc2, atc2, r2, a2 at second order.
 """
 
 from __future__ import annotations
@@ -141,7 +147,19 @@ def solve_first_order_resonance(target: ResonanceTarget, params: ModelParams) ->
     return 0.0 - delta(target.n0, target.k0, replace(params, omega_q=0.0))
 
 
-def _ratio_over(num: float, den: float) -> float:
+# The four first-order steps (dk, dn) from a cell (k, n), in summation order.
+_STEPS = ((-1, 1), (-1, -1), (1, -1), (1, 1))
+
+
+def _over(num, den):
+    """num / den for floats or arrays, zero where num is zero; a live
+    denominator closer to zero than DEGENERACY_FLOOR is refused."""
+    if not isinstance(num, float):
+        live = num != 0.0
+        low = live & (np.abs(den) < DEGENERACY_FLOOR)
+        if low.any():
+            _over(num[low][0], den[low][0])
+        return np.divide(num, den, out=np.zeros_like(num), where=live)
     if num == 0.0:
         return 0.0
     if abs(den) < DEGENERACY_FLOOR:
@@ -151,112 +169,66 @@ def _ratio_over(num: float, den: float) -> float:
     return num / den
 
 
-def _grid_over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``_ratio_over`` on every cell of a grid, raising as it does."""
-    live = num != 0.0
-    low = live & (np.abs(den) < DEGENERACY_FLOOR)
-    if low.any():
-        _ratio_over(num[low][0], den[low][0])
-    return np.divide(num, den, out=np.zeros_like(num), where=live)
+def _steps(n, k, params: ModelParams) -> list:
+    """(G, omega) of the four steps from the cell (k, n), in ``_STEPS``
+    order; ints or index arrays, in the space or up to two levels above."""
+    table = _omega_table(params.n_qubits, params.n_max, params.coupling)
+    steps = []
+    for dk, dn in _STEPS:
+        nn, kk = n + min(dn, 0), k + min(dk, 0)
+        g = table.item(nn + 1, kk + 1) if isinstance(nn, int) else table[nn + 1, kk + 1]
+        omega = (delta_plus if dk == dn else delta_minus)(nn, kk, params)
+        steps.append((g, omega if dk > 0 else -omega))
+    return steps
 
 
-def _cell_accessors(n: int, k: int, params: ModelParams):
-    """(om, dm, dp, over) at integer indices around the cell (k, n) of the space."""
-    if not (0 <= n <= params.n_max and 0 <= k <= params.n_qubits):
-        raise ValueError(f"cell (n={n}, k={k}) outside the space 0..{params.n_max} x 0..{params.n_qubits}")
-    item = _omega_table(params.n_qubits, params.n_max, params.coupling).item
-    return (
-        lambda nn, kk: item(nn + 1, kk + 1),
-        lambda nn, kk: delta_minus(nn, kk, params),
-        lambda nn, kk: delta_plus(nn, kk, params),
-        _ratio_over,
-    )
+def _level(n, k, params: ModelParams):
+    """The steps from the cell (k, n) and its Stark shift, -sum G^2 / omega."""
+    steps = _steps(n, k, params)
+    return steps, sum(-_over(g * g, omega) for g, omega in steps)
 
 
-def _shift(n, k, om, dm, dp, over):
-    """Stark shift Delta(n, k): the level repulsion on the cell (k, n) from its
-    four dispersive first-order channels. ``n``, ``k`` are ints or index arrays;
-    ``om``, ``dm``, ``dp`` read Omega and delta-/+ there and ``over`` divides."""
-    a, b, c, d = om(n, k - 1), om(n - 1, k - 1), om(n - 1, k), om(n, k)
-    return (
-        over(a * a, dm(n, k - 1))
-        + over(b * b, dp(n - 1, k - 1))
-        - over(c * c, dm(n - 1, k))
-        - over(d * d, dp(n, k))
-    )
-
-
-class SecondOrderCoeffs(NamedTuple):
-    """Second-order couplings and oscillation frequencies at (n, k): floats
-    for one cell, arrays over the grid of ``rwa_validity_report``.
-
-    ``omega_*`` are the two-excitation coupling amplitudes (tc: two photons
-    absorbed, atc: two created, r: photon-conserving double atomic flip,
-    a: atomic-state-conserving photon pair), ``delta_*`` their bare
-    oscillation frequencies, and ``tilde_*`` the same frequencies corrected
-    by the Stark-shift differences of the coupled cells.
-    """
-
-    n: int
-    k: int
-    stark_shift: float
-    omega_tc2: float
-    omega_atc2: float
-    omega_r2: float
-    omega_a2: float
-    delta_tc2: float
-    delta_atc2: float
-    delta_r2: float
-    delta_a2: float
-    tilde_tc2: float
-    tilde_atc2: float
-    tilde_r2: float
-    tilde_a2: float
-
-
-def second_order_coeffs(n: int, k: int, params: ModelParams) -> SecondOrderCoeffs:
-    return _second_order(n, k, *_cell_accessors(n, k, params))
-
-
-def _second_order(n, k, om, dm, dp, over) -> SecondOrderCoeffs:
-    """The four second-order families at (n, k), over the accessors of
-    ``_shift``: floats for one cell, arrays over a grid."""
-    w, w_k, w_n = om(n, k), om(n, k + 1), om(n + 1, k)
-    tc, atc = w_k * w_n, w * om(n + 1, k + 1)
-    r_lo, r_hi = om(n - 1, k) * om(n - 1, k + 1), w * w_k
-    a_lo, a_hi = om(n, k - 1) * om(n + 1, k - 1), w * w_n
-    omega_tc2 = 0.5 * (over(tc, dm(n, k + 1)) - over(tc, dm(n + 1, k)))
-    omega_atc2 = 0.5 * (over(atc, dp(n + 1, k + 1)) - over(atc, dp(n, k)))
-    omega_r2 = 0.5 * (
-        (over(r_lo, dp(n - 1, k + 1)) - over(r_lo, dm(n - 1, k)))
-        + (over(r_hi, dm(n, k + 1)) - over(r_hi, dp(n, k)))
-    )
-    omega_a2 = 0.5 * (
-        (over(a_lo, dp(n + 1, k - 1)) + over(a_lo, dm(n, k - 1)))
-        - (over(a_hi, dp(n, k)) + over(a_hi, dm(n + 1, k)))
-    )
-
-    delta_tc2 = dm(n + 1, k) + dm(n, k + 1)
-    delta_atc2 = dp(n, k) + dp(n + 1, k + 1)
-    delta_r2 = dp(n, k) + dm(n, k + 1)
-    delta_a2 = dp(n, k) - dm(n + 1, k)
-
-    shift = lambda nn, kk: _shift(nn, kk, om, dm, dp, over)
-    d_00, d_02, d_20, d_22 = shift(n, k), shift(n, k + 2), shift(n + 2, k), shift(n + 2, k + 2)
-    return SecondOrderCoeffs(
-        n, k, d_00, omega_tc2, omega_atc2, omega_r2, omega_a2,
-        delta_tc2, delta_atc2, delta_r2, delta_a2,
-        tilde_tc2=delta_tc2 + d_02 - d_20,
-        tilde_atc2=delta_atc2 + d_22 - d_00,
-        tilde_r2=delta_r2 + d_02 - d_00,
-        tilde_a2=delta_a2 + d_20 - d_00,
-    )
+def second_order(kind: str, n, k, params: ModelParams, levels=None):
+    """(coupling, tilde frequency) of the family ``kind`` (tc2, atc2, r2, a2)
+    at (n, k), from the cell with fewer atomic excitations (at equal k, fewer
+    photons) to the other, which a path reaches by the reverse of one of its
+    steps (omega = -omega2). A grid passes ``_level`` at the (dk, dn) offsets."""
+    frm, to = sorted(_CELLS[kind])
+    if levels is None:
+        if not (0 <= n <= params.n_max and 0 <= k <= params.n_qubits):
+            raise ValueError(f"cell (n={n}, k={k}) outside the space 0..{params.n_max} x 0..{params.n_qubits}")
+        levels = {cell: _level(n + cell[1], k + cell[0], params) for cell in (frm, to)}
+    (out, shift_from), (back, shift_to) = levels[frm], levels[to]
+    coupling = 0.0
+    for (dk, dn), (g1, omega1) in zip(_STEPS, out):
+        last = (dk - to[0] + frm[0], dn - to[1] + frm[1])
+        if last in _STEPS:
+            g2, reverse = back[_STEPS.index(last)]
+            g, bare = g1 * g2, omega1 - reverse
+            coupling = coupling - (_over(g, reverse) + _over(g, omega1))
+    return 0.5 * coupling, bare + shift_to - shift_from
 
 
 def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
     """Stark-corrected oscillation frequency of a second-order target."""
-    coeffs = second_order_coeffs(target.n0, target.k0, params)
-    return coeffs.tilde_tc2 if target.kind == "tc" else coeffs.tilde_atc2
+    return second_order(target.channel, target.n0, target.k0, params)[1]
+
+
+def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: float) -> str:
+    """The pole of the target's tilde frequency nearest [lo, hi]: a step it
+    reads, with G != 0, has omega = 0 at omega_q = -dk omega(omega_q = 0),
+    where the step's first-order channel is resonant."""
+    poles = {}
+    for dk0, dn0 in _CELLS[target.channel]:
+        n, k = target.n0 + dn0, target.k0 + dk0
+        for (dk, dn), (g, omega) in zip(_STEPS, _steps(n, k, replace(params, omega_q=0.0))):
+            if g != 0.0:
+                channel = ResonanceTarget("atc" if dk == dn else "tc", 1, n + min(dn, 0), k + min(dk, 0))
+                poles.setdefault(-dk * omega, []).append(channel.label())
+    pole = min(poles, key=lambda x: max(lo - x, x - hi, 0.0))
+    where = "inside" if lo <= pole <= hi else "outside"
+    labels = ", ".join(poles[pole])
+    return f"; the nearest pole lies {where} that range, at omega_q = {pole}, the first-order resonance of {labels}"
 
 
 def _bare_second_order_omega_q(target: ResonanceTarget, params: ModelParams) -> float:
@@ -297,6 +269,8 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
     if f_lo * f_hi > 0:
         raise ResonanceBracketError(
             f"no sign change of the tilde frequency over omega_q in [{lo}, {hi}]"
+            f" ({f_lo:.3g} at the low end, {f_hi:.3g} at the high end)"
+            + _nearest_pole(target, params, lo, hi)
         )
     root = _illinois(objective, lo, hi, f_lo, f_hi)
     residual = objective(root)
@@ -347,8 +321,7 @@ def target_coupling(target: ResonanceTarget, params: ModelParams) -> float:
     target.validate(params)
     if target.order == 1:
         return _omega_table(params.n_qubits, params.n_max, params.coupling).item(target.n0 + 1, target.k0 + 1)
-    coeffs = second_order_coeffs(target.n0, target.k0, params)
-    return coeffs.omega_tc2 if target.kind == "tc" else coeffs.omega_atc2
+    return second_order(target.channel, target.n0, target.k0, params)[0]
 
 
 def pulse_duration(
@@ -416,15 +389,14 @@ def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: Hil
     target.validate(params)
     n_q, n_max = params.n_qubits, params.n_max
     n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
-    table = _omega_table(n_q, n_max, params.coupling)
-    om = lambda nn, kk: table[nn + 1, kk + 1]
-    dm = lambda nn, kk: delta_minus(nn, kk, params)
-    dp = lambda nn, kk: delta_plus(nn, kk, params)
-    couplings, detunings = [om(n, k)] * 2, [dm(n, k), dp(n, k)]
+    omega = _omega_table(n_q, n_max, params.coupling)[n + 1, k + 1]
+    couplings, detunings = [omega] * 2, [delta_minus(n, k, params), delta_plus(n, k, params)]
     if target.order == 2:
-        c = _second_order(n, k, om, dm, dp, _grid_over)
-        couplings += c[3:7]  # omega_* and tilde_* of tc2, atc2, r2, a2
-        detunings += c[11:15]
+        # the steps and Stark shift of each of the four offset cells, once
+        levels = {(dk, dn): _level(n + dn, k + dk, params) for dk in (0, 2) for dn in (0, 2)}
+        families = [second_order(kind, n, k, params, levels) for kind in list(_CELLS)[2:]]
+        couplings += [c for c, _ in families]
+        detunings += [d for _, d in families]
     kinds = np.array(list(_CELLS)[: len(couplings)], object)[:, None, None]
 
     # each kind's two cells (k + dk, n + dn), over (kind, cell, n, k)

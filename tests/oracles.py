@@ -10,9 +10,14 @@ by faster routes.
   space, without the parity-sector restriction.
 - ``build_effective_hamiltonian`` is the selective two-level model of one
   target, compared with the exact dynamics at its resonance.
-- ``scalar_second_order_root`` is the second-order resonance solve with
-  every Omega computed one cell at a time (``cell_omega``), the route the
-  package's cached Omega table replaced; the two must agree bit for bit.
+- ``closed_form_stark_shift`` and ``closed_form_second_order`` are the
+  Stark shift and the four second-order families (tc2, atc2, r2, a2) written
+  out by hand, term by term, over ``cell_omega``: an independent route to
+  the package's single sum over first-order steps. The two must agree bit
+  for bit and refuse the same degenerate points.
+- ``scalar_second_order_root`` is the second-order resonance solve over
+  ``scalar_tilde_frequency``, the closed-form tilde frequency; it must
+  return the package's root bit for bit, or refuse alike.
 - ``detuned_rabi_probability`` is the closed-form two-level lineshape that
   scan peaks are compared with.
 """
@@ -25,13 +30,13 @@ from dataclasses import replace
 import numpy as np
 
 from dickestark.effective import (
+    DEGENERACY_FLOOR,
     ROOT_TOLERANCE,
+    DegenerateDetuningError,
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
     _illinois,
-    _ratio_over,
-    _second_order,
     delta_minus,
     delta_plus,
     target_coupling,
@@ -134,18 +139,71 @@ def cell_omega(n: int, k: int, params: ModelParams) -> float:
     return params.coupling * f * math.sqrt(n + 1) / math.sqrt(params.n_qubits)
 
 
-def scalar_tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
-    """The second-order target's tilde frequency, every Omega from
-    ``cell_omega``."""
-    coeffs = _second_order(
-        target.n0,
-        target.k0,
-        lambda n, k: cell_omega(n, k, params),
-        lambda n, k: delta_minus(n, k, params),
-        lambda n, k: delta_plus(n, k, params),
-        _ratio_over,
+def _ratio(num: float, den: float) -> float:
+    """num / den, zero for num == 0, refusing |den| < DEGENERACY_FLOOR."""
+    if num == 0.0:
+        return 0.0
+    if abs(den) < DEGENERACY_FLOOR:
+        raise DegenerateDetuningError(f"first-order detuning {den:.3e} below the {DEGENERACY_FLOOR} floor")
+    return num / den
+
+
+def closed_form_stark_shift(n: int, k: int, params: ModelParams) -> float:
+    """Delta(n, k) of the cell (k, n): the level repulsion from its four
+    first-order channels tc(n, k-1), atc(n-1, k-1), tc(n-1, k) and atc(n, k)."""
+    a = cell_omega(n, k - 1, params)
+    b = cell_omega(n - 1, k - 1, params)
+    c = cell_omega(n - 1, k, params)
+    d = cell_omega(n, k, params)
+    return (
+        _ratio(a * a, delta_minus(n, k - 1, params))
+        + _ratio(b * b, delta_plus(n - 1, k - 1, params))
+        - _ratio(c * c, delta_minus(n - 1, k, params))
+        - _ratio(d * d, delta_plus(n, k, params))
     )
-    return coeffs.tilde_tc2 if target.kind == "tc" else coeffs.tilde_atc2
+
+
+def closed_form_second_order(kind: str, n: int, k: int, params: ModelParams) -> tuple[float, float, float]:
+    """(coupling, bare frequency, tilde frequency) of the second-order family
+    ``kind`` at (n, k): tc2 couples (k, n+2) -> (k+2, n), atc2 (k, n) ->
+    (k+2, n+2), r2 (k, n) -> (k+2, n) and a2 (k, n) -> (k, n+2), through
+    one intermediate cell (tc2, atc2) or two (r2, a2)."""
+    if kind == "tc2":
+        g = cell_omega(n, k + 1, params) * cell_omega(n + 1, k, params)
+        coupling = 0.5 * (_ratio(g, delta_minus(n, k + 1, params)) - _ratio(g, delta_minus(n + 1, k, params)))
+        bare = delta_minus(n + 1, k, params) + delta_minus(n, k + 1, params)
+        ends = (n + 2, k), (n, k + 2)
+    elif kind == "atc2":
+        g = cell_omega(n, k, params) * cell_omega(n + 1, k + 1, params)
+        coupling = 0.5 * (_ratio(g, delta_plus(n + 1, k + 1, params)) - _ratio(g, delta_plus(n, k, params)))
+        bare = delta_plus(n, k, params) + delta_plus(n + 1, k + 1, params)
+        ends = (n, k), (n + 2, k + 2)
+    elif kind == "r2":
+        lo = cell_omega(n - 1, k, params) * cell_omega(n - 1, k + 1, params)
+        hi = cell_omega(n, k, params) * cell_omega(n, k + 1, params)
+        coupling = 0.5 * (
+            (_ratio(lo, delta_plus(n - 1, k + 1, params)) - _ratio(lo, delta_minus(n - 1, k, params)))
+            + (_ratio(hi, delta_minus(n, k + 1, params)) - _ratio(hi, delta_plus(n, k, params)))
+        )
+        bare = delta_plus(n, k, params) + delta_minus(n, k + 1, params)
+        ends = (n, k), (n, k + 2)
+    else:
+        lo = cell_omega(n, k - 1, params) * cell_omega(n + 1, k - 1, params)
+        hi = cell_omega(n, k, params) * cell_omega(n + 1, k, params)
+        coupling = 0.5 * (
+            (_ratio(lo, delta_plus(n + 1, k - 1, params)) + _ratio(lo, delta_minus(n, k - 1, params)))
+            - (_ratio(hi, delta_plus(n, k, params)) + _ratio(hi, delta_minus(n + 1, k, params)))
+        )
+        bare = delta_plus(n, k, params) - delta_minus(n + 1, k, params)
+        ends = (n, k), (n + 2, k)
+    (n_from, k_from), (n_to, k_to) = ends
+    tilde = bare + closed_form_stark_shift(n_to, k_to, params) - closed_form_stark_shift(n_from, k_from, params)
+    return coupling, bare, tilde
+
+
+def scalar_tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
+    """The second-order target's closed-form tilde frequency."""
+    return closed_form_second_order(target.channel, target.n0, target.k0, params)[2]
 
 
 def scalar_second_order_root(target: ResonanceTarget, params: ModelParams) -> float:

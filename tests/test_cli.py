@@ -832,6 +832,11 @@ class TestMalformedInputs:
                 "[model]\nn_qubits = 4\nlambda = 0\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
                 "target aTC(0,0) has zero coupling",
             ),
+            (
+                "effective",
+                "[model]\nn_qubits = 6\nlambda = 0.1\nstark_u = -16\n\n[effective]\nkind = tc\norder = 2\nn0 = 0\nk0 = 2\n",
+                "lies outside that range, at omega_q = 4.333333333333333, the first-order resonance of aTC(0,4), aTC(2,2)",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -864,6 +869,7 @@ class TestMalformedInputs:
             "unparsable-config",
             "second-order-at-zero-stark",
             "zero-coupling",
+            "second-order-bracket-without-root",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):

@@ -140,8 +140,12 @@ def test_the_sweep_spans_the_stated_cases():
     assert {"ghz_4", "dicke_ladder_4"} <= set(ids)
     assert PROTOCOL_PRESETS == {"dicke_ladder_4": _model(1, 4), "ghz_4": _model(2, 4)}
     assert sum("-from" in i for i in ids) == 2 * (len(list(_targets())) - len(REFUSED))
+    # The tilde frequency keeps one sign over each bracket, its root lying
+    # just above it; the refusal names the nearest pole, where the two aTC
+    # channels that the target's cells step through are resonant.
     for n_qubits, target in REFUSED:
-        with pytest.raises(ResonanceBracketError):
+        channels = rf"aTC\({target.n0},4\), aTC\({target.n0 + 2},2\)$"
+        with pytest.raises(ResonanceBracketError, match="no sign change .* lies outside that range, .* " + channels):
             solve_resonance(target, _model(2, n_qubits))
 
 

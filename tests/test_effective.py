@@ -10,12 +10,13 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
+    _level,
     delta_minus,
     delta_plus,
     pulse_duration,
     ratio_from_omega_q,
     rwa_validity_report,
-    second_order_coeffs,
+    second_order,
     solve_first_order_resonance,
     solve_resonance,
     solve_second_order_resonance,
@@ -32,16 +33,20 @@ from dickestark.model import (
 from oracles import (
     build_effective_hamiltonian,
     cell_omega,
+    closed_form_second_order,
+    closed_form_stark_shift,
     detuned_rabi_probability,
     scalar_second_order_root,
 )
 
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
 SECOND_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.1, stark_u=-16.0, n_max=8)
+FAMILIES = ("tc2", "atc2", "r2", "a2")
 
 
-def _stark_shift(n, k, params):
-    return second_order_coeffs(n, k, params).stark_shift
+def stark_shift(n, k, params):
+    """Delta(n, k) of the cell (k, n), from the package's step sum."""
+    return _level(n, k, params)[1]
 
 
 class TestRabiFrequency:
@@ -154,41 +159,87 @@ class TestSecondOrderCoeffs:
         p = ModelParams(n_qubits=4, omega_q=1.3, coupling=0.05, stark_u=0.0, n_max=6)
         for n in range(3):
             for k in range(3):
-                assert second_order_coeffs(n, k, p).omega_tc2 == pytest.approx(0.0, abs=1e-18)
+                assert second_order("tc2", n, k, p)[0] == pytest.approx(0.0, abs=1e-18)
 
     @pytest.mark.parametrize("n_max", [4, 6])
     def test_degenerate_point_rejected(self, n_max):
         # At U = 0 and omega_q = omega_r every delta_minus vanishes, which is
-        # a degenerate parameter point, not a computable coefficient.
+        # a degenerate parameter point, not a computable coefficient: every
+        # family at (0, 0) reads one of them.
         p = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.05, stark_u=0.0, n_max=n_max)
-        with pytest.raises(DegenerateDetuningError):
-            second_order_coeffs(0, 0, p)
+        for kind in FAMILIES:
+            with pytest.raises(DegenerateDetuningError):
+                second_order(kind, 0, 0, p)
 
     def test_zero_coupling_gives_zero(self):
         p = ModelParams(n_qubits=4, omega_q=0.4, coupling=0.0, stark_u=-1.0, n_max=6)
-        c = second_order_coeffs(1, 1, p)
-        assert c.omega_tc2 == 0 and c.omega_atc2 == 0
-        assert c.omega_r2 == 0 and c.omega_a2 == 0
-        assert c.stark_shift == 0
+        for kind in FAMILIES:
+            assert second_order(kind, 1, 1, p)[0] == 0
+        assert stark_shift(1, 1, p) == 0
 
     def test_tc_coupling_antisymmetry(self):
         # For n - k = -2 the two denominators trade places under U -> -U, so
         # the two-photon coupling flips sign at equal magnitude.
         base = dict(n_qubits=4, omega_q=1.7, coupling=0.05, n_max=6)
-        plus = second_order_coeffs(0, 2, ModelParams(stark_u=0.8, **base))
-        minus = second_order_coeffs(0, 2, ModelParams(stark_u=-0.8, **base))
-        assert plus.omega_tc2 == pytest.approx(-minus.omega_tc2)
-        assert abs(plus.omega_tc2) > 0
+        plus, _ = second_order("tc2", 0, 2, ModelParams(stark_u=0.8, **base))
+        minus, _ = second_order("tc2", 0, 2, ModelParams(stark_u=-0.8, **base))
+        assert plus == pytest.approx(-minus)
+        assert abs(plus) > 0
 
     def test_tilde_composition(self):
+        # each family's bare frequency, from the closed forms, plus the Stark
+        # shift of the cell moved to minus that of the cell left, as (n, k)
         p = ModelParams(omega_q=-1.0003, **SECOND_ORDER)
-        c = second_order_coeffs(0, 0, p)
-        assert c.tilde_atc2 == pytest.approx(
-            c.delta_atc2 + _stark_shift(2, 2, p) - _stark_shift(0, 0, p)
-        )
-        assert c.tilde_tc2 == pytest.approx(
-            c.delta_tc2 + _stark_shift(0, 2, p) - _stark_shift(2, 0, p)
-        )
+        cells = {"atc2": ((0, 0), (2, 2)), "tc2": ((2, 0), (0, 2)), "r2": ((0, 0), (0, 2)), "a2": ((0, 0), (2, 0))}
+        for kind, ((n_from, k_from), (n_to, k_to)) in cells.items():
+            _, bare, _ = closed_form_second_order(kind, 0, 0, p)
+            assert second_order(kind, 0, 0, p)[1] == pytest.approx(
+                bare + stark_shift(n_to, k_to, p) - stark_shift(n_from, k_from, p)
+            )
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except DegenerateDetuningError:
+        return "refused"
+
+
+class TestStepSumMatchesClosedForms:
+    """The package's Stark shift and second_order sum over first-order steps;
+    the oracle writes the shift and each family out term by term. At every cell
+    of drawn spaces, N = 1..7 with odd N included, the shift and each
+    family's coupling and tilde frequency (nine quantities) must agree bit
+    for bit, and each call must refuse a degenerate point exactly when the
+    oracle's does. Every third draw puts omega_q on a first-order pole,
+    where the refusals sit."""
+
+    def test_every_cell_bit_for_bit_or_refused_alike(self):
+        rng = np.random.default_rng(2007_625)
+        seen = {"value": 0, "refused": 0}
+        for draw in range(70):
+            n_qubits, n_max = 1 + draw % 7, int(rng.integers(2, 9))
+            params = ModelParams(
+                n_qubits=n_qubits,
+                n_max=n_max,
+                coupling=float(rng.uniform(0.0, 0.2)),
+                stark_u=float(rng.uniform(-16.0, 16.0)),
+                omega_q=float(rng.uniform(-3.0, 3.0)),
+            )
+            if draw % 3 == 0:
+                n, k = int(rng.integers(0, n_max + 1)), int(rng.integers(0, n_qubits))
+                delta = (delta_minus, delta_plus)[draw % 2]
+                params = replace(params, omega_q=-delta(n, k, replace(params, omega_q=0.0)))
+            for n in range(n_max + 1):
+                for k in range(n_qubits + 1):
+                    got = [_outcome(lambda: stark_shift(n, k, params))]
+                    got += [_outcome(lambda: second_order(kind, n, k, params)) for kind in FAMILIES]
+                    want = [_outcome(lambda: closed_form_stark_shift(n, k, params))]
+                    want += [_outcome(lambda: closed_form_second_order(kind, n, k, params)[::2]) for kind in FAMILIES]
+                    assert got == want, (params, n, k)
+                    for outcome in got:
+                        seen["refused" if outcome == "refused" else "value"] += 1
+        assert seen["value"] > 0 and seen["refused"] > 0, seen
 
 
 class TestSecondOrderResonances:
@@ -217,13 +268,24 @@ class TestSecondOrderResonances:
         assert solve_second_order_resonance(t, p) == pytest.approx(bare, abs=1e-9)
 
     def test_bad_bracket_raises(self):
-        # a drawn point whose tilde frequency keeps one sign over the bracket
+        # a drawn point whose tilde frequency keeps one sign over the bracket;
+        # the refusal names the nearest pole, outside it
         p = ModelParams(
             n_qubits=5, coupling=0.10044488984044224, stark_u=-2.1567098707322545, n_max=11
         )
         t = ResonanceTarget("tc", 2, 2, 3)
-        with pytest.raises(ResonanceBracketError, match="no sign change"):
+        outside = r"outside that range, at omega_q = 1\.37238\d*, the first-order resonance of aTC\(4,3\)$"
+        with pytest.raises(ResonanceBracketError, match="no sign change .*; the nearest pole lies " + outside):
             solve_second_order_resonance(t, p)
+
+    def test_bad_bracket_names_a_pole_inside(self):
+        # aTC(1,0) is resonant at omega_q = -delta_plus(1, 0) = -1/3 inside the
+        # bracket, and the tilde frequency takes one sign at both ends
+        p = ModelParams(n_qubits=6, coupling=0.07, stark_u=4.0, n_max=8)
+        assert -delta_plus(1, 0, replace(p, omega_q=0.0)) == pytest.approx(-1 / 3)
+        inside = r"inside that range, at omega_q = -0\.33333\d*, the first-order resonance of aTC\(1,0\)$"
+        with pytest.raises(ResonanceBracketError, match="no sign change .*; the nearest pole lies " + inside):
+            solve_second_order_resonance(ResonanceTarget("tc", 2, 0, 1), p)
 
     def test_matches_brentq_oracle(self):
         # scipy is a test-only oracle. Targets: the fig7 / ghz_4 step-1 and
@@ -293,7 +355,7 @@ class TestSecondOrderResonances:
         two = np.argsort(weight)[-2:]
         lo, hi = sorted(two, key=lambda idx: w[idx])
         gap = w[hi] - w[lo]
-        coupling = second_order_coeffs(0, 0, tuned).omega_atc2
+        coupling, _ = second_order("atc2", 0, 0, tuned)
         assert coupling < 0
         assert gap == pytest.approx(2 * abs(coupling), rel=0.1)
         # lower dressed state is the symmetric combination when coupling < 0
@@ -316,7 +378,7 @@ class TestSecondOrderSideChannels:
 
         base = ModelParams(n_qubits=4, omega_q=2.0, coupling=0.02, stark_u=-8.0, n_max=6)
         omega_q = brentq(
-            lambda wq: second_order_coeffs(1, 0, replace(base, omega_q=wq)).tilde_r2,
+            lambda wq: second_order("r2", 1, 0, replace(base, omega_q=wq))[1],
             1.9,
             2.1,
             xtol=1e-15,
@@ -326,9 +388,9 @@ class TestSecondOrderSideChannels:
         h = build_hamiltonian(tuned, space)
         cells = [(0, 1), (2, 1), (4, 1)]
         idx = [space.index(k, n) for k, n in cells]
-        diag = [h.matrix[i, i].real + _stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
-        g1 = second_order_coeffs(1, 0, tuned).omega_r2
-        g2 = second_order_coeffs(1, 2, tuned).omega_r2
+        diag = [h.matrix[i, i].real + stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
+        g1, _ = second_order("r2", 1, 0, tuned)
+        g2, _ = second_order("r2", 1, 2, tuned)
         h_eff = np.array(
             [[diag[0], g1, 0.0], [g1, diag[1], g2], [0.0, g2, diag[2]]]
         )
@@ -354,13 +416,13 @@ class TestSecondOrderSideChannels:
 
         base = ModelParams(n_qubits=4, omega_q=0.25, coupling=0.01, stark_u=2.0, n_max=8)
         u_star = brentq(
-            lambda u: second_order_coeffs(0, 0, replace(base, stark_u=u)).tilde_a2,
+            lambda u: second_order("a2", 0, 0, replace(base, stark_u=u))[1],
             1.9,
             2.1,
             xtol=1e-15,
         )
         tuned = replace(base, stark_u=u_star)
-        g = second_order_coeffs(0, 0, tuned).omega_a2
+        g, _ = second_order("a2", 0, 0, tuned)
         assert g < 0
         space = build_space(tuned)
         h = build_hamiltonian(tuned, space)
@@ -393,7 +455,7 @@ class TestEffectiveHamiltonian:
         space = build_space(p)
         h = build_effective_hamiltonian(ResonanceTarget("atc", 2, 0, 0), p, space)
         i, j = space.index(0, 0), space.index(2, 2)
-        expected = second_order_coeffs(0, 0, p).omega_atc2
+        expected, _ = second_order("atc2", 0, 0, p)
         assert h.matrix[i, j] == pytest.approx(expected)
         assert np.count_nonzero(h.matrix) == 2
 
@@ -559,11 +621,8 @@ def _cell_rows(target, params):
         add("atc", n, k, omega, delta_plus(n, k, params))
     if m == 2:
         for n, k in grid:
-            c = second_order_coeffs(n, k, params)
-            add("tc2", n, k, c.omega_tc2, c.tilde_tc2)
-            add("atc2", n, k, c.omega_atc2, c.tilde_atc2)
-            add("r2", n, k, c.omega_r2, c.tilde_r2)
-            add("a2", n, k, c.omega_a2, c.tilde_a2)
+            for kind in FAMILIES:
+                add(kind, n, k, *second_order(kind, n, k, params))
     return rows
 
 
@@ -571,7 +630,7 @@ class TestReportGridMatchesCells:
     """rwa_validity_report evaluates every channel over its whole (n, k)
     grid at once. Each row must equal, bit for bit, the row the per-cell
     functions give, and the report must raise exactly when some cell's
-    second_order_coeffs raises, risk flags included. Its minima, reduced
+    second_order raises, risk flags included. Its minima, reduced
     over the columns, must equal the same reductions over the rows. omega_q
     is taken at the solved root and at the bare second-order centre, where
     first-order detunings of whole families vanish and the degenerate cases
@@ -667,7 +726,7 @@ class TestSolverMatchesScalarOracle:
         # the table covers the reach of every cell of the space, and no other
         for n, k in [(n_max + 1, 0), (-1, 0), (0, n_qubits + 1), (0, -1)]:
             with pytest.raises(ValueError, match=rf"cell \(n={n}, k={k}\) outside the space"):
-                second_order_coeffs(n, k, params)
+                second_order("tc2", n, k, params)
 
 
 class TestSolveResonanceDispatch:

@@ -9,7 +9,7 @@ from dickestark.effective import (
     QUARTER_PERIOD,
     ResonanceTarget,
     ratio_from_omega_q,
-    second_order_coeffs,
+    second_order,
 )
 from dickestark.model import (
     ModelParams,
@@ -93,10 +93,10 @@ class TestCompileGhz4:
         from dataclasses import replace
 
         tuned1 = replace(p, omega_q=proto.steps[0].omega_q)
-        omega1 = abs(second_order_coeffs(0, 0, tuned1).omega_atc2)
+        omega1 = abs(second_order("atc2", 0, 0, tuned1)[0])
         assert proto.steps[0].duration == pytest.approx(math.pi / (4 * omega1))
         tuned2 = replace(p, omega_q=proto.steps[1].omega_q)
-        omega2 = abs(second_order_coeffs(0, 2, tuned2).omega_tc2)
+        omega2 = abs(second_order("tc2", 0, 2, tuned2)[0])
         assert proto.steps[1].duration == pytest.approx(math.pi / (2 * omega2))
 
     def test_requires_four_qubits(self):
