@@ -40,9 +40,11 @@ from .dynamics import (
 )
 from .protocol import (
     Protocol,
+    ProtocolSpec,
     PulseStep,
     StepRule,
     compile_dicke_ladder,
+    compile_from_rules,
     compile_ghz4,
     protocol_from_json,
     run_protocol,
@@ -55,6 +57,7 @@ __all__ = [
     "Operator",
     "Peak",
     "Protocol",
+    "ProtocolSpec",
     "PulseStep",
     "ResonanceTarget",
     "ScanCurve",
@@ -64,6 +67,7 @@ __all__ = [
     "build_hamiltonian",
     "build_space",
     "compile_dicke_ladder",
+    "compile_from_rules",
     "compile_ghz4",
     "default_n_max",
     "detect_peaks",

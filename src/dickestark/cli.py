@@ -42,14 +42,8 @@ from .effective import (
     pulse_duration,
 )
 from .model import ModelParams, build_space, default_n_max, dicke_state
-from .protocol import (
-    compile_dicke_ladder,
-    compile_ghz4,
-    compile_from_rules,
-    highest_start_photon,
-    protocol_from_json,
-    run_protocol,
-)
+from .protocol import compile_from_rules, protocol_from_json, run_protocol
+from .protocol import compile_dicke_ladder, compile_ghz4  # not called here: perfbench/tracer.py wraps these names
 from .scan import peak_report, resonance_scan, scan_grid
 
 
@@ -137,29 +131,23 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
 
 
 def _compile_protocol(config: RunConfig, job: ProtocolConfig):
-    if job.preset is not None:
-        # both presets start every transition from n = 0
-        preset = presets.protocol_preset(job.preset)
-        params = _resolve_params(config, preset, 0)
-        if params.n_qubits != preset.n_qubits:
-            raise ConfigError(
-                f"protocol preset {job.preset!r} is compiled for N = {preset.n_qubits},"
-                f" but [model] n_qubits = {params.n_qubits}"
-            )
-        if job.preset == "ghz_4":
-            return compile_ghz4(params), params
-        return compile_dicke_ladder(4, 4, params), params
-
+    """The job's record, read from its file or held by the job, compiled
+    once: a preset's or inline steps' at the run's model, which must keep a
+    preset's N, and a file's at its own physics, so that run_protocol
+    refuses a [model] that differs from the file."""
+    spec = job.spec
     if job.file is not None:
         try:
-            proto = protocol_from_json(Path(job.file).read_text(encoding="utf-8"))
+            spec = protocol_from_json(Path(job.file).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[protocol] file = {job.file!r}: {exc}") from None
-        photon = highest_start_photon(proto.initial, proto.rules)
-        return proto, _resolve_params(config, proto.params, photon)
-    inline = job.inline
-    params = _resolve_params(config, None, highest_start_photon(inline.initial, inline.rules))
-    return compile_from_rules("custom", params, **vars(inline)), params
+    params = _resolve_params(config, spec.params, spec.highest_start_photon)
+    if job.file is None and spec.params is not None and params.n_qubits != spec.params.n_qubits:
+        raise ConfigError(
+            f"protocol preset {spec.name!r} is compiled for N = {spec.params.n_qubits},"
+            f" but [model] n_qubits = {params.n_qubits}"
+        )
+    return compile_from_rules(spec, params if job.file is None else spec.params), params
 
 
 def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str], str]:
@@ -275,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="INI run configuration")
         if name != "validate":
-            p.add_argument("--preset", help="named preset (fig2a..fig8, dicke_ladder_4, ghz_4)")
+            table = presets.PROTOCOL_PRESETS if name == "protocol" else presets.SCAN_PRESETS
+            p.add_argument("--preset", help=f"named preset ({', '.join(table)})")
         p.add_argument("--out", type=Path, help="output directory (default: [output] directory)")
         if name == "scan":
             p.add_argument("--format", choices=("csv", "json"), help="scan data format")
@@ -294,7 +283,7 @@ def main(argv=None) -> int:
             if job is not None:
                 raise ConfigError(f"--preset {preset} and the [{args.command}] section each name a job; give one")
             if args.command == "protocol":
-                job = ProtocolConfig(preset, None, None, DEFAULT_SAMPLES)
+                job = ProtocolConfig(presets.protocol_preset(preset), None, DEFAULT_SAMPLES)
             else:
                 job = presets.scan_preset(preset)
         elif job is None:

@@ -51,7 +51,9 @@ Every section is read through one schema (SCHEMA below): each key has a
 converter and a default, or is required. A malformed value, an empty preset,
 file or directory among them, is a ConfigError naming "[section] key =
 'value'". Steps and target follow the same grammar as a protocol JSON file
-(protocol.parse_steps, parse_target). The empty run is parse_config(""): an
+(protocol.parse_steps, parse_target), and [protocol] holds a file to read
+or the record (protocol.ProtocolSpec) of its preset or of its inline steps,
+which have no model of their own. The empty run is parse_config(""): an
 absent [validate] or [output] section takes the schema's defaults.
 
 Photon cutoff: an n_max in [model] wins; otherwise default_n_max(p, N) =
@@ -71,8 +73,8 @@ from dataclasses import dataclass
 from .dynamics import DEFAULT_SAMPLES, MAX_SAMPLES
 from .effective import ResonanceTarget
 from .model import ModelParams, default_n_max
-from .presets import ScanPreset
-from .protocol import StepRule, parse_cell, parse_steps, parse_target
+from .presets import ScanPreset, protocol_preset
+from .protocol import ProtocolSpec, parse_cell, parse_steps, parse_target
 from .scan import DEFAULT_MIN_HEIGHT, DEFAULT_SCAN_POINTS, MAX_SCAN_POINTS
 
 
@@ -81,20 +83,12 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class InlineProtocolConfig:
-    """Inline steps, initial and target: compile_from_rules's other arguments."""
-
-    rules: tuple[StepRule, ...]
-    initial: tuple[int, int]
-    target_kind: str
-    target_cell: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
-    preset: str | None
+    """A [protocol] job: a file to read the record from, or the record of a
+    preset or of inline steps."""
+
+    spec: ProtocolSpec | None
     file: str | None
-    inline: InlineProtocolConfig | None
     samples: int
 
 
@@ -169,7 +163,7 @@ SCHEMA = {
         "min_height": (_checked(float, math.isfinite, "finite"), DEFAULT_MIN_HEIGHT),
     },
     "protocol": {
-        "preset": (_NON_EMPTY, None),
+        "preset": (lambda raw: protocol_preset(_NON_EMPTY(raw)), None),
         "file": (_NON_EMPTY, None),
         "steps": (lambda raw: parse_steps(line.split() for line in raw.strip().splitlines()), None),
         "initial": (lambda raw: parse_cell(raw.split()), None),
@@ -253,15 +247,15 @@ def _scan(values: dict) -> ScanPreset:
 def _protocol(values: dict) -> ProtocolConfig:
     if sum(values[key] is not None for key in ("preset", "file", "steps")) != 1:
         raise ConfigError("[protocol] must provide exactly one of: preset, file, steps")
-    inline = None
+    spec = values["preset"]
     if values["steps"] is not None:
         if values["target"] is None:
             raise ConfigError("[protocol] is missing required key 'target'")
-        inline = InlineProtocolConfig(values["steps"], values["initial"] or (0, 0), *values["target"])
+        spec = ProtocolSpec("custom", None, values["steps"], values["initial"] or (0, 0), *values["target"])
     for key in ("initial", "target"):
-        if inline is None and values[key] is not None:
+        if values["steps"] is None and values[key] is not None:
             raise ConfigError(f"[protocol] {key} applies to inline steps only, not to a preset or file")
-    return ProtocolConfig(values["preset"], values["file"], inline, values["samples"])
+    return ProtocolConfig(spec, values["file"], values["samples"])
 
 
 def parse_config(text: str) -> RunConfig:

@@ -215,9 +215,10 @@ def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
 
 
 def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: float) -> str:
-    """The pole of the target's tilde frequency nearest [lo, hi]: a step it
-    reads, with G != 0, has omega = 0 at omega_q = -dk omega(omega_q = 0),
-    where the step's first-order channel is resonant."""
+    """The pole of the target's tilde frequency nearest [lo, hi], or the
+    point lo = hi: a step it reads, with G != 0, has omega = 0 at
+    omega_q = -dk omega(omega_q = 0), where the step's first-order channel
+    is resonant."""
     poles = {}
     for dk0, dn0 in _CELLS[target.channel]:
         n, k = target.n0 + dn0, target.k0 + dk0
@@ -226,9 +227,9 @@ def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: f
                 channel = ResonanceTarget("atc" if dk == dn else "tc", 1, n + min(dn, 0), k + min(dk, 0))
                 poles.setdefault(-dk * omega, []).append(channel.label())
     pole = min(poles, key=lambda x: max(lo - x, x - hi, 0.0))
-    where = "inside" if lo <= pole <= hi else "outside"
+    where = "" if lo == hi else f" {'inside' if lo <= pole <= hi else 'outside'} that range,"
     labels = ", ".join(poles[pole])
-    return f"; the nearest pole lies {where} that range, at omega_q = {pole}, the first-order resonance of {labels}"
+    return f"; the nearest pole lies{where} at omega_q = {pole}, the first-order resonance of {labels}"
 
 
 def _bare_second_order_omega_q(target: ResonanceTarget, params: ModelParams) -> float:
@@ -259,7 +260,11 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
     lo, hi = center - width, center + width
 
     def objective(omega_q: float) -> float:
-        return tilde_frequency(target, replace(params, omega_q=omega_q))
+        try:
+            return tilde_frequency(target, replace(params, omega_q=omega_q))
+        except DegenerateDetuningError as exc:
+            pole = _nearest_pole(target, params, omega_q, omega_q)
+            raise DegenerateDetuningError(f"{exc} at omega_q = {omega_q}{pole}") from None
 
     f_lo, f_hi = objective(lo), objective(hi)
     if f_lo == 0.0:

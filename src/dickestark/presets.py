@@ -1,10 +1,11 @@
-"""Named parameter sets reproducing the reference scans and protocols.
+"""Named jobs reproducing the reference scans and protocols.
 
 First-order presets use lambda = 0.006, U = -0.5; the two-excitation presets
 use lambda = 0.1, U = -16 (all in units of omega_r = 1). Every preset is
 N = 4, and its model follows from its target's order and its starting photon
 number (``_params``). Scan windows are chosen to bracket each resonance on the
-default grid of DEFAULT_SCAN_POINTS points.
+default grid of DEFAULT_SCAN_POINTS points. A protocol preset is a
+protocol.ProtocolSpec read from steps and a target in the [protocol] grammar.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .effective import ResonanceTarget
 from .model import ModelParams, default_n_max
+from .protocol import ProtocolSpec, parse_steps, parse_target
 from .scan import DEFAULT_MIN_HEIGHT, DEFAULT_SCAN_POINTS
 
 FIRST_ORDER_COUPLING = 0.006
@@ -80,10 +82,21 @@ SCAN_PRESETS: dict[str, ScanPreset] = {
 }
 
 
-# Protocol presets: the model each reference sequence is compiled for.
-PROTOCOL_PRESETS: dict[str, ModelParams] = {
-    "dicke_ladder_4": _params(1, 0),
-    "ghz_4": _params(2, 0),
+# Protocol presets from the ground cell, each (name, order of its targets,
+# steps, target) in the grammar of an INI [protocol] section.
+PROTOCOL_PRESETS: dict[str, ProtocolSpec] = {
+    name: ProtocolSpec(
+        name, _params(order, 0), parse_steps(step.split() for step in steps), (0, 0), *parse_target(target.split())
+    )
+    for name, order, steps, target in (
+        # The Dicke ladder: half-period steps alternating pair creation and
+        # photon absorption climb one Dicke level each, up to |D^4, 0>.
+        ("dicke_ladder_4", 1, ("atc 1 0 0", "tc 1 0 1", "atc 1 0 2", "tc 1 0 3"), "basis 4 0"),
+        # GHZ: a quarter-period two-excitation pair creation splits (0, 0)
+        # equally with (2, 2), then a half-period two-photon absorption
+        # carries the (2, 2) half to (4, 0).
+        ("ghz_4", 2, ("atc 2 0 0 quarter_period", "tc 2 0 2"), "ghz"),
+    )
 }
 
 
@@ -95,7 +108,7 @@ def _lookup(kind: str, table: dict, name: str):
         raise ValueError(f"unknown {kind} preset {name!r}; known presets: {known}") from None
 
 
-def protocol_preset(name: str) -> ModelParams:
+def protocol_preset(name: str) -> ProtocolSpec:
     return _lookup("protocol", PROTOCOL_PRESETS, name)
 
 

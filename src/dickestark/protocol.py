@@ -2,10 +2,12 @@
 
 A protocol is an ordered list of (qubit frequency, duration) pulses; each
 pulse drives one selective transition at its resonance for a computed
-fraction of the Rabi period. Execution evolves the exact Hamiltonian with
-instantaneous frequency switches between steps and accumulates the state in
-the rotating frame of the (diagonal) free Hamiltonian, so that step outcomes
-compose the way the effective two-level picture predicts.
+fraction of the Rabi period. Presets, protocol files and INI steps give one
+record, ProtocolSpec, and compile_from_rules is the one compile call.
+Execution evolves the exact Hamiltonian with instantaneous frequency
+switches between steps and accumulates the state in the rotating frame of
+the (diagonal) free Hamiltonian, so that step outcomes compose the way the
+effective two-level picture predicts.
 
 Fidelities against superposition targets are reported in two variants: the
 phase-exact overlap in that frame, and a phase-optimized value
@@ -69,36 +71,33 @@ class PulseStep:
 
 
 @dataclass(frozen=True)
-class Protocol:
-    """Compiled pulse sequence with its initial and target states.
-
-    ``params`` are the model parameters the steps were solved for; their
-    omega_q and n_max play no part. ``expected`` lists, per step and in
-    (k, n) order, the cells predicted to carry essentially all population at
-    the step boundary: those whose two-level share (``_step_shares``) is
-    above SHARE_FLOOR.
-    ``target_kind`` is "basis" for a single (k, n) cell or "ghz" for
-    (|D^0> - |D^N>)/sqrt(2) x |0>.
-    """
+class ProtocolSpec:
+    """What a protocol is compiled from: its rules, initial (k, n) cell and
+    target, and the model it is compiled for, or None for inline steps,
+    which take the run's [model]. ``target_kind`` is "basis" for the single
+    cell ``target_cell`` or "ghz" for (|D^0> - |D^N>)/sqrt(2) x |0>.
+    ``to_json`` writes the record that ``protocol_from_json`` reads."""
 
     name: str
-    params: ModelParams
-    steps: tuple[PulseStep, ...]
+    params: ModelParams | None
     rules: tuple[StepRule, ...]
     initial: tuple[int, int]
     target_kind: str
     target_cell: tuple[int, int] | None
-    expected: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.steps:
+        if not self.rules:
             raise ValueError("protocol must contain at least one step")
-        if len(self.steps) != len(self.rules) or len(self.steps) != len(self.expected):
-            raise ValueError("steps, rules, and expected cells must align")
         if self.target_kind not in ("basis", "ghz"):
             raise ValueError(f"unknown target kind {self.target_kind!r}")
         if self.target_kind == "basis" and self.target_cell is None:
             raise ValueError("basis target requires a target cell")
+
+    @property
+    def highest_start_photon(self) -> int:
+        """The highest photon number the protocol starts a transition from:
+        its initial cell's or any rule's n0."""
+        return max([self.initial[1]] + [rule.target.n0 for rule in self.rules])
 
     def target_state(self, space: HilbertSpace) -> StateVector:
         if self.target_kind == "basis":
@@ -132,10 +131,16 @@ class Protocol:
         return json.dumps(doc, indent=2)
 
 
-def highest_start_photon(initial: tuple[int, int], rules) -> int:
-    """The highest photon number a protocol starts a transition from: its
-    initial cell's or any rule's n0."""
-    return max([initial[1]] + [rule.target.n0 for rule in rules])
+@dataclass(frozen=True)
+class Protocol(ProtocolSpec):
+    """A record compiled at ``params`` (whose omega_q and n_max play no
+    part), with one solved step per rule. ``expected`` lists, per step and
+    in (k, n) order, the cells predicted to carry essentially all population
+    at the step boundary: those whose two-level share (``_step_shares``) is
+    above SHARE_FLOOR."""
+
+    steps: tuple[PulseStep, ...]
+    expected: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def parse_steps(steps) -> tuple[StepRule, ...]:
@@ -201,39 +206,26 @@ def _fraction(rule) -> float:
     raise ValueError(f"duration_rule must be {names} or a number, got {rule!r}")
 
 
-def compile_from_rules(
-    name: str,
-    params: ModelParams,
-    rules: list[StepRule],
-    initial: tuple[int, int],
-    target_kind: str,
-    target_cell: tuple[int, int] | None,
-) -> Protocol:
-    """Resolve step frequencies and durations from the effective theory.
-
-    Frequencies are the resonance solutions of each rule's target and
-    durations the requested fraction of pi/|coupling|; nothing is
-    hand-entered."""
+def compile_from_rules(spec: ProtocolSpec, params: ModelParams) -> Protocol:
+    """Compile ``spec`` at ``params``, which must hold the N of a record that
+    carries its model. Frequencies are the resonance solutions of each
+    rule's target and durations the requested fraction of pi/|coupling|;
+    nothing is hand-entered."""
+    if spec.params is not None and spec.params.n_qubits != params.n_qubits:
+        raise ValueError(
+            f"protocol {spec.name!r} is compiled for N = {spec.params.n_qubits}, got n_qubits = {params.n_qubits}"
+        )
     steps = []
     expected = []
-    shares = {initial: 1.0}
-    for rule in rules:
+    shares = {spec.initial: 1.0}
+    for rule in spec.rules:
         omega_q = solve_resonance(rule.target, params)
         tuned = replace(params, omega_q=omega_q)
         duration = pulse_duration(rule.target, tuned, rule.fraction)
         steps.append(PulseStep(omega_q=omega_q, duration=duration, label=rule.target.label()))
         shares = _step_shares(shares, rule)
         expected.append(tuple(sorted(c for c, share in shares.items() if share > SHARE_FLOOR)))
-    return Protocol(
-        name=name,
-        params=params,
-        steps=tuple(steps),
-        rules=tuple(rules),
-        initial=initial,
-        target_kind=target_kind,
-        target_cell=target_cell,
-        expected=tuple(expected),
-    )
+    return Protocol(**{**vars(spec), "params": params}, steps=tuple(steps), expected=tuple(expected))
 
 
 def _step_shares(
@@ -259,44 +251,24 @@ def compile_dicke_ladder(n_qubits: int, k_target: int, params: ModelParams) -> P
     steps the photon-absorbing one, each for a half oscillation, walking the
     population up one Dicke level per step. The same alternation is compiled
     for any 0 < k_target <= N, including regimes with no reference data
-    (odd N, partial ladders)."""
+    (odd N, partial ladders); at N = k_target = 4 it is the dicke_ladder_4
+    preset."""
     if not (0 < k_target <= n_qubits):
         raise ValueError(f"k_target must lie in 1..{n_qubits}, got {k_target}")
-    if params.n_qubits != n_qubits:
-        raise ValueError("params.n_qubits disagrees with n_qubits")
-    rules = []
-    for j in range(1, k_target + 1):
-        kind = "atc" if j % 2 == 1 else "tc"
-        rules.append(StepRule(ResonanceTarget(kind, 1, 0, j - 1), HALF_PERIOD))
-    return compile_from_rules(
-        name=f"dicke_ladder_{n_qubits}" if k_target == n_qubits else f"dicke_ladder_{n_qubits}_k{k_target}",
-        params=params,
-        rules=rules,
-        initial=(0, 0),
-        target_kind="basis",
-        target_cell=(k_target, k_target % 2),
+    rules = tuple(
+        StepRule(ResonanceTarget("atc" if j % 2 == 1 else "tc", 1, 0, j - 1), HALF_PERIOD)
+        for j in range(1, k_target + 1)
     )
+    name = f"dicke_ladder_{n_qubits}" if k_target == n_qubits else f"dicke_ladder_{n_qubits}_k{k_target}"
+    spec = ProtocolSpec(name, replace(params, n_qubits=n_qubits), rules, (0, 0), "basis", (k_target, k_target % 2))
+    return compile_from_rules(spec, params)
 
 
 def compile_ghz4(params: ModelParams) -> Protocol:
-    """Two-step GHZ sequence for N = 4: a quarter-period two-excitation
-    pair-creating pulse at (n0=0, k0=0) builds the equal superposition of
-    (0, 0) and (2, 2); a half-period two-photon-absorbing pulse at
-    (n0=0, k0=2) carries the (2, 2) component to (4, 0)."""
-    if params.n_qubits != 4:
-        raise ValueError("the GHZ sequence is compiled for N = 4")
-    rules = [
-        StepRule(ResonanceTarget("atc", 2, 0, 0), QUARTER_PERIOD),
-        StepRule(ResonanceTarget("tc", 2, 0, 2), HALF_PERIOD),
-    ]
-    return compile_from_rules(
-        name="ghz_4",
-        params=params,
-        rules=rules,
-        initial=(0, 0),
-        target_kind="ghz",
-        target_cell=None,
-    )
+    """The ghz_4 preset compiled at ``params``, which must have N = 4."""
+    from .presets import PROTOCOL_PRESETS  # which builds its records with this module's grammar
+
+    return compile_from_rules(PROTOCOL_PRESETS["ghz_4"], params)
 
 
 @dataclass(frozen=True)
@@ -363,10 +335,11 @@ def run_protocol(
     )
 
 
-def protocol_from_json(text: str) -> Protocol:
-    """Rebuild a protocol from its serialized rules, recomputing frequencies
-    and durations (they are never stored). Steps and target follow the same
-    grammar as an INI ``[protocol]`` section."""
+def protocol_from_json(text: str) -> ProtocolSpec:
+    """The record a protocol document holds; frequencies and durations are
+    recompiled, never stored. Steps and target follow the same grammar as an
+    INI ``[protocol]`` section. The model is cut off at the default for the
+    record's highest start photon: detunings do not depend on the cutoff."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -389,13 +362,5 @@ def protocol_from_json(text: str) -> Protocol:
         raise ValueError(
             f"protocol document has a missing field or a field of the wrong type: {exc}"
         ) from None
-    # detunings are cutoff-independent: compile at the default cutoff
-    n_max = default_n_max(highest_start_photon(initial, rules), params.n_qubits)
-    return compile_from_rules(
-        name=str(doc.get("name", "custom")),
-        params=replace(params, n_max=n_max),
-        rules=rules,
-        initial=initial,
-        target_kind=kind,
-        target_cell=cell,
-    )
+    spec = ProtocolSpec(str(doc.get("name", "custom")), params, rules, initial, kind, cell)
+    return replace(spec, params=replace(params, n_max=default_n_max(spec.highest_start_photon, params.n_qubits)))

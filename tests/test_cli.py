@@ -17,7 +17,7 @@ from dickestark.cli import main
 from dickestark.config import ConfigError, parse_config
 from dickestark.dynamics import MAX_SAMPLES
 from dickestark.model import default_n_max
-from dickestark.presets import SCAN_PRESETS, scan_preset
+from dickestark.presets import PROTOCOL_PRESETS, SCAN_PRESETS, scan_preset
 
 SCAN_INI = """
 [model]
@@ -97,10 +97,13 @@ class TestConfigParsing:
 
     def test_inline_protocol(self):
         cfg = parse_config(INLINE_PROTOCOL_INI)
-        inline = cfg.protocol.inline
-        assert len(inline.rules) == 1
-        assert inline.rules[0].target.kind == "atc"
-        assert inline.target_cell == (1, 1)
+        spec = cfg.protocol.spec
+        # no model of its own: the run's [model] compiles it
+        assert spec.name == "custom" and spec.params is None and cfg.protocol.file is None
+        assert len(spec.rules) == 1
+        assert spec.rules[0].target.kind == "atc"
+        assert spec.initial == (0, 0)
+        assert spec.target_cell == (1, 1)
 
 
 class TestScanCommand:
@@ -544,6 +547,9 @@ class TestInputResolution:
             del data["protocol"]
             return data
 
+        # the file holds the preset's own record, so its job writes the same bytes
+        files = {source: {p.name: p.read_bytes() for p in outs[source].iterdir()} for source in ("preset", "file")}
+        assert files["file"] == files["preset"]
         csvs = sorted(p.name for p in outs["preset"].glob("step*_trajectory.csv"))
         assert csvs
         for source in ("file", "inline", "section"):
@@ -577,7 +583,7 @@ class TestInputResolution:
         from dickestark.protocol import compile_dicke_ladder
 
         proto_path = tmp_path / "ladder.json"
-        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4").params).to_json())
         cfg = tmp_path / "run.ini"
         cfg.write_text(text.format(file=proto_path))
         assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -589,7 +595,7 @@ class TestInputResolution:
         from dickestark.protocol import compile_dicke_ladder
 
         proto_path = tmp_path / "ladder.json"
-        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4").params).to_json())
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = -0.5\n\n"
@@ -598,6 +604,20 @@ class TestInputResolution:
         out = tmp_path / "never"
         assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
         assert "coupling = 0.1 does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_protocol_file_with_other_n_exits_2_naming_n_qubits(self, tmp_path, capsys):
+        # a file is compiled at its own N, unlike a preset, whose message names the preset
+        from dickestark.presets import protocol_preset
+        from dickestark.protocol import compile_dicke_ladder
+
+        proto_path = tmp_path / "ladder.json"
+        proto_path.write_text(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4").params).to_json())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"{MODEL_N6}\n[protocol]\nfile = {proto_path}\n")
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: n_qubits = 6 does not match the protocol's compiled 4\n" == capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -714,7 +734,7 @@ def _ladder_file(tmp_path, edit) -> str:
     from dickestark.presets import protocol_preset
     from dickestark.protocol import compile_dicke_ladder
 
-    doc = json.loads(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4")).to_json())
+    doc = json.loads(compile_dicke_ladder(4, 2, protocol_preset("dicke_ladder_4").params).to_json())
     edit(doc)
     path = tmp_path / "proto.json"
     path.write_text(json.dumps(doc))
@@ -986,6 +1006,19 @@ class TestOutputDirectory:
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
+@pytest.mark.parametrize(
+    "command, table, other",
+    [("scan", SCAN_PRESETS, "ghz_4"), ("effective", SCAN_PRESETS, "ghz_4"), ("protocol", PROTOCOL_PRESETS, "fig3")],
+)
+def test_preset_help_lists_the_commands_own_presets(capsys, command, table, other):
+    # every command's help used to list the presets of all three
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--preset PRESET named preset ({', '.join(table)})" in text
+    assert other not in text
+
+
 def test_runtime_needs_no_scipy(tmp_path):
     # With scipy blocked, every scipy import raises ImportError; each command
     # must still run to completion.
@@ -1117,5 +1150,6 @@ def test_config_grammar_block_parses():
     cfg = parse_config(textwrap.dedent(grammar))
     assert cfg.model.n_max == 8 and cfg.model_n_max_explicit
     assert cfg.scan.target.label() == "aTC(0,0)"
-    assert cfg.protocol.preset == "ghz_4" and cfg.protocol.samples == 400
+    assert cfg.protocol.spec == PROTOCOL_PRESETS["ghz_4"] and cfg.protocol.file is None
+    assert cfg.protocol.samples == 400
     assert cfg.output.format == "csv"

@@ -38,11 +38,11 @@ from dickestark.presets import (
     SECOND_ORDER_STARK,
 )
 from dickestark.protocol import (
+    ProtocolSpec,
     StepRule,
     compile_dicke_ladder,
     compile_from_rules,
     compile_ghz4,
-    highest_start_photon,
     run_protocol,
 )
 from dickestark.scan import peak_report, resonance_scan, scan_grid
@@ -82,12 +82,11 @@ def _pulses():
     for n_qubits, target in _targets():
         if (n_qubits, target) in REFUSED:
             continue
-        rules = [StepRule(target, HALF_PERIOD)]
+        rules = (StepRule(target, HALF_PERIOD),)
         for start, end in (target.pair(), target.pair()[::-1]):
-            params = replace(
-                _model(target.order, n_qubits), n_max=default_n_max(highest_start_photon(start, rules), n_qubits)
-            )
-            yield compile_from_rules(f"{target.label()}-N{n_qubits}-from{start}", params, rules, start, "basis", end)
+            spec = ProtocolSpec(f"{target.label()}-N{n_qubits}-from{start}", None, rules, start, "basis", end)
+            params = replace(_model(target.order, n_qubits), n_max=default_n_max(spec.highest_start_photon, n_qubits))
+            yield compile_from_rules(spec, params)
 
 
 def _ladders():
@@ -99,7 +98,7 @@ def _ladders():
 
 
 def _protocol_case(proto):
-    photon = highest_start_photon(proto.initial, proto.rules)
+    photon = proto.highest_start_photon
     return pytest.param(proto.params.n_qubits, photon, lambda n_max: _protocol_observables(proto, n_max), id=proto.name)
 
 
@@ -138,7 +137,10 @@ def test_the_sweep_spans_the_stated_cases():
     assert sum(i.startswith("scan-") for i in ids) == len(SCAN_PRESETS) == 8
     # both protocol presets, at the models of their cases
     assert {"ghz_4", "dicke_ladder_4"} <= set(ids)
-    assert PROTOCOL_PRESETS == {"dicke_ladder_4": _model(1, 4), "ghz_4": _model(2, 4)}
+    assert {name: spec.params for name, spec in PROTOCOL_PRESETS.items()} == {
+        "dicke_ladder_4": _model(1, 4),
+        "ghz_4": _model(2, 4),
+    }
     assert sum("-from" in i for i in ids) == 2 * (len(list(_targets())) - len(REFUSED))
     # The tilde frequency keeps one sign over each bracket, its root lying
     # just above it; the refusal names the nearest pole, where the two aTC

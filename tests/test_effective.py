@@ -287,6 +287,19 @@ class TestSecondOrderResonances:
         with pytest.raises(ResonanceBracketError, match="no sign change .*; the nearest pole lies " + inside):
             solve_second_order_resonance(ResonanceTarget("tc", 2, 0, 1), p)
 
+    def test_degenerate_detuning_names_the_resonant_channel(self):
+        # the solve converges onto the pole where TC(1,3) is resonant, at
+        # omega_q = omega_r; the refusal used to name neither point nor channel
+        p = ModelParams(
+            n_qubits=4, coupling=0.1350754965095557, stark_u=-0.6318053729800619, n_max=default_n_max(2, 4)
+        )
+        message = (
+            r"^first-order detuning 6\.895e-11 below the 1e-09 floor at omega_q = 0\.99999\d*;"
+            r" the nearest pole lies at omega_q = 1\.0, the first-order resonance of TC\(1,3\)$"
+        )
+        with pytest.raises(DegenerateDetuningError, match=message):
+            solve_second_order_resonance(ResonanceTarget("tc", 2, 1, 2), p)
+
     def test_matches_brentq_oracle(self):
         # scipy is a test-only oracle. Targets: the fig7 / ghz_4 step-1 and
         # fig8 / ghz_4 step-2 resonances, then seeded draws whose default
@@ -706,7 +719,9 @@ class TestSolverMatchesScalarOracle:
                         try:
                             expected = scalar_second_order_root(target, params)
                         except (DegenerateDetuningError, ResonanceBracketError) as exc:
-                            with pytest.raises(type(exc)):
+                            # a degenerate refusal names the channel resonant there
+                            named = "the first-order resonance of" if isinstance(exc, DegenerateDetuningError) else None
+                            with pytest.raises(type(exc), match=named):
                                 solve_resonance(target, params)
                             outcomes[type(exc).__name__] += 1
                             continue

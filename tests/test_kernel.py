@@ -379,8 +379,9 @@ RECORDED_STEPS = {
 
 @pytest.mark.parametrize("name", sorted(RECORDED_STEPS))
 def test_protocol_preset_trajectories_match_the_recorded_values(name):
-    params = protocol_preset(name)
-    compiled = protocol.compile_ghz4(params) if name == "ghz_4" else protocol.compile_dicke_ladder(4, 4, params)
+    spec = protocol_preset(name)
+    params = spec.params
+    compiled = protocol.compile_from_rules(spec, params)
     space = build_space(params)
     result = protocol.run_protocol(compiled, params, space, samples=400)
     assert len(result.per_step) == len(RECORDED_STEPS[name])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +18,12 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
 )
+from dickestark.config import parse_config
+from dickestark.presets import PROTOCOL_PRESETS
 from dickestark.protocol import (
     CutoffExceededError,
     Protocol,
+    ProtocolSpec,
     PulseStep,
     StepRule,
     compile_dicke_ladder,
@@ -72,6 +76,10 @@ class TestCompileDickeLadder:
             compile_dicke_ladder(4, 5, ladder_params())
         with pytest.raises(ValueError):
             compile_dicke_ladder(4, 0, ladder_params())
+
+    def test_ladder_record_holds_its_n(self):
+        with pytest.raises(ValueError, match="^protocol 'dicke_ladder_6' is compiled for N = 6, got n_qubits = 4$"):
+            compile_dicke_ladder(6, 6, ladder_params())
 
     def test_labels(self):
         proto = compile_dicke_ladder(4, 2, ladder_params())
@@ -182,8 +190,8 @@ class TestExpectedCells:
     def test_full_period_pulse_returns_to_the_start(self):
         # a whole Rabi period carries the population back to (0, 0)
         p = ladder_params()
-        rules = [StepRule(ResonanceTarget("atc", 1, 0, 0), 1.0)]
-        proto = compile_from_rules("full_period", p, rules, (0, 0), "basis", (0, 0))
+        rules = (StepRule(ResonanceTarget("atc", 1, 0, 0), 1.0),)
+        proto = compile_from_rules(ProtocolSpec("full_period", None, rules, (0, 0), "basis", (0, 0)), p)
         assert proto.expected == (((0, 0),),)
         assert self._listed_share(proto, p)[0] >= 0.99
 
@@ -191,8 +199,8 @@ class TestExpectedCells:
         # the second quarter period finds both cells of its pair occupied, and
         # the transfer then depends on an untracked relative phase
         p = ladder_params()
-        rules = [StepRule(ResonanceTarget("atc", 1, 0, 0), QUARTER_PERIOD)] * 2
-        proto = compile_from_rules("two_quarters", p, rules, (0, 0), "basis", (1, 1))
+        rules = (StepRule(ResonanceTarget("atc", 1, 0, 0), QUARTER_PERIOD),) * 2
+        proto = compile_from_rules(ProtocolSpec("two_quarters", None, rules, (0, 0), "basis", (1, 1)), p)
         assert proto.expected == (((0, 0), (1, 1)),) * 2
         assert min(self._listed_share(proto, p)) >= 0.99
 
@@ -224,6 +232,30 @@ class TestSectorResidentTrajectory:
             # the boundary dict as read off the full-space array
             assert pops == {cell: float(p) for cell, p in zip(space.labels(), traj.populations[-1])}
             assert list(pops) == space.labels()
+
+
+class TestPresetRecords:
+    """The protocol presets are records in the step and target grammar; the
+    named compilers compile the same records."""
+
+    def test_ghz_4_is_compile_ghz4(self):
+        spec = PROTOCOL_PRESETS["ghz_4"]
+        assert spec.params == ghz_params()
+        assert compile_from_rules(spec, spec.params) == compile_ghz4(ghz_params())
+
+    def test_dicke_ladder_4_is_the_full_ladder(self):
+        spec = PROTOCOL_PRESETS["dicke_ladder_4"]
+        assert spec.params == ladder_params()
+        assert compile_from_rules(spec, spec.params) == compile_dicke_ladder(4, 4, ladder_params())
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_PRESETS))
+    def test_a_record_compiles_only_at_its_own_n(self, name):
+        spec = PROTOCOL_PRESETS[name]
+        other = replace(spec.params, n_qubits=5)
+        with pytest.raises(ValueError, match=rf"^protocol '{name}' is compiled for N = 4, got n_qubits = 5$"):
+            compile_from_rules(spec, other)
+        # a record without a model compiles at any N its targets fit
+        assert compile_from_rules(replace(spec, params=None), other).params == other
 
 
 class TestGuards:
@@ -289,11 +321,16 @@ class TestGuards:
             run_protocol(compile_ghz4(params), params, space)
 
 
+def _recompiled(proto):
+    """``proto`` written out, read back and compiled at the file's physics."""
+    spec = protocol_from_json(proto.to_json())
+    return compile_from_rules(spec, spec.params)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         proto = compile_ghz4(ghz_params())
-        text = proto.to_json()
-        rebuilt = protocol_from_json(text)
+        rebuilt = _recompiled(proto)
         assert rebuilt.name == proto.name
         assert rebuilt.target_kind == "ghz"
         assert len(rebuilt.steps) == len(proto.steps)
@@ -303,9 +340,28 @@ class TestSerialization:
 
     def test_roundtrip_ladder(self):
         proto = compile_dicke_ladder(4, 3, ladder_params())
-        rebuilt = protocol_from_json(proto.to_json())
+        rebuilt = _recompiled(proto)
         assert rebuilt.target_cell == (3, 1)
         assert [s.label for s in rebuilt.steps] == [s.label for s in proto.steps]
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_PRESETS))
+    def test_preset_record_roundtrip(self, name):
+        spec = PROTOCOL_PRESETS[name]
+        assert protocol_from_json(spec.to_json()) == spec
+
+    def test_inline_record_roundtrip(self):
+        # an inline record at a model, as a protocol run writes it; the file's
+        # cutoff is the default for its highest start photon, here 1
+        spec = parse_config(
+            "[protocol]\nsteps =\n    tc 1 0 1 quarter_period\n    atc 2 1 0 0.3\ninitial = 1 1\ntarget = basis 2 0\n"
+        ).protocol.spec
+        assert spec.params is None and spec.highest_start_photon == 1
+        at_model = replace(spec, params=ModelParams(n_qubits=5, omega_r=1.1, coupling=0.02, stark_u=3.0, n_max=8))
+        assert protocol_from_json(at_model.to_json()) == at_model
+
+    def test_file_record_is_cut_off_at_the_default(self):
+        spec = protocol_from_json(compile_dicke_ladder(4, 2, ladder_params(n_max=11)).to_json())
+        assert spec.params == ladder_params(n_max=default_n_max(0, 4))
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
