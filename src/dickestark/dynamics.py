@@ -14,27 +14,28 @@ block. If H couples the kept sectors to the rest, the block is the whole space.
 
 Its per-scan part, ``_Sector``, checks the symmetry of H (the builder does
 not) and that H leaves the kept block invariant. Both read only the
-off-diagonal of H, which all the H of a frequency scan share, so a scan runs
-them once; ``propagate`` and ``evolve`` once per H. Its per-H part,
+off-diagonal of H, which all the H of a frequency scan, and all the steps of
+a protocol, share, so a scan and a protocol run them once; ``propagate``
+runs them once per H, and ``evolve`` unless it is given them. Its per-H part,
 ``_Spectral``, runs the ``eigh`` on the cached sector index sets; the real
 eigenvectors multiply the complex amplitudes in real arithmetic.
 
-``evolve`` evaluates its uniform time grid in the kept sector only. The
-phases exp(-i w t_s) are block products of about 2 sqrt(samples) complex
-exponentials per eigenvalue (``_phase_grid``), exact to the rounding of w t
-itself; the populations are re^2 + im^2 of the sector amplitudes, and the
-excitation numbers are read from them. ``Trajectory`` stores the sector: its
-full-space ``populations`` are scattered on first access, and ``final``
-scatters the last sample only. Nothing is renormalized:
-``Trajectory`` checks the norm of every sample, so its drift check measures
-the kernel's unitarity.
+``evolve`` walks its uniform time grid in blocks of about EVOLVE_BLOCK
+samples. The phases exp(-i w t_s) are block products of about
+2 sqrt(samples) complex exponentials per eigenvalue (``_phase_grid``), exact
+to the rounding of w t itself; each block's sector amplitudes live only
+until its populations (re^2 + im^2) and excitation numbers are written into
+the trajectory's preallocated full-space arrays. ``Trajectory`` keeps those
+arrays and the final state, the last sample's amplitudes, but no other
+sample's. Nothing is renormalized: ``Trajectory`` checks the norm of every
+sample, so its drift check measures the kernel's unitarity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +48,14 @@ from .model import (
 )
 
 DEFAULT_SAMPLES = 400
-# A trajectory keeps every sample's sector amplitudes and populations, so its
-# memory grows linearly in samples: 5x the largest sampling in use (2000).
+# A trajectory keeps every sample's full-space populations (samples x dimension
+# floats), so its memory grows linearly in samples: 5x the largest sampling in
+# use (2000).
 MAX_SAMPLES = 10_001
+# Samples per block of ``evolve``'s time grid, in whole rows of the block
+# product: a block's phases and amplitudes stay small enough to be reused
+# from the allocator's free memory instead of being mapped afresh.
+EVOLVE_BLOCK = 256
 
 CUTOFF_POPULATION = 1e-6
 
@@ -66,67 +72,48 @@ class CutoffExceededError(RuntimeError):
         )
 
 
-def _top_populations(populations: np.ndarray, space: HilbertSpace, kept: np.ndarray) -> np.ndarray:
-    """The population in the top photon level n = n_max of each column of
-    ``populations``, whose rows are the flat indices ``kept``."""
-    return populations[kept % (space.n_max + 1) == space.n_max].sum(axis=0)
+def _top_populations(populations: np.ndarray, space: HilbertSpace, columns: np.ndarray | slice) -> np.ndarray:
+    """The population in the top photon level n = n_max of each row of
+    ``populations``, whose columns are the flat indices ``columns``."""
+    return populations[..., space.excitation_numbers()[1][columns] == space.n_max].sum(axis=-1)
 
 
-def require_below_cutoff(populations: np.ndarray, space: HilbertSpace, where: str, kept: np.ndarray) -> None:
-    """Raise CutoffExceededError if any column of ``populations`` (one column
-    per sample, one row per flat index of ``kept``) holds more than
+def require_below_cutoff(populations: np.ndarray, space: HilbertSpace, where: str) -> None:
+    """Raise CutoffExceededError if any row of the full-space ``populations``
+    (one row per sample, or one state's populations) holds more than
     CUTOFF_POPULATION in the top photon level; a NaN population raises too."""
-    top = float(_top_populations(populations, space, kept).max())
+    top = float(np.max(_top_populations(populations, space, slice(None))))
     if not top <= CUTOFF_POPULATION:
         raise CutoffExceededError(where, top)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled evolution record over a HilbertSpace, stored in the
-    sector the state occupies.
+    """Uniformly sampled evolution record over a HilbertSpace.
 
-    ``kept`` holds the sector's flat indices; ``sector_states[r, i]`` is the
-    amplitude of flat index kept[r] at sample i, and ``sector_populations``
-    its probability. Every other amplitude is zero. ``nq`` and ``nph`` are
-    the mean atomic and photonic excitation numbers. Construction checks
-    that every sample's norm is 1 to within NORM_TOL.
+    ``populations[i, j]`` is the probability of flat index j at sample i;
+    ``nq`` and ``nph`` are the mean atomic and photonic excitation numbers
+    per sample, and ``final`` the state at the last sample. Construction
+    checks that every sample's norm is 1 to within NORM_TOL.
     """
 
     space: HilbertSpace
     times: np.ndarray
-    kept: np.ndarray
-    sector_states: np.ndarray
-    sector_populations: np.ndarray
+    populations: np.ndarray
     nq: np.ndarray
     nph: np.ndarray
+    final: StateVector
 
     def __post_init__(self) -> None:
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        drift = float(np.max(np.abs(np.sqrt(self.sector_populations.sum(axis=0)) - 1.0)))
+        # row sums, as one matrix-vector product: faster than sum(axis=1) on short rows
+        norms = np.sqrt(self.populations @ np.ones(self.space.dimension))
+        drift = float(np.max(np.abs(norms - 1.0)))
         if not drift <= NORM_TOL:
             raise ValueError(f"trajectory norm drift {drift:.3e} exceeds {NORM_TOL}")
-        sector = (self.kept, self.sector_states, self.sector_populations)
-        for arr in (self.times, *sector, self.nq, self.nph):
+        for arr in (self.times, self.populations, self.nq, self.nph):
             arr.flags.writeable = False
-
-    def scatter(self, sector: np.ndarray) -> np.ndarray:
-        """Sector values (one row per kept index, one column per sample, or
-        a single column) as a fresh read-only full-space array: one row per
-        sample, zeros outside the sector."""
-        out = np.zeros(sector.shape[1:] + (self.space.dimension,), dtype=sector.dtype)
-        out[..., self.kept] = sector.T
-        return _read_only(out)
-
-    @cached_property
-    def populations(self) -> np.ndarray:
-        """[i, j]: the probability of flat index j at sample i, scattered on first access."""
-        return self.scatter(self.sector_populations)
-
-    @property
-    def final(self) -> StateVector:
-        return StateVector(self.space, self.scatter(self.sector_states[:, -1]))
 
 
 class _Sector:
@@ -157,7 +144,11 @@ class _Spectral:
 
     def apply(self, t: float) -> np.ndarray:
         """exp(-i H t) applied to the vector, over the whole space."""
-        sector = _times(self.eigenvectors, np.exp(-1j * (self.eigenvalues * t)) * self.coeffs)
+        phases = np.exp(-1j * (self.eigenvalues * t)) * self.coeffs
+        return self.whole(_times(self.eigenvectors, phases))
+
+    def whole(self, sector: np.ndarray) -> np.ndarray:
+        """The kept amplitudes ``sector`` over the whole space, zero elsewhere."""
         if self.kept.size == self.dimension:
             return sector
         out = np.zeros(self.dimension, dtype=complex)
@@ -166,34 +157,45 @@ class _Spectral:
 
     def on_grid(self, duration: float, samples: int) -> np.ndarray:
         """The kept amplitudes of exp(-i H t) applied to the vector at the
-        times of np.linspace(0, duration, samples), one column per time; the
-        last column is ``apply(duration)`` restricted to the kept indices, up
-        to the rounding of the matrix product."""
-        phases = _phase_grid(self.eigenvalues, self.coeffs, duration, samples)
-        return _times(self.eigenvectors, phases)
+        times of np.linspace(0, duration, samples), one column per time, from
+        the blocks of ``_phase_grid``; the last column is ``apply(duration)``
+        restricted to the kept indices, up to the rounding of the matrix
+        product."""
+        out = np.empty((self.kept.size, samples), dtype=complex)
+        for start, phases in _phase_grid(self.eigenvalues, self.coeffs, duration, samples):
+            out[:, start : start + phases.shape[1]] = _times(self.eigenvectors, phases)
+        return out
 
 
-def _phase_grid(w: np.ndarray, coeffs: np.ndarray, duration: float, samples: int) -> np.ndarray:
-    """coeffs * exp(-i w t_s) for t_s = s * duration / (samples - 1), the
-    times of np.linspace(0, duration, samples): one row per eigenvalue, one
-    column per time.
+def _phase_grid(w: np.ndarray, coeffs: np.ndarray, duration: float, samples: int):
+    """Yield (start, phases) blocks of coeffs * exp(-i w t_s) for
+    t_s = s * duration / (samples - 1), the times of
+    np.linspace(0, duration, samples): ``phases`` has one row per eigenvalue
+    and one column per time from t_start on, and the blocks cover the grid in
+    order.
 
     With b = ceil(sqrt(samples)) and s = a b + r, each entry is the product
     of a row factor exp(-i w (a b) step) and a column factor exp(-i w r step),
     so about 2 sqrt(samples) complex exponentials per eigenvalue replace
-    ``samples`` of them. Rounding (a b) step + r step differs from rounding
-    s step by a few ulps of w t, so each phase agrees with the direct
-    exp(-i w t_s) to within a small multiple of 2^-52 max(1, max|w t|). The
-    last column is computed directly, exactly as ``_Spectral.apply`` does at
-    t = duration.
+    ``samples`` of them. A block holds EVOLVE_BLOCK // b whole rows a (at
+    least one), the last block what is left. Rounding (a b) step + r step
+    differs from rounding s step by a few ulps of w t, so each phase agrees
+    with the direct exp(-i w t_s) to within a small multiple of
+    2^-52 max(1, max|w t|). The last column is computed directly, exactly as
+    ``_Spectral.apply`` does at t = duration.
     """
     step = duration / (samples - 1)
     b = math.isqrt(samples - 1) + 1  # ceil(sqrt(samples))
     rows = np.exp(-1j * np.multiply.outer(w, np.arange(0, samples, b) * step)) * coeffs[:, None]
     cols = np.exp(-1j * np.multiply.outer(w, np.arange(b) * step))
-    grid = (rows[:, :, None] * cols[:, None, :]).reshape(w.size, -1)
-    grid[:, samples - 1] = np.exp(-1j * (w * duration)) * coeffs
-    return grid[:, :samples]
+    per_block = max(1, EVOLVE_BLOCK // b)
+    for first in range(0, rows.shape[1], per_block):
+        start = first * b
+        block = rows[:, first : first + per_block, None] * cols[:, None, :]
+        block = block.reshape(w.size, -1)[:, : samples - start]
+        if start + block.shape[1] == samples:
+            block[:, -1] = np.exp(-1j * (w * duration)) * coeffs
+        yield start, block
 
 
 @lru_cache(maxsize=8)
@@ -237,37 +239,52 @@ def observables(psi: StateVector) -> tuple[float, float]:
 
 
 def evolve(
-    psi0: StateVector, h: Operator, duration: float, samples: int = DEFAULT_SAMPLES
+    psi0: StateVector,
+    h: Operator,
+    duration: float,
+    samples: int = DEFAULT_SAMPLES,
+    sector: _Sector | None = None,
 ) -> Trajectory:
     """Evolve |psi0> under H for ``duration``, sampled uniformly on
-    [0, duration] (np.linspace). The final stored state is
-    propagate(H, psi0, duration) up to the rounding of one matrix product.
+    [0, duration] (np.linspace). ``sector`` is checked on this H unless
+    given, as for ``_Spectral``.
 
-    Only the occupied parity sector is evaluated per sample: its phases come
-    from block products (``_phase_grid``), its populations are re^2 + im^2 of
-    its amplitudes, and nq and nph are read from those. The trajectory keeps
-    the sector; its full-space populations are scattered only when read.
-    No sample is renormalized; ``Trajectory`` checks every norm."""
+    Only the occupied parity sector is evaluated, about EVOLVE_BLOCK samples
+    at a time: a block's phases come from ``_phase_grid``, its populations
+    are re^2 + im^2 of its amplitudes and nq and nph are read from those,
+    all written straight into the trajectory's arrays. The amplitudes are
+    dropped with their block, except the last sample's: the final state,
+    whose phases are those of ``propagate(H, psi0, duration)`` and which
+    differs from it only by the rounding of the matrix product. No sample is
+    renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
-    spectral = _Spectral(h, psi0.amplitudes)
+    spectral = _Spectral(h, psi0.amplitudes, sector)
     kept = spectral.kept
-    sector = spectral.on_grid(duration, samples)  # (kept, samples)
-    parts = sector.view(np.float64)
-    sector_pops = parts[:, 0::2] ** 2 + parts[:, 1::2] ** 2
-    ks, ns = h.space.excitation_numbers()
+    ks, ns = (numbers[kept] for numbers in h.space.excitation_numbers())
+    populations = np.zeros((samples, h.space.dimension))
+    nq, nph = np.empty(samples), np.empty(samples)
+    for start, phases in _phase_grid(spectral.eigenvalues, spectral.coeffs, duration, samples):
+        amplitudes = _times(spectral.eigenvectors, phases)
+        last = amplitudes[:, -1].copy()  # the last block's is the final state
+        parts = amplitudes.view(np.float64)  # (re, im) per amplitude
+        np.square(parts, out=parts)
+        block = parts[:, 0::2] + parts[:, 1::2]  # (kept, block samples)
+        stop = start + block.shape[1]
+        populations[start:stop, kept] = block.T
+        np.matmul(ks, block, out=nq[start:stop])
+        np.matmul(ns, block, out=nph[start:stop])
     return Trajectory(
         space=h.space,
         times=np.linspace(0.0, duration, samples),
-        kept=kept,
-        sector_states=sector,
-        sector_populations=sector_pops,
-        nq=ks[kept] @ sector_pops,
-        nph=ns[kept] @ sector_pops,
+        populations=populations,
+        nq=nq,
+        nph=nph,
+        final=StateVector(h.space, _read_only(spectral.whole(last))),
     )
 
 

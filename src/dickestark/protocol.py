@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_SAMPLES, Trajectory, evolve, fidelity, to_rotating_frame
+from .dynamics import DEFAULT_SAMPLES, Trajectory, _Sector, evolve, fidelity, to_rotating_frame
 from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
 from .effective import HALF_PERIOD, QUARTER_PERIOD, ResonanceTarget, pulse_duration, solve_resonance
 from .model import (
@@ -108,6 +108,11 @@ class ProtocolSpec:
         return StateVector(space, amps)
 
     def to_json(self) -> str:
+        if self.params is None:
+            raise ValueError(
+                f"protocol {self.name!r} has no model (N, omega_r, lambda, U) to write;"
+                " compile it at one first"
+            )
         doc = {
             "name": self.name,
             "N": self.params.n_qubits,
@@ -282,8 +287,7 @@ class ProtocolResult:
     def step_boundary_populations(self) -> list[dict[tuple[int, int], float]]:
         out = []
         for traj in self.per_step:
-            pops = traj.scatter(traj.sector_populations[:, -1])
-            out.append({cell: float(p) for cell, p in zip(traj.space.labels(), pops)})
+            out.append({cell: float(p) for cell, p in zip(traj.space.labels(), traj.populations[-1])})
         return out
 
 
@@ -295,7 +299,12 @@ def run_protocol(
 ) -> ProtocolResult:
     """Execute the sequence: exact evolution under the full Hamiltonian with
     each step's qubit frequency, frame-unwound at the step boundaries, with a
-    top-photon-level guard along every trajectory."""
+    top-photon-level guard along every trajectory.
+
+    The kernel's symmetry and sector checks (``dynamics._Sector``) run once,
+    on the first step's H: every step's H shares its off-diagonal, and H
+    conserves parity, so the occupied sector never changes. Each step still
+    builds its H and diagonalizes its sector block."""
     compiled = protocol.params
     mismatched = [
         f"{f.name} = {getattr(params, f.name)} does not match the protocol's compiled"
@@ -308,11 +317,13 @@ def run_protocol(
 
     psi = dicke_state(space, *protocol.initial)
     trajectories = []
+    sector = None
     for index, step in enumerate(protocol.steps, start=1):
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
-        traj = evolve(psi, h, step.duration, samples=samples)
-        require_below_cutoff(traj.sector_populations, space, f"step {index}", kept=traj.kept)
+        sector = sector or _Sector(h, psi.amplitudes)
+        traj = evolve(psi, h, step.duration, samples=samples, sector=sector)
+        require_below_cutoff(traj.populations, space, f"step {index}")
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)
 

@@ -89,7 +89,7 @@ def resonance_scan(
         vectors = np.array([s.eigenvectors for s in spectra])
         parts = vectors @ phases.view(np.float64).reshape(len(chunk), -1, 2)  # (re, im) per amplitude
         pops = parts[..., 0] ** 2 + parts[..., 1] ** 2
-        top = _top_populations(pops.T, space, sector.kept)
+        top = _top_populations(pops, space, sector.kept)
         over = np.flatnonzero(~(top <= CUTOFF_POPULATION))  # a NaN population is over too
         if over.size:
             raise CutoffExceededError(f"scan ratio {chunk[over[0]]!r}", float(top[over[0]]))

@@ -8,6 +8,9 @@ by faster routes.
   forms that ``build_hamiltonian`` writes.
 - ``full_space_evolution`` propagates with one complex ``eigh`` of the whole
   space, without the parity-sector restriction.
+- ``grid_states`` is not an oracle: it is the sector kernel's own amplitude
+  grid (``_Spectral.on_grid``) over the whole space, which ``evolve`` does
+  not keep, for comparing with the oracles and with ``evolve``.
 - ``build_effective_hamiltonian`` is the selective two-level model of one
   target, compared with the exact dynamics at its resonance.
 - ``closed_form_stark_shift`` and ``closed_form_second_order`` are the
@@ -41,7 +44,8 @@ from dickestark.effective import (
     delta_plus,
     target_coupling,
 )
-from dickestark.model import HilbertSpace, ModelParams, Operator
+from dickestark.dynamics import _Spectral
+from dickestark.model import HilbertSpace, ModelParams, Operator, StateVector
 
 
 def ladder_f(k: int, n_qubits: int) -> float:
@@ -96,6 +100,15 @@ def full_space_evolution(h: np.ndarray, amplitudes: np.ndarray, times) -> np.nda
     coeffs = v.conj().T @ amplitudes
     phases = np.exp(-1j * np.outer(np.atleast_1d(times), w))
     return (phases * coeffs) @ v.T
+
+
+def grid_states(h: Operator, psi0: StateVector, duration: float, samples: int) -> np.ndarray:
+    """``_Spectral(h, psi0.amplitudes).on_grid(duration, samples)`` over the
+    whole space: one row per time of np.linspace(0, duration, samples)."""
+    spectral = _Spectral(h, psi0.amplitudes)
+    states = np.zeros((samples, h.space.dimension), dtype=complex)
+    states[:, spectral.kept] = spectral.on_grid(duration, samples).T
+    return states
 
 
 def detuned_rabi_probability(omega, delta, t):

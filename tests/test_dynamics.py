@@ -6,6 +6,7 @@ import pytest
 from dickestark.dynamics import (
     MAX_SAMPLES,
     Trajectory,
+    _Spectral,
     evolve,
     fidelity,
     observables,
@@ -26,7 +27,7 @@ from dickestark.model import (
     build_space,
     dicke_state,
 )
-from oracles import build_effective_hamiltonian, cell_omega, full_space_evolution
+from oracles import build_effective_hamiltonian, cell_omega, full_space_evolution, grid_states
 
 
 def random_state(space, rng):
@@ -91,7 +92,8 @@ class TestEvolve:
         psi0 = random_state(space, rng)
         traj = evolve(psi0, h, duration=13.0, samples=57)
         direct = full_space_evolution(h.matrix, psi0.amplitudes, 13.0)[0]
-        assert np.max(np.abs(traj.scatter(traj.sector_states)[-1] - direct)) < 1e-10
+        assert np.max(np.abs(grid_states(h, psi0, 13.0, 57)[-1] - direct)) < 1e-10
+        assert np.max(np.abs(traj.final.amplitudes - direct)) < 1e-10
 
     def test_diagonal_hamiltonian_freezes_populations(self, small_system):
         _, space, h = small_system
@@ -109,22 +111,45 @@ class TestEvolve:
             duration = float(rng.uniform(1.0, 3000.0))
             traj = evolve(psi0, h, duration, samples=samples)
             final = propagate(h, psi0, duration).amplitudes
-            assert np.max(np.abs(traj.scatter(traj.sector_states)[-1] - final)) <= 1e-15
+            assert np.max(np.abs(grid_states(h, psi0, duration, samples)[-1] - final)) <= 1e-15
+            assert np.max(np.abs(traj.final.amplitudes - final)) <= 1e-15
+
+    @pytest.mark.parametrize("samples", [2, 3, 255, 256, 257, 400, 2000, MAX_SAMPLES])
+    def test_blocks_write_the_kernel_grid(self, small_system, samples):
+        # Every block of the time grid, its edges included, lands in the
+        # full-space populations and in nq and nph, each sample once; the
+        # final state is the last column of the grid, bit for bit.
+        _, space, h = small_system
+        rng = np.random.default_rng(samples)
+        ks, ns = space.excitation_numbers()
+        for psi0 in (dicke_state(space, 1, 2), random_state(space, rng)):  # one parity, then both
+            duration = float(rng.uniform(1.0, 3000.0))
+            traj = evolve(psi0, h, duration, samples=samples)
+            spectral = _Spectral(h, psi0.amplitudes)
+            grid = spectral.on_grid(duration, samples)
+            expected = np.zeros((samples, space.dimension))
+            expected[:, spectral.kept] = (np.abs(grid) ** 2).T
+            assert traj.populations.shape == (samples, space.dimension)
+            assert np.max(np.abs(traj.populations - expected)) <= 1e-15
+            assert np.max(np.abs(traj.nq - expected @ ks)) <= 1e-14
+            assert np.max(np.abs(traj.nph - expected @ ns)) <= 1e-14
+            assert np.array_equal(traj.final.amplitudes, spectral.whole(grid[:, -1]))
+            assert np.max(np.abs(traj.final.amplitudes - spectral.apply(duration))) <= 1e-15
+            for arr in (traj.times, traj.populations, traj.nq, traj.nph):
+                assert not arr.flags.writeable
 
     def test_norm_conservation(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(17)
         psi0 = random_state(space, rng)
-        traj = evolve(psi0, h, duration=200.0, samples=400)
-        norms = np.linalg.norm(traj.scatter(traj.sector_states), axis=1)
+        norms = np.linalg.norm(grid_states(h, psi0, 200.0, 400), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_energy_conservation(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(23)
         psi0 = random_state(space, rng)
-        traj = evolve(psi0, h, duration=150.0, samples=150)
-        states = traj.scatter(traj.sector_states)
+        states = grid_states(h, psi0, 150.0, 150)
         energies = np.array([np.vdot(state, h.matrix @ state).real for state in states])
         scale = max(abs(energies[0]), 1.0)
         assert np.max(np.abs(energies - energies[0])) / scale < 1e-10
@@ -196,19 +221,16 @@ class TestEvolve:
     def test_trajectory_rejects_one_sample_off_in_norm(self, small_system):
         _, space, h = small_system
         traj = evolve(dicke_state(space, 0, 0), h, duration=40.0, samples=9)
-        sector = np.array(traj.sector_states)
-        sector[:, 4] *= 1.0 + 1e-9
-        pops = np.abs(sector) ** 2
+        pops = np.array(traj.populations)
+        pops[4] *= (1.0 + 1e-9) ** 2
         with pytest.raises(ValueError, match="norm drift 1.0..e-09 exceeds"):
-            Trajectory(space, traj.times, traj.kept, sector, pops, traj.nq, traj.nph)
+            Trajectory(space, traj.times, pops, traj.nq, traj.nph, traj.final)
 
     def test_nan_trajectory_rejected(self, small_system):
         _, space, _ = small_system
-        kept = np.arange(space.dimension)
-        sector = np.full((space.dimension, 2), np.nan, dtype=complex)
-        pops, zeros = np.abs(sector) ** 2, np.zeros(2)
+        pops, zeros = np.full((2, space.dimension), np.nan), np.zeros(2)
         with pytest.raises(ValueError, match="norm drift nan"):
-            Trajectory(space, np.array([0.0, 1.0]), kept, sector, pops, zeros, zeros.copy())
+            Trajectory(space, np.array([0.0, 1.0]), pops, zeros, zeros.copy(), dicke_state(space, 0, 0))
 
 
 class TestObservables:

@@ -4,6 +4,7 @@ Kronecker-product builders, parity-sector propagation against one complex
 exponentials and against values recorded before it was rewritten, and the
 photon-cutoff guard of the scan."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from dickestark.validate import (
     _product_isometry,
     check_unitarity,
 )
-from oracles import full_space_evolution, kron_hamiltonian
+from oracles import full_space_evolution, grid_states, kron_hamiltonian
 
 
 def draw_params(rng, n_qubits, n_max):
@@ -235,9 +236,9 @@ class TestSectorPropagation:
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, t)[0]
             got = propagate(h, psi0, t).amplitudes
             assert np.max(np.abs(got - oracle / np.linalg.norm(oracle))) <= 1e-12
-            traj = evolve(psi0, h, t, samples=7)
-            oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
-            assert np.max(np.abs(traj.scatter(traj.sector_states) - oracle)) <= 1e-12
+            oracle = full_space_evolution(h.matrix, psi0.amplitudes, np.linspace(0.0, t, 7))
+            assert np.max(np.abs(grid_states(h, psi0, t, 7) - oracle)) <= 1e-12
+            assert np.max(np.abs(evolve(psi0, h, t, samples=7).final.amplitudes - oracle[-1])) <= 1e-12
 
     def test_diagonalizes_only_the_occupied_sector(self):
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
@@ -299,7 +300,14 @@ class TestTimeGrid:
         coeffs /= np.linalg.norm(coeffs)
         duration = 800.0
         times = np.linspace(0.0, duration, samples)
-        got = dynamics._phase_grid(w, coeffs, duration, samples)
+        blocks = list(dynamics._phase_grid(w, coeffs, duration, samples))
+        # whole rows of the b x b product per block, in order, covering the grid once
+        b = math.isqrt(samples - 1) + 1
+        starts = [start for start, _ in blocks]
+        widths = [phases.shape[1] for _, phases in blocks]
+        assert starts == list(range(0, samples, max(1, dynamics.EVOLVE_BLOCK // b) * b))
+        assert np.diff(starts).tolist() == widths[:-1] and sum(widths) == samples
+        got = np.concatenate([phases for _, phases in blocks], axis=1)
         direct = coeffs[:, None] * np.exp(-1j * np.outer(w, times))
         assert got.shape == (30, samples)
         assert np.max(np.abs(got - direct)) <= phase_bound(w, times)
@@ -313,10 +321,10 @@ class TestTimeGrid:
             h = build_hamiltonian(params, space)
             for sectors in ((0,), (1,), (0, 1)):
                 psi0 = random_state(space, rng, sectors)
-                traj = evolve(psi0, h, 3000.0, samples=401)
-                oracle = full_space_evolution(h.matrix, psi0.amplitudes, traj.times)
-                bound = phase_bound(np.linalg.eigvalsh(h.matrix), traj.times)
-                assert np.max(np.abs(traj.scatter(traj.sector_states) - oracle)) <= bound
+                times = np.linspace(0.0, 3000.0, 401)
+                oracle = full_space_evolution(h.matrix, psi0.amplitudes, times)
+                bound = phase_bound(np.linalg.eigvalsh(h.matrix), times)
+                assert np.max(np.abs(grid_states(h, psi0, 3000.0, 401) - oracle)) <= bound
 
 
 # (step nq and nph at samples 0, 133, 266, 399; final populations above 1e-3)
@@ -415,22 +423,29 @@ def test_preset_scan_curve_matches_per_point_oracle(name):
     assert np.max(np.abs(curve.nph - nph)) <= 1e-10
 
 
-def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
-    """One build and one eigh per grid point, and one Hermiticity check per
-    scan: the builder does not check, and the points' H share their
-    off-diagonal, which the kernel checks once, on the first H."""
+def count_kernel_calls(monkeypatch, caller):
+    """Count the calls of ``caller``'s build_hamiltonian, of the symmetry
+    check and of np.linalg.eigh, in the returned dict."""
     calls = {"build": 0, "hermitian": 0, "eigh": 0}
 
-    def counting(name, fn):
+    def counting(key, fn):
         def wrapped(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return fn(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(scan, "build_hamiltonian", counting("build", scan.build_hamiltonian))
+    monkeypatch.setattr(caller, "build_hamiltonian", counting("build", caller.build_hamiltonian))
     monkeypatch.setattr(Operator, "require_hermitian", counting("hermitian", Operator.require_hermitian))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    return calls
+
+
+def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
+    """One build and one eigh per grid point, and one Hermiticity check per
+    scan: the builder does not check, and the points' H share their
+    off-diagonal, which the kernel checks once, on the first H."""
+    calls = count_kernel_calls(monkeypatch, scan)
     preset = scan_preset("fig3")
     space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
@@ -440,6 +455,20 @@ def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     assert calls == {"build": 17, "hermitian": 1, "eigh": 17}
 
 
+@pytest.mark.parametrize("name, steps", [("ghz_4", 2), ("dicke_ladder_4", 4)])
+def test_protocol_step_builds_checks_and_diagonalizes_once(monkeypatch, name, steps):
+    """One build and one eigh per step, and one Hermiticity check per
+    protocol: every step's H shares H(0)'s off-diagonal, and H conserves
+    parity, so the occupied sector never changes."""
+    spec = protocol_preset(name)
+    compiled = protocol.compile_from_rules(spec, spec.params)
+    space = build_space(spec.params)
+    calls = count_kernel_calls(monkeypatch, protocol)
+    result = protocol.run_protocol(compiled, spec.params, space)
+    assert len(result.per_step) == steps
+    assert calls == {"build": steps, "hermitian": 1, "eigh": steps}
+
+
 def per_point_propagate_scan(psi0, ratios, duration, params, space):
     """``resonance_scan`` one point at a time: ``propagate``, the full-space
     cutoff check and ``observables`` per grid point, in grid order."""
@@ -447,8 +476,7 @@ def per_point_propagate_scan(psi0, ratios, duration, params, space):
     for ratio in ratios.tolist():
         h = build_hamiltonian(replace(params, omega_q=omega_q_from_ratio(ratio, params)), space)
         final = propagate(h, psi0, duration)
-        every = np.arange(space.dimension)
-        dynamics.require_below_cutoff(final.populations, space, f"scan ratio {ratio!r}", every)
+        dynamics.require_below_cutoff(final.populations, space, f"scan ratio {ratio!r}")
         rows.append(observables(final))
     return np.array(rows).T
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,8 +13,10 @@ from dickestark.effective import (
     ratio_from_omega_q,
     second_order,
 )
+from dickestark.dynamics import to_rotating_frame
 from dickestark.model import (
     ModelParams,
+    build_hamiltonian,
     build_space,
     default_n_max,
     dicke_state,
@@ -35,7 +38,7 @@ from dickestark.protocol import (
     protocol_from_json,
     run_protocol,
 )
-from oracles import cell_omega
+from oracles import cell_omega, grid_states
 
 LADDER = dict(n_qubits=4, omega_r=1.0, omega_q=1.0, coupling=0.006, stark_u=-0.5)
 GHZ = dict(n_qubits=4, omega_r=1.0, omega_q=1.0, coupling=0.1, stark_u=-16.0)
@@ -205,11 +208,11 @@ class TestExpectedCells:
         assert min(self._listed_share(proto, p)) >= 0.99
 
 
-class TestSectorResidentTrajectory:
+class TestBlockedTrajectory:
     @pytest.mark.parametrize(
         "n_qubits, samples, ghz", [(4, 400, True), (4, 400, False), (6, 2000, False)]
     )
-    def test_full_space_arrays_are_scattered_only_on_demand(self, n_qubits, samples, ghz):
+    def test_full_space_arrays_match_the_sector_kernel(self, n_qubits, samples, ghz):
         if ghz:
             params = ghz_params()
             proto = compile_ghz4(params)
@@ -219,19 +222,36 @@ class TestSectorResidentTrajectory:
         space = build_space(params)
         result = run_protocol(proto, params, space, samples=samples)
         boundaries = result.step_boundary_populations()
-        for traj in result.per_step:
-            assert "populations" not in traj.__dict__
-        for traj, pops in zip(result.per_step, boundaries):
-            states = np.zeros((samples, space.dimension), dtype=complex)
-            states[:, traj.kept] = traj.sector_states.T
-            populations = np.zeros((samples, space.dimension))
-            populations[:, traj.kept] = traj.sector_populations.T
-            assert np.array_equal(traj.scatter(traj.sector_states), states)
-            assert np.array_equal(traj.populations, populations)
-            assert traj.populations is traj.populations and not traj.populations.flags.writeable
+        psi = dicke_state(space, *proto.initial)
+        for step, traj, pops in zip(proto.steps, result.per_step, boundaries):
+            h = build_hamiltonian(replace(params, omega_q=step.omega_q), space)
+            states = grid_states(h, psi, step.duration, samples)
+            assert np.max(np.abs(traj.populations - np.abs(states) ** 2)) <= 1e-15
+            assert np.array_equal(traj.final.amplitudes, states[-1])
+            assert not traj.populations.flags.writeable
             # the boundary dict as read off the full-space array
             assert pops == {cell: float(p) for cell, p in zip(space.labels(), traj.populations[-1])}
             assert list(pops) == space.labels()
+            psi = to_rotating_frame(traj.final, h, step.duration)
+
+    def test_a_ladder_retains_only_its_populations(self):
+        # N = 6 at 2000 samples, every step's populations read: the run keeps
+        # them and little else, and its peak stays close to that.
+        params = ModelParams(n_max=default_n_max(0, 6), **{**LADDER, "n_qubits": 6})
+        proto = compile_dicke_ladder(6, 6, params)
+        space = build_space(params)
+        run_protocol(proto, params, space, samples=20)  # the space's and the model's caches
+        tracemalloc.start()
+        try:
+            result = run_protocol(proto, params, space, samples=2000)
+            read = [traj.populations for traj in result.per_step]
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        populations = sum(pops.size * 8 for pops in read)
+        assert populations == 6 * 2000 * space.dimension * 8
+        assert retained <= 1.1 * populations
+        assert peak <= 1.3 * populations
 
 
 class TestPresetRecords:
@@ -312,10 +332,7 @@ class TestGuards:
 
         params = ghz_params()
         space = build_space(params)
-        nan_traj = SimpleNamespace(
-            kept=np.arange(space.dimension),
-            sector_populations=np.full((space.dimension, 2), np.nan),
-        )
+        nan_traj = SimpleNamespace(populations=np.full((2, space.dimension), np.nan))
         monkeypatch.setattr(protocol_module, "evolve", lambda *args, **kwargs: nan_traj)
         with pytest.raises(CutoffExceededError):
             run_protocol(compile_ghz4(params), params, space)
@@ -358,6 +375,11 @@ class TestSerialization:
         assert spec.params is None and spec.highest_start_photon == 1
         at_model = replace(spec, params=ModelParams(n_qubits=5, omega_r=1.1, coupling=0.02, stark_u=3.0, n_max=8))
         assert protocol_from_json(at_model.to_json()) == at_model
+
+    def test_record_without_a_model_is_not_written(self):
+        spec = parse_config("[protocol]\nsteps = atc 1 0 0\ntarget = basis 1 1\n").protocol.spec
+        with pytest.raises(ValueError, match=r"^protocol 'custom' has no model \(N, omega_r, lambda, U\)"):
+            spec.to_json()
 
     def test_file_record_is_cut_off_at_the_default(self):
         spec = protocol_from_json(compile_dicke_ladder(4, 2, ladder_params(n_max=11)).to_json())
