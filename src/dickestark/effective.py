@@ -28,10 +28,19 @@ tilde frequency omega1 + omega2 + Delta(to) - Delta(from). The four
 second-order families pair, as (dk, dn) offsets, tc2 (0,2) -> (2,0), atc2
 (0,0) -> (2,2), r2 (0,0) -> (2,0) and a2 (0,0) -> (0,2). Omega is the cached
 table ``model._omega_table`` behind H's coupling elements; delta-/+ are
-affine in omega_q, so every pole of a tilde frequency has a closed form. One
-cell is evaluated with floats (the solver), the whole (n, k) grid of
-``rwa_validity_report`` with arrays; its rows, built on first read, run over
-n, then k, then kind: tc, atc, then tc2, atc2, r2, a2 at second order.
+affine in omega_q, so a step's omega is dk ((omega_q - omega_r) + c) or
+dk ((omega_r + omega_q) + c) with a Stark offset c that omega_q does not
+move, and every pole of a tilde frequency has a closed form.
+
+A family at one cell is a float closure of omega_q, built once from the
+step constants (G, dk, plus or minus, c) of its two cells: the solver
+iterates on it, and ``second_order`` evaluates it once.
+``rwa_validity_report`` evaluates the four steps once over the (n, k) grid
+padded by two levels, stacked on a leading step axis. It slices the four
+offset levels out of that stack, takes every Stark shift from them with one
+division, and sums the six paths of the four families with two more. Its
+rows, built on first read, run over n, then k, then kind: tc, atc, then
+tc2, atc2, r2, a2 at second order.
 """
 
 from __future__ import annotations
@@ -151,6 +160,33 @@ def solve_first_order_resonance(target: ResonanceTarget, params: ModelParams) ->
 _STEPS = ((-1, 1), (-1, -1), (1, -1), (1, 1))
 
 
+def _family(kind: str) -> tuple:
+    """The cells of a second-order family, from and to, as (dk, dn) offsets:
+    the from-cell has fewer atomic excitations (at equal k, fewer photons).
+    Its paths (i, j) leave the from-cell by step i and reach the to-cell by
+    the reverse of its step j."""
+    frm, to = sorted(_CELLS[kind])
+    lasts = [(dk - to[0] + frm[0], dn - to[1] + frm[1]) for dk, dn in _STEPS]
+    return frm, to, tuple((i, _STEPS.index(last)) for i, last in enumerate(lasts) if last in _STEPS)
+
+
+_FAMILIES = {kind: _family(kind) for kind in list(_CELLS)[2:]}
+
+# The grid's tables: the four offset cells the families read, in the order
+# per-cell evaluation refuses in; each family's from- and to-offset; the six
+# paths of the four families, one column each, as rows family, from-offset,
+# i, to-offset, j; each family's last path; the steps' dk and dn on a
+# leading axis.
+_OFFSETS = sorted({cell for frm, to, _ in _FAMILIES.values() for cell in (frm, to)})
+_FROM = [_OFFSETS.index(frm) for frm, _, _ in _FAMILIES.values()]
+_TO = [_OFFSETS.index(to) for _, to, _ in _FAMILIES.values()]
+_PATHS = np.array(
+    [(f, _FROM[f], i, _TO[f], j) for f, (_, _, paths) in enumerate(_FAMILIES.values()) for i, j in paths]
+).T
+_LAST = np.cumsum([len(paths) for _, _, paths in _FAMILIES.values()]) - 1
+_STEP_DK, _STEP_DN = np.array(_STEPS).T[..., None, None]
+
+
 def _over(num, den):
     """num / den for floats or arrays, zero where num is zero; a live
     denominator closer to zero than DEGENERACY_FLOOR is refused."""
@@ -169,44 +205,85 @@ def _over(num, den):
     return num / den
 
 
-def _steps(n, k, params: ModelParams) -> list:
-    """(G, omega) of the four steps from the cell (k, n), in ``_STEPS``
-    order; ints or index arrays, in the space or up to two levels above."""
-    table = _omega_table(params.n_qubits, params.n_max, params.coupling)
+def _cell_steps(n: int, k: int, params: ModelParams) -> list:
+    """The four steps from the cell (k, n), in ``_STEPS`` order, as constants
+    (G, dk, plus, c): a step's omega is dk (base + c), with base omega_r +
+    omega_q for a plus step (dk = dn, delta_plus) and omega_q - omega_r
+    otherwise, and c the Stark offset of its channel at (n + min(dn, 0),
+    k + min(dk, 0)). The cell lies in the space or up to two levels above."""
+    n_q = params.n_qubits
+    table = _omega_table(n_q, params.n_max, params.coupling)
     steps = []
     for dk, dn in _STEPS:
         nn, kk = n + min(dn, 0), k + min(dk, 0)
-        g = table.item(nn + 1, kk + 1) if isinstance(nn, int) else table[nn + 1, kk + 1]
-        omega = (delta_plus if dk == dn else delta_minus)(nn, kk, params)
-        steps.append((g, omega if dk > 0 else -omega))
+        lin = nn + kk + 1 - n_q / 2 if dk == dn else nn - kk + n_q / 2
+        steps.append((table.item(nn + 1, kk + 1), dk, dk == dn, params.stark_u * lin / n_q))
     return steps
 
 
-def _level(n, k, params: ModelParams):
-    """The steps from the cell (k, n) and its Stark shift, -sum G^2 / omega."""
-    steps = _steps(n, k, params)
-    return steps, sum(-_over(g * g, omega) for g, omega in steps)
+def _stark(steps: list, omega_q: float, omega_r: float) -> tuple[list, float]:
+    """The omegas of a cell's ``_cell_steps`` at omega_q, and its Stark
+    shift, -sum G^2 / omega."""
+    base = (omega_q - omega_r, omega_r + omega_q)
+    omegas = [dk * (base[plus] + c) for _, dk, plus, c in steps]
+    shift = 0.0
+    for (g, *_), omega in zip(steps, omegas):
+        shift -= _over(g * g, omega)
+    return omegas, shift
 
 
-def second_order(kind: str, n, k, params: ModelParams, levels=None):
+def _second_order_closure(kind: str, n: int, k: int, params: ModelParams):
+    """omega_q -> (coupling, tilde frequency) of the family ``kind`` at (n, k),
+    on floats: the step constants of its two cells and the G1 G2 of its
+    paths are taken once, and each evaluation forms only the omegas, the
+    Stark shifts and the path sums."""
+    frm, to, paths = _FAMILIES[kind]
+    cells = [_cell_steps(n + dn, k + dk, params) for dk, dn in (frm, to)]
+    products = [(cells[0][i][0] * cells[1][j][0], i, j) for i, j in paths]
+    omega_r = params.omega_r
+
+    def evaluate(omega_q: float) -> tuple[float, float]:
+        (out, shift_from), (back, shift_to) = (_stark(steps, omega_q, omega_r) for steps in cells)
+        coupling = 0.0
+        for g, i, j in products:
+            bare = out[i] - back[j]
+            coupling = coupling - (_over(g, back[j]) + _over(g, out[i]))
+        return 0.5 * coupling, bare + shift_to - shift_from
+
+    return evaluate
+
+
+def second_order(kind: str, n: int, k: int, params: ModelParams) -> tuple[float, float]:
     """(coupling, tilde frequency) of the family ``kind`` (tc2, atc2, r2, a2)
-    at (n, k), from the cell with fewer atomic excitations (at equal k, fewer
-    photons) to the other, which a path reaches by the reverse of one of its
-    steps (omega = -omega2). A grid passes ``_level`` at the (dk, dn) offsets."""
-    frm, to = sorted(_CELLS[kind])
-    if levels is None:
-        if not (0 <= n <= params.n_max and 0 <= k <= params.n_qubits):
-            raise ValueError(f"cell (n={n}, k={k}) outside the space 0..{params.n_max} x 0..{params.n_qubits}")
-        levels = {cell: _level(n + cell[1], k + cell[0], params) for cell in (frm, to)}
-    (out, shift_from), (back, shift_to) = levels[frm], levels[to]
-    coupling = 0.0
-    for (dk, dn), (g1, omega1) in zip(_STEPS, out):
-        last = (dk - to[0] + frm[0], dn - to[1] + frm[1])
-        if last in _STEPS:
-            g2, reverse = back[_STEPS.index(last)]
-            g, bare = g1 * g2, omega1 - reverse
-            coupling = coupling - (_over(g, reverse) + _over(g, omega1))
-    return 0.5 * coupling, bare + shift_to - shift_from
+    at the cell (n, k) of the space, at params.omega_q, from the cell with
+    fewer atomic excitations (at equal k, fewer photons) to the other, which
+    a path reaches by the reverse of one of its steps (omega = -omega2):
+    ``_second_order_closure`` evaluated once. The report evaluates the same
+    sums over the whole grid in ``_second_order_grid``."""
+    if not (0 <= n <= params.n_max and 0 <= k <= params.n_qubits):
+        raise ValueError(f"cell (n={n}, k={k}) outside the space 0..{params.n_max} x 0..{params.n_qubits}")
+    return _second_order_closure(kind, n, k, params)(params.omega_q)
+
+
+def _second_order_grid(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(coupling, tilde frequency) of the four families, stacked in
+    ``_FAMILIES`` order, over every cell (n, k) of the space: the steps are
+    evaluated once on the grid padded by two levels, n = 0..n_max+2 and
+    k = 0..N+2, on a leading step axis, and each offset level is a slice."""
+    n_q, n_max = params.n_qubits, params.n_max
+    nn = np.arange(n_max + 3)[:, None] + np.minimum(_STEP_DN, 0)
+    kk = np.arange(n_q + 3) + np.minimum(_STEP_DK, 0)
+    g = _omega_table(n_q, n_max, params.coupling)[nn + 1, kk + 1]
+    omega = _STEP_DK * np.where(_STEP_DK == _STEP_DN, delta_plus(nn, kk, params), delta_minus(nn, kk, params))
+    # (offset, step, n, k), so the first refusal is the one a cell gives
+    g, omega = (np.stack([x[:, dn : dn + n_max + 1, dk : dk + n_q + 1] for dk, dn in _OFFSETS]) for x in (g, omega))
+    quotient = _over(g * g, omega)
+    shift = 0.0 - quotient[:, 0] - quotient[:, 1] - quotient[:, 2] - quotient[:, 3]
+    family, frm, i, to, j = _PATHS
+    products, out, back = g[frm, i] * g[to, j], omega[frm, i], omega[to, j]
+    coupling = np.zeros((len(_FAMILIES),) + shift.shape[1:])
+    np.subtract.at(coupling, family, _over(products, back) + _over(products, out))
+    return 0.5 * coupling, (out - back)[_LAST] + shift[_TO] - shift[_FROM]
 
 
 def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
@@ -217,15 +294,16 @@ def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
 def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: float) -> str:
     """The pole of the target's tilde frequency nearest [lo, hi], or the
     point lo = hi: a step it reads, with G != 0, has omega = 0 at
-    omega_q = -dk omega(omega_q = 0), where the step's first-order channel
-    is resonant."""
+    omega_q = -(base + c) with base taken at omega_q = 0, where the step's
+    first-order channel is resonant."""
+    base = (0.0 - params.omega_r, params.omega_r + 0.0)
     poles = {}
     for dk0, dn0 in _CELLS[target.channel]:
         n, k = target.n0 + dn0, target.k0 + dk0
-        for (dk, dn), (g, omega) in zip(_STEPS, _steps(n, k, replace(params, omega_q=0.0))):
+        for (dk, dn), (g, _, plus, c) in zip(_STEPS, _cell_steps(n, k, params)):
             if g != 0.0:
-                channel = ResonanceTarget("atc" if dk == dn else "tc", 1, n + min(dn, 0), k + min(dk, 0))
-                poles.setdefault(-dk * omega, []).append(channel.label())
+                channel = ResonanceTarget("atc" if plus else "tc", 1, n + min(dn, 0), k + min(dk, 0))
+                poles.setdefault(-(base[plus] + c), []).append(channel.label())
     pole = min(poles, key=lambda x: max(lo - x, x - hi, 0.0))
     where = "" if lo == hi else f" {'inside' if lo <= pole <= hi else 'outside'} that range,"
     labels = ", ".join(poles[pole])
@@ -258,10 +336,11 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
     center = _bare_second_order_omega_q(target, params)
     width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
     lo, hi = center - width, center + width
+    evaluate = _second_order_closure(target.channel, target.n0, target.k0, params)
 
     def objective(omega_q: float) -> float:
         try:
-            return tilde_frequency(target, replace(params, omega_q=omega_q))
+            return evaluate(omega_q)[1]
         except DegenerateDetuningError as exc:
             pole = _nearest_pole(target, params, omega_q, omega_q)
             raise DegenerateDetuningError(f"{exc} at omega_q = {omega_q}{pole}") from None
@@ -397,11 +476,9 @@ def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: Hil
     omega = _omega_table(n_q, n_max, params.coupling)[n + 1, k + 1]
     couplings, detunings = [omega] * 2, [delta_minus(n, k, params), delta_plus(n, k, params)]
     if target.order == 2:
-        # the steps and Stark shift of each of the four offset cells, once
-        levels = {(dk, dn): _level(n + dn, k + dk, params) for dk in (0, 2) for dn in (0, 2)}
-        families = [second_order(kind, n, k, params, levels) for kind in list(_CELLS)[2:]]
-        couplings += [c for c, _ in families]
-        detunings += [d for _, d in families]
+        families = _second_order_grid(params)
+        couplings += list(families[0])
+        detunings += list(families[1])
     kinds = np.array(list(_CELLS)[: len(couplings)], object)[:, None, None]
 
     # each kind's two cells (k + dk, n + dn), over (kind, cell, n, k)

@@ -10,7 +10,9 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
-    _level,
+    _cell_steps,
+    _second_order_closure,
+    _stark,
     delta_minus,
     delta_plus,
     pulse_duration,
@@ -46,7 +48,7 @@ FAMILIES = ("tc2", "atc2", "r2", "a2")
 
 def stark_shift(n, k, params):
     """Delta(n, k) of the cell (k, n), from the package's step sum."""
-    return _level(n, k, params)[1]
+    return _stark(_cell_steps(n, k, params), params.omega_q, params.omega_r)[1]
 
 
 class TestRabiFrequency:
@@ -239,6 +241,46 @@ class TestStepSumMatchesClosedForms:
                     assert got == want, (params, n, k)
                     for outcome in got:
                         seen["refused" if outcome == "refused" else "value"] += 1
+        assert seen["value"] > 0 and seen["refused"] > 0, seen
+
+    def test_closure_at_drawn_omega_q_bit_for_bit_or_refused_alike(self):
+        # The solver's closure takes its constants once, at the omega_q of the
+        # params it is built from, and is then evaluated at other omega_q. At
+        # each drawn omega_q its (coupling, tilde) must equal the closed
+        # forms' bit for bit, or refuse with the same message. A refusal
+        # names the first degenerate denominator; the closed forms divide by
+        # delta where the steps divide by the signed omega dk delta, so the
+        # denominator's sign is dropped before the messages are compared.
+        def outcome(call):
+            try:
+                return repr(call())
+            except DegenerateDetuningError as exc:
+                return str(exc).replace("detuning -", "detuning ")
+
+        rng = np.random.default_rng(2007_625_2)
+        seen = {"value": 0, "refused": 0}
+        for draw in range(70):
+            n_qubits, n_max = 1 + draw % 7, int(rng.integers(2, 9))
+            params = ModelParams(
+                n_qubits=n_qubits,
+                n_max=n_max,
+                coupling=float(rng.uniform(0.0, 0.2)),
+                stark_u=float(rng.uniform(-16.0, 16.0)),
+                omega_q=float(rng.uniform(-3.0, 3.0)),
+            )
+            omega_q = float(rng.uniform(-3.0, 3.0))
+            if draw % 3 == 0:
+                n, k = int(rng.integers(0, n_max + 1)), int(rng.integers(0, n_qubits))
+                delta = (delta_minus, delta_plus)[draw % 2]
+                omega_q = -delta(n, k, replace(params, omega_q=0.0))
+            drawn = replace(params, omega_q=omega_q)
+            for n in range(n_max + 1):
+                for k in range(n_qubits + 1):
+                    for kind in FAMILIES:
+                        got = outcome(lambda: _second_order_closure(kind, n, k, params)(omega_q))
+                        want = outcome(lambda: closed_form_second_order(kind, n, k, drawn)[::2])
+                        assert got == want, (params, omega_q, kind, n, k)
+                        seen["refused" if got.startswith("first-order") else "value"] += 1
         assert seen["value"] > 0 and seen["refused"] > 0, seen
 
 
@@ -694,6 +736,34 @@ class TestReportGridMatchesCells:
                             )
                             compared[order] += 1
         assert compared[1] > 0 and compared[2] > 0 and refused > 0
+
+    @pytest.mark.parametrize("n_qubits", [2, 5])
+    @pytest.mark.parametrize("pole", ["row n_max+1", "row n_max+2", "column N+1"])
+    def test_padded_steps_refuse_as_the_cells_do(self, n_qubits, pole):
+        # The report evaluates the steps on the grid padded by two levels.
+        # omega_q sits on the pole of one tc channel, and so of every channel
+        # with its n - k. In the row cases only a padded cell (n = n_max+1 or
+        # n_max+2) reads a live one; in the column case none is live, as
+        # f(k) = 0 for k >= N, so the padded columns k = N+1, N+2 read none.
+        params = ModelParams(n_qubits=n_qubits, coupling=0.05, stark_u=-3.7, n_max=default_n_max(2, n_qubits))
+        channel = {
+            "row n_max+1": (params.n_max + 1, 0),
+            "row n_max+2": (params.n_max + 2, 0),
+            "column N+1": (0, n_qubits),
+        }[pole]
+        tuned = replace(params, omega_q=-delta_minus(*channel, replace(params, omega_q=0.0)))
+        for n in range(params.n_max + 1):
+            for k in range(n_qubits + 1):
+                # the channels the four steps from the cell (k, n) read
+                for n1, k1, plus in ((n, k - 1, 0), (n - 1, k - 1, 1), (n - 1, k, 0), (n, k, 1)):
+                    detuning = (delta_minus, delta_plus)[plus](n1, k1, tuned)
+                    assert cell_omega(n1, k1, tuned) == 0.0 or abs(detuning) > 1e-6
+        target = ResonanceTarget("atc", 2, 0, 0)
+        space = build_space(tuned)
+        got = _outcome(lambda: [tuple(map(repr, row)) for row in rwa_validity_report(target, tuned, space).channels])
+        want = _outcome(lambda: [tuple(map(repr, row)) for row in _cell_rows(target, tuned)])
+        assert got == want
+        assert (got == "refused") == pole.startswith("row")
 
 
 class TestSolverMatchesScalarOracle:
