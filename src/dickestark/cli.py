@@ -11,7 +11,7 @@ Each command takes its job from ``--preset NAME`` or from its own section of
 ``--config FILE`` (grammar in config.py), never both; a [model] section may
 go with either. ``main`` alone makes that choice, and without ``--config``
 it runs ``parse_config("")``. A command returns its files as {name: text}, rendered by
-``_csv`` (repr(float) cells) and ``_json`` (no NaN or infinity). ``main``
+``_csv`` (repr(float) cells, CRLF lines) and ``_json`` (no NaN or infinity). ``main``
 then writes them all or none (``_publish``) into ``--out DIR`` if given,
 else into the config's [output] directory, and prints the command's summary.
 """
@@ -19,14 +19,14 @@ else into the config's [output] directory, and prints the command's summary.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import presets
 from .config import ConfigError, ProtocolConfig, RunConfig, ValidateConfig, parse_config
@@ -47,14 +47,14 @@ from .protocol import compile_dicke_ladder, compile_ghz4  # not called here: per
 from .scan import peak_report, resonance_scan, scan_grid
 
 
-def _csv(header: list[str], columns) -> str:
-    """A header row, then one row per sample across ``columns`` (equal-length
-    sequences of numbers), every cell written as repr(float)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
-    return buf.getvalue()
+def _csv(header: list[str], table: np.ndarray) -> str:
+    """A header row, then one row per row of the 2-D float ``table``. Every
+    cell is repr of a float64, the shortest string that reads back to the
+    same float, and every line ends in CRLF. The header cells are bare
+    identifiers and no cell holds a comma, a quote or a line break, so
+    nothing is quoted."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _json(payload) -> str:
@@ -118,9 +118,9 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
 
     columns = {"ratio": curve.ratios, "nq": curve.nq, "nph": curve.nph}
     if fmt == "csv":
-        data = {"scan.csv": _csv(list(columns), columns.values())}
+        data = {"scan.csv": _csv(list(columns), np.column_stack(list(columns.values())))}
     else:
-        payload = {name: [float(v) for v in values] for name, values in columns.items()}
+        payload = {name: values.tolist() for name, values in columns.items()}
         data = {"scan.json": _json({**payload, "duration": curve.duration})}
     summary = (
         f"scan {target.label()}: peak at {report.location:.6f}"
@@ -185,7 +185,7 @@ def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str]
     files = {
         f"step{index}_trajectory.csv": _csv(
             ["t", "lambda_t", "nq", "nph"] + [f"pop_k{k}_n{n}" for k, n in traj.space.labels()],
-            [traj.times, params.coupling * traj.times, traj.nq, traj.nph, *traj.populations.T],
+            np.column_stack([traj.times, params.coupling * traj.times, traj.nq, traj.nph, traj.populations]),
         )
         for index, traj in enumerate(result.per_step, start=1)
     }
@@ -234,6 +234,9 @@ def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) 
 
 
 def cmd_validate(job: ValidateConfig) -> tuple[dict[str, str], str, int]:
+    # imported here, at call time, so that a tracer that wraps
+    # validate.run_validation after importing this module still sees the
+    # call; a module-level import would bind the unwrapped function
     from .validate import run_validation
 
     checks, ok = run_validation(draws=job.draws, seed=job.seed)

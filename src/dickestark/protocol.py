@@ -215,7 +215,9 @@ def compile_from_rules(spec: ProtocolSpec, params: ModelParams) -> Protocol:
     """Compile ``spec`` at ``params``, which must hold the N of a record that
     carries its model. Frequencies are the resonance solutions of each
     rule's target and durations the requested fraction of pi/|coupling|;
-    nothing is hand-entered."""
+    nothing is hand-entered. A step that cannot be solved or timed is
+    refused with the error's own type, its message prefixed by the step's
+    number and label."""
     if spec.params is not None and spec.params.n_qubits != params.n_qubits:
         raise ValueError(
             f"protocol {spec.name!r} is compiled for N = {spec.params.n_qubits}, got n_qubits = {params.n_qubits}"
@@ -223,11 +225,14 @@ def compile_from_rules(spec: ProtocolSpec, params: ModelParams) -> Protocol:
     steps = []
     expected = []
     shares = {spec.initial: 1.0}
-    for rule in spec.rules:
-        omega_q = solve_resonance(rule.target, params)
-        tuned = replace(params, omega_q=omega_q)
-        duration = pulse_duration(rule.target, tuned, rule.fraction)
-        steps.append(PulseStep(omega_q=omega_q, duration=duration, label=rule.target.label()))
+    for index, rule in enumerate(spec.rules, start=1):
+        label = rule.target.label()
+        try:
+            omega_q = solve_resonance(rule.target, params)
+            duration = pulse_duration(rule.target, replace(params, omega_q=omega_q), rule.fraction)
+        except ValueError as exc:
+            raise type(exc)(f"protocol step {index} {label}: {exc}") from None
+        steps.append(PulseStep(omega_q=omega_q, duration=duration, label=label))
         shares = _step_shares(shares, rule)
         expected.append(tuple(sorted(c for c, share in shares.items() if share > SHARE_FLOOR)))
     return Protocol(**{**vars(spec), "params": params}, steps=tuple(steps), expected=tuple(expected))

@@ -262,6 +262,71 @@ class TestTrajectoryCsv:
             assert float(row[1]) == pytest.approx(0.006 * float(row[0]))
 
 
+class TestCsvEncoding:
+    """Every CSV the CLI writes is a header row, then one row per grid point
+    or sample, each cell repr of the float64 the run computed, and every line
+    ends in CRLF. The expected cells come from the same run recomputed
+    through the library."""
+
+    @staticmethod
+    def _rows(path):
+        text = path.read_bytes().decode("utf-8")
+        assert text.endswith("\r\n")
+        lines = text.split("\r\n")[:-1]
+        assert not any("\r" in line or "\n" in line for line in lines)
+        return [line.split(",") for line in lines]
+
+    @staticmethod
+    def _assert_cells(rows, header, columns):
+        assert rows[0] == header
+        assert len(rows) - 1 == len(columns[0])
+        for i, row in enumerate(rows[1:]):
+            assert row == [repr(float(column[i])) for column in columns]
+
+    def test_scan_cells_are_repr_of_the_recomputed_curve(self, tmp_path):
+        from dataclasses import replace
+
+        from dickestark.effective import pulse_duration, solve_resonance
+        from dickestark.model import build_space, dicke_state
+        from dickestark.scan import resonance_scan, scan_grid
+
+        out = tmp_path / "scan"
+        assert main(["scan", "--preset", "fig3", "--out", str(out)]) == 0
+        job = scan_preset("fig3")
+        target = job.target
+        params = replace(job.params, n_max=default_n_max(max(job.initial_n, target.n0), job.params.n_qubits))
+        duration = job.duration
+        if duration is None:
+            duration = pulse_duration(target, replace(params, omega_q=solve_resonance(target, params)))
+        space = build_space(params)
+        psi0 = dicke_state(space, job.initial_k, job.initial_n)
+        curve = resonance_scan(psi0, scan_grid(job.window, job.points), duration, params, space)
+        assert len(curve.ratios) == job.points
+        self._assert_cells(self._rows(out / "scan.csv"), ["ratio", "nq", "nph"], [curve.ratios, curve.nq, curve.nph])
+
+    def test_trajectory_cells_are_repr_of_the_recomputed_run(self, tmp_path):
+        from dataclasses import replace
+
+        from dickestark.model import build_space
+        from dickestark.presets import protocol_preset
+        from dickestark.protocol import compile_from_rules, run_protocol
+
+        samples = 12
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[protocol]\npreset = ghz_4\nsamples = {samples}\n")
+        out = tmp_path / "ghz"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 0
+        spec = protocol_preset("ghz_4")
+        params = replace(spec.params, n_max=default_n_max(spec.highest_start_photon, spec.params.n_qubits))
+        result = run_protocol(compile_from_rules(spec, params), params, build_space(params), samples=samples)
+        assert len(result.per_step) == 2
+        for index, traj in enumerate(result.per_step, start=1):
+            header = ["t", "lambda_t", "nq", "nph"] + [f"pop_k{k}_n{n}" for k, n in traj.space.labels()]
+            columns = [traj.times, params.coupling * traj.times, traj.nq, traj.nph, *traj.populations.T]
+            assert len(traj.times) == samples
+            self._assert_cells(self._rows(out / f"step{index}_trajectory.csv"), header, columns)
+
+
 PROTOCOL_FILES = ["step1_trajectory.csv", "step2_trajectory.csv", "protocol.json", "summary.json"]
 
 
@@ -962,6 +1027,31 @@ class TestRefusals:
         assert main(["protocol", *preset, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"protocol preset '{name}' is compiled for N = 4, but [model] n_qubits = 6" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, steps, cause",
+        [
+            (
+                "n_qubits = 6\nlambda = 0.1\nstark_u = -16",
+                "atc 1 0 0\n    tc 2 0 2",
+                "error: protocol step 2 TC(2)(0,2): no sign change of the tilde frequency",
+            ),
+            (
+                "n_qubits = 4\nlambda = 0.006\nstark_u = -0.5",
+                "tc 1 0 4",
+                "error: protocol step 1 TC(0,4): k0=4 with order 1 exceeds N=4\n",
+            ),
+        ],
+        ids=["no-root", "k0-beyond-n"],
+    )
+    def test_protocol_step_refusal_names_the_step(self, tmp_path, capsys, model, steps, cause):
+        # used to give the solver's message alone, naming no step
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[model]\n{model}\n\n[protocol]\nsteps =\n    {steps}\ntarget = basis 2 2\n")
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert cause in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_qubits, dimension", [(63, 4224), (1000, 1004003), (1_000_000, 1000004000003)])

@@ -9,6 +9,7 @@ import pytest
 
 from dickestark.effective import (
     QUARTER_PERIOD,
+    ResonanceBracketError,
     ResonanceTarget,
     ratio_from_omega_q,
     second_order,
@@ -276,6 +277,17 @@ class TestPresetRecords:
             compile_from_rules(spec, other)
         # a record without a model compiles at any N its targets fit
         assert compile_from_rules(replace(spec, params=None), other).params == other
+
+    def test_a_step_refusal_keeps_its_type_and_names_the_step(self):
+        second = ModelParams(n_qubits=6, coupling=0.1, stark_u=-16.0, n_max=default_n_max(2, 6))
+        rules = (StepRule(ResonanceTarget("atc", 1, 0, 0), 0.5), StepRule(ResonanceTarget("tc", 2, 0, 2), 0.5))
+        spec = ProtocolSpec("no-root", None, rules, (0, 0), "basis", (2, 2))
+        with pytest.raises(ResonanceBracketError, match=r"^protocol step 2 TC\(2\)\(0,2\): no sign change "):
+            compile_from_rules(spec, second)
+        spec = ProtocolSpec("k0", None, (StepRule(ResonanceTarget("tc", 1, 0, 4), 0.5),), (0, 0), "basis", (1, 1))
+        with pytest.raises(ValueError, match=r"^protocol step 1 TC\(0,4\): k0=4 with order 1 exceeds N=4$") as err:
+            compile_from_rules(spec, ladder_params())
+        assert type(err.value) is ValueError
 
 
 class TestGuards:
