@@ -4,21 +4,23 @@ extraction, frame transforms, fidelities, and the photon-cutoff guard.
 Propagation is spectral: U(t) = V exp(-i w t) V^T from the eigendecomposition
 of the real symmetric H (an ``Operator`` is real), exact up to linear-algebra
 error, so no integrator tolerances enter the production paths. Every state
-lives in the symmetric (Dicke ladder x Fock) space. ``propagate``,
-``evolve`` and the frequency scan share one kernel, the only ``eigh``
-outside the validation suite's product-basis oracle, which diagonalizes each
-H once, and only where the state lives: H conserves the excitation parity
+lives in the symmetric (Dicke ladder x Fock) space. Each H is diagonalized
+once, and only where the state lives: H conserves the excitation parity
 (-1)^(k+n) (``HilbertSpace.parities``), so the kernel keeps the parity
 sector(s) the initial amplitudes occupy and runs one real ``eigh`` on that
 block. If H couples the kept sectors to the rest, the block is the whole space.
 
-Its per-scan part, ``_Sector``, checks the symmetry of H (the builder does
-not) and that H leaves the kept block invariant. Both read only the
+``_Sector`` holds those sectors. It checks the symmetry of H (the builder
+does not) and that H leaves the kept block invariant. Both read only the
 off-diagonal of H, which all the H of a frequency scan, and all the steps of
 a protocol, share, so a scan and a protocol run them once; ``propagate``
-runs them once per H, and ``evolve`` unless it is given them. Its per-H part,
-``_Spectral``, runs the ``eigh`` on the cached sector index sets; the real
-eigenvectors multiply the complex amplitudes in real arithmetic.
+runs them once per H, and ``evolve`` unless it is given them.
+``_Sector.eigh`` diagonalizes an H's kept block on the cached index sets:
+it is the package's one ``eigh`` outside the validation suite's
+product-basis oracle, called per H by ``_Spectral`` (``propagate``,
+``evolve``, ``validate``) and per grid point by the frequency scan, which
+evaluates its points' eigenpairs in chunks (``scan.resonance_scan``). The
+real eigenvectors multiply the complex amplitudes in real arithmetic.
 
 ``evolve`` walks its uniform time grid in blocks of about EVOLVE_BLOCK
 samples. The phases exp(-i w t_s) are block products of about
@@ -72,17 +74,11 @@ class CutoffExceededError(RuntimeError):
         )
 
 
-def _top_populations(populations: np.ndarray, space: HilbertSpace, columns: np.ndarray | slice) -> np.ndarray:
-    """The population in the top photon level n = n_max of each row of
-    ``populations``, whose columns are the flat indices ``columns``."""
-    return populations[..., space.excitation_numbers()[1][columns] == space.n_max].sum(axis=-1)
-
-
 def require_below_cutoff(populations: np.ndarray, space: HilbertSpace, where: str) -> None:
     """Raise CutoffExceededError if any row of the full-space ``populations``
     (one row per sample, or one state's populations) holds more than
     CUTOFF_POPULATION in the top photon level; a NaN population raises too."""
-    top = float(np.max(_top_populations(populations, space, slice(None))))
+    top = float(np.max(populations[..., space.excitation_numbers()[1] == space.n_max].sum(axis=-1)))
     if not top <= CUTOFF_POPULATION:
         raise CutoffExceededError(where, top)
 
@@ -129,17 +125,21 @@ class _Sector:
         if coupling is not None and h.matrix.take(coupling).any():
             self.kept, self.block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
 
+    def eigh(self, h: Operator) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of H's kept block, the package's one
+        ``eigh``, for an H whose off-diagonal this sector was checked on."""
+        return np.linalg.eigh(h.matrix.take(self.block).reshape(self.kept.size, self.kept.size))
+
 
 class _Spectral:
     """exp(-i H t) acting on one vector, from one eigendecomposition of H
-    restricted to the sector of ``_Sector``: the kernel's per-H part and the
-    package's one ``eigh``. ``sector`` is checked on this H unless given."""
+    restricted to the sector of ``_Sector`` (``_Sector.eigh``): the kernel's
+    per-H part. ``sector`` is checked on this H unless given."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray, sector: _Sector | None = None):
         sector = sector or _Sector(h, amplitudes)
         self.kept, self.dimension = sector.kept, h.space.dimension
-        sector_h = h.matrix.take(sector.block).reshape(self.kept.size, self.kept.size)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(sector_h)
+        self.eigenvalues, self.eigenvectors = sector.eigh(h)
         self.coeffs = _times(self.eigenvectors.T, amplitudes[self.kept])
 
     def apply(self, t: float) -> np.ndarray:

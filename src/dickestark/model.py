@@ -230,10 +230,11 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     n omega_r; its coupling element between (k, n) and (k+1, n+1), and between
     (k, n+1) and (k+1, n), is Omega(n, k) of ``_omega_table``, as in the
     effective layer. H(0) and the diagonal k - N/2 of Jz/2 are cached per
-    (N, n_max, lambda, U, omega_r) (``_affine_parts``), so a frequency scan
-    copies H(0) and adds one diagonal per point. The validation suite checks
-    it against the operator sums above assembled with Kronecker products on
-    the full product basis, an independent route.
+    (N, n_max, lambda, U, omega_r) (``_affine_parts``), so each H, a scan
+    point's or a protocol step's, is one copy of H(0) plus omega_q Jz/2 added
+    through a strided view of its diagonal. The validation suite checks it
+    against the operator sums above assembled with Kronecker products on the
+    full product basis, an independent route.
 
     The matrix is not checked for Hermiticity here: the kernel checks the H
     it is given, once (``dynamics._Sector``), and a scan only its first H.
@@ -241,7 +242,7 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     n = params.n_qubits
     h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
     h = h0.copy()
-    h.flat[:: h.shape[0] + 1] += params.omega_q * jz_half
+    h.ravel()[:: h.shape[0] + 1] += params.omega_q * jz_half  # a view: h is contiguous
     return Operator(space, _read_only(h))
 
 

@@ -3,9 +3,13 @@ duration at every grid point, record excitation observables, and locate
 resonance peaks.
 
 The scan axis is the dimensionless ratio (omega_r - omega_q) / omega_r.
-The kernel's per-scan checks (``dynamics._Sector``) run once, on the first
-point's H; each point builds its H and diagonalizes its sector block, and the
-final states are evaluated SCAN_CHUNK points at a time, in grid order, so
+Every ratio, its omega_q and the duration are checked before the first
+build. The kernel's per-scan checks (``dynamics._Sector``) run once, on the
+first point's H. Each point then costs one build and one ``eigh`` of its
+sector block (``_Sector.eigh``), written into one row of a SCAN_CHUNK-row
+table of eigenvalues and one of eigenvectors. Each full table, and the last
+partial one, is evaluated at once: its final amplitudes, populations, cutoff
+guard and excitation numbers are batched array products, in grid order, so
 repeated runs with identical inputs produce bit-identical output. A final
 state with more than CUTOFF_POPULATION in the top photon level stops the scan
 with CutoffExceededError, which names the first such ratio.
@@ -15,18 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
-from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _Sector, _Spectral, _top_populations
+from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _Sector
 from .dynamics import observables, propagate  # not called here: perfbench/tracer.py wraps these names
 from .effective import ResonanceTarget, omega_q_from_ratio
 from .model import HilbertSpace, ModelParams, StateVector, build_hamiltonian
 
 # Bounds the grid's memory and run time (each point diagonalizes one H).
 MAX_SCAN_POINTS = 100_001
-# Points evaluated together from their eigenpairs; larger chunks gain no speed.
-SCAN_CHUNK = 8
+# Points per eigenpair table, evaluated together. On the scan benchmark
+# (2 vCPUs, 3 alternating rounds), 8 -> 32 gained about 4 % in ops_per_s for
+# +0.3 MB of peak RSS; 64 was within noise of 32 and took another 0.5 MB.
+SCAN_CHUNK = 32
 # The defaults of a scan job: grid points, and the minimum peak prominence.
 DEFAULT_SCAN_POINTS = 801
 DEFAULT_MIN_HEIGHT = 0.5
@@ -62,41 +69,51 @@ def resonance_scan(
     """For each grid ratio, rebuild the Hamiltonian with that qubit frequency,
     evolve ``psi0`` for ``duration``, and record the mean atomic and photonic
     excitation numbers at the final time. Raises CutoffExceededError at the
-    first point whose final state reaches the top photon level. A chunk's
-    final amplitudes are multiplied in real arithmetic, as ``_times`` does,
-    and its populations are re^2 + im^2."""
+    first point whose final state reaches the top photon level. Per chunk,
+    the products V^T psi0 and V (phases * coefficients) are batched and in
+    real arithmetic, as ``_times`` does, and the populations are
+    re^2 + im^2."""
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("grid must be nonempty")
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming its ratio
+        omega_qs = omega_q_from_ratio(ratios, params)
+    bad = np.flatnonzero(~np.isfinite(omega_qs))  # a non-finite ratio too
+    if bad.size:
+        ratio, omega_q = ratios[bad[0]].item(), omega_qs[bad[0]].item()
+        raise ValueError(f"scan ratio {ratio!r} gives omega_q {omega_q!r}; both must be finite")
     if not np.all(np.diff(ratios) > 0):
         raise ValueError("grid must be strictly increasing")
     if psi0.space != space:
         raise ValueError("initial state does not live in the scan space")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")
-    nq = np.empty(ratios.size)
-    nph = np.empty(ratios.size)
-    sector = None
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    hamiltonians = (build_hamiltonian(replace(params, omega_q=w), space) for w in omega_qs.tolist())
+    first = next(hamiltonians)
+    sector = _Sector(first, psi0.amplitudes)  # every point's H shares the first one's off-diagonal
+    m = sector.kept.size
+    values, vectors = np.empty((SCAN_CHUNK, m)), np.empty((SCAN_CHUNK, m, m))
+    psi = psi0.amplitudes[sector.kept].view(np.float64).reshape(m, 2)  # (re, im) per amplitude
+    ks, ns = (numbers[sector.kept] for numbers in space.excitation_numbers())
+    readouts = np.column_stack([ks, ns, ns == space.n_max])  # nq, nph and the top photon level's population
+    curve = np.empty((ratios.size, 3))
+    points = chain([first], hamiltonians)
     for start in range(0, ratios.size, SCAN_CHUNK):
-        chunk = ratios[start : start + SCAN_CHUNK].tolist()
-        spectra = []
-        for ratio in chunk:
-            h = build_hamiltonian(replace(params, omega_q=omega_q_from_ratio(ratio, params)), space)
-            sector = sector or _Sector(h, psi0.amplitudes)
-            spectra.append(_Spectral(h, psi0.amplitudes, sector))
-        phases = np.exp(-1j * (np.array([s.eigenvalues for s in spectra]) * duration))
-        phases *= np.array([s.coeffs for s in spectra])
-        vectors = np.array([s.eigenvectors for s in spectra])
-        parts = vectors @ phases.view(np.float64).reshape(len(chunk), -1, 2)  # (re, im) per amplitude
+        size = min(SCAN_CHUNK, ratios.size - start)
+        for row, h in enumerate(islice(points, size)):
+            values[row], vectors[row] = sector.eigh(h)
+        v = vectors[:size]
+        coeffs = (v.transpose(0, 2, 1) @ psi).view(np.complex128)  # (size, m, 1)
+        phased = np.exp(-1j * (values[:size, :, None] * duration)) * coeffs
+        parts = v @ phased.view(np.float64)  # (re, im) of each final amplitude
         pops = parts[..., 0] ** 2 + parts[..., 1] ** 2
-        top = _top_populations(pops, space, sector.kept)
-        over = np.flatnonzero(~(top <= CUTOFF_POPULATION))  # a NaN population is over too
+        chunk = np.matmul(pops, readouts, out=curve[start : start + size])
+        over = np.flatnonzero(~(chunk[:, 2] <= CUTOFF_POPULATION))  # a NaN population is over too
         if over.size:
-            raise CutoffExceededError(f"scan ratio {chunk[over[0]]!r}", float(top[over[0]]))
-        ks, ns = space.excitation_numbers()
-        nq[start : start + len(chunk)] = pops @ ks[sector.kept]
-        nph[start : start + len(chunk)] = pops @ ns[sector.kept]
-    return ScanCurve(ratios=ratios.copy(), nq=nq, nph=nph, duration=duration)
+            raise CutoffExceededError(f"scan ratio {ratios[start + over[0]].item()!r}", float(chunk[over[0], 2]))
+    return ScanCurve(ratios=ratios.copy(), nq=curve[:, 0].copy(), nph=curve[:, 1].copy(), duration=duration)
 
 
 def detect_peaks(ratios: np.ndarray, values: np.ndarray, min_height: float) -> list[Peak]:

@@ -488,19 +488,24 @@ def low_photon_state(space, rng):
     return StateVector(space, amps / np.linalg.norm(amps))
 
 
-@pytest.mark.parametrize("points", [7, 8, 9, 15, 16, 17, 23, 24, 25])
+# One point short of, at and past the end of the first three chunks.
+CHUNK_EDGES = [chunks * scan.SCAN_CHUNK + extra for chunks in (1, 2, 3) for extra in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("points", CHUNK_EDGES)
 def test_scan_chunk_edges_match_per_point_propagation(points):
     # A last chunk one short of, equal to and one past SCAN_CHUNK, on the
-    # fig8 preset and on a state across both parities (the whole space kept).
-    assert scan.SCAN_CHUNK == 8
+    # fig8 preset and on drawn states across both parities (the whole space
+    # kept) at N = 3, 5 and 7.
     preset = scan_preset("fig8")
-    params = ModelParams(n_qubits=3, coupling=0.02, stark_u=-1.5, n_max=9)
-    cases = [
-        (dicke_state(build_space(preset.params), preset.initial_k, preset.initial_n), preset.params, preset.window),
-        (low_photon_state(build_space(params), np.random.default_rng(points)), params, (-1.0, 1.0)),
-    ]
+    rng = np.random.default_rng(points)
+    fig8 = dicke_state(build_space(preset.params), preset.initial_k, preset.initial_n)
+    cases = [(fig8, preset.params, preset.window)]
+    for n_qubits in (3, 5, 7):
+        params = ModelParams(n_qubits=n_qubits, coupling=0.02, stark_u=-1.5, n_max=9)
+        cases.append((low_photon_state(build_space(params), rng), params, (-1.0, 1.0)))
+    duration = pulse_duration(preset.target, preset.params)
     for psi0, params, window in cases:
-        duration = pulse_duration(preset.target, preset.params)
         grid = scan_grid(window, points)
         curve = resonance_scan(psi0, grid, duration, params, psi0.space)
         nq, nph = per_point_propagate_scan(psi0, grid, duration, params, psi0.space)
@@ -508,17 +513,56 @@ def test_scan_chunk_edges_match_per_point_propagation(points):
         assert np.max(np.abs(curve.nph - nph)) <= 1e-13
 
 
-@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
-def test_scan_refuses_a_non_finite_duration_before_any_build(monkeypatch, duration):
+def scan_refusal(monkeypatch, grid, duration, params=None):
+    """The ValueError of a fig3 scan over ``grid``, after asserting that it
+    came before any build or ``eigh``."""
     calls = []
     monkeypatch.setattr(scan, "build_hamiltonian", lambda *a: calls.append("build"))
     monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh"))
     preset = scan_preset("fig3")
-    space = build_space(preset.params)
+    params = params or preset.params
+    space = build_space(params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
-    with pytest.raises(ValueError, match="duration must be finite"):
-        resonance_scan(psi0, scan_grid(preset.window, 9), duration, preset.params, space)
+    with pytest.raises(ValueError) as err:
+        resonance_scan(psi0, np.asarray(grid), duration, params, space)
     assert calls == []
+    return str(err.value)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
+def test_scan_refuses_a_non_finite_duration_before_any_build(monkeypatch, duration):
+    message = scan_refusal(monkeypatch, scan_grid(scan_preset("fig3").window, 9), duration)
+    assert message.startswith("duration must be finite")
+
+
+@pytest.mark.parametrize("duration", [0.0, -0.0, -5.0])
+def test_scan_refuses_a_non_positive_duration_before_any_build(monkeypatch, duration):
+    # as evolve does; a zero or negative duration used to return a curve
+    message = scan_refusal(monkeypatch, scan_grid(scan_preset("fig3").window, 9), duration)
+    assert message == f"duration must be positive, got {duration}"
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ([0.1, math.inf], "scan ratio inf gives omega_q -inf"),
+        ([0.1, math.nan], "scan ratio nan gives omega_q nan"),
+        ([-math.inf, 0.1], "scan ratio -inf gives omega_q inf"),
+    ],
+    ids=["inf", "nan", "-inf"],
+)
+def test_scan_refuses_a_non_finite_ratio_before_any_build(monkeypatch, grid, named):
+    # [0.1, inf] used to diagonalize 0.1 first, then fail inside replace
+    # with "omega_q must be finite, got -inf", naming neither the ratio nor
+    # the scan
+    assert scan_refusal(monkeypatch, grid, 10.0) == f"{named}; both must be finite"
+
+
+def test_scan_refuses_a_finite_ratio_whose_omega_q_overflows_before_any_build(monkeypatch):
+    # omega_r (1 - ratio) = 2 (1 + 1e308) overflows to inf
+    params = replace(scan_preset("fig3").params, omega_r=2.0)
+    message = scan_refusal(monkeypatch, [-1e308, 0.1], 10.0, params)
+    assert message == "scan ratio -1e+308 gives omega_q inf; both must be finite"
 
 
 class TestScanCutoffGuard:
@@ -541,9 +585,9 @@ class TestScanCutoffGuard:
 
     @pytest.mark.parametrize("n_max, first", [(4, 4), (5, 25), (6, 47)])
     def test_names_the_first_ratio_over_the_cutoff_inside_a_chunk(self, n_max, first):
-        # On the wide window the first over-cutoff points sit at positions 4,
-        # 1 and 7 of their chunks; the error names the same ratio and
-        # population as the per-point scan.
+        # On the wide window the first over-cutoff points are grid points 4,
+        # 25 and 47, none the first of its chunk; the error names the same
+        # ratio and population as the per-point scan.
         assert first % scan.SCAN_CHUNK != 0
         grid = scan_grid((-3.0, 3.0), 121)
         with pytest.raises(CutoffExceededError) as oracle:
