@@ -16,15 +16,17 @@ off-diagonal of H, which all the H of a frequency scan, and all the steps of
 a protocol, share, so a scan and a protocol run them once; ``propagate``
 runs them once per H, and ``evolve`` unless it is given them.
 ``_Sector.eigh`` diagonalizes an H's kept block on the cached index sets:
-it is the package's one ``eigh`` outside the validation suite's
-product-basis oracle, called per H by ``_Spectral`` (``propagate``,
-``evolve``, ``validate``) and per grid point by the frequency scan, which
-evaluates its points' eigenpairs in chunks (``scan.resonance_scan``). The
-real eigenvectors multiply the complex amplitudes in real arithmetic.
+the package's one ``eigh`` outside the validation suite's product-basis
+oracle. The kernel's math, V exp(-i w t) V^T psi on those eigenpairs
+(w, V), lives here only, as two routes in real arithmetic (``_times``):
+``_evolved``, the final state of one H or of a stack of H (``propagate`` and
+``validate`` through ``_propagated``, the scan per table of points), and
+``_on_grid``, a uniform time grid in blocks (``evolve``, and ``validate``'s
+conservation check).
 
 ``evolve`` walks its uniform time grid in blocks of about EVOLVE_BLOCK
 samples. The phases exp(-i w t_s) are block products of about
-2 sqrt(samples) complex exponentials per eigenvalue (``_phase_grid``), exact
+2 sqrt(samples) complex exponentials per eigenvalue (``_on_grid``), exact
 to the rounding of w t itself; each block's sector amplitudes live only
 until its populations (re^2 + im^2) and excitation numbers are written into
 the trajectory's preallocated full-space arrays. ``Trajectory`` keeps those
@@ -124,28 +126,12 @@ class _Sector:
         self.kept, self.block, coupling = _sector(h.space, *occupied.tolist())
         if coupling is not None and h.matrix.take(coupling).any():
             self.kept, self.block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
+        self.dimension = h.space.dimension
 
     def eigh(self, h: Operator) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of H's kept block, the package's one
         ``eigh``, for an H whose off-diagonal this sector was checked on."""
         return np.linalg.eigh(h.matrix.take(self.block).reshape(self.kept.size, self.kept.size))
-
-
-class _Spectral:
-    """exp(-i H t) acting on one vector, from one eigendecomposition of H
-    restricted to the sector of ``_Sector`` (``_Sector.eigh``): the kernel's
-    per-H part. ``sector`` is checked on this H unless given."""
-
-    def __init__(self, h: Operator, amplitudes: np.ndarray, sector: _Sector | None = None):
-        sector = sector or _Sector(h, amplitudes)
-        self.kept, self.dimension = sector.kept, h.space.dimension
-        self.eigenvalues, self.eigenvectors = sector.eigh(h)
-        self.coeffs = _times(self.eigenvectors.T, amplitudes[self.kept])
-
-    def apply(self, t: float) -> np.ndarray:
-        """exp(-i H t) applied to the vector, over the whole space."""
-        phases = np.exp(-1j * (self.eigenvalues * t)) * self.coeffs
-        return self.whole(_times(self.eigenvectors, phases))
 
     def whole(self, sector: np.ndarray) -> np.ndarray:
         """The kept amplitudes ``sector`` over the whole space, zero elsewhere."""
@@ -155,47 +141,46 @@ class _Spectral:
         out[self.kept] = sector
         return out
 
-    def on_grid(self, duration: float, samples: int) -> np.ndarray:
-        """The kept amplitudes of exp(-i H t) applied to the vector at the
-        times of np.linspace(0, duration, samples), one column per time, from
-        the blocks of ``_phase_grid``; the last column is ``apply(duration)``
-        restricted to the kept indices, up to the rounding of the matrix
-        product."""
-        out = np.empty((self.kept.size, samples), dtype=complex)
-        for start, phases in _phase_grid(self.eigenvalues, self.coeffs, duration, samples):
-            out[:, start : start + phases.shape[1]] = _times(self.eigenvectors, phases)
-        return out
+
+def _evolved(values: np.ndarray, vectors: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
+    """V exp(-i w t) V^T psi: the kept amplitudes of exp(-i H t) applied to
+    the kept amplitudes ``psi``, one complex column (m, 1), from H's sector
+    eigenpairs (w, V). ``values`` (..., m) and ``vectors`` (..., m, m) may
+    stack several H on leading axes, which the result (..., m, 1) keeps."""
+    coeffs = _times(vectors.swapaxes(-1, -2), psi)
+    return _times(vectors, np.exp(-1j * (values[..., None] * t)) * coeffs)
 
 
-def _phase_grid(w: np.ndarray, coeffs: np.ndarray, duration: float, samples: int):
-    """Yield (start, phases) blocks of coeffs * exp(-i w t_s) for
-    t_s = s * duration / (samples - 1), the times of
-    np.linspace(0, duration, samples): ``phases`` has one row per eigenvalue
-    and one column per time from t_start on, and the blocks cover the grid in
-    order.
+def _on_grid(values: np.ndarray, vectors: np.ndarray, psi: np.ndarray, duration: float, samples: int):
+    """Yield (start, amplitudes) blocks of V exp(-i w t_s) V^T psi, as for
+    ``_evolved`` with one H, for t_s = s * duration / (samples - 1), the
+    times of np.linspace(0, duration, samples): ``amplitudes`` has one row
+    per kept index and one column per time from t_start on, and the blocks
+    cover the grid in order.
 
-    With b = ceil(sqrt(samples)) and s = a b + r, each entry is the product
+    With b = ceil(sqrt(samples)) and s = a b + r, each phase is the product
     of a row factor exp(-i w (a b) step) and a column factor exp(-i w r step),
     so about 2 sqrt(samples) complex exponentials per eigenvalue replace
     ``samples`` of them. A block holds EVOLVE_BLOCK // b whole rows a (at
     least one), the last block what is left. Rounding (a b) step + r step
     differs from rounding s step by a few ulps of w t, so each phase agrees
     with the direct exp(-i w t_s) to within a small multiple of
-    2^-52 max(1, max|w t|). The last column is computed directly, exactly as
-    ``_Spectral.apply`` does at t = duration.
+    2^-52 max(1, max|w t|). The last column's phases are computed directly,
+    exactly as ``_evolved`` does at t = duration.
     """
+    coeffs = _times(vectors.T, psi)
     step = duration / (samples - 1)
     b = math.isqrt(samples - 1) + 1  # ceil(sqrt(samples))
-    rows = np.exp(-1j * np.multiply.outer(w, np.arange(0, samples, b) * step)) * coeffs[:, None]
-    cols = np.exp(-1j * np.multiply.outer(w, np.arange(b) * step))
+    rows = np.exp(-1j * np.multiply.outer(values, np.arange(0, samples, b) * step)) * coeffs
+    cols = np.exp(-1j * np.multiply.outer(values, np.arange(b) * step))
     per_block = max(1, EVOLVE_BLOCK // b)
     for first in range(0, rows.shape[1], per_block):
         start = first * b
         block = rows[:, first : first + per_block, None] * cols[:, None, :]
-        block = block.reshape(w.size, -1)[:, : samples - start]
+        block = block.reshape(values.size, -1)[:, : samples - start]
         if start + block.shape[1] == samples:
-            block[:, -1] = np.exp(-1j * (w * duration)) * coeffs
-        yield start, block
+            block[:, -1:] = np.exp(-1j * (values[:, None] * duration)) * coeffs
+        yield start, _times(vectors, block)
 
 
 @lru_cache(maxsize=8)
@@ -216,11 +201,19 @@ def _sector(space: HilbertSpace, even: bool, odd: bool):
 
 
 def _times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix m and a complex vector or matrix z, in real
+    """m @ z for a real m (..., r, c) and a complex z (..., c, k), in real
     arithmetic: z's real and imaginary parts are multiplied as interleaved
     real columns."""
-    product = m @ z.view(np.float64).reshape(z.shape[0], -1)
-    return product.view(np.complex128).reshape(m.shape[:1] + z.shape[1:])
+    return (m @ z.view(np.float64)).view(np.complex128)
+
+
+def _propagated(h: Operator, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) applied to ``amplitudes``, over the whole space, from one
+    ``eigh`` of H's occupied sector: ``propagate`` without its
+    ``StateVector`` norm check."""
+    sector = _Sector(h, amplitudes)
+    values, vectors = sector.eigh(h)
+    return sector.whole(_evolved(values, vectors, amplitudes[sector.kept, None], t)[:, 0])
 
 
 def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
@@ -229,7 +222,7 @@ def propagate(h: Operator, psi0: StateVector, t: float) -> StateVector:
         raise ValueError("state and Hamiltonian live in different spaces")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return StateVector(h.space, _read_only(_Spectral(h, psi0.amplitudes).apply(float(t))))
+    return StateVector(h.space, _read_only(_propagated(h, psi0.amplitudes, float(t))))
 
 
 def observables(psi: StateVector) -> tuple[float, float]:
@@ -246,12 +239,12 @@ def evolve(
     sector: _Sector | None = None,
 ) -> Trajectory:
     """Evolve |psi0> under H for ``duration``, sampled uniformly on
-    [0, duration] (np.linspace). ``sector`` is checked on this H unless
-    given, as for ``_Spectral``.
+    [0, duration] (np.linspace). ``sector``, a ``_Sector``, is checked on
+    this H unless given.
 
     Only the occupied parity sector is evaluated, about EVOLVE_BLOCK samples
-    at a time: a block's phases come from ``_phase_grid``, its populations
-    are re^2 + im^2 of its amplitudes and nq and nph are read from those,
+    at a time: a block's amplitudes come from ``_on_grid``, its populations
+    are re^2 + im^2 of those and nq and nph are read from the populations,
     all written straight into the trajectory's arrays. The amplitudes are
     dropped with their block, except the last sample's: the final state,
     whose phases are those of ``propagate(H, psi0, duration)`` and which
@@ -263,13 +256,12 @@ def evolve(
         raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
-    spectral = _Spectral(h, psi0.amplitudes, sector)
-    kept = spectral.kept
+    sector = sector or _Sector(h, psi0.amplitudes)
+    kept = sector.kept
     ks, ns = (numbers[kept] for numbers in h.space.excitation_numbers())
     populations = np.zeros((samples, h.space.dimension))
     nq, nph = np.empty(samples), np.empty(samples)
-    for start, phases in _phase_grid(spectral.eigenvalues, spectral.coeffs, duration, samples):
-        amplitudes = _times(spectral.eigenvectors, phases)
+    for start, amplitudes in _on_grid(*sector.eigh(h), psi0.amplitudes[kept, None], duration, samples):
         last = amplitudes[:, -1].copy()  # the last block's is the final state
         parts = amplitudes.view(np.float64)  # (re, im) per amplitude
         np.square(parts, out=parts)
@@ -284,7 +276,7 @@ def evolve(
         populations=populations,
         nq=nq,
         nph=nph,
-        final=StateVector(h.space, _read_only(spectral.whole(last))),
+        final=StateVector(h.space, _read_only(sector.whole(last))),
     )
 
 
@@ -301,6 +293,8 @@ def to_rotating_frame(psi: StateVector, h: Operator, t: float) -> StateVector:
     untouched; only phases rotate."""
     if psi.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     diag = np.diagonal(h.matrix)
     amps = psi.amplitudes * np.exp(1j * diag * t)
     return StateVector(psi.space, _read_only(amps))

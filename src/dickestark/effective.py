@@ -326,7 +326,8 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
 
     The bracket is the bare linear solution widened by
     max(10 lambda^2 N / |U|, 1e-6), since the Stark corrections are
-    O(lambda^2 / delta); ResonanceBracketError when it holds no sign change.
+    O(lambda^2 / delta); ResonanceBracketError when it holds no sign change
+    or is not finite.
     """
     if target.order != 2:
         raise ValueError("target must be second order")
@@ -334,8 +335,15 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
     if params.stark_u == 0.0:
         raise ValueError("second-order selectivity requires a nonzero Stark coupling")
     center = _bare_second_order_omega_q(target, params)
-    width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
+    try:
+        width = max(10.0 * params.coupling**2 * params.n_qubits / abs(params.stark_u), 1e-6)
+    except OverflowError:  # lambda^2 itself
+        width = math.inf
     lo, hi = center - width, center + width
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ResonanceBracketError(
+            f"the bracket omega_q = {center} +- 10 lambda^2 N / |U| overflows at lambda = {params.coupling!r}"
+        )
     evaluate = _second_order_closure(target.channel, target.n0, target.k0, params)
 
     def objective(omega_q: float) -> float:
@@ -370,11 +378,15 @@ def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     false position with the Illinois rule: when the same end survives twice
     in a row its value is halved, so both ends close in. Every iterate stays
     at least ``tol`` (two ulps) inside the bracket, so each step shrinks it.
-    Stops at an exact zero or once the bracket is 2 tol wide."""
+    A false-position step that overflows bisects instead: clamped, it would
+    shrink the bracket by only ``tol``. Stops at an exact zero or once the
+    bracket is 2 tol wide."""
     tol = 2 * math.ulp(max(abs(lo), abs(hi)))
     side = 0
     while hi - lo > 2 * tol:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not math.isfinite(x):
+            x = 0.5 * lo + 0.5 * hi
         x = min(max(x, lo + tol), hi - tol)
         f_x = f(x)
         if f_x == 0.0:

@@ -238,7 +238,14 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
 
     The matrix is not checked for Hermiticity here: the kernel checks the H
     it is given, once (``dynamics._Sector``), and a scan only its first H.
+    ``space`` must be the one of (N, n_max): another space of the same
+    dimension would index a different basis.
     """
+    if (space.n_qubits, space.n_max) != (params.n_qubits, params.n_max):
+        raise ValueError(
+            f"space (N = {space.n_qubits}, n_max = {space.n_max}) does not match the model's"
+            f" (N = {params.n_qubits}, n_max = {params.n_max})"
+        )
     n = params.n_qubits
     h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
     h = h0.copy()

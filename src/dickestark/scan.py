@@ -8,9 +8,11 @@ build. The kernel's per-scan checks (``dynamics._Sector``) run once, on the
 first point's H. Each point then costs one build and one ``eigh`` of its
 sector block (``_Sector.eigh``), written into one row of a SCAN_CHUNK-row
 table of eigenvalues and one of eigenvectors. Each full table, and the last
-partial one, is evaluated at once: its final amplitudes, populations, cutoff
-guard and excitation numbers are batched array products, in grid order, so
-repeated runs with identical inputs produce bit-identical output. A final
+partial one, is evaluated at once: its final amplitudes are one call of the
+kernel's final-state route (``dynamics._evolved``) on the stacked
+eigenpairs, and its populations, cutoff guard and excitation numbers are
+batched array products, in grid order, so repeated runs with identical
+inputs produce bit-identical output. A final
 state with more than CUTOFF_POPULATION in the top photon level stops the scan
 with CutoffExceededError, which names the first such ratio.
 """
@@ -23,7 +25,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _Sector
+from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _evolved, _Sector
 from .dynamics import observables, propagate  # not called here: perfbench/tracer.py wraps these names
 from .effective import ResonanceTarget, omega_q_from_ratio
 from .model import HilbertSpace, ModelParams, StateVector, build_hamiltonian
@@ -70,9 +72,8 @@ def resonance_scan(
     evolve ``psi0`` for ``duration``, and record the mean atomic and photonic
     excitation numbers at the final time. Raises CutoffExceededError at the
     first point whose final state reaches the top photon level. Per chunk,
-    the products V^T psi0 and V (phases * coefficients) are batched and in
-    real arithmetic, as ``_times`` does, and the populations are
-    re^2 + im^2."""
+    the final amplitudes are one stacked ``_evolved`` call, and the
+    populations are re^2 + im^2."""
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("grid must be nonempty")
@@ -95,7 +96,7 @@ def resonance_scan(
     sector = _Sector(first, psi0.amplitudes)  # every point's H shares the first one's off-diagonal
     m = sector.kept.size
     values, vectors = np.empty((SCAN_CHUNK, m)), np.empty((SCAN_CHUNK, m, m))
-    psi = psi0.amplitudes[sector.kept].view(np.float64).reshape(m, 2)  # (re, im) per amplitude
+    psi = psi0.amplitudes[sector.kept, None]
     ks, ns = (numbers[sector.kept] for numbers in space.excitation_numbers())
     readouts = np.column_stack([ks, ns, ns == space.n_max])  # nq, nph and the top photon level's population
     curve = np.empty((ratios.size, 3))
@@ -104,11 +105,8 @@ def resonance_scan(
         size = min(SCAN_CHUNK, ratios.size - start)
         for row, h in enumerate(islice(points, size)):
             values[row], vectors[row] = sector.eigh(h)
-        v = vectors[:size]
-        coeffs = (v.transpose(0, 2, 1) @ psi).view(np.complex128)  # (size, m, 1)
-        phased = np.exp(-1j * (values[:size, :, None] * duration)) * coeffs
-        parts = v @ phased.view(np.float64)  # (re, im) of each final amplitude
-        pops = parts[..., 0] ** 2 + parts[..., 1] ** 2
+        final = _evolved(values[:size], vectors[:size], psi, duration)[..., 0]
+        pops = final.real**2 + final.imag**2
         chunk = np.matmul(pops, readouts, out=curve[start : start + size])
         over = np.flatnonzero(~(chunk[:, 2] <= CUTOFF_POPULATION))  # a NaN population is over too
         if over.size:

@@ -12,10 +12,11 @@ excited, with H assembled from Kronecker products (``_product_hamiltonian``)
 and the symmetric sector embedded by V = W x I (``_product_isometry``). It is
 deliberately a second route, sharing no builder or kernel with the model.
 
-The checks that run the spectral kernel call ``_Spectral`` directly, the
-kernel inside ``propagate`` and ``evolve`` without their ``StateVector`` and
-``Trajectory`` norm checks: a kernel that drifts in norm then yields a failed
-row with its measured defect instead of an exception."""
+The checks that run the spectral kernel call its two routes directly
+(``_propagated``, ``_on_grid``), without the ``StateVector`` and
+``Trajectory`` norm checks of ``propagate`` and ``evolve``: a kernel that
+drifts in norm then yields a failed row with its measured defect instead of
+an exception."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _Spectral
+from .dynamics import _on_grid, _propagated, _Sector
 from .effective import SELECTIVITY_RATIO, pulse_duration, rwa_validity_report, solve_resonance
 from .model import (
     NORM_TOL,
@@ -109,7 +110,7 @@ def check_unitarity(rng) -> CheckResult:
         h = build_hamiltonian(params, space)
         t = float(rng.uniform(0.0, 100.0))
         identity = np.eye(space.dimension, dtype=complex)
-        u = np.column_stack([_Spectral(h, e).apply(t) for e in identity])
+        u = np.column_stack([_propagated(h, e, t) for e in identity])
         defect = np.max(np.abs(u.conj().T @ u - identity))
         worst = max(worst, float(defect))
     return CheckResult("unitarity", "N<=3", worst <= UNITARITY_LIMIT, worst, UNITARITY_LIMIT)
@@ -124,8 +125,9 @@ def check_conservation(rng) -> CheckResult:
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     # the time grid of ``evolve``, one row per sample; the state occupies both
     # parities, so the kernel keeps the whole space
-    kernel = _Spectral(h, amps / np.linalg.norm(amps))
-    states = np.ascontiguousarray(kernel.on_grid(300.0, 300).T)
+    sector = _Sector(h, amps)
+    blocks = _on_grid(*sector.eigh(h), amps[sector.kept, None] / np.linalg.norm(amps), 300.0, 300)
+    states = np.ascontiguousarray(np.concatenate([block for _, block in blocks], axis=1).T)
     norm_drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     # <psi|H|psi> of every sample at once
     energies = np.einsum("ij,ij->i", states.conj(), states @ h.matrix.T).real
@@ -171,7 +173,7 @@ def check_basis_equivalence(rng, draws: int = 100) -> CheckResult:
         amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
         amps /= np.linalg.norm(amps)
         t = float(rng.uniform(0.0, 50.0))
-        evolved = _Spectral(build_hamiltonian(params, space), amps).apply(t)
+        evolved = _propagated(build_hamiltonian(params, space), amps, t)
         w, u = np.linalg.eigh(_product_hamiltonian(params))
         projected = v.T @ (u @ (np.exp(-1j * (w * t)) * (u.T @ (v @ amps))))
         worst = max(worst, float(np.linalg.norm(projected - evolved)))
@@ -199,7 +201,7 @@ def check_cutoff_stability() -> CheckResult:
             space = build_space(p)
             psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
             duration = pulse_duration(preset.target, p)
-            final = _Spectral(build_hamiltonian(p, space), psi0.amplitudes).apply(duration)
+            final = _propagated(build_hamiltonian(p, space), psi0.amplitudes, duration)
             drift = max(drift, abs(float(np.linalg.norm(final)) - 1.0))
             ks, ns = space.excitation_numbers()
             pops = np.abs(final) ** 2

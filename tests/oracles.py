@@ -9,8 +9,9 @@ by faster routes.
 - ``full_space_evolution`` propagates with one complex ``eigh`` of the whole
   space, without the parity-sector restriction.
 - ``grid_states`` is not an oracle: it is the sector kernel's own amplitude
-  grid (``_Spectral.on_grid``) over the whole space, which ``evolve`` does
-  not keep, for comparing with the oracles and with ``evolve``.
+  grid (the blocks of ``dynamics._on_grid``) over the whole space, which
+  ``evolve`` does not keep, for comparing with the oracles and with
+  ``evolve``.
 - ``build_effective_hamiltonian`` is the selective two-level model of one
   target, compared with the exact dynamics at its resonance.
 - ``closed_form_stark_shift`` and ``closed_form_second_order`` are the
@@ -44,7 +45,7 @@ from dickestark.effective import (
     delta_plus,
     target_coupling,
 )
-from dickestark.dynamics import _Spectral
+from dickestark.dynamics import _on_grid, _Sector
 from dickestark.model import HilbertSpace, ModelParams, Operator, StateVector
 
 
@@ -103,11 +104,12 @@ def full_space_evolution(h: np.ndarray, amplitudes: np.ndarray, times) -> np.nda
 
 
 def grid_states(h: Operator, psi0: StateVector, duration: float, samples: int) -> np.ndarray:
-    """``_Spectral(h, psi0.amplitudes).on_grid(duration, samples)`` over the
+    """The blocks of ``_on_grid`` on H's occupied sector, concatenated over the
     whole space: one row per time of np.linspace(0, duration, samples)."""
-    spectral = _Spectral(h, psi0.amplitudes)
+    sector = _Sector(h, psi0.amplitudes)
+    blocks = _on_grid(*sector.eigh(h), psi0.amplitudes[sector.kept, None], duration, samples)
     states = np.zeros((samples, h.space.dimension), dtype=complex)
-    states[:, spectral.kept] = spectral.on_grid(duration, samples).T
+    states[:, sector.kept] = np.concatenate([block for _, block in blocks], axis=1).T
     return states
 
 

@@ -922,6 +922,17 @@ class TestMalformedInputs:
                 "[model]\nn_qubits = 6\nlambda = 0.1\nstark_u = -16\n\n[effective]\nkind = tc\norder = 2\nn0 = 0\nk0 = 2\n",
                 "lies outside that range, at omega_q = 4.333333333333333, the first-order resonance of aTC(0,4), aTC(2,2)",
             ),
+            (
+                "effective",
+                "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
+                "overflows at lambda = 1e+200",
+            ),
+            (
+                "protocol",
+                "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -16\n\n"
+                "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
+                "protocol step 1 aTC(2)(0,0): the bracket omega_q = -1.0 +- 10 lambda^2 N / |U| overflows at lambda = 1e+200",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -955,13 +966,16 @@ class TestMalformedInputs:
             "second-order-at-zero-stark",
             "zero-coupling",
             "second-order-bracket-without-root",
+            "effective-second-order-lambda-overflow",
+            "protocol-second-order-lambda-overflow",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
         # each used to raise a traceback (exit 1), name no key or step, run
         # a full scan before failing, run ignoring the key (an empty output
-        # directory, a JSON boolean read as 1 or 0), or allocate the Omega
-        # table of an oversize space in a second-order solve
+        # directory, a JSON boolean read as 1 or 0), allocate the Omega
+        # table of an oversize space in a second-order solve, or overflow
+        # lambda^2 in a second-order bracket
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"
@@ -1177,20 +1191,23 @@ class TestValidateCommand:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "method, failing",
+        "route, failing",
         [
-            ("apply", {"unitarity", "basis-equivalence", "cutoff-doubling-stability"}),
-            ("on_grid", {"norm-and-energy-conservation"}),
+            ("_evolved", {"unitarity", "basis-equivalence", "cutoff-doubling-stability"}),
+            ("_on_grid", {"norm-and-energy-conservation"}),
         ],
     )
-    def test_norm_drifting_kernel_yields_failed_rows(self, tmp_path, monkeypatch, method, failing):
-        # A kernel whose output is 1 + 1e-6 too long: every check that runs it
-        # reports a failed row with the measured defect, the others still pass,
-        # and the report is written with exit code 1.
-        from dickestark.dynamics import _Spectral
+    def test_norm_drifting_kernel_yields_failed_rows(self, tmp_path, monkeypatch, route, failing):
+        # A kernel route whose amplitudes are 1 + 1e-6 too long: every check
+        # that runs it reports a failed row with the measured defect, the
+        # others still pass, and the report is written with exit code 1.
+        from dickestark import dynamics, validate
 
-        true_method = getattr(_Spectral, method)
-        monkeypatch.setattr(_Spectral, method, lambda self, *a: true_method(self, *a) * (1 + 1e-6))
+        true_evolved, true_grid = dynamics._evolved, validate._on_grid
+        if route == "_evolved":  # the final-state route, reached through dynamics._propagated
+            monkeypatch.setattr(dynamics, route, lambda *a: true_evolved(*a) * (1 + 1e-6))
+        else:  # the time-grid route, which validate imports by name
+            monkeypatch.setattr(validate, route, lambda *a: ((s, b * (1 + 1e-6)) for s, b in true_grid(*a)))
         cfg = tmp_path / "val.ini"
         cfg.write_text("[validate]\ndraws = 10\nseed = 1\n")
         out = tmp_path / "val"

@@ -6,7 +6,9 @@ import pytest
 from dickestark.dynamics import (
     MAX_SAMPLES,
     Trajectory,
-    _Spectral,
+    _evolved,
+    _on_grid,
+    _Sector,
     evolve,
     fidelity,
     observables,
@@ -125,16 +127,20 @@ class TestEvolve:
         for psi0 in (dicke_state(space, 1, 2), random_state(space, rng)):  # one parity, then both
             duration = float(rng.uniform(1.0, 3000.0))
             traj = evolve(psi0, h, duration, samples=samples)
-            spectral = _Spectral(h, psi0.amplitudes)
-            grid = spectral.on_grid(duration, samples)
+            sector = _Sector(h, psi0.amplitudes)
+            values, vectors = sector.eigh(h)
+            psi = psi0.amplitudes[sector.kept, None]
+            blocks = _on_grid(values, vectors, psi, duration, samples)
+            grid = np.concatenate([block for _, block in blocks], axis=1)
             expected = np.zeros((samples, space.dimension))
-            expected[:, spectral.kept] = (np.abs(grid) ** 2).T
+            expected[:, sector.kept] = (np.abs(grid) ** 2).T
             assert traj.populations.shape == (samples, space.dimension)
             assert np.max(np.abs(traj.populations - expected)) <= 1e-15
             assert np.max(np.abs(traj.nq - expected @ ks)) <= 1e-14
             assert np.max(np.abs(traj.nph - expected @ ns)) <= 1e-14
-            assert np.array_equal(traj.final.amplitudes, spectral.whole(grid[:, -1]))
-            assert np.max(np.abs(traj.final.amplitudes - spectral.apply(duration))) <= 1e-15
+            assert np.array_equal(traj.final.amplitudes, sector.whole(grid[:, -1]))
+            final = sector.whole(_evolved(values, vectors, psi, duration)[:, 0])
+            assert np.max(np.abs(traj.final.amplitudes - final)) <= 1e-15
             for arr in (traj.times, traj.populations, traj.nq, traj.nph):
                 assert not arr.flags.writeable
 
@@ -279,6 +285,13 @@ class TestRotatingFrame:
         psi = random_state(space, rng)
         out = to_rotating_frame(psi, h, 0.0)
         assert np.allclose(out.amplitudes, psi.amplitudes)
+
+    @pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_time_refused(self, small_system, t):
+        # inf used to warn and fail on the NaN norm, nan to fail on the norm
+        _, space, h = small_system
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            to_rotating_frame(random_state(space, np.random.default_rng(5)), h, t)
 
     def test_populations_invariant(self, small_system):
         _, space, h = small_system

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,23 @@ class TestSecondOrderResonances:
         outside = r"outside that range, at omega_q = 1\.37238\d*, the first-order resonance of aTC\(4,3\)$"
         with pytest.raises(ResonanceBracketError, match="no sign change .*; the nearest pole lies " + outside):
             solve_second_order_resonance(t, p)
+
+    @pytest.mark.parametrize("stark_u", [-0.5, -16.0])
+    @pytest.mark.parametrize("coupling", [1e154, 1e200])
+    def test_overflowing_bracket_names_lambda(self, stark_u, coupling):
+        # lambda^2 used to raise OverflowError (1e200); at 1e154 the width
+        # 10 lambda^2 N / |U| is inf and the solve ended on a NaN residual
+        p = ModelParams(n_qubits=4, coupling=coupling, stark_u=stark_u)
+        with pytest.raises(ResonanceBracketError, match=re.escape(f"overflows at lambda = {coupling!r}") + "$"):
+            solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), p)
+
+    def test_overflowing_false_position_step_bisects(self):
+        # At lambda = 1e150 the bracket is finite, about +-8e301, but the
+        # false-position step f_hi (hi - lo) overflows; clamped two ulps inside
+        # the bracket, each iterate shrank it by two ulps only, about 2^53 times.
+        p = ModelParams(n_qubits=4, coupling=1e150, stark_u=-0.5)
+        with pytest.raises(ResonanceBracketError, match="^root refinement left"):
+            solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), p)
 
     def test_bad_bracket_names_a_pole_inside(self):
         # aTC(1,0) is resonant at omega_q = -delta_plus(1, 0) = -1/3 inside the

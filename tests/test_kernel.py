@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dickestark import dynamics, model, protocol, scan
-from dickestark.dynamics import CutoffExceededError, _Spectral, evolve, observables, propagate
+from dickestark.dynamics import CutoffExceededError, _evolved, _Sector, evolve, observables, propagate
 from dickestark.effective import ResonanceTarget, omega_q_from_ratio, pulse_duration, solve_resonance
 from dickestark.model import (
     ModelParams,
@@ -244,11 +244,11 @@ class TestSectorPropagation:
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
         space = build_space(params)
         h = build_hamiltonian(params, space)
-        spec = _Spectral(h, dicke_state(space, 1, 2).amplitudes)
-        assert np.array_equal(spec.kept, np.flatnonzero(space.parities() == 1))
-        assert spec.eigenvalues.size == np.count_nonzero(space.parities() == 1) < space.dimension
+        sector = _Sector(h, dicke_state(space, 1, 2).amplitudes)
+        assert np.array_equal(sector.kept, np.flatnonzero(space.parities() == 1))
+        assert sector.eigh(h)[0].size == np.count_nonzero(space.parities() == 1) < space.dimension
         both = random_state(space, np.random.default_rng(0))
-        assert _Spectral(h, both.amplitudes).kept.size == space.dimension
+        assert _Sector(h, both.amplitudes).kept.size == space.dimension
 
     def test_operator_coupling_the_sectors_falls_back_to_the_whole_space(self):
         params = ModelParams(n_qubits=3, omega_q=0.7, coupling=0.1, stark_u=-1.0, n_max=3)
@@ -258,7 +258,7 @@ class TestSectorPropagation:
         m[i, j] = m[j, i] = 0.05
         h = Operator(space, m)
         psi0 = dicke_state(space, 0, 0)
-        assert _Spectral(h, psi0.amplitudes).kept.size == space.dimension
+        assert _Sector(h, psi0.amplitudes).kept.size == space.dimension
         oracle = full_space_evolution(m, psi0.amplitudes, 30.0)[0]
         assert np.max(np.abs(propagate(h, psi0, 30.0).amplitudes - oracle)) <= 1e-12
         assert abs(oracle[j]) > 1e-3  # the coupling moved population across
@@ -266,18 +266,36 @@ class TestSectorPropagation:
     def test_unitarity_check_runs_this_kernel(self, monkeypatch):
         # A kernel that keeps every norm but is not unitary: the invariant
         # suite's unitarity check must see it.
-        true_apply = _Spectral.apply
-
-        def bent_apply(self, t):
-            out = np.array(true_apply(self, t))
+        def bent_evolved(*args):
+            out = _evolved(*args)
             out[0] += 1e-6
             return out / np.linalg.norm(out)
 
         assert check_unitarity(np.random.default_rng(0)).passed
-        monkeypatch.setattr(_Spectral, "apply", bent_apply)
+        monkeypatch.setattr(dynamics, "_evolved", bent_evolved)
         check = check_unitarity(np.random.default_rng(0))
         assert not check.passed
         assert check.value > UNITARITY_LIMIT
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 4, 7])
+    def test_stacked_evolution_equals_one_h_at_a_time(self, n_qubits):
+        # A scan chunk evaluates its H on a leading axis of _evolved; each
+        # H's final state must be the one its own call gives.
+        rng = np.random.default_rng(n_qubits)
+        params = draw_params(rng, n_qubits, int(rng.integers(2, 9)))
+        space = build_space(params)
+        for sectors in ((0,), (1,), (0, 1)):
+            psi0 = random_state(space, rng, sectors)
+            sector = _Sector(build_hamiltonian(params, space), psi0.amplitudes)
+            hs = [build_hamiltonian(replace(params, omega_q=w), space) for w in rng.uniform(-2.0, 2.0, 5)]
+            pairs = [sector.eigh(h) for h in hs]
+            values, vectors = (np.stack(parts) for parts in zip(*pairs))
+            psi = psi0.amplitudes[sector.kept, None]
+            t = float(rng.uniform(0.0, 3000.0))
+            stacked = _evolved(values, vectors, psi, t)
+            assert stacked.shape == (5, sector.kept.size, 1)
+            for got, (w, v) in zip(stacked, pairs):
+                assert np.max(np.abs(got - _evolved(w, v, psi, t))) <= 1e-15
 
 
 # Rounding bound of the block-product phases, in units of 2^-52 max(1, max|w t|):
@@ -294,13 +312,15 @@ def phase_bound(w, times):
 class TestTimeGrid:
     @pytest.mark.parametrize("samples", [2, 3, 4, 17, 400, 401, 2000])
     def test_phases_match_direct_exponentials(self, samples):
+        # With V = I the amplitudes are the phases times psi, exactly: each
+        # product with the identity's rows adds only exact zeros.
         rng = np.random.default_rng(samples)
         w = rng.uniform(-8.0, 8.0, 30)
         coeffs = rng.normal(size=30) + 1j * rng.normal(size=30)
         coeffs /= np.linalg.norm(coeffs)
         duration = 800.0
         times = np.linspace(0.0, duration, samples)
-        blocks = list(dynamics._phase_grid(w, coeffs, duration, samples))
+        blocks = list(dynamics._on_grid(w, np.eye(30), coeffs[:, None], duration, samples))
         # whole rows of the b x b product per block, in order, covering the grid once
         b = math.isqrt(samples - 1) + 1
         starts = [start for start, _ in blocks]
@@ -527,6 +547,18 @@ def scan_refusal(monkeypatch, grid, duration, params=None):
         resonance_scan(psi0, np.asarray(grid), duration, params, space)
     assert calls == []
     return str(err.value)
+
+
+def test_scan_refuses_the_space_of_another_model_before_any_eigh(monkeypatch):
+    # N = 2, n_max = 5 and N = 5, n_max = 2 share dimension 18: the scan used
+    # to return nq 5.11e-4 at this point, where the model's own space gives 2.56e-4
+    calls = count_kernel_calls(monkeypatch, scan)
+    params = ModelParams(n_qubits=2, n_max=5, coupling=0.05, stark_u=-0.5)
+    swapped = model.HilbertSpace(n_qubits=5, n_max=2)
+    psi0 = dicke_state(swapped, 0, 0)
+    with pytest.raises(ValueError, match=r"space \(N = 5, n_max = 2\) does not match the model's \(N = 2, n_max = 5\)"):
+        resonance_scan(psi0, np.array([0.5]), 50.0, params, swapped)
+    assert calls["eigh"] == 0
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickestark.model import (
+    HilbertSpace,
     ModelParams,
     Operator,
     StateVector,
@@ -187,6 +188,15 @@ class TestHamiltonian:
         )
         m = _product_hamiltonian(params)
         assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("space", [HilbertSpace(5, 2), HilbertSpace(2, 4), HilbertSpace(3, 5)])
+    def test_space_of_another_model_refused(self, space):
+        # N = 2, n_max = 5 and N = 5, n_max = 2 share dimension 18: the
+        # builder used to accept the other space and index the wrong basis
+        params = ModelParams(n_qubits=2, n_max=5, omega_q=0.9, coupling=0.05, stark_u=-0.7)
+        message = rf"space \(N = {space.n_qubits}, n_max = {space.n_max}\) does not match the model's \(N = 2, n_max = 5\)"
+        with pytest.raises(ValueError, match=message):
+            build_hamiltonian(params, space)
 
     def test_diagonal_entries(self):
         params = ModelParams(n_qubits=4, n_max=4, omega_q=1.3, coupling=0.02, stark_u=-0.5)

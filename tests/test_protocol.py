@@ -16,6 +16,7 @@ from dickestark.effective import (
 )
 from dickestark.dynamics import to_rotating_frame
 from dickestark.model import (
+    HilbertSpace,
     ModelParams,
     build_hamiltonian,
     build_space,
@@ -323,6 +324,15 @@ class TestGuards:
         space = build_space(other)
         with pytest.raises(ValueError, match="does not match"):
             run_protocol(proto, other, space)
+
+    def test_space_of_another_model_refused(self):
+        # N = 4, n_max = 8 and N = 8, n_max = 4 share dimension 45: the run
+        # used to evolve in the other space's basis
+        params = ghz_params(n_max=8)
+        swapped = HilbertSpace(n_qubits=8, n_max=4)
+        assert swapped.dimension == build_space(params).dimension
+        with pytest.raises(ValueError, match=r"space \(N = 8, n_max = 4\) does not match the model's \(N = 4, n_max = 8\)"):
+            run_protocol(compile_ghz4(params), params, swapped)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
