@@ -132,9 +132,9 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
 
 def _compile_protocol(config: RunConfig, job: ProtocolConfig):
     """The job's record, read from its file or held by the job, compiled
-    once: a preset's or inline steps' at the run's model, which must keep a
-    preset's N, and a file's at its own physics, so that run_protocol
-    refuses a [model] that differs from the file."""
+    once: a preset's or inline steps' at the run's model (compile_from_rules
+    refuses a preset under another N), and a file's at its own physics, so
+    that run_protocol refuses a [model] that differs from the file."""
     spec = job.spec
     if job.file is not None:
         try:
@@ -142,11 +142,6 @@ def _compile_protocol(config: RunConfig, job: ProtocolConfig):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[protocol] file = {job.file!r}: {exc}") from None
     params = _resolve_params(config, spec.params, spec.highest_start_photon)
-    if job.file is None and spec.params is not None and params.n_qubits != spec.params.n_qubits:
-        raise ConfigError(
-            f"protocol preset {spec.name!r} is compiled for N = {spec.params.n_qubits},"
-            f" but [model] n_qubits = {params.n_qubits}"
-        )
     return compile_from_rules(spec, params if job.file is None else spec.params), params
 
 

@@ -134,9 +134,7 @@ class _Sector:
         return np.linalg.eigh(h.matrix.take(self.block).reshape(self.kept.size, self.kept.size))
 
     def whole(self, sector: np.ndarray) -> np.ndarray:
-        """The kept amplitudes ``sector`` over the whole space, zero elsewhere."""
-        if self.kept.size == self.dimension:
-            return sector
+        """The kept amplitudes ``sector`` over the whole space, zero elsewhere, in a new array."""
         out = np.zeros(self.dimension, dtype=complex)
         out[self.kept] = sector
         return out

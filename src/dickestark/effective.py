@@ -369,6 +369,7 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
     if not abs(residual) <= ROOT_TOLERANCE:
         raise ResonanceBracketError(
             f"root refinement left |tilde frequency| = {abs(residual):.3e} > {ROOT_TOLERANCE}"
+            f" at omega_q = {root} in the bracket [{lo}, {hi}], lambda = {params.coupling!r}"
         )
     return float(root)
 

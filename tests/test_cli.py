@@ -933,6 +933,18 @@ class TestMalformedInputs:
                 "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
                 "protocol step 1 aTC(2)(0,0): the bracket omega_q = -1.0 +- 10 lambda^2 N / |U| overflows at lambda = 1e+200",
             ),
+            (
+                "effective",
+                "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
+                "error: root refinement left |tilde frequency| = 3.489e+200 > 1e-10 at omega_q = 0.0 in the bracket"
+                " [-7.999999999999999e+201, 7.999999999999999e+201], lambda = 1e+100\n",
+            ),
+            (
+                "protocol",
+                "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n\n"
+                "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
+                "error: protocol step 1 aTC(2)(0,0): root refinement left |tilde frequency| = 3.489e+200",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -968,14 +980,17 @@ class TestMalformedInputs:
             "second-order-bracket-without-root",
             "effective-second-order-lambda-overflow",
             "protocol-second-order-lambda-overflow",
+            "effective-second-order-residual",
+            "protocol-second-order-residual",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
         # each used to raise a traceback (exit 1), name no key or step, run
         # a full scan before failing, run ignoring the key (an empty output
         # directory, a JSON boolean read as 1 or 0), allocate the Omega
-        # table of an oversize space in a second-order solve, or overflow
-        # lambda^2 in a second-order bracket
+        # table of an oversize space in a second-order solve, overflow
+        # lambda^2 in a second-order bracket, or refuse an unrefined root
+        # without naming lambda
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"
@@ -1032,15 +1047,14 @@ class TestRefusals:
     @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
     @pytest.mark.parametrize("via", ["flag", "section"])
     def test_protocol_preset_with_other_n_names_preset_and_key(self, tmp_path, capsys, name, via):
-        # used to exit 2 with the compiler's own message, which names neither
-        # the preset nor the [model] key
+        # compile_from_rules refuses the preset's record under another N
         cfg = tmp_path / "run.ini"
         cfg.write_text(MODEL_N6 + (f"\n[protocol]\npreset = {name}\n" if via == "section" else ""))
         out = tmp_path / "never"
         preset = ["--preset", name] if via == "flag" else []
         assert main(["protocol", *preset, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"protocol preset '{name}' is compiled for N = 4, but [model] n_qubits = 6" in err
+        assert f"error: protocol '{name}' is compiled for N = 4, got n_qubits = 6\n" == err
         assert not out.exists()
 
     @pytest.mark.parametrize(

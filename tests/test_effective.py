@@ -338,6 +338,15 @@ class TestSecondOrderResonances:
         with pytest.raises(ResonanceBracketError, match="^root refinement left"):
             solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), p)
 
+    @pytest.mark.parametrize("coupling", [1e77, 1e100, 1e150, 1e153])
+    def test_unrefined_root_names_lambda(self, coupling):
+        # the bracket +-10 lambda^2 N / |U| is finite but far outside the
+        # model's scale; the refusal used to name neither lambda nor the bracket
+        p = ModelParams(n_qubits=4, coupling=coupling, stark_u=-0.5)
+        message = r"^root refinement left .* at omega_q = \S+ in the bracket \[\S+, \S+\], lambda = "
+        with pytest.raises(ResonanceBracketError, match=message + re.escape(repr(coupling)) + "$"):
+            solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), p)
+
     def test_bad_bracket_names_a_pole_inside(self):
         # aTC(1,0) is resonant at omega_q = -delta_plus(1, 0) = -1/3 inside the
         # bracket, and the tilde frequency takes one sign at both ends

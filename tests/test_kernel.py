@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickestark import dynamics, model, protocol, scan
 from dickestark.dynamics import CutoffExceededError, _evolved, _Sector, evolve, observables, propagate
@@ -239,6 +240,31 @@ class TestSectorPropagation:
             oracle = full_space_evolution(h.matrix, psi0.amplitudes, np.linspace(0.0, t, 7))
             assert np.max(np.abs(grid_states(h, psi0, t, 7) - oracle)) <= 1e-12
             assert np.max(np.abs(evolve(psi0, h, t, samples=7).final.amplitudes - oracle[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        n_max=st.integers(0, 6),
+        coupling=st.floats(0.0, 0.3),
+        stark_u=st.floats(-4.0, 4.0),
+        omega_q=st.floats(-2.0, 2.0),
+        t=st.floats(1e-3, 50.0),
+        sectors=st.sampled_from([(0,), (1,), (0, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_models_match_full_space(self, n_qubits, n_max, coupling, stark_u, omega_q, t, sectors, seed):
+        # beyond the fixed draws above: up to N = 7, with every N given to
+        # the test so that each meets a state on both parities, whose sector
+        # keeps every index and still scatters
+        params = ModelParams(n_qubits=n_qubits, omega_q=omega_q, coupling=coupling, stark_u=stark_u, n_max=n_max)
+        space = build_space(params)
+        h = build_hamiltonian(params, space)
+        parity = space.parities()
+        assert not np.any(h.matrix[parity[:, None] != parity[None, :]])
+        psi0 = random_state(space, np.random.default_rng(seed), sectors)
+        oracle = full_space_evolution(h.matrix, psi0.amplitudes, t)[0]
+        assert np.max(np.abs(propagate(h, psi0, t).amplitudes - oracle)) <= 1e-12
+        assert np.max(np.abs(evolve(psi0, h, t, samples=3).final.amplitudes - oracle)) <= 1e-12
 
     def test_diagonalizes_only_the_occupied_sector(self):
         params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
