@@ -32,7 +32,11 @@ until its populations (re^2 + im^2) and excitation numbers are written into
 the trajectory's preallocated full-space arrays. ``Trajectory`` keeps those
 arrays and the final state, the last sample's amplitudes, but no other
 sample's. Nothing is renormalized: ``Trajectory`` checks the norm of every
-sample, so its drift check measures the kernel's unitarity.
+sample, so its drift check measures the kernel's unitarity. ``evolve``
+called alone allocates its populations; a protocol run hands each step a
+zeroed row of one (steps, samples, dimension) block (``out``), so a run
+holds steps x samples x dimension floats in one allocation, and each step's
+``Trajectory`` is a read-only view that keeps the whole block alive.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from .model import (
 
 DEFAULT_SAMPLES = 400
 # A trajectory keeps every sample's full-space populations (samples x dimension
-# floats), so its memory grows linearly in samples: 5x the largest sampling in
+# floats), and a protocol run all its steps' in one block (steps x samples x
+# dimension), so memory grows linearly in samples: 5x the largest sampling in
 # use (2000).
 MAX_SAMPLES = 10_001
 # Samples per block of ``evolve``'s time grid, in whole rows of the block
@@ -229,16 +234,25 @@ def observables(psi: StateVector) -> tuple[float, float]:
     return float(ks @ psi.populations), float(ns @ psi.populations)
 
 
+def _require_samples(samples: int) -> None:
+    """Refuse a time grid of fewer than 2 or more than MAX_SAMPLES samples."""
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
+
+
 def evolve(
     psi0: StateVector,
     h: Operator,
     duration: float,
     samples: int = DEFAULT_SAMPLES,
     sector: _Sector | None = None,
+    out: np.ndarray | None = None,
 ) -> Trajectory:
     """Evolve |psi0> under H for ``duration``, sampled uniformly on
     [0, duration] (np.linspace). ``sector``, a ``_Sector``, is checked on
-    this H unless given.
+    this H unless given. The populations go into ``out``, a zeroed
+    (samples, dimension) array that the trajectory then holds read-only,
+    or into a new one.
 
     Only the occupied parity sector is evaluated, about EVOLVE_BLOCK samples
     at a time: a block's amplitudes come from ``_on_grid``, its populations
@@ -250,14 +264,13 @@ def evolve(
     renormalized; ``Trajectory`` checks every norm."""
     if psi0.space != h.space:
         raise ValueError("state and Hamiltonian live in different spaces")
-    if not 2 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
+    _require_samples(samples)
     if not (np.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
     sector = sector or _Sector(h, psi0.amplitudes)
     kept = sector.kept
     ks, ns = (numbers[kept] for numbers in h.space.excitation_numbers())
-    populations = np.zeros((samples, h.space.dimension))
+    populations = np.zeros((samples, h.space.dimension)) if out is None else out
     nq, nph = np.empty(samples), np.empty(samples)
     for start, amplitudes in _on_grid(*sector.eigh(h), psi0.amplitudes[kept, None], duration, samples):
         last = amplitudes[:, -1].copy()  # the last block's is the final state

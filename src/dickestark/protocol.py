@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_SAMPLES, Trajectory, _Sector, evolve, fidelity, to_rotating_frame
+from .dynamics import DEFAULT_SAMPLES, Trajectory, _Sector, _require_samples, evolve, fidelity, to_rotating_frame
 from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
 from .effective import HALF_PERIOD, QUARTER_PERIOD, ResonanceTarget, pulse_duration, solve_resonance
 from .model import (
@@ -309,7 +309,13 @@ def run_protocol(
     The kernel's symmetry and sector checks (``dynamics._Sector``) run once,
     on the first step's H: every step's H shares its off-diagonal, and H
     conserves parity, so the occupied sector never changes. Each step still
-    builds its H and diagonalizes its sector block."""
+    builds its H and diagonalizes its sector block.
+
+    The steps' populations are the rows of one zeroed (steps, samples,
+    dimension) block, allocated after ``samples`` is checked and made
+    read-only once filled: each ``Trajectory.populations`` is a view that
+    keeps the whole block alive. One allocation per run, instead of one per
+    step, lets a process that runs many protocols reuse the same memory."""
     compiled = protocol.params
     mismatched = [
         f"{f.name} = {getattr(params, f.name)} does not match the protocol's compiled"
@@ -320,17 +326,20 @@ def run_protocol(
     if mismatched:
         raise ValueError("; ".join(mismatched))
 
+    _require_samples(samples)
+    block = np.zeros((len(protocol.steps), samples, space.dimension))
     psi = dicke_state(space, *protocol.initial)
     trajectories = []
     sector = None
-    for index, step in enumerate(protocol.steps, start=1):
+    for index, (step, out) in enumerate(zip(protocol.steps, block), start=1):
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
         sector = sector or _Sector(h, psi.amplitudes)
-        traj = evolve(psi, h, step.duration, samples=samples, sector=sector)
+        traj = evolve(psi, h, step.duration, samples=samples, sector=sector, out=out)
         require_below_cutoff(traj.populations, space, f"step {index}")
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)
+    block.flags.writeable = False
 
     target = protocol.target_state(space)
     exact = fidelity(psi, target)

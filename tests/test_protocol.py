@@ -14,7 +14,7 @@ from dickestark.effective import (
     ratio_from_omega_q,
     second_order,
 )
-from dickestark.dynamics import to_rotating_frame
+from dickestark.dynamics import MAX_SAMPLES, evolve, to_rotating_frame
 from dickestark.model import (
     HilbertSpace,
     ModelParams,
@@ -225,12 +225,22 @@ class TestBlockedTrajectory:
         result = run_protocol(proto, params, space, samples=samples)
         boundaries = result.step_boundary_populations()
         psi = dicke_state(space, *proto.initial)
+        unoccupied = space.parities() != sum(proto.initial) % 2
         for step, traj, pops in zip(proto.steps, result.per_step, boundaries):
             h = build_hamiltonian(replace(params, omega_q=step.omega_q), space)
             states = grid_states(h, psi, step.duration, samples)
             assert np.max(np.abs(traj.populations - np.abs(states) ** 2)) <= 1e-15
             assert np.array_equal(traj.final.amplitudes, states[-1])
+            # the step's row of the run's block holds what evolve alone writes
+            alone = evolve(psi, h, step.duration, samples=samples)
+            for field in ("populations", "nq", "nph"):
+                assert np.array_equal(getattr(traj, field), getattr(alone, field))
+            assert np.array_equal(traj.final.amplitudes, alone.final.amplitudes)
+            assert np.all(traj.populations[:, unoccupied] == 0.0)
+            # a view of the run's read-only block, which cannot be made writeable
             assert not traj.populations.flags.writeable
+            with pytest.raises(ValueError):
+                traj.populations.flags.writeable = True
             # the boundary dict as read off the full-space array
             assert pops == {cell: float(p) for cell, p in zip(space.labels(), traj.populations[-1])}
             assert list(pops) == space.labels()
@@ -333,6 +343,21 @@ class TestGuards:
         assert swapped.dimension == build_space(params).dimension
         with pytest.raises(ValueError, match=r"space \(N = 8, n_max = 4\) does not match the model's \(N = 4, n_max = 8\)"):
             run_protocol(compile_ghz4(params), params, swapped)
+
+    @pytest.mark.parametrize("samples", [1, -3, MAX_SAMPLES + 1])
+    def test_bad_samples_refused_before_the_block(self, samples):
+        params = ghz_params()
+        space = build_space(params)
+        proto = compile_ghz4(params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^samples must lie in 2\.\.{MAX_SAMPLES}, got {samples}$"):
+                run_protocol(proto, params, space, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # less than one step's populations at MAX_SAMPLES: no block was allocated
+        assert peak < MAX_SAMPLES * space.dimension * 8
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
