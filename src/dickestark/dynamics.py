@@ -34,8 +34,8 @@ arrays and the final state, the last sample's amplitudes, but no other
 sample's. Nothing is renormalized: ``Trajectory`` checks the norm of every
 sample, so its drift check measures the kernel's unitarity. ``evolve``
 called alone allocates its populations; a protocol run hands each step a
-zeroed row of one (steps, samples, dimension) block (``out``), so a run
-holds steps x samples x dimension floats in one allocation, and each step's
+zeroed row of one (steps, samples, dimension) block (``_out``), so a run
+holds steps x samples x dimension floats in one block, and each step's
 ``Trajectory`` is a read-only view that keeps the whole block alive.
 """
 
@@ -58,8 +58,8 @@ from .model import (
 DEFAULT_SAMPLES = 400
 # A trajectory keeps every sample's full-space populations (samples x dimension
 # floats), and a protocol run all its steps' in one block (steps x samples x
-# dimension), so memory grows linearly in samples: 5x the largest sampling in
-# use (2000).
+# dimension), whose buffer the process keeps for later runs, so memory grows
+# linearly in samples: 5x the largest sampling in use (2000).
 MAX_SAMPLES = 10_001
 # Samples per block of ``evolve``'s time grid, in whole rows of the block
 # product: a block's phases and amplitudes stay small enough to be reused
@@ -246,13 +246,14 @@ def evolve(
     duration: float,
     samples: int = DEFAULT_SAMPLES,
     sector: _Sector | None = None,
-    out: np.ndarray | None = None,
+    _out: np.ndarray | None = None,
 ) -> Trajectory:
     """Evolve |psi0> under H for ``duration``, sampled uniformly on
     [0, duration] (np.linspace). ``sector``, a ``_Sector``, is checked on
-    this H unless given. The populations go into ``out``, a zeroed
-    (samples, dimension) array that the trajectory then holds read-only,
-    or into a new one.
+    this H unless given. The populations go into a new array, or into
+    ``_out``, which only ``protocol.run_protocol`` passes: a row of its
+    zeroed run block, not checked here, that the trajectory makes
+    read-only.
 
     Only the occupied parity sector is evaluated, about EVOLVE_BLOCK samples
     at a time: a block's amplitudes come from ``_on_grid``, its populations
@@ -270,7 +271,7 @@ def evolve(
     sector = sector or _Sector(h, psi0.amplitudes)
     kept = sector.kept
     ks, ns = (numbers[kept] for numbers in h.space.excitation_numbers())
-    populations = np.zeros((samples, h.space.dimension)) if out is None else out
+    populations = np.zeros((samples, h.space.dimension)) if _out is None else _out
     nq, nph = np.empty(samples), np.empty(samples)
     for start, amplitudes in _on_grid(*sector.eigh(h), psi0.amplitudes[kept, None], duration, samples):
         last = amplitudes[:, -1].copy()  # the last block's is the final state

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import weakref
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -296,6 +298,49 @@ class ProtocolResult:
         return out
 
 
+class _Buffer(np.ndarray):
+    """Memory that protocol runs take their population blocks from. Its own
+    type stops numpy from collapsing a block's views onto it, so every row
+    keeps its block alive, and the block's death frees the buffer."""
+
+
+_spare: list[_Buffer] = []  # the largest buffer that no block views
+# Reentrant: a block in a reference cycle can die, and run _keep_spare, at any
+# allocation, including one made while this thread holds the lock.
+_spare_lock = threading.RLock()
+
+
+def _population_block(shape: tuple[int, int, int]) -> np.ndarray:
+    """An uninitialized float64 block of ``shape`` on the spare buffer when
+    that is large enough, else on a new one. When the block and its last view
+    die, the buffer becomes the spare again, unless a larger one already is.
+
+    So a process that runs many protocols keeps one buffer the size of its
+    largest run, written in place run after run, instead of mapping and
+    faulting in fresh memory for every run. A larger run frees the spare
+    before it allocates, so a process holds a second buffer only while two
+    runs' trajectories live at once. The buffer is read-only outside this
+    call: once the block is made read-only too, no view of it can be made
+    writeable."""
+    size = math.prod(shape)
+    with _spare_lock:
+        buffer = _spare.pop() if _spare else None
+    if buffer is None or buffer.size < size:
+        del buffer  # a smaller spare is freed before the larger buffer is allocated
+        buffer = _Buffer(size)
+    buffer.flags.writeable = True
+    block = np.ndarray(shape, buffer=buffer)
+    buffer.flags.writeable = False
+    weakref.finalize(block, _keep_spare, buffer).atexit = False
+    return block
+
+
+def _keep_spare(buffer: _Buffer) -> None:
+    with _spare_lock:
+        if not _spare or _spare[0].size < buffer.size:
+            _spare[:] = [buffer]
+
+
 def run_protocol(
     protocol: Protocol,
     params: ModelParams,
@@ -311,11 +356,10 @@ def run_protocol(
     conserves parity, so the occupied sector never changes. Each step still
     builds its H and diagonalizes its sector block.
 
-    The steps' populations are the rows of one zeroed (steps, samples,
-    dimension) block, allocated after ``samples`` is checked and made
-    read-only once filled: each ``Trajectory.populations`` is a view that
-    keeps the whole block alive. One allocation per run, instead of one per
-    step, lets a process that runs many protocols reuse the same memory."""
+    The steps' populations are the rows of one (steps, samples, dimension)
+    block (``_population_block``), taken after ``samples`` is checked, each
+    row zeroed as its step starts, and made read-only once filled: each
+    ``Trajectory.populations`` is a view that keeps the whole block alive."""
     compiled = protocol.params
     mismatched = [
         f"{f.name} = {getattr(params, f.name)} does not match the protocol's compiled"
@@ -327,7 +371,7 @@ def run_protocol(
         raise ValueError("; ".join(mismatched))
 
     _require_samples(samples)
-    block = np.zeros((len(protocol.steps), samples, space.dimension))
+    block = _population_block((len(protocol.steps), samples, space.dimension))
     psi = dicke_state(space, *protocol.initial)
     trajectories = []
     sector = None
@@ -335,7 +379,10 @@ def run_protocol(
         tuned = replace(params, omega_q=step.omega_q)
         h = build_hamiltonian(tuned, space)
         sector = sector or _Sector(h, psi.amplitudes)
-        traj = evolve(psi, h, step.duration, samples=samples, sector=sector, out=out)
+        # evolve writes only the occupied columns, and a reused buffer holds an earlier
+        # run's; zeroed here, not when taken, so the row is still in cache for evolve
+        out.fill(0.0)
+        traj = evolve(psi, h, step.duration, samples=samples, sector=sector, _out=out)
         require_below_cutoff(traj.populations, space, f"step {index}")
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -23,6 +26,7 @@ from dickestark.model import (
     default_n_max,
     dicke_state,
 )
+from dickestark import protocol as protocol_module
 from dickestark.config import parse_config
 from dickestark.presets import PROTOCOL_PRESETS
 from dickestark.protocol import (
@@ -245,6 +249,80 @@ class TestBlockedTrajectory:
             assert pops == {cell: float(p) for cell, p in zip(space.labels(), traj.populations[-1])}
             assert list(pops) == space.labels()
             psi = to_rotating_frame(traj.final, h, step.duration)
+
+    def test_a_later_run_never_writes_a_live_block(self, monkeypatch):
+        monkeypatch.setattr(protocol_module, "_spare", [])
+        params = ladder_params()
+        space = build_space(params)
+        proto = compile_dicke_ladder(4, 4, params)
+        first = run_protocol(proto, params, space, samples=400)
+        before = [traj.populations.copy() for traj in first.per_step]
+        second = run_protocol(proto, params, space, samples=400)
+        for traj, kept, other in zip(first.per_step, before, second.per_step):
+            assert not np.shares_memory(traj.populations, other.populations)
+            assert np.array_equal(traj.populations, kept)
+
+    def test_a_dropped_run_lends_its_buffer_zeroed(self, monkeypatch):
+        monkeypatch.setattr(protocol_module, "_spare", [])
+        params = ghz_params()
+        space = build_space(params)
+        proto = compile_ghz4(params)
+        large = run_protocol(proto, params, space, samples=2000)
+        small = run_protocol(proto, params, space, samples=400)
+        expected = [traj.populations.copy() for traj in small.per_step]
+        del large
+        del small  # the smaller buffer does not replace the larger spare
+        (buffer,) = protocol_module._spare
+        assert buffer.size == len(proto.steps) * 2000 * space.dimension
+        buffer.flags.writeable = True
+        buffer.fill(np.nan)  # stale data that the next run must clear
+        again = run_protocol(proto, params, space, samples=400)
+        assert protocol_module._spare == []
+        for traj, pops in zip(again.per_step, expected):
+            assert np.shares_memory(traj.populations, buffer)
+            assert np.array_equal(traj.populations, pops)
+        del again, traj  # the last row's trajectory too
+        assert len(protocol_module._spare) == 1 and protocol_module._spare[0] is buffer
+
+    def test_concurrent_runs_never_share_a_buffer(self, monkeypatch):
+        # each thread runs its own sample count, so a block on another run's
+        # buffer is zeroed or overwritten with other values under it
+        monkeypatch.setattr(protocol_module, "_spare", [])
+        params = ghz_params()
+        space = build_space(params)
+        proto = compile_ghz4(params)
+        workers = min(2 * (os.cpu_count() or 1) + 1, 16)
+        expected = {}
+        for samples in range(40, 40 + workers):
+            result = run_protocol(proto, params, space, samples=samples)
+            expected[samples] = [traj.populations.copy() for traj in result.per_step]
+        del result
+        barrier = threading.Barrier(workers)
+        errors = []
+
+        def work(samples):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(20):
+                    result = run_protocol(proto, params, space, samples=samples)
+                    for traj, pops in zip(result.per_step, expected[samples]):
+                        if not np.array_equal(traj.populations, pops):
+                            errors.append(f"samples {samples}: populations changed")
+            except Exception as exc:
+                errors.append(f"samples {samples}: {exc!r}")
+
+        threads = [threading.Thread(target=work, args=(samples,)) for samples in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_a_ladder_retains_only_its_populations(self):
         # N = 6 at 2000 samples, every step's populations read: the run keeps
