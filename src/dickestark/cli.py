@@ -41,7 +41,7 @@ from .effective import (
     target_coupling,
     pulse_duration,
 )
-from .model import ModelParams, build_space, default_n_max, dicke_state
+from .model import ModelParams, _retuned, build_space, default_n_max, dicke_state
 from .protocol import compile_from_rules, protocol_from_json, run_protocol
 from .protocol import compile_dicke_ladder, compile_ghz4  # not called here: perfbench/tracer.py wraps these names
 from .scan import peak_report, resonance_scan, scan_grid
@@ -107,7 +107,7 @@ def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict
 
     omega_q_star = solve_resonance(target, params)
     predicted = ratio_from_omega_q(omega_q_star, params)
-    tuned = replace(params, omega_q=omega_q_star)
+    tuned = _retuned(params, omega_q_star)
     duration = job.duration if job.duration is not None else pulse_duration(target, tuned)
 
     space = build_space(params)
@@ -201,7 +201,7 @@ def cmd_effective(config: RunConfig, job: presets.ScanPreset | ResonanceTarget) 
     params = _resolve_params(config, base, max(initial_n, target.n0))
 
     omega_q = solve_resonance(target, params)
-    tuned = replace(params, omega_q=omega_q)
+    tuned = _retuned(params, omega_q)
     space = build_space(tuned)
     coupling = target_coupling(target, tuned)
     # a target with zero coupling is refused here, before the report is built

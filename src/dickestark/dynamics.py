@@ -32,11 +32,14 @@ until its populations (re^2 + im^2) and excitation numbers are written into
 the trajectory's preallocated full-space arrays. ``Trajectory`` keeps those
 arrays and the final state, the last sample's amplitudes, but no other
 sample's. Nothing is renormalized: ``Trajectory`` checks the norm of every
-sample, so its drift check measures the kernel's unitarity. ``evolve``
-called alone allocates its populations; a protocol run hands each step a
-zeroed row of one (steps, samples, dimension) block (``_out``), so a run
-holds steps x samples x dimension floats in one block, and each step's
-``Trajectory`` is a read-only view that keeps the whole block alive.
+sample, so its drift check measures the kernel's unitarity. A block's
+populations are staged in one small (block samples x dimension) array, zero
+off the kept sector, and copied into the populations as whole rows, so
+nothing zeroes the populations first: ``evolve`` called alone allocates them
+uninitialized, and a protocol run hands each step a row of one (steps,
+samples, dimension) block (``_out``) as it stands, so a run holds steps x
+samples x dimension floats in one block, and each step's ``Trajectory`` is a
+read-only view that keeps the whole block alive.
 """
 
 from __future__ import annotations
@@ -250,15 +253,17 @@ def evolve(
 ) -> Trajectory:
     """Evolve |psi0> under H for ``duration``, sampled uniformly on
     [0, duration] (np.linspace). ``sector``, a ``_Sector``, is checked on
-    this H unless given. The populations go into a new array, or into
-    ``_out``, which only ``protocol.run_protocol`` passes: a row of its
-    zeroed run block, not checked here, that the trajectory makes
-    read-only.
+    this H unless given. The populations go into a new uninitialized
+    array, or into ``_out``, which only ``protocol.run_protocol`` passes: a
+    row of its run block, whatever it holds, that the trajectory makes
+    read-only. Every element of it is written.
 
     Only the occupied parity sector is evaluated, about EVOLVE_BLOCK samples
     at a time: a block's amplitudes come from ``_on_grid``, its populations
-    are re^2 + im^2 of those and nq and nph are read from the populations,
-    all written straight into the trajectory's arrays. The amplitudes are
+    are re^2 + im^2 of those and nq and nph are read from the populations.
+    The populations go into the kept columns of one staging array, zeroed
+    once, whose rows are copied whole into the trajectory's; nq and nph are
+    written straight into theirs. The amplitudes are
     dropped with their block, except the last sample's: the final state,
     whose phases are those of ``propagate(H, psi0, duration)`` and which
     differs from it only by the rounding of the matrix product. No sample is
@@ -271,15 +276,20 @@ def evolve(
     sector = sector or _Sector(h, psi0.amplitudes)
     kept = sector.kept
     ks, ns = (numbers[kept] for numbers in h.space.excitation_numbers())
-    populations = np.zeros((samples, h.space.dimension)) if _out is None else _out
+    populations = np.empty((samples, h.space.dimension)) if _out is None else _out
     nq, nph = np.empty(samples), np.empty(samples)
+    staged = None
     for start, amplitudes in _on_grid(*sector.eigh(h), psi0.amplitudes[kept, None], duration, samples):
         last = amplitudes[:, -1].copy()  # the last block's is the final state
         parts = amplitudes.view(np.float64)  # (re, im) per amplitude
         np.square(parts, out=parts)
         block = parts[:, 0::2] + parts[:, 1::2]  # (kept, block samples)
         stop = start + block.shape[1]
-        populations[start:stop, kept] = block.T
+        if staged is None:  # the first block is the largest; its dropped columns stay 0.0
+            staged = np.zeros((block.shape[1], h.space.dimension))
+        rows = staged[: block.shape[1]]
+        rows[:, kept] = block.T
+        populations[start:stop] = rows
         np.matmul(ks, block, out=nq[start:stop])
         np.matmul(ns, block, out=nph[start:stop])
     return Trajectory(

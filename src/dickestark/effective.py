@@ -46,13 +46,13 @@ tc2, atc2, r2, a2 at second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, _omega_table
+from .model import HilbertSpace, ModelParams, _omega_table, _retuned
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -153,7 +153,7 @@ def solve_first_order_resonance(target: ResonanceTarget, params: ModelParams) ->
     target.validate(params)
     # each detuning is omega_q plus its value at omega_q = 0
     delta = delta_minus if target.kind == "tc" else delta_plus
-    return 0.0 - delta(target.n0, target.k0, replace(params, omega_q=0.0))
+    return 0.0 - delta(target.n0, target.k0, _retuned(params, 0.0))
 
 
 # The four first-order steps (dk, dn) from a cell (k, n), in summation order.

@@ -85,6 +85,20 @@ class ModelParams:
             )
 
 
+def _retuned(params: ModelParams, omega_q: float) -> ModelParams:
+    """``params`` at qubit frequency ``omega_q``: what
+    ``dataclasses.replace(params, omega_q=omega_q)`` returns, every other
+    field copied as it stands, without re-running ``__post_init__``. Only
+    omega_q's finiteness check can change its verdict, and it runs here with
+    the same message; the rest read fields that ``params`` already passed.
+    A scan point and a protocol step each retune once."""
+    if not math.isfinite(omega_q):
+        raise ValueError(f"omega_q must be finite, got {omega_q}")
+    tuned = object.__new__(type(params))
+    tuned.__dict__.update(params.__dict__, omega_q=omega_q)
+    return tuned
+
+
 def default_n_max(n_initial: int, n_qubits: int) -> int:
     """Default photon cutoff for a run whose largest initial photon number is
     ``n_initial``: n_initial + N + 2. A selective pulse moves at most two
@@ -253,12 +267,18 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     return Operator(space, _read_only(h))
 
 
-@lru_cache(maxsize=4)
+# Models held by _affine_parts and _omega_table: a scan needs one, and a
+# process that runs the Dicke ladders of N = 2..6 and ghz_4 in turn needs six.
+# The bound keeps memory flat: at most 8 H(0) of dim^2 float64 each, 1.1 GB
+# at MAX_DIMENSION, 32 KB at dimension 63.
+MODEL_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
 def _affine_parts(
     n: int, n_max: int, coupling: float, stark_u: float, omega_r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(H(0), diagonal of Jz/2) of the symmetric-basis H, both read-only. A
-    scan needs one entry; the bound keeps the memory flat."""
+    """(H(0), diagonal of Jz/2) of the symmetric-basis H, both read-only."""
     levels = n_max + 1
     k, nph = np.divmod(np.arange((n + 1) * levels), levels)
     jz_half = k - n / 2
@@ -271,7 +291,7 @@ def _affine_parts(
     return _read_only(h0), _read_only(jz_half)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
 def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
     """The one source of the first-order coupling, read by H(0) and the
     effective layer: Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N), with

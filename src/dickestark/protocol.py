@@ -34,6 +34,7 @@ from .model import (
     HilbertSpace,
     ModelParams,
     StateVector,
+    _retuned,
     build_hamiltonian,
     default_n_max,
     dicke_state,
@@ -231,7 +232,7 @@ def compile_from_rules(spec: ProtocolSpec, params: ModelParams) -> Protocol:
         label = rule.target.label()
         try:
             omega_q = solve_resonance(rule.target, params)
-            duration = pulse_duration(rule.target, replace(params, omega_q=omega_q), rule.fraction)
+            duration = pulse_duration(rule.target, _retuned(params, omega_q), rule.fraction)
         except ValueError as exc:
             raise type(exc)(f"protocol step {index} {label}: {exc}") from None
         steps.append(PulseStep(omega_q=omega_q, duration=duration, label=label))
@@ -354,11 +355,13 @@ def run_protocol(
     The kernel's symmetry and sector checks (``dynamics._Sector``) run once,
     on the first step's H: every step's H shares its off-diagonal, and H
     conserves parity, so the occupied sector never changes. Each step still
-    builds its H and diagonalizes its sector block.
+    builds its H, at the step's omega_q (``model._retuned``), and
+    diagonalizes its sector block.
 
     The steps' populations are the rows of one (steps, samples, dimension)
-    block (``_population_block``), taken after ``samples`` is checked, each
-    row zeroed as its step starts, and made read-only once filled: each
+    block (``_population_block``), taken after ``samples`` is checked and
+    not zeroed: ``evolve`` writes every element of its row, the dropped
+    parity's as exact zeros. The block is made read-only once filled: each
     ``Trajectory.populations`` is a view that keeps the whole block alive."""
     compiled = protocol.params
     mismatched = [
@@ -376,12 +379,8 @@ def run_protocol(
     trajectories = []
     sector = None
     for index, (step, out) in enumerate(zip(protocol.steps, block), start=1):
-        tuned = replace(params, omega_q=step.omega_q)
-        h = build_hamiltonian(tuned, space)
+        h = build_hamiltonian(_retuned(params, step.omega_q), space)
         sector = sector or _Sector(h, psi.amplitudes)
-        # evolve writes only the occupied columns, and a reused buffer holds an earlier
-        # run's; zeroed here, not when taken, so the row is still in cache for evolve
-        out.fill(0.0)
         traj = evolve(psi, h, step.duration, samples=samples, sector=sector, _out=out)
         require_below_cutoff(traj.populations, space, f"step {index}")
         trajectories.append(traj)

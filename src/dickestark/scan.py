@@ -5,22 +5,23 @@ resonance peaks.
 The scan axis is the dimensionless ratio (omega_r - omega_q) / omega_r.
 Every ratio, its omega_q and the duration are checked before the first
 build. The kernel's per-scan checks (``dynamics._Sector``) run once, on the
-first point's H. Each point then costs one build and one ``eigh`` of its
-sector block (``_Sector.eigh``), written into one row of a SCAN_CHUNK-row
-table of eigenvalues and one of eigenvectors. Each full table, and the last
-partial one, is evaluated at once: its final amplitudes are one call of the
-kernel's final-state route (``dynamics._evolved``) on the stacked
-eigenpairs, and its populations, cutoff guard and excitation numbers are
-batched array products, in grid order, so repeated runs with identical
-inputs produce bit-identical output. A final
-state with more than CUTOFF_POPULATION in the top photon level stops the scan
-with CutoffExceededError, which names the first such ratio.
+first point's H. Each point then costs one build, of the model retuned to
+its omega_q without re-running the model's checks (``model._retuned``), and
+one ``eigh`` of its sector block (``_Sector.eigh``), written into one row of
+a SCAN_CHUNK-row table of eigenvalues and one of eigenvectors. Each full
+table, and the last partial one, is evaluated at once: its final amplitudes
+are one call of the kernel's final-state route (``dynamics._evolved``) on
+the stacked eigenpairs, and its populations, cutoff guard and excitation
+numbers are batched array products, in grid order, so repeated runs with
+identical inputs produce bit-identical output. A final state with more
+than CUTOFF_POPULATION in the top photon level stops the scan with
+CutoffExceededError, which names the first such ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _evolved, _Sector
 from .dynamics import observables, propagate  # not called here: perfbench/tracer.py wraps these names
 from .effective import ResonanceTarget, omega_q_from_ratio
-from .model import HilbertSpace, ModelParams, StateVector, build_hamiltonian
+from .model import HilbertSpace, ModelParams, StateVector, _retuned, build_hamiltonian
 
 # Bounds the grid's memory and run time (each point diagonalizes one H).
 MAX_SCAN_POINTS = 100_001
@@ -91,7 +92,7 @@ def resonance_scan(
         raise ValueError(f"duration must be finite, got {duration}")
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    hamiltonians = (build_hamiltonian(replace(params, omega_q=w), space) for w in omega_qs.tolist())
+    hamiltonians = (build_hamiltonian(_retuned(params, w), space) for w in omega_qs.tolist())
     first = next(hamiltonians)
     sector = _Sector(first, psi0.amplitudes)  # every point's H shares the first one's off-diagonal
     m = sector.kept.size

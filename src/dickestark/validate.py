@@ -30,6 +30,7 @@ from .effective import SELECTIVITY_RATIO, pulse_duration, rwa_validity_report, s
 from .model import (
     NORM_TOL,
     ModelParams,
+    _retuned,
     build_hamiltonian,
     build_space,
     dicke_state,
@@ -229,7 +230,7 @@ def check_selectivity() -> CheckResult:
     detail = []
     for name, preset in sorted(SCAN_PRESETS.items()):
         omega_q = solve_resonance(preset.target, preset.params)
-        tuned = replace(preset.params, omega_q=omega_q)
+        tuned = _retuned(preset.params, omega_q)
         space = build_space(tuned)
         report = rwa_validity_report(preset.target, tuned, space)
         ratio = report.min_ratio(adjacent_only=True)

@@ -144,6 +144,25 @@ class TestEvolve:
             for arr in (traj.times, traj.populations, traj.nq, traj.nph):
                 assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("samples", [2, 3, 257, 2000])
+    def test_dropped_parity_columns_are_exactly_zero(self, small_system, samples):
+        # Nothing zeroes the populations before evolve writes them: each block
+        # is staged whole, zero off the kept sector, so the NaN of a stale
+        # ``_out`` cannot survive in a dropped column, the last block's
+        # included (2000 samples end partway through a block).
+        _, space, h = small_system
+        for k, n in ((1, 1), (1, 2)):  # the even parity, then the odd
+            psi0 = dicke_state(space, k, n)
+            dropped = space.parities() != (k + n) % 2
+            alone = evolve(psi0, h, 700.0, samples=samples)
+            stale = np.full((samples, space.dimension), np.nan)
+            run = evolve(psi0, h, 700.0, samples=samples, _out=stale)
+            assert np.shares_memory(run.populations, stale)
+            assert np.array_equal(run.populations, alone.populations)
+            for traj in (alone, run):
+                assert np.all(traj.populations[:, dropped] == 0.0)
+                assert not np.signbit(traj.populations[:, dropped]).any()
+
     def test_norm_conservation(self, small_system):
         _, space, h = small_system
         rng = np.random.default_rng(17)

@@ -1,13 +1,17 @@
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickestark.model import (
+    MAX_DIMENSION,
     HilbertSpace,
     ModelParams,
     Operator,
     StateVector,
+    _retuned,
     build_hamiltonian,
     build_space,
     default_n_max,
@@ -29,6 +33,58 @@ def product_index(bits, n, n_max):
     """Flat product-basis index of |bits> x |n>; bit j of ``bits`` marks
     qubit j excited."""
     return bits * (n_max + 1) + n
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_params(draw):
+    n_qubits = draw(st.integers(1, 64))
+    return ModelParams(
+        n_qubits=n_qubits,
+        omega_r=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        omega_q=draw(finite),
+        coupling=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        stark_u=draw(finite),
+        n_max=draw(st.integers(0, MAX_DIMENSION // (n_qubits + 1) - 1)),
+    )
+
+
+def fields_of(params):
+    """Every field's value, its type and its repr, which tells -0.0 from 0.0."""
+    return {name: (type(v), repr(v)) for name, v in vars(params).items()}
+
+
+class TestRetuned:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(params=model_params(), omega_q=st.one_of(finite, st.integers(-(2**60), 2**60)))
+    def test_matches_dataclasses_replace(self, params, omega_q):
+        before = fields_of(params)
+        tuned, expected = _retuned(params, omega_q), replace(params, omega_q=omega_q)
+        assert type(tuned) is ModelParams
+        assert tuned == expected and hash(tuned) == hash(expected)
+        assert vars(tuned) == vars(expected) and fields_of(tuned) == fields_of(expected)
+        assert fields_of(params) == before  # the input is untouched
+
+    @pytest.mark.parametrize("omega_q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_with_the_constructor_message(self, omega_q):
+        params = ModelParams(n_qubits=3)
+        with pytest.raises(ValueError) as expected:
+            replace(params, omega_q=omega_q)
+        with pytest.raises(ValueError) as refused:
+            _retuned(params, omega_q)
+        assert str(refused.value) == str(expected.value) == f"omega_q must be finite, got {omega_q}"
+
+    def test_a_field_added_later_is_copied(self):
+        @dataclass(frozen=True)
+        class Extended(ModelParams):
+            detuning: float = 0.0
+
+        params = Extended(n_qubits=2, coupling=0.1, detuning=0.25)
+        tuned = _retuned(params, -1.5)
+        assert type(tuned) is Extended and tuned == replace(params, omega_q=-1.5)
+        assert vars(tuned) == {**vars(params), "omega_q": -1.5}
 
 
 class TestSpaces:

@@ -262,6 +262,25 @@ class TestBlockedTrajectory:
             assert not np.shares_memory(traj.populations, other.populations)
             assert np.array_equal(traj.populations, kept)
 
+    @pytest.mark.parametrize("samples", [2, 3, 257, 2000])
+    def test_dropped_parity_columns_are_exactly_zero_on_a_stale_buffer(self, monkeypatch, samples):
+        # Nothing zeroes a run's block: evolve writes every row whole, so the
+        # NaN that an earlier run could leave in the kept buffer never
+        # reaches a column of the parity the run does not occupy.
+        params = ladder_params()
+        space = build_space(params)
+        proto = compile_dicke_ladder(4, 4, params)
+        stale = protocol_module._Buffer(len(proto.steps) * samples * space.dimension)
+        stale.fill(np.nan)
+        stale.flags.writeable = False
+        monkeypatch.setattr(protocol_module, "_spare", [stale])
+        result = run_protocol(proto, params, space, samples=samples)
+        dropped = space.parities() != sum(proto.initial) % 2
+        for traj in result.per_step:
+            assert np.shares_memory(traj.populations, stale)
+            assert np.all(traj.populations[:, dropped] == 0.0)
+            assert not np.signbit(traj.populations[:, dropped]).any()
+
     def test_a_dropped_run_lends_its_buffer_zeroed(self, monkeypatch):
         monkeypatch.setattr(protocol_module, "_spare", [])
         params = ghz_params()
