@@ -14,7 +14,7 @@ validation suite's independent oracle (``validate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -69,6 +69,8 @@ class ModelParams:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        # _retuned repeats only omega_q's finiteness check: a new check that
+        # reads omega_q must go there too (test_model.py::TestRetuned).
         for name in ("omega_r", "omega_q", "coupling", "stark_u"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -91,7 +93,10 @@ def _retuned(params: ModelParams, omega_q: float) -> ModelParams:
     field copied as it stands, without re-running ``__post_init__``. Only
     omega_q's finiteness check can change its verdict, and it runs here with
     the same message; the rest read fields that ``params`` already passed.
-    A scan point and a protocol step each retune once."""
+    A subclass with its own ``__post_init__`` goes through ``replace``, so
+    its checks run. A scan point and a protocol step each retune once."""
+    if type(params).__post_init__ is not ModelParams.__post_init__:
+        return replace(params, omega_q=omega_q)
     if not math.isfinite(omega_q):
         raise ValueError(f"omega_q must be finite, got {omega_q}")
     tuned = object.__new__(type(params))

@@ -13,7 +13,10 @@ temporary directory:
   durations and both minimum selectivity ratios;
 - the ghz_4 and dicke_ladder_4 presets' and the N = 6 ladder's
   ``summary.json`` (LADDER6_INI, the 2000-sample ladder of the CI job);
-- ``validation.json`` at its defaults.
+- ``validation.json`` at its defaults: every check's name, scale, verdict
+  and threshold, and the value and detail of the checks that measure
+  physics. The other checks' values are rounding error (ERROR_CHECKS): their
+  verdict, value <= threshold, is what is pinned.
 
 Numbers compare within TOL relative, or TOL absolute below 1, everything
 else exactly. An intended output change regenerates the file in the same change,
@@ -58,11 +61,19 @@ steps =
     tc 1 0 5 half_period
 target = basis 6 0
 """
-# Two ulps of a number in [1, 2): a number x may move by TOL max(1, |x|).
-# Across SCAN_CHUNK in {1, 8, 32, 64}, EVOLVE_BLOCK in {64, 256, 1024} and one
-# or two BLAS threads, the record moved by at most 1.4e-16 relative (an nph)
-# and 2.8e-17 absolute (an abs_error of a peak one ulp away).
-TOL = 2.0**-51
+# validate checks whose value is a rounding error of order 1e-16..1e-13,
+# which moves with the BLAS kernel; only their verdict is pinned.
+ERROR_CHECKS = frozenset(
+    {"unitarity", "norm-and-energy-conservation", "basis-equivalence", "cutoff-doubling-stability"}
+)
+# A number x may move by TOL max(1, |x|). OpenBLAS's SkylakeX, Haswell,
+# Sandybridge, Nehalem and Katmai kernels (OPENBLAS_CORETYPE), at one and two
+# threads and with numpy's AVX2/AVX-512 loops switched off
+# (NPY_DISABLE_CPU_FEATURES), moved the record by at most 4.3e-12 (an nph of
+# fig8; ghz_4's target_phase by 2.1e-12): phases of eigenvalue rounding times
+# t ~ 1e3. TOL is about five times that, and fifty times below a change of
+# one part in 1e9 of a number of size 1 or more.
+TOL = 2e-11
 
 
 def collect(work: Path) -> dict:
@@ -97,7 +108,11 @@ def collect(work: Path) -> dict:
     config = work / "ladder6.ini"
     config.write_text(LADDER6_INI, encoding="utf-8")
     record["protocol"]["ladder6"] = read(run("ladder6", "protocol", "--config", str(config)) / "summary.json")
-    record["validate"] = read(run("validate", "validate") / "validation.json")
+    validation = read(run("validate", "validate") / "validation.json")
+    for check in validation["checks"]:
+        if check["name"] in ERROR_CHECKS:
+            del check["value"], check["detail"]
+    record["validate"] = validation
     return record
 
 

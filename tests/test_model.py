@@ -1,5 +1,9 @@
+import ast
+import inspect
 import math
+import textwrap
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -85,6 +89,35 @@ class TestRetuned:
         tuned = _retuned(params, -1.5)
         assert type(tuned) is Extended and tuned == replace(params, omega_q=-1.5)
         assert vars(tuned) == {**vars(params), "omega_q": -1.5}
+
+    def test_a_subclass_check_still_runs(self):
+        @dataclass(frozen=True)
+        class Bounded(ModelParams):
+            def __post_init__(self):
+                super().__post_init__()
+                if abs(self.omega_q) > 3:
+                    raise ValueError("omega_q out of range")
+
+        params = Bounded(n_qubits=2)
+        assert _retuned(params, 2.5) == replace(params, omega_q=2.5)
+        with pytest.raises(ValueError, match="omega_q out of range"):
+            _retuned(params, 4.0)
+
+    def test_post_init_reads_omega_q_only_in_the_finiteness_check(self):
+        """_retuned repeats only that check and copies the instance dict, so a
+        new check on omega_q, a cached property or slots would go unseen."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(ModelParams.__post_init__)))
+        reads = [
+            node
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "omega_q")
+            or (isinstance(node, ast.Constant) and node.value == "omega_q")
+        ]
+        loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+        assert [ast.unparse(node) for node in reads] == ["'omega_q'"]
+        assert reads[0] in ast.walk(loop.iter)
+        assert "__slots__" not in vars(ModelParams)
+        assert not any(isinstance(v, cached_property) for v in vars(ModelParams).values())
 
 
 class TestSpaces:
