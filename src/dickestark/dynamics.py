@@ -14,15 +14,16 @@ block. If H couples the kept sectors to the rest, the block is the whole space.
 does not) and that H leaves the kept block invariant. Both read only the
 off-diagonal of H, which all the H of a frequency scan, and all the steps of
 a protocol, share, so a scan and a protocol run them once; ``propagate``
-runs them once per H, and ``evolve`` unless it is given them.
-``_Sector.eigh`` diagonalizes an H's kept block on the cached index sets:
+runs them once per H, and ``evolve`` unless it is given them; with them it
+builds its index sets, once per scan, protocol run, ``propagate`` or
+``evolve`` call. ``_Sector.eigh`` diagonalizes an H's kept block on them:
 the package's one ``eigh`` outside the validation suite's product-basis
 oracle. The kernel's math, V exp(-i w t) V^T psi on those eigenpairs
 (w, V), lives here only, as two routes in real arithmetic (``_times``):
 ``_evolved``, the final state of one H or of a stack of H (``propagate`` and
 ``validate`` through ``_propagated``, the scan per table of points), and
 ``_on_grid``, a uniform time grid in blocks (``evolve``, and ``validate``'s
-conservation check).
+conservation check). Both refuse a phase |w t| above MAX_PHASE.
 
 ``evolve`` walks its uniform time grid in blocks of about EVOLVE_BLOCK
 samples. The phases exp(-i w t_s) are block products of about
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +70,8 @@ MAX_SAMPLES = 10_001
 EVOLVE_BLOCK = 256
 
 CUTOFF_POPULATION = 1e-6
+# The largest |w t| the kernel evaluates: one ulp of w t is 2^-20 rad there.
+MAX_PHASE = 2.0**32
 
 
 class CutoffExceededError(RuntimeError):
@@ -123,18 +125,22 @@ class Trajectory:
 
 
 class _Sector:
-    """The parity sector(s) that a vector occupies under H, read through the
-    cached index sets of ``_sector``, after H's symmetry check and the check
-    that H leaves them invariant: valid for every H with H's off-diagonal."""
+    """The parity sector(s) that a vector occupies under H, after H's symmetry
+    check and the check that H leaves them invariant: valid for every H with
+    H's off-diagonal. ``kept`` holds their flat indices (every index if H
+    couples them to the rest), ``block`` the kept block's flat positions."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray):
         h.require_hermitian()
+        parities = h.space.parities()
         occupied = np.zeros(2, dtype=bool)
-        occupied[h.space.parities()[amplitudes != 0]] = True
-        self.kept, self.block, coupling = _sector(h.space, *occupied.tolist())
-        if coupling is not None and h.matrix.take(coupling).any():
-            self.kept, self.block, _ = _sector(h.space, True, True)  # the kept sectors are not invariant under H
+        occupied[parities[amplitudes != 0]] = True
+        keep = occupied[parities]
         self.dimension = h.space.dimension
+        self.kept = np.flatnonzero(keep)
+        if h.matrix[self.kept[:, None], np.flatnonzero(~keep)].any():  # the kept sectors are not invariant under H
+            self.kept = np.arange(self.dimension)
+        self.block = (self.kept[:, None] * self.dimension + self.kept).ravel()
 
     def eigh(self, h: Operator) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of H's kept block, the package's one
@@ -153,6 +159,7 @@ def _evolved(values: np.ndarray, vectors: np.ndarray, psi: np.ndarray, t: float)
     the kept amplitudes ``psi``, one complex column (m, 1), from H's sector
     eigenpairs (w, V). ``values`` (..., m) and ``vectors`` (..., m, m) may
     stack several H on leading axes, which the result (..., m, 1) keeps."""
+    _require_phase(values, t)
     coeffs = _times(vectors.swapaxes(-1, -2), psi)
     return _times(vectors, np.exp(-1j * (values[..., None] * t)) * coeffs)
 
@@ -174,6 +181,7 @@ def _on_grid(values: np.ndarray, vectors: np.ndarray, psi: np.ndarray, duration:
     2^-52 max(1, max|w t|). The last column's phases are computed directly,
     exactly as ``_evolved`` does at t = duration.
     """
+    _require_phase(values, duration)
     coeffs = _times(vectors.T, psi)
     step = duration / (samples - 1)
     b = math.isqrt(samples - 1) + 1  # ceil(sqrt(samples))
@@ -189,21 +197,11 @@ def _on_grid(values: np.ndarray, vectors: np.ndarray, psi: np.ndarray, duration:
         yield start, _times(vectors, block)
 
 
-@lru_cache(maxsize=8)
-def _sector(space: HilbertSpace, even: bool, odd: bool):
-    """Read-only index sets of the given occupied parities of ``space``,
-    computed once per (space, parities): the kept flat indices, the flat
-    (C-order) matrix positions of the kept block, and those from kept rows to
-    dropped columns (None when nothing is dropped)."""
-    keep = np.array([even, odd])[space.parities()]
-    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
-    rows = kept[:, None] * space.dimension
-    block = (rows + kept).ravel()
-    coupling = (rows + dropped).ravel() if dropped.size else None
-    for a in (kept, block, coupling):
-        if a is not None:
-            a.flags.writeable = False
-    return kept, block, coupling
+def _require_phase(values: np.ndarray, t: float) -> None:
+    """Refuse a time ``t`` at which some |w t| exceeds MAX_PHASE, naming it as the duration."""
+    phase = float(np.abs(values).max()) * abs(t)
+    if phase > MAX_PHASE:
+        raise ValueError(f"duration {t!r} leaves the phases no precision: max|w| t = {phase:.3e} exceeds 2^32")
 
 
 def _times(m: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -151,14 +151,13 @@ def _prominent_maxima(y: np.ndarray, min_prominence: float) -> list[int]:
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, float]:
-    if idx == 0 or idx == len(x) - 1:
-        return float(x[idx]), float(y[idx])
+    """The parabola's vertex through the samples around an interior maximum
+    ``idx``: within half a step of it, or at it on a flat top of 3 or more."""
     y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
     denom = y0 - 2 * y1 + y2
     if denom == 0:
         return float(x[idx]), float(y[idx])
     shift = 0.5 * (y0 - y2) / denom
-    shift = float(np.clip(shift, -1.0, 1.0))
     step = 0.5 * (x[idx + 1] - x[idx - 1])
     location = float(x[idx] + shift * step)
     height = float(y1 - 0.25 * (y0 - y2) * shift)

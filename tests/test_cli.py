@@ -142,6 +142,21 @@ class TestScanCommand:
         assert "[scan] duration must be positive and finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e16", "1e300"])
+    def test_duration_beyond_the_phase_limit_exits_2_naming_it(self, tmp_path, capsys, value):
+        # used to exit 0 with nq 0.7086 (1e16) or 0.1194 (1e300) at ratio 2.125
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(
+            "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n"
+            "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 0\n"
+            f"window_min = 2.12\nwindow_max = 2.13\npoints = 11\nduration = {value}\nmin_height = -1\n"
+        )
+        out = tmp_path / "never"
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"duration {float(value)!r} leaves the phases no precision" in err
+        assert not out.exists()
+
     def test_truncated_fock_space_exits_2_naming_the_ratio(self, tmp_path, capsys):
         # used to exit 0 with the peak at -0.2347 instead of -0.2390
         cfg = tmp_path / "tight.ini"
@@ -232,6 +247,15 @@ class TestProtocolCommand:
         assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fidelity"] >= 0.99
+
+    def test_step_beyond_the_phase_limit_exits_2_naming_its_duration(self, tmp_path, capsys):
+        # a step of 1e300 Rabi periods used to exit 0 with fidelity 0.6562
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(INLINE_PROTOCOL_INI.replace("atc 1 0 0 half_period", "atc 1 0 0 1e300"))
+        out = tmp_path / "never"
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "duration 5.235987755982988e+302 leaves the phases no precision" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cutoff_error_surfaces(self, tmp_path, capsys):
         cfg = tmp_path / "tight.ini"

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dickestark.dynamics import (
+    MAX_PHASE,
     MAX_SAMPLES,
     Trajectory,
     _evolved,
@@ -242,6 +244,22 @@ class TestEvolve:
         _, space, h = small_system
         with pytest.raises(ValueError, match="t must be finite"):
             propagate(h, dicke_state(space, 0, 0), float("nan"))
+
+    def test_duration_beyond_the_phase_limit_rejected(self, small_system):
+        # past max|w| t = 2^32 the phases exp(-i w t) lose their precision: a
+        # duration of 1e16 used to return noise; just below the limit still runs
+        assert np.spacing(MAX_PHASE) == 2.0**-20  # one ulp of the largest phase, in rad
+        _, space, h = small_system
+        psi0 = dicke_state(space, 0, 0)
+        limit = MAX_PHASE / float(np.abs(_Sector(h, psi0.amplitudes).eigh(h)[0]).max())
+        below, above = limit * (1.0 - 1e-9), limit * (1.0 + 1e-9)
+        propagate(h, psi0, below)
+        evolve(psi0, h, below, samples=3)
+        message = re.escape(f"duration {above!r} leaves the phases no precision")
+        with pytest.raises(ValueError, match=message):
+            propagate(h, psi0, above)
+        with pytest.raises(ValueError, match=message):
+            evolve(psi0, h, above, samples=3)
 
     def test_trajectory_rejects_one_sample_off_in_norm(self, small_system):
         _, space, h = small_system

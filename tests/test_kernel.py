@@ -124,10 +124,9 @@ class TestCachedArrays:
         space = build_space(params)
         h = build_hamiltonian(params, space)
         h0, jz_half = model._affine_parts(3, 4, 0.1, -2.0, 1.0)
-        sector = dynamics._sector(space, False, True)
         psi = dicke_state(space, 1, 2)
         assert psi.populations is psi.populations  # computed once per state
-        cached = [h0, jz_half, h.matrix, space.parities(), *space.excitation_numbers(), *sector]
+        cached = [h0, jz_half, h.matrix, space.parities(), *space.excitation_numbers()]
         cached.append(psi.populations)
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -143,7 +142,6 @@ class TestCachedArrays:
             return resonance_scan(psi0, scan_grid(preset.window, 61), duration, preset.params, space)
 
         model._affine_parts.cache_clear()
-        dynamics._sector.cache_clear()
         first, _, again = curve("fig3"), curve("fig8"), curve("fig3")
         assert first.nq.tobytes() == again.nq.tobytes()
         assert first.nph.tobytes() == again.nph.tobytes()
@@ -255,13 +253,18 @@ class TestSectorPropagation:
     def test_drawn_models_match_full_space(self, n_qubits, n_max, coupling, stark_u, omega_q, t, sectors, seed):
         # beyond the fixed draws above: up to N = 7, with every N given to
         # the test so that each meets a state on both parities, whose sector
-        # keeps every index and still scatters
+        # keeps every index and still scatters; the sector keeps exactly the
+        # occupied parities' indices, and its block is H's on them
         params = ModelParams(n_qubits=n_qubits, omega_q=omega_q, coupling=coupling, stark_u=stark_u, n_max=n_max)
         space = build_space(params)
         h = build_hamiltonian(params, space)
         parity = space.parities()
         assert not np.any(h.matrix[parity[:, None] != parity[None, :]])
         psi0 = random_state(space, np.random.default_rng(seed), sectors)
+        sector = _Sector(h, psi0.amplitudes)
+        kept = np.arange(space.dimension) if sectors == (0, 1) else np.flatnonzero(parity == sectors[0])
+        assert np.array_equal(sector.kept, kept)
+        assert np.array_equal(h.matrix.take(sector.block), h.matrix[np.ix_(kept, kept)].ravel())
         oracle = full_space_evolution(h.matrix, psi0.amplitudes, t)[0]
         assert np.max(np.abs(propagate(h, psi0, t).amplitudes - oracle)) <= 1e-12
         assert np.max(np.abs(evolve(psi0, h, t, samples=3).final.amplitudes - oracle)) <= 1e-12

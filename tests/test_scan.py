@@ -1,15 +1,19 @@
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dickestark.dynamics import MAX_PHASE, _Sector
 from dickestark.effective import (
+    omega_q_from_ratio,
     pulse_duration,
     ratio_from_omega_q,
     solve_first_order_resonance,
 )
-from dickestark.model import build_space, dicke_state
+from dickestark.model import build_hamiltonian, build_space, dicke_state
 from dickestark.presets import scan_preset
 from dickestark.scan import (
     MAX_SCAN_POINTS,
@@ -82,6 +86,10 @@ class TestDetectPeaks:
             indices, _ = find_peaks(y, prominence=h)
             expected = [Peak(*_parabolic_refine(x, y, int(i))) for i in indices]
             assert detect_peaks(x, y, min_height=h) == expected, (trial, y.tolist(), h)
+            # each refined location within half a grid step of its sample
+            for i, peak in zip(indices, expected):
+                half_step = 0.25 * (x[i + 1] - x[i - 1])
+                assert abs(peak.location - x[i]) <= half_step + 1e-15, (trial, y.tolist(), h)
 
 
 class TestResonanceScan:
@@ -124,6 +132,22 @@ class TestResonanceScan:
                 continue
             predicted = detuned_rabi_probability(omega, delta, duration)
             assert abs(nq - predicted) < 0.05
+
+    def test_duration_beyond_the_phase_limit_refused(self):
+        # fig3 at duration 1e16 used to exit 0 with nq 0.7086 at 2.125, where
+        # one ulp of w t is 16 rad; just below max|w| t = 2^32 still runs
+        preset = scan_preset("fig3")
+        space = build_space(preset.params)
+        psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
+        grid = scan_grid(preset.window, 11)
+        omega_qs = omega_q_from_ratio(grid, preset.params)
+        hs = [build_hamiltonian(replace(preset.params, omega_q=w), space) for w in omega_qs]
+        top = max(float(np.abs(_Sector(h, psi0.amplitudes).eigh(h)[0]).max()) for h in hs)
+        limit = MAX_PHASE / top
+        resonance_scan(psi0, grid, limit * (1.0 - 1e-9), preset.params, space)
+        above = limit * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match=re.escape(f"duration {above!r} leaves the phases no precision")):
+            resonance_scan(psi0, grid, above, preset.params, space)
 
     def test_grid_validation(self):
         preset = scan_preset("fig3")
