@@ -39,15 +39,20 @@ iterates on it, and ``second_order`` evaluates it once.
 padded by two levels, stacked on a leading step axis. It slices the four
 offset levels out of that stack, takes every Stark shift from them with one
 division, and sums the six paths of the four families with two more. Its
-rows, built on first read, run over n, then k, then kind: tc, atc, then
-tc2, atc2, r2, a2 at second order.
+masks that depend only on the channel table ``_CELLS`` and the target are
+written straight from that table: the channels of a kind whose cells lie in
+the space form one rectangle of the grid, a channel that shares a cell with
+the target pair sits at one (n, k) per own cell and pair cell, and the
+selected family is one line of the target's kind. Its rows, built on first
+read, run over n, then k, then kind: tc, atc, then tc2, atc2, r2, a2 at
+second order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -176,7 +181,8 @@ _FAMILIES = {kind: _family(kind) for kind in list(_CELLS)[2:]}
 # per-cell evaluation refuses in; each family's from- and to-offset; the six
 # paths of the four families, one column each, as rows family, from-offset,
 # i, to-offset, j; each family's last path; the steps' dk and dn on a
-# leading axis.
+# leading axis, the shift from a cell to the (n, k) of the channel its step
+# drives, and which steps are delta_plus steps.
 _OFFSETS = sorted({cell for frm, to, _ in _FAMILIES.values() for cell in (frm, to)})
 _FROM = [_OFFSETS.index(frm) for frm, _, _ in _FAMILIES.values()]
 _TO = [_OFFSETS.index(to) for _, to, _ in _FAMILIES.values()]
@@ -185,6 +191,7 @@ _PATHS = np.array(
 ).T
 _LAST = np.cumsum([len(paths) for _, _, paths in _FAMILIES.values()]) - 1
 _STEP_DK, _STEP_DN = np.array(_STEPS).T[..., None, None]
+_STEP_K, _STEP_N, _STEP_PLUS = np.minimum(_STEP_DK, 0), np.minimum(_STEP_DN, 0), _STEP_DK == _STEP_DN
 
 
 def _over(num, den):
@@ -271,10 +278,10 @@ def _second_order_grid(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     evaluated once on the grid padded by two levels, n = 0..n_max+2 and
     k = 0..N+2, on a leading step axis, and each offset level is a slice."""
     n_q, n_max = params.n_qubits, params.n_max
-    nn = np.arange(n_max + 3)[:, None] + np.minimum(_STEP_DN, 0)
-    kk = np.arange(n_q + 3) + np.minimum(_STEP_DK, 0)
+    nn = np.arange(n_max + 3)[:, None] + _STEP_N
+    kk = np.arange(n_q + 3) + _STEP_K
     g = _omega_table(n_q, n_max, params.coupling)[nn + 1, kk + 1]
-    omega = _STEP_DK * np.where(_STEP_DK == _STEP_DN, delta_plus(nn, kk, params), delta_minus(nn, kk, params))
+    omega = _STEP_DK * np.where(_STEP_PLUS, delta_plus(nn, kk, params), delta_minus(nn, kk, params))
     # (offset, step, n, k), so the first refusal is the one a cell gives
     g, omega = (np.stack([x[:, dn : dn + n_max + 1, dk : dk + n_q + 1] for dk, dn in _OFFSETS]) for x in (g, omega))
     quotient = _over(g * g, omega)
@@ -433,6 +440,14 @@ def pulse_duration(
     return fraction * math.pi / omega
 
 
+# The report's kind column, every kind in ``_CELLS`` order (read-only, as
+# each report's column is a view of it), and how far a kind's two cells
+# reach above its (n, k), as (dk, dn).
+_KINDS = np.array(list(_CELLS), object)[:, None, None]
+_KINDS.flags.writeable = False
+_REACH = [(max(a[0], b[0]), max(a[1], b[1])) for a, b in _CELLS.values()]
+
+
 class ChannelReport(NamedTuple):
     """Selectivity data for one interaction channel at fixed parameters, or,
     as ``RwaReport.columns``, for every channel, each field an array."""
@@ -449,14 +464,22 @@ class ChannelReport(NamedTuple):
     risk: bool  # competing channel with ratio below SELECTIVITY_RATIO
 
 
+# A row from a list of its ten fields: what ``ChannelReport._make`` does,
+# without its Python frame and length check per row.
+_row = partial(tuple.__new__, ChannelReport)
+
+
 @dataclass(frozen=True, eq=False)
 class RwaReport:
     """Ratio table over every channel of the space for one tuned target.
 
     ``columns`` holds one array per value and mask over (kind, n, k), kinds
     in ``_CELLS`` order (tc and atc alone at first order), labels broadcast
-    to that shape. ``min_ratio`` reduces them; ``channels`` rows are built
-    on first read, in the module's row order."""
+    to that shape. ``min_ratio`` reduces them. ``channels`` rows are built
+    on first read, in the module's row order: the columns go into one object
+    grid, one ``tolist`` per block of kinds gives each row's ten fields as
+    Python str, int, float and bool, and ``tuple.__new__`` bound to
+    ``ChannelReport`` makes each row a ``ChannelReport``."""
 
     target: ResonanceTarget
     omega_q: float
@@ -469,7 +492,7 @@ class RwaReport:
             grid[i] = column
         rows = grid.transpose(2, 3, 1, 0)  # (n, k, kind, field); one tolist per block of kinds
         first, second = (b.reshape(-1, len(grid)).tolist() for b in (rows[:, :, :2], rows[:, :, 2:]))
-        return tuple(map(ChannelReport._make, first + second))
+        return tuple(map(_row, first + second))
 
     def min_ratio(self, adjacent_only: bool = False) -> float:
         c = self.columns
@@ -482,7 +505,11 @@ def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: Hil
     given parameters (normally tuned to the target's resonance). Channels
     below SELECTIVITY_RATIO outside the selected family (same kind, n - k
     fixed for tc-like, n + k for atc-like) are risks; a channel with a cell
-    outside the space is uncoupled and reports an infinite ratio."""
+    outside the space is uncoupled and reports an infinite ratio.
+
+    ``space`` is not read: the space is (N, n_max) of ``params``. It stays
+    in the signature for the benchmark's effective op, which passes it,
+    until that call changes (ROADMAP item 1c)."""
     target.validate(params)
     n_q, n_max = params.n_qubits, params.n_max
     n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
@@ -492,19 +519,26 @@ def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: Hil
         families = _second_order_grid(params)
         couplings += list(families[0])
         detunings += list(families[1])
-    kinds = np.array(list(_CELLS)[: len(couplings)], object)[:, None, None]
+    kinds = _KINDS[: len(couplings)]
 
-    # each kind's two cells (k + dk, n + dn), over (kind, cell, n, k)
-    dk, dn = np.array([_CELLS[kind] for kind in kinds.flat]).transpose(2, 0, 1)[..., None, None]
-    exists = ((k + dk <= n_q) & (n + dn <= n_max)).all(axis=1)
-    on_pair = [(k + dk == pk) & (n + dn == pn) for pk, pn in target.pair()]
-    adjacent = (on_pair[0] | on_pair[1]).any(axis=1)
-    coupling, detuning = np.where(exists, couplings, 0.0), np.array(detunings)
+    # A kind's channels lie in the space on one rectangle of the grid, whose
+    # stops target.validate keeps >= 1. A channel whose cell (k + dk, n + dn)
+    # is a cell of the pair sits at one (n, k): at most four per kind.
+    shape = (len(kinds), n_max + 1, n_q + 1)
+    coupling, adjacent, selected = np.zeros(shape), np.zeros(shape, bool), np.zeros(shape, bool)
+    pair = target.pair()
+    for index, cells, (reach_k, reach_n) in zip(range(len(kinds)), _CELLS.values(), _REACH):
+        rows, cols = n_max + 1 - reach_n, n_q + 1 - reach_k
+        coupling[index, :rows, :cols] = couplings[index][:rows, :cols]
+        for dk, dn in cells:
+            for pk, pn in pair:
+                if 0 <= pn - dn <= n_max and 0 <= pk - dk <= n_q:
+                    adjacent[index, pn - dn, pk - dk] = True
+    detuning = np.array(detunings)
     no_coupling = coupling == 0.0
     ratio = np.divide(abs(detuning), abs(coupling), out=np.full(coupling.shape, math.inf), where=~no_coupling)
     sign = -1 if target.kind == "tc" else 1  # n - k or n + k is fixed along a family
-    on_line = n + sign * k == target.n0 + sign * target.k0
-    selected = on_line & (kinds == target.channel)
+    selected[list(_CELLS).index(target.channel)] = n + sign * k == target.n0 + sign * target.k0
     risk = ~selected & (ratio < SELECTIVITY_RATIO)
     columns = ChannelReport(kinds, n, k, coupling, detuning, ratio, no_coupling, selected, adjacent, risk)
     return RwaReport(target, params.omega_q, columns)

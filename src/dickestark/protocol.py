@@ -381,7 +381,10 @@ def run_protocol(
     for index, (step, out) in enumerate(zip(protocol.steps, block), start=1):
         h = build_hamiltonian(_retuned(params, step.omega_q), space)
         sector = sector or _Sector(h, psi.amplitudes)
-        traj = evolve(psi, h, step.duration, samples=samples, sector=sector, _out=out)
+        try:
+            traj = evolve(psi, h, step.duration, samples=samples, sector=sector, _out=out)
+        except ValueError as exc:  # the phase limit, named for the step as the cutoff guard is
+            raise ValueError(f"step {index}: {exc}") from None
         require_below_cutoff(traj.populations, space, f"step {index}")
         trajectories.append(traj)
         psi = to_rotating_frame(traj.final, h, step.duration)

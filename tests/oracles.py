@@ -19,6 +19,9 @@ by faster routes.
   out by hand, term by term, over ``cell_omega``: an independent route to
   the package's single sum over first-order steps. The two must agree bit
   for bit and refuse the same degenerate points.
+- ``selectivity_rows`` is the selectivity report's rows, built one channel
+  at a time from the definitions of its fields, over ``cell_omega`` and the
+  closed forms, apart from the report's grid and its masks.
 - ``scalar_second_order_root`` is the second-order resonance solve over
   ``scalar_tilde_frequency``, the closed-form tilde frequency; it must
   return the package's root bit for bit, or refuse alike.
@@ -36,6 +39,7 @@ import numpy as np
 from dickestark.effective import (
     DEGENERACY_FLOOR,
     ROOT_TOLERANCE,
+    SELECTIVITY_RATIO,
     DegenerateDetuningError,
     ResonanceBracketError,
     ResonanceTarget,
@@ -214,6 +218,52 @@ def closed_form_second_order(kind: str, n: int, k: int, params: ModelParams) -> 
     (n_from, k_from), (n_to, k_to) = ends
     tilde = bare + closed_form_stark_shift(n_to, k_to, params) - closed_form_stark_shift(n_from, k_from, params)
     return coupling, bare, tilde
+
+
+def selectivity_rows(target: ResonanceTarget, params: ModelParams) -> list[tuple]:
+    """The rows of the selectivity report, built channel by channel from the
+    definitions: a channel's two cells, Omega and delta-/+ at first order and
+    the closed-form coupling and tilde frequency at second order, zero
+    coupling (infinite ratio) when a cell leaves the space, the selected
+    family (the target's kind, n - k fixed for tc-like, n + k for atc-like),
+    adjacency (a cell shared with the target pair), and risk (not selected,
+    ratio below SELECTIVITY_RATIO). Rows run over n, then k, then kind, first
+    order before second; a degenerate point of any cell refuses."""
+    n_q, n_max, m, n0, k0 = params.n_qubits, params.n_max, target.order, target.n0, target.k0
+    couples = {  # the two (k, n) cells of each channel at (n, k)
+        "tc": lambda n, k: ((k + 1, n), (k, n + 1)),
+        "atc": lambda n, k: ((k, n), (k + 1, n + 1)),
+        "tc2": lambda n, k: ((k + 2, n), (k, n + 2)),
+        "atc2": lambda n, k: ((k, n), (k + 2, n + 2)),
+        "r2": lambda n, k: ((k + 2, n), (k, n)),
+        "a2": lambda n, k: ((k, n + 2), (k, n)),
+    }
+    own = target.kind + ("2" if m == 2 else "")
+    pair = set(couples[own](n0, k0))
+    rows = []
+
+    def add(kind, n, k, coupling, detuning):
+        cells = couples[kind](n, k)
+        if not all(0 <= kk <= n_q and 0 <= nn <= n_max for kk, nn in cells):
+            coupling = 0.0
+        ratio = math.inf if coupling == 0.0 else abs(detuning) / abs(coupling)
+        on_line = n - k == n0 - k0 if target.kind == "tc" else n + k == n0 + k0
+        selected = kind == own and on_line
+        adjacent = bool(pair & set(cells))
+        risk = not selected and ratio < SELECTIVITY_RATIO
+        rows.append((kind, n, k, coupling, detuning, ratio, coupling == 0.0, selected, adjacent, risk))
+
+    grid = [(n, k) for n in range(n_max + 1) for k in range(n_q + 1)]
+    for n, k in grid:
+        omega = cell_omega(n, k, params)
+        add("tc", n, k, omega, delta_minus(n, k, params))
+        add("atc", n, k, omega, delta_plus(n, k, params))
+    if m == 2:
+        for n, k in grid:
+            for kind in ("tc2", "atc2", "r2", "a2"):
+                coupling, _, tilde = closed_form_second_order(kind, n, k, params)
+                add(kind, n, k, coupling, tilde)
+    return rows
 
 
 def scalar_tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:

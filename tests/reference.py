@@ -10,7 +10,9 @@ temporary directory:
   STRIDE-th grid point, and the exact sums (math.fsum) of the whole nq and
   nph curves;
 - every scan preset's ``effective.json``: the root, the coupling, both
-  durations and both minimum selectivity ratios;
+  durations and both minimum selectivity ratios, and the count of its
+  channel rows and of those marked selected, adjacent, risk and
+  no_coupling;
 - the ghz_4 and dicke_ladder_4 presets' and the N = 6 ladder's
   ``summary.json`` (LADDER6_INI, the 2000-sample ladder of the CI job);
 - ``validation.json`` at its defaults: every check's name, scale, verdict
@@ -44,6 +46,7 @@ EFFECTIVE_KEYS = (
     "min_competing_ratio_adjacent",
     "min_competing_ratio_all",
 )
+CHANNEL_MASKS = ("selected", "adjacent", "risk", "no_coupling")
 LADDER6_INI = """\
 [model]
 n_qubits = 6
@@ -103,6 +106,9 @@ def collect(work: Path) -> dict:
         }
         effective = read(run(f"effective_{name}", "effective", "--preset", name) / "effective.json")
         record["effective"][name] = {key: effective[key] for key in EFFECTIVE_KEYS}
+        rows = effective["channels"]
+        counts = {mask: sum(row[mask] for row in rows) for mask in CHANNEL_MASKS}
+        record["effective"][name]["channel_counts"] = {"rows": len(rows), **counts}
     for name in ("ghz_4", "dicke_ladder_4"):
         record["protocol"][name] = read(run(name, "protocol", "--preset", name) / "summary.json")
     config = work / "ladder6.ini"

@@ -254,7 +254,8 @@ class TestProtocolCommand:
         cfg.write_text(INLINE_PROTOCOL_INI.replace("atc 1 0 0 half_period", "atc 1 0 0 1e300"))
         out = tmp_path / "never"
         assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "duration 5.235987755982988e+302 leaves the phases no precision" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "step 1: duration 5.235987755982988e+302 leaves the phases no precision" in err
         assert not out.exists()
 
     def test_cutoff_error_surfaces(self, tmp_path, capsys):

@@ -40,6 +40,7 @@ from oracles import (
     closed_form_stark_shift,
     detuned_rabi_probability,
     scalar_second_order_root,
+    selectivity_rows,
 )
 
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
@@ -669,50 +670,22 @@ class TestRwaReport:
         detached = [c for c in report.channels if c.kind == "atc" and c.n + c.k == 1]
         assert all(c.risk and not c.adjacent for c in detached)
 
-
-def _cell_rows(target, params):
-    """The selectivity rows built channel by channel from the per-cell
-    functions, with the table's rules written out on their own."""
-    n_q, n_max, m, n0, k0 = params.n_qubits, params.n_max, target.order, target.n0, target.k0
-    couples = {  # the two (k, n) cells of each channel at (n, k)
-        "tc": lambda n, k: ((k + 1, n), (k, n + 1)),
-        "atc": lambda n, k: ((k, n), (k + 1, n + 1)),
-        "tc2": lambda n, k: ((k + 2, n), (k, n + 2)),
-        "atc2": lambda n, k: ((k, n), (k + 2, n + 2)),
-        "r2": lambda n, k: ((k + 2, n), (k, n)),
-        "a2": lambda n, k: ((k, n + 2), (k, n)),
-    }
-    pair = set(couples[target.kind + ("2" if m == 2 else "")](n0, k0))
-    rows = []
-
-    def add(kind, n, k, coupling, detuning):
-        cells = couples[kind](n, k)
-        if not all(0 <= kk <= n_q and 0 <= nn <= n_max for kk, nn in cells):
-            coupling = 0.0
-        ratio = math.inf if coupling == 0.0 else abs(detuning) / abs(coupling)
-        on_line = n - k == n0 - k0 if target.kind == "tc" else n + k == n0 + k0
-        selected = kind == target.kind + ("2" if m == 2 else "") and on_line
-        adjacent = bool(pair & set(cells))
-        risk = not selected and ratio < SELECTIVITY_RATIO
-        rows.append((kind, n, k, coupling, detuning, ratio, coupling == 0.0, selected, adjacent, risk))
-
-    grid = [(n, k) for n in range(n_max + 1) for k in range(n_q + 1)]
-    for n, k in grid:
-        omega = cell_omega(n, k, params)
-        add("tc", n, k, omega, delta_minus(n, k, params))
-        add("atc", n, k, omega, delta_plus(n, k, params))
-    if m == 2:
-        for n, k in grid:
-            for kind in FAMILIES:
-                add(kind, n, k, *second_order(kind, n, k, params))
-    return rows
+    def test_kind_column_is_shared_and_read_only(self):
+        # every report's kind column is a view of one module table, so a
+        # write through one report must not reach the next
+        t, p, space = self.fig_params("tc", 0, 1)
+        first, second = (rwa_validity_report(t, p, space).columns.kind for _ in range(2))
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0] = "atc"
+        assert second[:, 0, 0].tolist() == ["tc", "atc"]
 
 
 class TestReportGridMatchesCells:
     """rwa_validity_report evaluates every channel over its whole (n, k)
-    grid at once. Each row must equal, bit for bit, the row the per-cell
-    functions give, and the report must raise exactly when some cell's
-    second_order raises, risk flags included. Its minima, reduced
+    grid at once. Each row must equal, bit for bit, the row that
+    ``selectivity_rows`` builds channel by channel, risk flags included,
+    and the report must raise exactly when some cell's closed form does. Its minima, reduced
     over the columns, must equal the same reductions over the rows. omega_q
     is taken at the solved root and at the bare second-order centre, where
     first-order detunings of whole families vanish and the degenerate cases
@@ -744,7 +717,7 @@ class TestReportGridMatchesCells:
                             tuned = replace(params, omega_q=omega_q)
                             space = build_space(tuned)
                             try:
-                                expected = _cell_rows(target, tuned)
+                                expected = selectivity_rows(target, tuned)
                             except DegenerateDetuningError:
                                 with pytest.raises(DegenerateDetuningError):
                                     rwa_validity_report(target, tuned, space)
@@ -788,9 +761,65 @@ class TestReportGridMatchesCells:
         target = ResonanceTarget("atc", 2, 0, 0)
         space = build_space(tuned)
         got = _outcome(lambda: [tuple(map(repr, row)) for row in rwa_validity_report(target, tuned, space).channels])
-        want = _outcome(lambda: [tuple(map(repr, row)) for row in _cell_rows(target, tuned)])
+        want = _outcome(lambda: [tuple(map(repr, row)) for row in selectivity_rows(target, tuned)])
         assert got == want
         assert (got == "refused") == pole.startswith("row")
+
+
+# The types of a report row's fields, in ChannelReport order.
+ROW_TYPES = (str, int, int, float, float, float, bool, bool, bool, bool)
+
+
+class TestReportMatchesChannelOracle:
+    """The report writes its masks from the channel table and the target,
+    not channel by channel. At every target of N = 1..7 (both orders, both
+    kinds, every k0, n0 = 0..2, n_max drawn from the least the target needs
+    to the default), each row's ratio, no_coupling, selected, adjacent and
+    risk must be those of ``selectivity_rows``, the rows built channel by
+    channel from the definitions, and its fields must be the Python types
+    ChannelReport declares. omega_q is the solved root, or the bare
+    second-order centre where the solve refuses; there the report must
+    refuse exactly when the oracle does."""
+
+    def test_every_target_up_to_n_7(self):
+        rng = np.random.default_rng(2020_10_20)
+        seen = {field: set() for field in ("no_coupling", "selected", "adjacent", "risk")}
+        checked = refused = 0
+        for n_qubits in range(1, 8):
+            for order in (1, 2):
+                for kind in ("tc", "atc"):
+                    for k0 in range(n_qubits - order + 1):
+                        for n0 in range(3):
+                            target = ResonanceTarget(kind, order, n0, k0)
+                            params = ModelParams(
+                                n_qubits=n_qubits,
+                                coupling=float(rng.uniform(0.01, 0.2)),
+                                stark_u=float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-1.0, 5.0)),
+                                n_max=int(rng.integers(n0 + order, default_n_max(n0 + order, n_qubits) + 1)),
+                            )
+                            try:
+                                omega_q = solve_resonance(target, params)
+                            except (DegenerateDetuningError, ResonanceBracketError):
+                                omega_q = _bare_second_order_omega_q(target, params)
+                            tuned = replace(params, omega_q=omega_q)
+                            space = build_space(tuned)
+                            try:
+                                want = selectivity_rows(target, tuned)
+                            except DegenerateDetuningError:
+                                with pytest.raises(DegenerateDetuningError):
+                                    rwa_validity_report(target, tuned, space)
+                                refused += 1
+                                continue
+                            rows = rwa_validity_report(target, tuned, space).channels
+                            assert [row[:3] for row in rows] == [row[:3] for row in want]
+                            for row, expected in zip(rows, want):
+                                assert tuple(map(type, row)) == ROW_TYPES, row
+                                assert repr(row[5:]) == repr(expected[5:]), (target, tuned, row, expected)
+                                for field in seen:
+                                    seen[field].add(getattr(row, field))
+                            checked += 1
+        assert checked > 250 and refused > 0, (checked, refused)
+        assert all(values == {False, True} for values in seen.values()), seen
 
 
 class TestSolverMatchesScalarOracle:

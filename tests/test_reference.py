@@ -1,6 +1,7 @@
 """Every pinned output of tests/reference.json: the scan presets' peaks and
-curves, the effective roots and durations, the protocol summaries and the
-validation report, read from the CLI's own outputs (tests/reference.py)."""
+curves, the effective roots, durations and selectivity row counts, the
+protocol summaries and the validation report, read from the CLI's own
+outputs (tests/reference.py)."""
 
 import json
 
