@@ -236,7 +236,10 @@ def observables(psi: StateVector) -> tuple[float, float]:
 
 
 def _require_samples(samples: int) -> None:
-    """Refuse a time grid of fewer than 2 or more than MAX_SAMPLES samples."""
+    """Refuse a time grid whose sample count is not an integer (a bool is
+    one, below 2), or is below 2 or above MAX_SAMPLES."""
+    if not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
 

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, _omega_table, _retuned
+from .model import HilbertSpace, ModelParams, _omega_table, _require_finite_scales, _retuned
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -136,6 +136,8 @@ class ResonanceTarget:
         return tuple((self.k0 + dk, self.n0 + dn) for dk, dn in _CELLS[self.channel])
 
     def validate(self, params: ModelParams) -> None:
+        """Refuse a target outside the model's space, or a model whose
+        couplings or detunings overflow (``model._require_finite_scales``)."""
         if self.k0 + self.order > params.n_qubits:
             raise ValueError(
                 f"k0={self.k0} with order {self.order} exceeds N={params.n_qubits}"
@@ -143,6 +145,7 @@ class ResonanceTarget:
         for _, n in self.pair():
             if n > params.n_max:
                 raise ValueError(f"target needs photon number {n} > n_max={params.n_max}")
+        _require_finite_scales(params.n_qubits, params.n_max, params.coupling, params.stark_u, params.omega_r)
 
     def label(self) -> str:
         prefix = {"tc": "TC", "atc": "aTC"}[self.kind]
@@ -428,12 +431,19 @@ def target_coupling(target: ResonanceTarget, params: ModelParams) -> float:
     return second_order(target.channel, target.n0, target.k0, params)[0]
 
 
+def _require_fraction(fraction: float) -> None:
+    """Refuse a pulse fraction that is not positive and finite."""
+    if not (math.isfinite(fraction) and fraction > 0):
+        raise ValueError(f"fraction must be positive and finite, got {fraction}")
+
+
 def pulse_duration(
     target: ResonanceTarget, params: ModelParams, fraction: float = HALF_PERIOD
 ) -> float:
     """Duration of a pulse driving the selected transition: ``fraction`` of
     the population-oscillation period pi/|Omega|. HALF_PERIOD, the default,
     transfers fully; QUARTER_PERIOD prepares the equal superposition."""
+    _require_fraction(fraction)
     omega = abs(target_coupling(target, params))
     if omega == 0.0:
         raise ValueError(f"target {target.label()} has zero coupling")

@@ -14,7 +14,7 @@ validation suite's independent oracle (``validate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -69,8 +69,6 @@ class ModelParams:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        # _retuned repeats only omega_q's finiteness check: a new check that
-        # reads omega_q must go there too (test_model.py::TestRetuned).
         for name in ("omega_r", "omega_q", "coupling", "stark_u"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -89,18 +87,15 @@ class ModelParams:
 
 def _retuned(params: ModelParams, omega_q: float) -> ModelParams:
     """``params`` at qubit frequency ``omega_q``: what
-    ``dataclasses.replace(params, omega_q=omega_q)`` returns, every other
-    field copied as it stands, without re-running ``__post_init__``. Only
-    omega_q's finiteness check can change its verdict, and it runs here with
-    the same message; the rest read fields that ``params`` already passed.
-    A subclass with its own ``__post_init__`` goes through ``replace``, so
-    its checks run. A scan point and a protocol step each retune once."""
-    if type(params).__post_init__ is not ModelParams.__post_init__:
-        return replace(params, omega_q=omega_q)
-    if not math.isfinite(omega_q):
-        raise ValueError(f"omega_q must be finite, got {omega_q}")
+    ``dataclasses.replace(params, omega_q=omega_q)`` returns, without its
+    pass through the generated ``__init__``. The instance dict is copied with
+    omega_q set, then the model's ``__post_init__`` runs (a subclass's own,
+    by normal lookup), so a retuned model passes exactly the checks a
+    constructed one passes. A scan point and a protocol step each retune
+    once."""
     tuned = object.__new__(type(params))
     tuned.__dict__.update(params.__dict__, omega_q=omega_q)
+    tuned.__post_init__()
     return tuned
 
 
@@ -279,11 +274,32 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
 MODEL_CACHE_SIZE = 8
 
 
+def _require_finite_scales(n: int, n_max: int, coupling: float, stark_u: float, omega_r: float) -> None:
+    """Refuse a model whose coupling table, H(0) or first-order detunings
+    would overflow, naming the field, in Python float arithmetic, which
+    cannot warn. lambda (N + 1) sqrt(n_max + 3) is at least twice every
+    Omega of ``_omega_table``, and (|U| + omega_r) 2 (n_max + N + 3) at
+    least every product and sum that H(0)'s diagonal, a detuning's Stark
+    offset at any cell the effective layer reads, or a bare second-order
+    root forms. Called on each new H(0) and by every target validation, not
+    by ``ModelParams``, which holds any finite field."""
+    if not math.isfinite(coupling * (n + 1) * math.sqrt(n_max + 3)):
+        raise ValueError(
+            f"coupling (lambda) = {coupling!r} overflows the coupling table at N = {n}, n_max = {n_max}"
+        )
+    if not math.isfinite((abs(stark_u) + omega_r) * 2 * (n_max + n + 3)):
+        name, value = ("stark_u", stark_u) if abs(stark_u) >= omega_r else ("omega_r", omega_r)
+        raise ValueError(
+            f"{name} = {value!r} overflows H(0) and the first-order detunings at N = {n}, n_max = {n_max}"
+        )
+
+
 @lru_cache(maxsize=MODEL_CACHE_SIZE)
 def _affine_parts(
     n: int, n_max: int, coupling: float, stark_u: float, omega_r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(H(0), diagonal of Jz/2) of the symmetric-basis H, both read-only."""
+    _require_finite_scales(n, n_max, coupling, stark_u, omega_r)
     levels = n_max + 1
     k, nph = np.divmod(np.arange((n + 1) * levels), levels)
     jz_half = k - n / 2

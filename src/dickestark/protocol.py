@@ -30,6 +30,7 @@ import numpy as np
 from .dynamics import DEFAULT_SAMPLES, Trajectory, _Sector, _require_samples, evolve, fidelity, to_rotating_frame
 from .dynamics import CutoffExceededError, require_below_cutoff  # run_protocol raises the former
 from .effective import HALF_PERIOD, QUARTER_PERIOD, ResonanceTarget, pulse_duration, solve_resonance
+from .effective import _require_fraction
 from .model import (
     HilbertSpace,
     ModelParams,
@@ -56,8 +57,7 @@ class StepRule:
     fraction: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.fraction) and self.fraction > 0):
-            raise ValueError(f"fraction must be positive and finite, got {self.fraction}")
+        _require_fraction(self.fraction)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ The scan axis is the dimensionless ratio (omega_r - omega_q) / omega_r.
 Every ratio, its omega_q and the duration are checked before the first
 build. The kernel's per-scan checks (``dynamics._Sector``) run once, on the
 first point's H. Each point then costs one build, of the model retuned to
-its omega_q without re-running the model's checks (``model._retuned``), and
+its omega_q (``model._retuned``, which runs the model's own checks), and
 one ``eigh`` of its sector block (``_Sector.eigh``), written into one row of
 a SCAN_CHUNK-row table of eigenvalues and one of eigenvectors. Each full
 table, and the last partial one, is evaluated at once: its final amplitudes
@@ -121,6 +121,10 @@ def detect_peaks(ratios: np.ndarray, values: np.ndarray, min_height: float) -> l
     refined to sub-grid accuracy with a three-point parabola."""
     ratios = np.asarray(ratios, dtype=float)
     values = np.asarray(values, dtype=float)
+    if ratios.ndim != 1 or values.shape != ratios.shape:
+        raise ValueError(
+            f"ratios and values must be 1-D and of one length, got shapes {ratios.shape} and {values.shape}"
+        )
     if ratios.size == 0:
         raise ValueError("curve must be nonempty")
     peaks = []
@@ -168,6 +172,8 @@ def scan_grid(window: tuple[float, float], points: int = DEFAULT_SCAN_POINTS) ->
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite with hi > lo, got {window}")
+    if not isinstance(points, (int, np.integer)):
+        raise ValueError(f"points must be an integer, got {points!r}")
     if not 2 <= points <= MAX_SCAN_POINTS:
         raise ValueError(f"points must lie in 2..{MAX_SCAN_POINTS}, got {points}")
     return np.linspace(lo, hi, points)

@@ -832,6 +832,8 @@ def _ladder_file(tmp_path, edit) -> str:
 
 
 EFFECTIVE_ATC = "\n[effective]\nkind = atc\nn0 = 0\nk0 = 0\norder = "
+# a Stark term whose H(0) and detunings overflow
+OVERFLOW_MODEL = "[model]\nn_qubits = 2\nlambda = 0.006\nstark_u = 1e308\n\n"
 
 
 class TestMalformedInputs:
@@ -970,6 +972,27 @@ class TestMalformedInputs:
                 "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
                 "error: protocol step 1 aTC(2)(0,0): root refinement left |tilde frequency| = 3.489e+200",
             ),
+            (
+                "scan",
+                OVERFLOW_MODEL + "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 0\n"
+                "window_min = 1.9\nwindow_max = 2.1\npoints = 5\nduration = 1.0\n",
+                "error: stark_u = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",
+            ),
+            (
+                "protocol",
+                OVERFLOW_MODEL + "[protocol]\nsteps = atc 1 0 0\ntarget = basis 1 1\n",
+                "error: protocol step 1 aTC(0,0): stark_u = 1e+308 overflows H(0)",
+            ),
+            (
+                "effective",
+                "[model]\nn_qubits = 2\nlambda = 1e308\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+                "error: coupling (lambda) = 1e+308 overflows the coupling table at N = 2, n_max = 4\n",
+            ),
+            (
+                "effective",
+                "[model]\nn_qubits = 2\nomega_r = 1e308\nlambda = 0.006\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+                "error: omega_r = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",
+            ),
         ],
         ids=[
             "json-target-without-kind",
@@ -1007,6 +1030,10 @@ class TestMalformedInputs:
             "protocol-second-order-lambda-overflow",
             "effective-second-order-residual",
             "protocol-second-order-residual",
+            "scan-stark-overflow",
+            "protocol-stark-overflow",
+            "effective-lambda-overflow",
+            "effective-omega-r-overflow",
         ],
     )
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
@@ -1015,7 +1042,9 @@ class TestMalformedInputs:
         # directory, a JSON boolean read as 1 or 0), allocate the Omega
         # table of an oversize space in a second-order solve, overflow
         # lambda^2 in a second-order bracket, or refuse an unrefined root
-        # without naming lambda
+        # without naming lambda; a model whose H(0), coupling table or
+        # detunings overflow used to warn, then exit 2 naming a NaN
+        # Hermiticity defect or a JSON infinity
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text(tmp_path) if callable(text) else text)
         out = tmp_path / "never"

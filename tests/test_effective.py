@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dickestark import effective
 from dickestark.effective import (
     SELECTIVITY_RATIO,
     DegenerateDetuningError,
@@ -330,6 +331,23 @@ class TestSecondOrderResonances:
         p = ModelParams(n_qubits=4, coupling=coupling, stark_u=stark_u)
         with pytest.raises(ResonanceBracketError, match=re.escape(f"overflows at lambda = {coupling!r}") + "$"):
             solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), p)
+
+    @pytest.mark.parametrize("zero_at", [0, 1])
+    def test_a_bracket_end_at_an_exact_zero_is_the_root(self, monkeypatch, zero_at):
+        # the low end is evaluated first, then the high end
+        calls = []
+
+        def closure(kind, n, k, params):
+            def evaluate(omega_q):
+                calls.append(omega_q)
+                return 0.0, 0.0 if len(calls) == zero_at + 1 else 1.0
+
+            return evaluate
+
+        monkeypatch.setattr(effective, "_second_order_closure", closure)
+        root = solve_second_order_resonance(ResonanceTarget("atc", 2, 0, 0), ModelParams(**SECOND_ORDER))
+        assert len(calls) == 2 and calls[0] < calls[1]
+        assert root == calls[zero_at]
 
     def test_overflowing_false_position_step_bisects(self):
         # At lambda = 1e150 the bracket is finite, about +-8e301, but the

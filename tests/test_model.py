@@ -1,7 +1,6 @@
-import ast
-import inspect
 import math
-import textwrap
+import re
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -15,11 +14,19 @@ from dickestark.model import (
     ModelParams,
     Operator,
     StateVector,
+    _omega_table,
     _retuned,
     build_hamiltonian,
     build_space,
     default_n_max,
     dicke_state,
+)
+from dickestark.effective import (
+    ResonanceTarget,
+    _bare_second_order_omega_q,
+    delta_minus,
+    delta_plus,
+    solve_resonance,
 )
 from dickestark.validate import _product_hamiltonian, _product_isometry
 from oracles import collective_ops, ladder_f
@@ -103,19 +110,25 @@ class TestRetuned:
         with pytest.raises(ValueError, match="omega_q out of range"):
             _retuned(params, 4.0)
 
-    def test_post_init_reads_omega_q_only_in_the_finiteness_check(self):
-        """_retuned repeats only that check and copies the instance dict, so a
-        new check on omega_q, a cached property or slots would go unseen."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(ModelParams.__post_init__)))
-        reads = [
-            node
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "omega_q")
-            or (isinstance(node, ast.Constant) and node.value == "omega_q")
-        ]
-        loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
-        assert [ast.unparse(node) for node in reads] == ["'omega_q'"]
-        assert reads[0] in ast.walk(loop.iter)
+    def test_a_check_added_to_the_model_runs_on_retune(self, monkeypatch):
+        """_retuned runs ModelParams.__post_init__ itself, so a check added
+        there later refuses a retuned model as it refuses a constructed one."""
+        checks = ModelParams.__post_init__
+
+        def bounded(self):
+            checks(self)
+            if abs(self.omega_q) > 3:
+                raise ValueError("omega_q out of range")
+
+        monkeypatch.setattr(ModelParams, "__post_init__", bounded)
+        params = ModelParams(n_qubits=2)
+        assert _retuned(params, 2.5) == replace(params, omega_q=2.5)
+        with pytest.raises(ValueError, match="omega_q out of range"):
+            _retuned(params, 4.0)
+
+    def test_instances_keep_their_fields_in_the_instance_dict(self):
+        """_retuned copies the instance dict, so slots or a cached property
+        would go uncopied or stale."""
         assert "__slots__" not in vars(ModelParams)
         assert not any(isinstance(v, cached_property) for v in vars(ModelParams).values())
 
@@ -194,6 +207,48 @@ class TestSpaces:
     def test_default_n_max(self):
         assert default_n_max(0, 4) == 6
         assert default_n_max(2, 4) == 8
+
+
+class TestFiniteScales:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("coupling", 1e308, "coupling (lambda) = 1e+308 overflows the coupling table at N = 2, n_max = 4"),
+            ("stark_u", -1e308, "stark_u = -1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4"),
+            ("omega_r", 1e308, "omega_r = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4"),
+        ],
+    )
+    def test_build_and_solve_refuse_naming_the_field(self, field, value, message):
+        params = ModelParams(n_qubits=2, n_max=4, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_hamiltonian(params, build_space(params))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_resonance(ResonanceTarget("tc", 1, 0, 0), params)
+
+    @pytest.mark.parametrize("n_qubits, n_max", [(1, 1), (2, 4), (5, 3), (1, 200), (60, 2)])
+    @pytest.mark.parametrize("field, sign", [("coupling", 1), ("stark_u", 1), ("stark_u", -1), ("omega_r", 1)])
+    def test_each_bound_is_sharp_and_sufficient(self, n_qubits, n_max, field, sign):
+        """1 % above its bound a field is refused; just inside it H, the
+        coupling table, every first-order detuning at any cell the effective
+        layer reads and every bare second-order root are finite, and nothing
+        warns."""
+        big = sys.float_info.max
+        if field == "coupling":
+            edge = big / ((n_qubits + 1) * math.sqrt(n_max + 3))
+        else:  # less the default of the other: omega_r = 1 or |stark_u| = 0.5
+            edge = big / (2 * (n_max + n_qubits + 3)) - (1.0 if field == "stark_u" else 0.5)
+        outside = ModelParams(n_qubits=n_qubits, n_max=n_max, **{field: sign * 1.01 * edge})
+        with pytest.raises(ValueError, match=f"^{field}"):
+            build_hamiltonian(outside, build_space(outside))
+        params = ModelParams(n_qubits=n_qubits, n_max=n_max, omega_q=0.0, **{field: sign * math.nextafter(edge, 0)})
+        assert np.isfinite(build_hamiltonian(params, build_space(params)).matrix).all()
+        assert np.isfinite(_omega_table(n_qubits, n_max, params.coupling)).all()
+        n, k = np.arange(-1, n_max + 3)[:, None], np.arange(-1, n_qubits + 3)
+        assert np.isfinite(delta_minus(n, k, params)).all() and np.isfinite(delta_plus(n, k, params)).all()
+        for kind in ("tc", "atc"):
+            for n0, k0 in [(0, 0), (n_max - 2, n_qubits - 2)]:
+                if min(n0, k0) >= 0:
+                    assert math.isfinite(_bare_second_order_omega_q(ResonanceTarget(kind, 2, n0, k0), params))
 
 
 class TestCollectiveOps:
