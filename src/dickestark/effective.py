@@ -32,32 +32,37 @@ affine in omega_q, so a step's omega is dk ((omega_q - omega_r) + c) or
 dk ((omega_r + omega_q) + c) with a Stark offset c that omega_q does not
 move, and every pole of a tilde frequency has a closed form.
 
-A family at one cell is a float closure of omega_q, built once from the
-step constants (G, dk, plus or minus, c) of its two cells: the solver
-iterates on it, and ``second_order`` evaluates it once.
-``rwa_validity_report`` evaluates the four steps once over the (n, k) grid
-padded by two levels, stacked on a leading step axis. It slices the four
-offset levels out of that stack, takes every Stark shift from them with one
-division, and sums the six paths of the four families with two more. Its
-masks that depend only on the channel table ``_CELLS`` and the target are
-written straight from that table: the channels of a kind whose cells lie in
-the space form one rectangle of the grid, a channel that shares a cell with
-the target pair sits at one (n, k) per own cell and pair cell, and the
-selected family is one line of the target's kind. Its rows, built on first
-read, run over n, then k, then kind: tc, atc, then tc2, atc2, r2, a2 at
-second order.
+A family at one cell is a closure of omega_q in straight-line float
+arithmetic over constants taken once: G^2 and c of the four steps of each
+of its two cells, and G1 G2 of each path. Nothing in it depends on omega_q,
+so it is built once per (kind, n, k, N, n_max, lambda, U, omega_r) and kept
+in a cache of ``model.MODEL_CACHE_SIZE`` entries: the solver iterates on
+it, and the coupling and duration at the tuned model reuse it.
+``second_order`` evaluates it once. ``rwa_validity_report`` gathers the
+numerators of every Stark step of the four offset levels and of both
+quotients of the six paths of the four families from the Omega table,
+through flat indices cached per (N, n_max), and divides them by their
+omegas in one division, whose flat order is the order per-cell evaluation
+refuses in. Its masks that depend only on the channel table ``_CELLS`` and
+the target are written straight from that table: the channels of a kind
+whose cells lie in the space form one rectangle of the grid, a channel that
+shares a cell with the target pair sits at one (n, k) per own cell and pair
+cell, and the selected family is one line of the target's kind. Its rows,
+built on first read, run over n, then k, then kind: tc, atc, then tc2,
+atc2, r2, a2 at second order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import HilbertSpace, ModelParams, _omega_table, _require_finite_scales, _retuned
+from .model import MODEL_CACHE_SIZE, HilbertSpace, ModelParams
+from .model import _omega_table, _read_only, _require_finite_scales, _retuned
 
 # Denominators closer to zero than this mark a degenerate parameter point.
 DEGENERACY_FLOOR = 1e-9
@@ -183,9 +188,7 @@ _FAMILIES = {kind: _family(kind) for kind in list(_CELLS)[2:]}
 # The grid's tables: the four offset cells the families read, in the order
 # per-cell evaluation refuses in; each family's from- and to-offset; the six
 # paths of the four families, one column each, as rows family, from-offset,
-# i, to-offset, j; each family's last path; the steps' dk and dn on a
-# leading axis, the shift from a cell to the (n, k) of the channel its step
-# drives, and which steps are delta_plus steps.
+# i, to-offset, j; each family's last path.
 _OFFSETS = sorted({cell for frm, to, _ in _FAMILIES.values() for cell in (frm, to)})
 _FROM = [_OFFSETS.index(frm) for frm, _, _ in _FAMILIES.values()]
 _TO = [_OFFSETS.index(to) for _, to, _ in _FAMILIES.values()]
@@ -193,72 +196,116 @@ _PATHS = np.array(
     [(f, _FROM[f], i, _TO[f], j) for f, (_, _, paths) in enumerate(_FAMILIES.values()) for i, j in paths]
 ).T
 _LAST = np.cumsum([len(paths) for _, _, paths in _FAMILIES.values()]) - 1
-_STEP_DK, _STEP_DN = np.array(_STEPS).T[..., None, None]
-_STEP_K, _STEP_N, _STEP_PLUS = np.minimum(_STEP_DK, 0), np.minimum(_STEP_DN, 0), _STEP_DK == _STEP_DN
+
+# Each quotient of the grid sits at an (offset, step) pair, in the order
+# ``_over`` refuses in: every Stark step, then each path's back step
+# (to-offset, j), then its out step (from-offset, i). A numerator is G at a
+# pair of the first list times G at the same place of the second: G^2 for a
+# Stark step, G1 G2 for a path. Each list is held as the (dk, dn) shift from
+# a cell to the channel its step drives, on a leading pair axis; the
+# denominators' pairs also as their steps' dk and delta_plus mask.
+_STARK = [(o, s) for o in range(len(_OFFSETS)) for s in range(len(_STEPS))]
+_BACK, _OUT = list(zip(_PATHS[3], _PATHS[4])), list(zip(_PATHS[1], _PATHS[2]))
 
 
-def _over(num, den):
-    """num / den for floats or arrays, zero where num is zero; a live
-    denominator closer to zero than DEGENERACY_FLOOR is refused."""
-    if not isinstance(num, float):
-        live = num != 0.0
-        low = live & (np.abs(den) < DEGENERACY_FLOOR)
-        if low.any():
-            _over(num[low][0], den[low][0])
-        return np.divide(num, den, out=np.zeros_like(num), where=live)
-    if num == 0.0:
-        return 0.0
-    if abs(den) < DEGENERACY_FLOOR:
-        raise DegenerateDetuningError(
-            f"first-order detuning {den:.3e} below the {DEGENERACY_FLOOR} floor"
-        )
-    return num / den
+def _channel_shifts(pairs: list) -> np.ndarray:
+    shifts = [(_OFFSETS[o][0] + min(_STEPS[s][0], 0), _OFFSETS[o][1] + min(_STEPS[s][1], 0)) for o, s in pairs]
+    return np.array(shifts).T[..., None, None]
 
 
-def _cell_steps(n: int, k: int, params: ModelParams) -> list:
+_FIRST, _SECOND, _DEN = map(_channel_shifts, (_STARK + _OUT + _OUT, _STARK + _BACK + _BACK, _STARK + _BACK + _OUT))
+_DEN_DK, _DEN_DN = np.array([_STEPS[s] for _, s in _STARK + _BACK + _OUT]).T[..., None, None]
+_DEN_PLUS = _DEN_DK == _DEN_DN
+
+
+def _degenerate(den: float) -> DegenerateDetuningError:
+    return DegenerateDetuningError(f"first-order detuning {den:.3e} below the {DEGENERACY_FLOOR} floor")
+
+
+def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, zero where num is zero; the first live denominator closer
+    to zero than DEGENERACY_FLOOR, in flat order, is refused."""
+    live = num != 0.0
+    low = live & (np.abs(den) < DEGENERACY_FLOOR)
+    if low.any():
+        raise _degenerate(den[low][0])
+    return np.divide(num, den, out=np.zeros_like(num), where=live)
+
+
+def _cell_steps(n: int, k: int, n_q: int, n_max: int, coupling: float, stark_u: float) -> list:
     """The four steps from the cell (k, n), in ``_STEPS`` order, as constants
-    (G, dk, plus, c): a step's omega is dk (base + c), with base omega_r +
+    (G, c): a step (dk, dn) has omega = dk (base + c), with base omega_r +
     omega_q for a plus step (dk = dn, delta_plus) and omega_q - omega_r
     otherwise, and c the Stark offset of its channel at (n + min(dn, 0),
     k + min(dk, 0)). The cell lies in the space or up to two levels above."""
-    n_q = params.n_qubits
-    table = _omega_table(n_q, params.n_max, params.coupling)
+    table = _omega_table(n_q, n_max, coupling)
     steps = []
     for dk, dn in _STEPS:
         nn, kk = n + min(dn, 0), k + min(dk, 0)
         lin = nn + kk + 1 - n_q / 2 if dk == dn else nn - kk + n_q / 2
-        steps.append((table.item(nn + 1, kk + 1), dk, dk == dn, params.stark_u * lin / n_q))
+        steps.append((table.item(nn + 1, kk + 1), stark_u * lin / n_q))
     return steps
-
-
-def _stark(steps: list, omega_q: float, omega_r: float) -> tuple[list, float]:
-    """The omegas of a cell's ``_cell_steps`` at omega_q, and its Stark
-    shift, -sum G^2 / omega."""
-    base = (omega_q - omega_r, omega_r + omega_q)
-    omegas = [dk * (base[plus] + c) for _, dk, plus, c in steps]
-    shift = 0.0
-    for (g, *_), omega in zip(steps, omegas):
-        shift -= _over(g * g, omega)
-    return omegas, shift
 
 
 def _second_order_closure(kind: str, n: int, k: int, params: ModelParams):
     """omega_q -> (coupling, tilde frequency) of the family ``kind`` at (n, k),
-    on floats: the step constants of its two cells and the G1 G2 of its
-    paths are taken once, and each evaluation forms only the omegas, the
-    Stark shifts and the path sums."""
+    on floats. The closure depends on the model but not on omega_q, so one
+    is built per (kind, n, k, N, n_max, lambda, U, omega_r) and kept in a
+    cache of MODEL_CACHE_SIZE entries: the solver's iterates, and the
+    coupling and duration at the tuned model, share it."""
+    return _closure(kind, n, k, params.n_qubits, params.n_max, params.coupling, params.stark_u, params.omega_r)
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _closure(kind: str, n: int, k: int, n_q: int, n_max: int, coupling: float, stark_u: float, omega_r: float):
+    """The closure of ``_second_order_closure``. Its constants are taken
+    once: c and G^2 of the eight steps of the from- and the to-cell, and
+    G1 G2 of each path. An evaluation is straight-line float arithmetic in
+    the order of the step sums: the eight omegas, each cell's Stark shift
+    -sum G^2 / omega, then the path sums. A quotient whose numerator is zero
+    is zero and checks no denominator; every other denominator is checked
+    against DEGENERACY_FLOOR before any division, and the first low one in
+    the sums' order (the Stark steps of the from-cell, of the to-cell, then
+    each path's two) is refused."""
     frm, to, paths = _FAMILIES[kind]
-    cells = [_cell_steps(n + dn, k + dk, params) for dk, dn in (frm, to)]
-    products = [(cells[0][i][0] * cells[1][j][0], i, j) for i, j in paths]
-    omega_r = params.omega_r
+    # steps 0-3 leave the from-cell, 4-7 the to-cell, each in _STEPS order
+    steps = [s for dk, dn in (frm, to) for s in _cell_steps(n + dn, k + dk, n_q, n_max, coupling, stark_u)]
+    s0, s1, s2, s3, s4, s5, s6, s7 = squares = [g * g for g, _ in steps]
+    c0, c1, c2, c3, c4, c5, c6, c7 = (c for _, c in steps)
+    # each path as (G1 G2, back step, out step); a one-path family gets a
+    # dead second path. The bare frequency is the last path's.
+    products = [(steps[i][0] * steps[4 + j][0], 4 + j, i) for i, j in paths]
+    (g1, j1, i1), (g2, j2, i2) = products + [(0.0, 0, 0)] * (2 - len(products))
+    last_back, last_out = products[-1][1:]
+    # the steps whose denominator some live quotient reads, in refusal order,
+    # and each step's floor: a dead step's is 0.0, which no |omega| is below
+    guarded = [s for s, square in enumerate(squares) if square != 0.0]
+    for g, j, i in products:
+        if g != 0.0:
+            guarded += [s for s in (j, i) if s not in guarded]
+    h0, h1, h2, h3, h4, h5, h6, h7 = (DEGENERACY_FLOOR if s in guarded else 0.0 for s in range(8))
 
     def evaluate(omega_q: float) -> tuple[float, float]:
-        (out, shift_from), (back, shift_to) = (_stark(steps, omega_q, omega_r) for steps in cells)
-        coupling = 0.0
-        for g, i, j in products:
-            bare = out[i] - back[j]
-            coupling = coupling - (_over(g, back[j]) + _over(g, out[i]))
-        return 0.5 * coupling, bare + shift_to - shift_from
+        m, p = omega_q - omega_r, omega_r + omega_q
+        # dk (base + c) of _STEPS (-1, 1), (-1, -1), (1, -1), (1, 1): minus, plus, minus, plus
+        w = w0, w1, w2, w3, w4, w5, w6, w7 = (
+            -(m + c0), -(p + c1), m + c2, p + c3, -(m + c4), -(p + c5), m + c6, p + c7
+        )
+        if (
+            abs(w0) < h0 or abs(w1) < h1 or abs(w2) < h2 or abs(w3) < h3
+            or abs(w4) < h4 or abs(w5) < h5 or abs(w6) < h6 or abs(w7) < h7
+        ):
+            raise _degenerate(next(w[s] for s in guarded if abs(w[s]) < DEGENERACY_FLOOR))
+        shift_from = (
+            0.0 - (s0 / w0 if s0 else 0.0) - (s1 / w1 if s1 else 0.0)
+            - (s2 / w2 if s2 else 0.0) - (s3 / w3 if s3 else 0.0)
+        )
+        shift_to = (
+            0.0 - (s4 / w4 if s4 else 0.0) - (s5 / w5 if s5 else 0.0)
+            - (s6 / w6 if s6 else 0.0) - (s7 / w7 if s7 else 0.0)
+        )
+        coupling = 0.0 - ((g1 / w[j1] + g1 / w[i1]) if g1 else 0.0) - ((g2 / w[j2] + g2 / w[i2]) if g2 else 0.0)
+        return 0.5 * coupling, w[last_out] - w[last_back] + shift_to - shift_from
 
     return evaluate
 
@@ -275,24 +322,38 @@ def second_order(kind: str, n: int, k: int, params: ModelParams) -> tuple[float,
     return _second_order_closure(kind, n, k, params)(params.omega_q)
 
 
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _grid_constants(n_q: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over (pair, n, k) for (N, n_max): the flat ``_omega_table`` indices of
+    each numerator's two G, and each denominator's Stark factor lin, its
+    omega being dk (base + U lin / N); read-only, as the cache shares them."""
+    n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
+    first, second = ((n + dn + 1) * (n_q + 4) + k + dk + 1 for dk, dn in (_FIRST, _SECOND))
+    nn, kk = n + _DEN[1], k + _DEN[0]
+    lin = np.where(_DEN_PLUS, nn + kk + 1 - n_q / 2, nn - kk + n_q / 2)
+    return _read_only(first), _read_only(second), _read_only(lin)
+
+
 def _second_order_grid(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(coupling, tilde frequency) of the four families, stacked in
-    ``_FAMILIES`` order, over every cell (n, k) of the space: the steps are
-    evaluated once on the grid padded by two levels, n = 0..n_max+2 and
-    k = 0..N+2, on a leading step axis, and each offset level is a slice."""
-    n_q, n_max = params.n_qubits, params.n_max
-    nn = np.arange(n_max + 3)[:, None] + _STEP_N
-    kk = np.arange(n_q + 3) + _STEP_K
-    g = _omega_table(n_q, n_max, params.coupling)[nn + 1, kk + 1]
-    omega = _STEP_DK * np.where(_STEP_PLUS, delta_plus(nn, kk, params), delta_minus(nn, kk, params))
-    # (offset, step, n, k), so the first refusal is the one a cell gives
-    g, omega = (np.stack([x[:, dn : dn + n_max + 1, dk : dk + n_q + 1] for dk, dn in _OFFSETS]) for x in (g, omega))
-    quotient = _over(g * g, omega)
-    shift = 0.0 - quotient[:, 0] - quotient[:, 1] - quotient[:, 2] - quotient[:, 3]
-    family, frm, i, to, j = _PATHS
-    products, out, back = g[frm, i] * g[to, j], omega[frm, i], omega[to, j]
-    coupling = np.zeros((len(_FAMILIES),) + shift.shape[1:])
-    np.subtract.at(coupling, family, _over(products, back) + _over(products, out))
+    ``_FAMILIES`` order, over every cell (n, k) of the space. Every
+    numerator is one product of two gathers from ``_omega_table``, and
+    every denominator one expression in lin, so the Stark quotients of the
+    four offset levels and both quotients of every path take one
+    ``_over``."""
+    first, second, lin = _grid_constants(params.n_qubits, params.n_max)
+    table = _omega_table(params.n_qubits, params.n_max, params.coupling)
+    den = params.stark_u * lin
+    den /= params.n_qubits
+    den += np.where(_DEN_PLUS, params.omega_r + params.omega_q, params.omega_q - params.omega_r)
+    den *= _DEN_DK
+    quotient = _over(table.take(first) * table.take(second), den)
+    steps, cells = len(_STARK), den.shape[1:]
+    stark = quotient[:steps].reshape((len(_OFFSETS), len(_STEPS)) + cells)
+    shift = 0.0 - stark[:, 0] - stark[:, 1] - stark[:, 2] - stark[:, 3]
+    (back_q, out_q), (back, out) = (x[steps:].reshape((2, -1) + cells) for x in (quotient, den))
+    coupling = np.zeros((len(_FAMILIES),) + cells)
+    np.subtract.at(coupling, _PATHS[0], back_q + out_q)
     return 0.5 * coupling, (out - back)[_LAST] + shift[_TO] - shift[_FROM]
 
 
@@ -310,7 +371,9 @@ def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: f
     poles = {}
     for dk0, dn0 in _CELLS[target.channel]:
         n, k = target.n0 + dn0, target.k0 + dk0
-        for (dk, dn), (g, _, plus, c) in zip(_STEPS, _cell_steps(n, k, params)):
+        steps = _cell_steps(n, k, params.n_qubits, params.n_max, params.coupling, params.stark_u)
+        for (dk, dn), (g, c) in zip(_STEPS, steps):
+            plus = dk == dn
             if g != 0.0:
                 channel = ResonanceTarget("atc" if plus else "tc", 1, n + min(dn, 0), k + min(dk, 0))
                 poles.setdefault(-(base[plus] + c), []).append(channel.label())
@@ -546,7 +609,11 @@ def rwa_validity_report(target: ResonanceTarget, params: ModelParams, space: Hil
                     adjacent[index, pn - dn, pk - dk] = True
     detuning = np.array(detunings)
     no_coupling = coupling == 0.0
-    ratio = np.divide(abs(detuning), abs(coupling), out=np.full(coupling.shape, math.inf), where=~no_coupling)
+    # |delta| / |Omega| overflows at a model the scale check accepts when a
+    # huge U meets a small lambda: +inf is then the ratio's true side, far
+    # from any risk, and is written as null like an uncoupled channel's
+    with np.errstate(over="ignore"):
+        ratio = np.divide(abs(detuning), abs(coupling), out=np.full(coupling.shape, math.inf), where=~no_coupling)
     sign = -1 if target.kind == "tc" else 1  # n - k or n + k is fixed along a family
     selected[list(_CELLS).index(target.channel)] = n + sign * k == target.n0 + sign * target.k0
     risk = ~selected & (ratio < SELECTIVITY_RATIO)

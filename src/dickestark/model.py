@@ -318,10 +318,21 @@ def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
     effective layer: Omega(n, k) = lambda f(k) sqrt(n+1) / sqrt(N), with
     f(k) = sqrt((k+1)(N-k)), read-only at [n + 1, k + 1] for n = -1..n_max+2
     and k = -1..N+2, every index the effective formulas reach from a cell of
-    the space; zero off n >= 0 and 0 <= k < N."""
+    the space; zero off n >= 0 and 0 <= k < N. Multiplied in that order
+    from the factors of ``_ladder_factors``."""
+    f, root_n, root_nq = _ladder_factors(n_qubits, n_max)
+    table = coupling * f * root_n
+    table /= root_nq
+    return _read_only(table)
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _ladder_factors(n_qubits: int, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """f(k) for k = -1..N+2, sqrt(n+1) for n = -1..n_max+2 as a column, and
+    sqrt(N): the factors of ``_omega_table`` that lambda does not move."""
     k = np.arange(-1, n_qubits + 3)
     f = np.sqrt(np.maximum((k + 1) * (n_qubits - k), 0))
-    return _read_only(coupling * f * np.sqrt(np.arange(n_max + 4.0))[:, None] / math.sqrt(n_qubits))
+    return _read_only(f), _read_only(np.sqrt(np.arange(n_max + 4.0))[:, None]), math.sqrt(n_qubits)
 
 
 def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:

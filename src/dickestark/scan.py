@@ -15,7 +15,8 @@ the stacked eigenpairs, and its populations, cutoff guard and excitation
 numbers are batched array products, in grid order, so repeated runs with
 identical inputs produce bit-identical output. A final state with more
 than CUTOFF_POPULATION in the top photon level stops the scan with
-CutoffExceededError, which names the first such ratio.
+CutoffExceededError, which names the first such ratio. The first ratio
+whose omega_q overflows H's diagonal is refused before the first build.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _evolved, _Sector
 from .dynamics import observables, propagate  # not called here: perfbench/tracer.py wraps these names
 from .effective import ResonanceTarget, omega_q_from_ratio
-from .model import HilbertSpace, ModelParams, StateVector, _retuned, build_hamiltonian
+from .model import HilbertSpace, ModelParams, StateVector, _affine_parts, _retuned, build_hamiltonian
 
 # Bounds the grid's memory and run time (each point diagonalizes one H).
 MAX_SCAN_POINTS = 100_001
@@ -92,6 +93,7 @@ def resonance_scan(
         raise ValueError(f"duration must be finite, got {duration}")
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
+    _require_finite_diagonal(ratios, omega_qs, params)
     hamiltonians = (build_hamiltonian(_retuned(params, w), space) for w in omega_qs.tolist())
     first = next(hamiltonians)
     sector = _Sector(first, psi0.amplitudes)  # every point's H shares the first one's off-diagonal
@@ -113,6 +115,25 @@ def resonance_scan(
         if over.size:
             raise CutoffExceededError(f"scan ratio {ratios[start + over[0]].item()!r}", float(chunk[over[0], 2]))
     return ScanCurve(ratios=ratios.copy(), nq=curve[:, 0].copy(), nph=curve[:, 1].copy(), duration=duration)
+
+
+def _require_finite_diagonal(ratios: np.ndarray, omega_qs: np.ndarray, params: ModelParams) -> None:
+    """Refuse the first ratio at which H's diagonal, H(0)_ii + omega_q (k -
+    N/2), overflows, formed as ``build_hamiltonian`` forms it. Each entry is
+    monotone in omega_q, so the diagonal is finite at every point when it
+    is at both ends of the grid; only when an end overflows is the grid
+    searched, point by point."""
+    h0, jz_half = _affine_parts(params.n_qubits, params.n_max, params.coupling, params.stark_u, params.omega_r)
+    diagonal = h0.diagonal()
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming its ratio
+        if np.isfinite(diagonal + omega_qs[[0, -1], None] * jz_half).all():
+            return
+        for ratio, omega_q in zip(ratios.tolist(), omega_qs.tolist()):
+            if not np.isfinite(diagonal + omega_q * jz_half).all():
+                raise ValueError(
+                    f"scan ratio {ratio!r} gives omega_q {omega_q!r}, at which the diagonal of"
+                    f" H = H(0) + omega_q Jz/2 overflows at N = {params.n_qubits}"
+                )
 
 
 def detect_peaks(ratios: np.ndarray, values: np.ndarray, min_height: float) -> list[Peak]:

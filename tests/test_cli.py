@@ -1191,6 +1191,12 @@ def test_preset_help_lists_the_commands_own_presets(capsys, command, table, othe
     assert other not in text
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(dickestark.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_runtime_needs_no_scipy(tmp_path):
     # With scipy blocked, every scipy import raises ImportError; each command
     # must still run to completion.
@@ -1203,13 +1209,45 @@ def test_runtime_needs_no_scipy(tmp_path):
         "    code = main(args + ['--out', sys.argv[1] + '/' + args[0]])\n"
         "    assert code == 0, (args, code)\n"
     )
-    src = str(Path(dickestark.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, str(tmp_path)], env=_package_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "validate" / "validation.json").exists()
+
+
+OVERFLOWING_RATIO_INI = "[model]\nn_qubits = 2\nlambda = 0.006\nstark_u = 5e306\n" + EFFECTIVE_ATC + "1\n"
+OVERFLOWING_DIAGONAL_INI = (
+    "[model]\nn_qubits = 8\nlambda = 0.006\nstark_u = -0.5\n\n"
+    "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 0\n"
+    "window_min = -5e307\nwindow_max = -4e307\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, code, cause",
+    [
+        ("effective", OVERFLOWING_RATIO_INI, 0, ""),
+        ("scan", OVERFLOWING_DIAGONAL_INI, 2, "error: scan ratio -5e+307 gives omega_q 5e+307, at which the diagonal"),
+    ],
+    ids=["effective-ratio", "scan-diagonal"],
+)
+def test_overflows_run_clean_under_warnings_as_errors(tmp_path, command, text, code, cause):
+    # |delta| / Omega past the float range used to warn from the report, so
+    # effective exited 1 with a traceback under -W error; omega_q (k - N/2)
+    # past it used to warn twice, then refuse with a NaN Hermiticity defect
+    # naming neither omega_q nor the ratio
+    cfg, out = tmp_path / "run.ini", tmp_path / "out"
+    cfg.write_text(text)
+    args = ["-W", "error::RuntimeWarning", "-m", "dickestark", command, "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run([sys.executable, *args], env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert cause in proc.stderr and "Warning" not in proc.stderr
+    if code:
+        assert not out.exists()
+    else:
+        rows = json.loads((out / "effective.json").read_text())["channels"]
+        assert any(row["ratio"] is None and not row["no_coupling"] for row in rows)
 
 
 class TestValidateCommand:

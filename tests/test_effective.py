@@ -12,9 +12,7 @@ from dickestark.effective import (
     ResonanceBracketError,
     ResonanceTarget,
     _bare_second_order_omega_q,
-    _cell_steps,
     _second_order_closure,
-    _stark,
     delta_minus,
     delta_plus,
     pulse_duration,
@@ -47,11 +45,6 @@ from oracles import (
 FIRST_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.006, stark_u=-0.5, n_max=8)
 SECOND_ORDER = dict(n_qubits=4, omega_r=1.0, coupling=0.1, stark_u=-16.0, n_max=8)
 FAMILIES = ("tc2", "atc2", "r2", "a2")
-
-
-def stark_shift(n, k, params):
-    """Delta(n, k) of the cell (k, n), from the package's step sum."""
-    return _stark(_cell_steps(n, k, params), params.omega_q, params.omega_r)[1]
 
 
 class TestRabiFrequency:
@@ -176,11 +169,27 @@ class TestSecondOrderCoeffs:
             with pytest.raises(DegenerateDetuningError):
                 second_order(kind, 0, 0, p)
 
+    def test_the_first_degenerate_denominator_in_summation_order_is_named(self):
+        # U = 1e-12 at omega_q = omega_r puts every delta_minus below the floor
+        # at once, each at its own U (n - k + N/2) / N. A family refuses the
+        # first step of its from-cell, whose channel sits at (n + dn, k - 1):
+        # (3, 0) for tc2, (1, 0) for the others. The report's grid refuses the
+        # first in (offset, step, n, k) order: the channel (0, 0) that the
+        # cell (0, 1) reads.
+        p = ModelParams(n_qubits=4, omega_q=1.0, coupling=0.1, stark_u=1e-12, n_max=6)
+        first = {"tc2": "-1.250e-12", "atc2": "-7.500e-13", "r2": "-7.500e-13", "a2": "-7.500e-13"}
+        for kind, detuning in first.items():
+            with pytest.raises(DegenerateDetuningError, match=f"^first-order detuning {detuning} below"):
+                second_order(kind, 1, 1, p)
+        with pytest.raises(DegenerateDetuningError, match="^first-order detuning -5.000e-13 below"):
+            rwa_validity_report(ResonanceTarget("atc", 2, 0, 0), p, build_space(p))
+
     def test_zero_coupling_gives_zero(self):
         p = ModelParams(n_qubits=4, omega_q=0.4, coupling=0.0, stark_u=-1.0, n_max=6)
         for kind in FAMILIES:
             assert second_order(kind, 1, 1, p)[0] == 0
-        assert stark_shift(1, 1, p) == 0
+            # both cells' Stark shifts vanish: the tilde frequency is the bare one
+            assert second_order(kind, 1, 1, p)[1] == closed_form_second_order(kind, 1, 1, p)[1]
 
     def test_tc_coupling_antisymmetry(self):
         # For n - k = -2 the two denominators trade places under U -> -U, so
@@ -199,7 +208,7 @@ class TestSecondOrderCoeffs:
         for kind, ((n_from, k_from), (n_to, k_to)) in cells.items():
             _, bare, _ = closed_form_second_order(kind, 0, 0, p)
             assert second_order(kind, 0, 0, p)[1] == pytest.approx(
-                bare + stark_shift(n_to, k_to, p) - stark_shift(n_from, k_from, p)
+                bare + closed_form_stark_shift(n_to, k_to, p) - closed_form_stark_shift(n_from, k_from, p)
             )
 
 
@@ -211,12 +220,15 @@ def _outcome(call):
 
 
 class TestStepSumMatchesClosedForms:
-    """The package's Stark shift and second_order sum over first-order steps;
-    the oracle writes the shift and each family out term by term. At every cell
-    of drawn spaces, N = 1..7 with odd N included, the shift and each
-    family's coupling and tilde frequency (nine quantities) must agree bit
-    for bit, and each call must refuse a degenerate point exactly when the
-    oracle's does. Every third draw puts omega_q on a first-order pole,
+    """The package's second_order sums over first-order steps; the oracle
+    writes each family out term by term. At every cell of drawn spaces,
+    N = 1..7 with odd N included, each family's coupling and tilde
+    frequency (eight quantities) must agree bit for bit, and each call must
+    refuse a degenerate point exactly when the oracle's does. The package
+    forms a cell's Stark shift only inside a tilde frequency, which carries
+    the shifts of both its cells; every cell of the space is the from-cell
+    of atc2, r2 and a2 at itself, so each cell's Stark sum and its refusal
+    are compared here. Every third draw puts omega_q on a first-order pole,
     where the refusals sit."""
 
     def test_every_cell_bit_for_bit_or_refused_alike(self):
@@ -237,10 +249,8 @@ class TestStepSumMatchesClosedForms:
                 params = replace(params, omega_q=-delta(n, k, replace(params, omega_q=0.0)))
             for n in range(n_max + 1):
                 for k in range(n_qubits + 1):
-                    got = [_outcome(lambda: stark_shift(n, k, params))]
-                    got += [_outcome(lambda: second_order(kind, n, k, params)) for kind in FAMILIES]
-                    want = [_outcome(lambda: closed_form_stark_shift(n, k, params))]
-                    want += [_outcome(lambda: closed_form_second_order(kind, n, k, params)[::2]) for kind in FAMILIES]
+                    got = [_outcome(lambda: second_order(kind, n, k, params)) for kind in FAMILIES]
+                    want = [_outcome(lambda: closed_form_second_order(kind, n, k, params)[::2]) for kind in FAMILIES]
                     assert got == want, (params, n, k)
                     for outcome in got:
                         seen["refused" if outcome == "refused" else "value"] += 1
@@ -285,6 +295,67 @@ class TestStepSumMatchesClosedForms:
                         assert got == want, (params, omega_q, kind, n, k)
                         seen["refused" if got.startswith("first-order") else "value"] += 1
         assert seen["value"] > 0 and seen["refused"] > 0, seen
+
+
+class TestClosureCache:
+    """A family's closure is built once per (kind, n, k, N, n_max, lambda,
+    U, omega_r) and shared by every omega_q. A key that dropped a field
+    would hand one model another's constants; the closed forms, taken per
+    model, would then disagree with it."""
+
+    @pytest.mark.parametrize("field, other", [("coupling", 0.13), ("stark_u", 5.5), ("omega_r", 1.25)])
+    def test_models_one_field_apart_keep_their_own_values(self, field, other):
+        first = ModelParams(n_qubits=4, omega_q=0.3, coupling=0.1, stark_u=-3.0, n_max=6)
+        second = replace(first, **{field: other})
+        for kind in FAMILIES:
+            values = []
+            for params in (first, second, first):
+                got = second_order(kind, 1, 1, params)
+                assert repr(got) == repr(closed_form_second_order(kind, 1, 1, params)[::2]), (kind, params)
+                values.append(got)
+            assert values[0] != values[1]
+
+    def test_the_tuned_model_reuses_the_solvers_closure(self):
+        params = ModelParams(**SECOND_ORDER)
+        target = ResonanceTarget("atc", 2, 0, 0)
+        effective._closure.cache_clear()
+        tuned = replace(params, omega_q=solve_second_order_resonance(target, params))
+        assert _second_order_closure("atc2", 0, 0, tuned) is _second_order_closure("atc2", 0, 0, params)
+        pulse_duration(target, tuned)
+        target_coupling(target, tuned)
+        assert effective._closure.cache_info().misses == 1
+
+    @pytest.mark.parametrize("coupling, stark_u", [(0.07, 0.0), (0.0, 2.5), (0.0, 0.0)])
+    def test_keys_equal_but_bitwise_apart_give_the_same_bits(self, coupling, stark_u):
+        # 0.0 and -0.0 compare and hash equal, so the cache hands one the
+        # other's closure. omega_r > 0 keeps omega_q -+ omega_r off -0.0, so a
+        # Stark offset's zero sign never reaches an omega; a zero G enters
+        # only through G^2 and G1 G2, both +0.0. omega_q = +-omega_r and +-0.0
+        # put a base at zero, and the poles put an omega there.
+        def outcome(evaluate, omega_q):
+            try:
+                return repr(evaluate(omega_q))
+            except DegenerateDetuningError as exc:
+                return str(exc)
+
+        def signed_zeros(x):
+            return (0.0, -0.0) if x == 0.0 else (x,)
+
+        build = effective._closure.__wrapped__
+        n_qubits, n_max, omega_r = 3, 4, 1.0
+        params = ModelParams(n_qubits=n_qubits, n_max=n_max, coupling=coupling, stark_u=stark_u, omega_q=0.0)
+        poles = [-delta(n, k, params) for delta in (delta_minus, delta_plus) for n in range(3) for k in range(3)]
+        omega_qs = [0.0, -0.0, omega_r, -omega_r, 0.37, *poles]
+        for kind in FAMILIES:
+            for n, k in ((0, 0), (1, 1), (2, 3)):
+                closures = [
+                    build(kind, n, k, n_qubits, n_max, lam, u, omega_r)
+                    for lam in signed_zeros(coupling)
+                    for u in signed_zeros(stark_u)
+                ]
+                for omega_q in omega_qs:
+                    got = {outcome(evaluate, omega_q) for evaluate in closures}
+                    assert len(got) == 1, (kind, n, k, omega_q, got)
 
 
 class TestSecondOrderResonances:
@@ -489,7 +560,7 @@ class TestSecondOrderSideChannels:
         h = build_hamiltonian(tuned, space)
         cells = [(0, 1), (2, 1), (4, 1)]
         idx = [space.index(k, n) for k, n in cells]
-        diag = [h.matrix[i, i].real + stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
+        diag = [h.matrix[i, i].real + closed_form_stark_shift(n, k, tuned) for (k, n), i in zip(cells, idx)]
         g1, _ = second_order("r2", 1, 0, tuned)
         g2, _ = second_order("r2", 1, 2, tuned)
         h_eff = np.array(
@@ -697,6 +768,19 @@ class TestRwaReport:
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0, 0] = "atc"
         assert second[:, 0, 0].tolist() == ["tc", "atc"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ratio_is_inf_without_a_warning(self):
+        # U = 5e306 puts |delta| near 2.5e306 over Omega ~ 0.006: |delta| /
+        # Omega leaves the float range, and np.divide used to warn
+        p = ModelParams(n_qubits=2, coupling=0.006, stark_u=5e306, n_max=default_n_max(1, 2))
+        t = ResonanceTarget("atc", 1, 0, 0)
+        tuned = replace(p, omega_q=solve_first_order_resonance(t, p))
+        rows = [c for c in rwa_validity_report(t, tuned, build_space(tuned)).channels if not c.no_coupling]
+        ratios = [abs(c.detuning) / abs(c.coupling) for c in rows]  # Python floats overflow to inf silently
+        assert [c.ratio for c in rows] == ratios
+        assert math.inf in ratios and any(map(math.isfinite, ratios))
+        assert not any(c.risk for c, ratio in zip(rows, ratios) if ratio == math.inf)
 
 
 class TestReportGridMatchesCells:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dickestark import scan
 from dickestark.dynamics import MAX_PHASE, _Sector
 from dickestark.effective import (
     omega_q_from_ratio,
@@ -13,7 +14,7 @@ from dickestark.effective import (
     ratio_from_omega_q,
     solve_first_order_resonance,
 )
-from dickestark.model import build_hamiltonian, build_space, dicke_state
+from dickestark.model import ModelParams, build_hamiltonian, build_space, dicke_state
 from dickestark.presets import scan_preset
 from dickestark.scan import (
     MAX_SCAN_POINTS,
@@ -157,6 +158,24 @@ class TestResonanceScan:
             resonance_scan(psi0, np.array([]), 1.0, preset.params, space)
         with pytest.raises(ValueError):
             resonance_scan(psi0, np.array([1.0, 0.5]), 1.0, preset.params, space)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("window, first", [((-5e307, -4e307), 0), ((4e307, 5e307), 2)], ids=["first", "inner"])
+    def test_overflowing_diagonal_refused_before_any_build(self, monkeypatch, window, first):
+        # At N = 8, omega_q (k - N/2) reaches 4 |omega_q|, past the float range
+        # from |omega_q| ~ 4.5e307. The scan used to warn twice and refuse
+        # with a NaN Hermiticity defect, naming neither omega_q nor the ratio.
+        # In the inner case the grid's first two points are finite.
+        params = ModelParams(n_qubits=8, coupling=0.006, stark_u=-0.5, n_max=4)
+        space = build_space(params)
+        grid = np.linspace(*window, 5)
+        omega_q = omega_q_from_ratio(grid[first], params)
+        builds = []
+        monkeypatch.setattr(scan, "build_hamiltonian", lambda *args: builds.append(args))
+        message = f"scan ratio {grid[first].item()!r} gives omega_q {omega_q.item()!r}, at which the diagonal"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            resonance_scan(dicke_state(space, 0, 0), grid, 1.0, params, space)
+        assert builds == []
 
     @pytest.mark.parametrize(
         "window", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 1.0)]
