@@ -14,8 +14,10 @@ block. If H couples the kept sectors to the rest, the block is the whole space.
 does not) and that H leaves the kept block invariant. Both read only the
 off-diagonal of H, which all the H of a frequency scan, and all the steps of
 a protocol, share, so a scan and a protocol run them once; ``propagate``
-runs them once per H, and ``evolve`` unless it is given them; with them it
-builds its index sets, once per scan, protocol run, ``propagate`` or
+runs them once per H, and ``evolve`` unless it is given them. The kept
+sector's flat indices are the space's (``HilbertSpace.parity_indices``,
+computed once per (N, n_max) per process); the kept block's flat positions
+are built with the checks, once per scan, protocol run, ``propagate`` or
 ``evolve`` call. ``_Sector.eigh`` diagonalizes an H's kept block on them:
 the package's one ``eigh`` outside the validation suite's product-basis
 oracle. The kernel's math, V exp(-i w t) V^T psi on those eigenpairs
@@ -127,19 +129,24 @@ class Trajectory:
 class _Sector:
     """The parity sector(s) that a vector occupies under H, after H's symmetry
     check and the check that H leaves them invariant: valid for every H with
-    H's off-diagonal. ``kept`` holds their flat indices (every index if H
-    couples them to the rest), ``block`` the kept block's flat positions."""
+    H's off-diagonal. ``kept`` holds their flat indices, the space's
+    ``parity_indices`` of one sector (every index for both sectors, or if H
+    couples the one to the rest), ``block`` the kept block's m^2 flat
+    positions, built per ``_Sector``: kept per space, they would dominate
+    its memory (33 MB per parity at MAX_DIMENSION)."""
 
     def __init__(self, h: Operator, amplitudes: np.ndarray):
         h.require_hermitian()
-        parities = h.space.parities()
+        space = h.space
         occupied = np.zeros(2, dtype=bool)
-        occupied[parities[amplitudes != 0]] = True
-        keep = occupied[parities]
-        self.dimension = h.space.dimension
-        self.kept = np.flatnonzero(keep)
-        if h.matrix[self.kept[:, None], np.flatnonzero(~keep)].any():  # the kept sectors are not invariant under H
-            self.kept = np.arange(self.dimension)
+        occupied[space.parities()[amplitudes != 0]] = True
+        self.dimension = space.dimension
+        self.kept = np.arange(self.dimension)
+        if occupied[0] != occupied[1]:  # one sector, whose index sets the space holds
+            even, odd = space.parity_indices
+            kept, rest = (even, odd) if occupied[0] else (odd, even)
+            if not h.matrix[kept[:, None], rest].any():  # else H couples it to the rest
+                self.kept = kept
         self.block = (self.kept[:, None] * self.dimension + self.kept).ravel()
 
     def eigh(self, h: Operator) -> tuple[np.ndarray, np.ndarray]:

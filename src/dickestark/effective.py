@@ -36,20 +36,22 @@ A family at one cell is a closure of omega_q in straight-line float
 arithmetic over constants taken once: G^2 and c of the four steps of each
 of its two cells, and G1 G2 of each path. Nothing in it depends on omega_q,
 so it is built once per (kind, n, k, N, n_max, lambda, U, omega_r) and kept
-in a cache of ``model.MODEL_CACHE_SIZE`` entries: the solver iterates on
-it, and the coupling and duration at the tuned model reuse it.
+in a per-model cache of ``model.MODEL_CACHE_SIZE`` entries: the solver
+iterates on it, and the coupling and duration at the tuned model reuse it.
 ``second_order`` evaluates it once. ``rwa_validity_report`` gathers the
 numerators of every Stark step of the four offset levels and of both
 quotients of the six paths of the four families from the Omega table,
-through flat indices cached per (N, n_max), and divides them by their
-omegas in one division, whose flat order is the order per-cell evaluation
-refuses in. Its masks that depend only on the channel table ``_CELLS`` and
-the target are written straight from that table: the channels of a kind
-whose cells lie in the space form one rectangle of the grid, a channel that
-shares a cell with the target pair sits at one (n, k) per own cell and pair
-cell, and the selected family is one line of the target's kind. Its rows,
-built on first read, run over n, then k, then kind: tc, atc, then tc2,
-atc2, r2, a2 at second order.
+through flat indices taken with each denominator's Stark factor once per
+(N, n_max) (``_grid_constants``, a per-space cache of
+``model.SPACE_CACHE_SIZE`` entries, as the interned spaces), and divides
+them by their omegas in one division, whose flat order is the order
+per-cell evaluation refuses in. Its masks that depend only on the channel
+table ``_CELLS`` and the target are written straight from that table: the
+channels of a kind whose cells lie in the space form one rectangle of the
+grid, a channel that shares a cell with the target pair sits at one (n, k)
+per own cell and pair cell, and the selected family is one line of the
+target's kind. Its rows, built on first read, run over n, then k, then
+kind: tc, atc, then tc2, atc2, r2, a2 at second order.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MODEL_CACHE_SIZE, HilbertSpace, ModelParams
+from .model import MODEL_CACHE_SIZE, SPACE_CACHE_SIZE, HilbertSpace, ModelParams
 from .model import _omega_table, _read_only, _require_finite_scales, _retuned
 
 # Denominators closer to zero than this mark a degenerate parameter point.
@@ -322,11 +324,14 @@ def second_order(kind: str, n: int, k: int, params: ModelParams) -> tuple[float,
     return _second_order_closure(kind, n, k, params)(params.omega_q)
 
 
-@lru_cache(maxsize=MODEL_CACHE_SIZE)
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _grid_constants(n_q: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Over (pair, n, k) for (N, n_max): the flat ``_omega_table`` indices of
     each numerator's two G, and each denominator's Stark factor lin, its
-    omega being dk (base + U lin / N); read-only, as the cache shares them."""
+    omega being dk (base + U lin / N); read-only, as the cache shares them.
+    They depend on the space alone, so they are kept for as many (N, n_max)
+    as the interned spaces (``model._space``): 3 x 28 x dimension values of
+    8 B, 2.75 MB at MAX_DIMENSION."""
     n, k = np.arange(n_max + 1)[:, None], np.arange(n_q + 1)
     first, second = ((n + dn + 1) * (n_q + 4) + k + dk + 1 for dk, dn in (_FIRST, _SECOND))
     nn, kk = n + _DEN[1], k + _DEN[0]

@@ -65,6 +65,8 @@ class ModelParams:
     n_max: int = 8
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int or type(self.n_max) is not int:  # one comparison each for plain ints
+            _require_counts(self.n_qubits, self.n_max)
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_max < 0:
@@ -83,6 +85,16 @@ class ModelParams:
                 f"dimension {dimension} exceeds the supported maximum {MAX_DIMENSION};"
                 " reduce n_qubits or n_max"
             )
+
+
+def _require_counts(n_qubits, n_max) -> None:
+    """Refuse an n_qubits or n_max that is not an integer, naming the field.
+    A numpy integer is one; a bool is not, though Python counts it as an int
+    (True would build N = 1), and neither is 4.0, which would key the same
+    cache entries as 4 and fail later as an array index."""
+    for name, value in (("n_qubits", n_qubits), ("n_max", n_max)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _retuned(params: ModelParams, omega_q: float) -> ModelParams:
@@ -112,7 +124,21 @@ def default_n_max(n_initial: int, n_qubits: int) -> int:
 @dataclass(frozen=True)
 class HilbertSpace:
     """Indexing of the symmetric basis, with bijective (k, n) <-> flat maps.
-    Its dimension, (N+1)(n_max+1), is derived from the two fields."""
+    Its dimension, (N+1)(n_max+1), is derived from the two fields.
+
+    Every detuning of the model depends on a cell only through its (k, n),
+    so the tables below depend on (N, n_max) alone, not on lambda, U or
+    omega_q. Each is read-only and computed once per instance, and
+    ``build_space`` hands out one interned instance per (N, n_max)
+    (``_space``), so each is computed once per (N, n_max) per process and
+    shared by every model, scan, protocol run and report of that space. A
+    space constructed directly, as tests do, works alike but shares no
+    table. With the effective layer's grid constants, kept per (N, n_max)
+    beside the intern (``effective._grid_constants``, 3 x 28 values of 8 B
+    per basis state), a space's tables take 704 B per basis state: 2.9 MB
+    at MAX_DIMENSION. The effective benchmark's 20 spaces (N = 2..6, n_max =
+    N+3..N+6, dimensions 18 to 91) hold 0.5 MB together, nearly all of it
+    the grid constants of its 15 second-order spaces."""
 
     n_qubits: int
     n_max: int
@@ -135,14 +161,29 @@ class HilbertSpace:
 
     def excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
         """(k, n) of every flat index as two read-only float arrays: the
-        diagonals of N_q and a'a. Computed once per space."""
+        diagonals of N_q and a'a."""
         return self._excitation_numbers
 
     def parities(self) -> np.ndarray:
         """Excitation parity (k + n) mod 2 of every flat index, as a read-only
-        array computed once per space. H conserves (-1)^(k+n): its
-        coupling term (a + a') Jx flips both."""
+        array. H conserves (-1)^(k+n): its coupling term (a + a') Jx flips
+        both."""
         return self._parities
+
+    @cached_property
+    def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat indices of parity 0 and of parity 1, ascending: the
+        index sets of the kernel's sectors (``dynamics._Sector``)."""
+        return _read_only(np.flatnonzero(self._parities == 0)), _read_only(np.flatnonzero(self._parities))
+
+    @cached_property
+    def ladder_factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """f(k) = sqrt((k+1)(N-k)) for k = -1..N+2, clipped at 0, sqrt(n+1)
+        for n = -1..n_max+2 as a column, and sqrt(N): the factors of
+        ``_omega_table`` that lambda does not move."""
+        k = np.arange(-1, self.n_qubits + 3)
+        f = np.sqrt(np.maximum((k + 1) * (self.n_qubits - k), 0))
+        return _read_only(f), _read_only(np.sqrt(np.arange(self.n_max + 4.0))[:, None]), math.sqrt(self.n_qubits)
 
     @cached_property
     def _excitation_numbers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +266,26 @@ class StateVector:
 
 
 def build_space(params: ModelParams, kind: BasisKind = BasisKind.SYMMETRIC) -> HilbertSpace:
-    """Construct the symmetric-basis Hilbert space for these parameters.
-    ``kind`` admits only BasisKind.SYMMETRIC."""
+    """The symmetric-basis Hilbert space of these parameters: the one
+    interned instance of their (N, n_max), with its tables. ``kind`` admits
+    only BasisKind.SYMMETRIC."""
     if kind is not BasisKind.SYMMETRIC:
         raise ValueError(f"unknown basis kind {kind!r}")
-    return HilbertSpace(n_qubits=params.n_qubits, n_max=params.n_max)
+    return _space(params.n_qubits, params.n_max)
+
+
+# Spaces held by the intern ``_space``, each with its tables (``HilbertSpace``)
+# and beside it the effective layer's grid constants: the effective benchmark
+# rotates through 20 (N, n_max). At most 2.9 MB per space, so 93 MB if all 32
+# are at MAX_DIMENSION.
+SPACE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _space(n_qubits: int, n_max: int) -> HilbertSpace:
+    """The interned space of (N, n_max), whose fields are plain ints: a
+    numpy integer keys the same entry as the int it equals."""
+    return HilbertSpace(int(n_qubits), int(n_max))
 
 
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
@@ -267,10 +323,12 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     return Operator(space, _read_only(h))
 
 
-# Models held by _affine_parts and _omega_table: a scan needs one, and a
-# process that runs the Dicke ladders of N = 2..6 and ghz_4 in turn needs six.
-# The bound keeps memory flat: at most 8 H(0) of dim^2 float64 each, 1.1 GB
-# at MAX_DIMENSION, 32 KB at dimension 63.
+# Models held by the per-model caches, _affine_parts, _omega_table and the
+# effective layer's second-order closures (``effective._closure``): a scan
+# needs one, and a process that runs the Dicke ladders of N = 2..6 and ghz_4
+# in turn needs six. Tables that depend on (N, n_max) alone live on the
+# interned space (SPACE_CACHE_SIZE). The bound keeps memory flat: at most 8
+# H(0) of dim^2 float64 each, 1.1 GB at MAX_DIMENSION, 32 KB at dimension 63.
 MODEL_CACHE_SIZE = 8
 
 
@@ -319,20 +377,11 @@ def _omega_table(n_qubits: int, n_max: int, coupling: float) -> np.ndarray:
     f(k) = sqrt((k+1)(N-k)), read-only at [n + 1, k + 1] for n = -1..n_max+2
     and k = -1..N+2, every index the effective formulas reach from a cell of
     the space; zero off n >= 0 and 0 <= k < N. Multiplied in that order
-    from the factors of ``_ladder_factors``."""
-    f, root_n, root_nq = _ladder_factors(n_qubits, n_max)
+    from the interned space's ``ladder_factors``."""
+    f, root_n, root_nq = _space(n_qubits, n_max).ladder_factors
     table = coupling * f * root_n
     table /= root_nq
     return _read_only(table)
-
-
-@lru_cache(maxsize=MODEL_CACHE_SIZE)
-def _ladder_factors(n_qubits: int, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """f(k) for k = -1..N+2, sqrt(n+1) for n = -1..n_max+2 as a column, and
-    sqrt(N): the factors of ``_omega_table`` that lambda does not move."""
-    k = np.arange(-1, n_qubits + 3)
-    f = np.sqrt(np.maximum((k + 1) * (n_qubits - k), 0))
-    return _read_only(f), _read_only(np.sqrt(np.arange(n_max + 4.0))[:, None]), math.sqrt(n_qubits)
 
 
 def dicke_state(space: HilbertSpace, k: int, n: int) -> StateVector:

@@ -1250,6 +1250,35 @@ def test_overflows_run_clean_under_warnings_as_errors(tmp_path, command, text, c
         assert any(row["ratio"] is None and not row["no_coupling"] for row in rows)
 
 
+def test_effective_presets_write_the_same_bytes_cold_warm_and_in_a_new_process(tmp_path):
+    """Every scan preset's effective.json, first and second order, is the
+    same byte for byte whether the per-space tables are built afresh, were
+    built by the other presets (the presets again in reverse order), or live
+    in a new interpreter (fig7 and fig8 under ``python -m dickestark``)."""
+    from dickestark import effective, model
+
+    names = sorted(SCAN_PRESETS)
+    model._space.cache_clear()
+    effective._grid_constants.cache_clear()
+    passes = {"cold": names, "warm": names[::-1], "process": ["fig7", "fig8"]}
+    written = {}
+    for label, order in passes.items():
+        for name in order:
+            out = tmp_path / label / name
+            args = ["effective", "--preset", name, "--out", str(out)]
+            if label == "process":
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dickestark", *args], env=_package_env(), capture_output=True, text=True
+                )
+                assert proc.returncode == 0, proc.stderr
+            else:
+                assert main(args) == 0
+            written[label, name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    for (label, name), files in written.items():
+        assert list(files) == ["effective.json"], (label, name)
+        assert files == written["cold", name], (label, name)
+
+
 class TestValidateCommand:
     def test_default_run(self, tmp_path):
         out = tmp_path / "val"

@@ -327,6 +327,57 @@ class TestSectorPropagation:
                 assert np.max(np.abs(got - _evolved(w, v, psi, t))) <= 1e-15
 
 
+class TestSpaceTables:
+    """The kernel reads its sector index sets from the space it is given: the
+    interned space of (N, n_max) shares them across runs, and a space built
+    directly, which shares nothing, gives the same bits on every path."""
+
+    def test_one_sector_keeps_the_spaces_index_set(self):
+        params = ModelParams(n_qubits=4, omega_q=0.9, coupling=0.05, stark_u=-0.8, n_max=6)
+        for space in (build_space(params), model.HilbertSpace(4, 6)):
+            h = build_hamiltonian(params, space)
+            for parity, cell in enumerate([(0, 0), (1, 0)]):
+                sector = _Sector(h, dicke_state(space, *cell).amplitudes)
+                assert sector.kept is space.parity_indices[parity]
+            both = random_state(space, np.random.default_rng(1))
+            assert np.array_equal(_Sector(h, both.amplitudes).kept, np.arange(space.dimension))
+
+    def test_every_kernel_path_gives_the_same_bits_on_a_directly_built_space(self):
+        spec = protocol_preset("dicke_ladder_4")
+        params = spec.params
+        compiled = protocol.compile_from_rules(spec, params)
+        interned = build_space(params)
+        direct = model.HilbertSpace(params.n_qubits, params.n_max)
+        assert direct == interned and direct is not interned
+        tuned = replace(params, omega_q=0.93)
+
+        def outputs(space):
+            h = build_hamiltonian(tuned, space)
+            rng = np.random.default_rng(3)
+            states = [dicke_state(space, 1, 2), random_state(space, rng, (0,)), random_state(space, rng)]
+            out = []
+            for psi0 in states:
+                out.append(propagate(h, psi0, 7.5).amplitudes)
+                traj = evolve(psi0, h, 7.5, samples=9)
+                out += [traj.populations, traj.nq, traj.nph, traj.final.amplitudes]
+                out.append(np.array(observables(traj.final)))
+            psi0 = dicke_state(space, 1, 0)
+            curve = resonance_scan(psi0, scan_grid((-0.1, 0.1), 40), 300.0, params, space)
+            out += [curve.nq, curve.nph]
+            result = protocol.run_protocol(compiled, params, space, samples=50)
+            out += [traj.populations for traj in result.per_step]
+            out += [result.final.amplitudes, np.array([result.fidelity, result.fidelity_optimized])]
+            return out
+
+        shared = outputs(interned)
+        alone = outputs(direct)
+        assert len(shared) == len(alone)
+        for a, b in zip(shared, alone):
+            assert a.tobytes() == b.tobytes()
+        for name in ("parity_indices", "_parities", "_excitation_numbers"):  # the direct space built its own
+            assert name in vars(direct) and vars(direct)[name] is not vars(interned)[name], name
+
+
 # Rounding bound of the block-product phases, in units of 2^-52 max(1, max|w t|):
 # the times (a b) step + r step and s step, the products w t and the
 # exponentials each round by at most an ulp, which stays below 2 units; 8

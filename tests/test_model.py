@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dickestark import effective, model
 from dickestark.model import (
     MAX_DIMENSION,
     HilbertSpace,
@@ -207,6 +208,120 @@ class TestSpaces:
     def test_default_n_max(self):
         assert default_n_max(0, 4) == 6
         assert default_n_max(2, 4) == 8
+
+
+class TestCounts:
+    @pytest.mark.parametrize("field", ["n_qubits", "n_max"])
+    @pytest.mark.parametrize("value", [4.0, 4.5, np.float64(4.0), True, False, np.bool_(True), "4", None, 4 + 0j])
+    def test_non_integer_counts_are_refused_naming_the_field(self, field, value):
+        # 4.0 used to pass and fail in build_hamiltonian as an IndexError,
+        # and True to build N = 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            ModelParams(**{"n_qubits": 4, "n_max": 4, field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            replace(ModelParams(n_qubits=4, n_max=4), **{field: value})
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, np.intc])
+    def test_numpy_integers_are_accepted_and_interned_as_ints(self, integer):
+        params = ModelParams(n_qubits=integer(3), n_max=integer(5), coupling=0.05)
+        plain = ModelParams(n_qubits=3, n_max=5, coupling=0.05)
+        space = build_space(params)
+        assert space is build_space(plain)
+        assert type(space.n_qubits) is int and type(space.n_max) is int
+        assert np.array_equal(build_hamiltonian(params, space).matrix, build_hamiltonian(plain, space).matrix)
+
+    def test_a_plain_int_subclass_is_an_integer(self):
+        class Count(int):
+            pass
+
+        assert build_space(ModelParams(n_qubits=Count(2), n_max=Count(3))).dimension == 12
+
+
+# The effective benchmark's spaces: N = 2..6, n_max = N+3..N+6.
+WORKLOAD_SPACES = [(n, n_max) for n in range(2, 7) for n_max in range(n + 3, n + 7)]
+
+
+def space_tables(space):
+    """Every per-space table, by name: the space's own and the effective
+    layer's grid constants, kept beside the intern."""
+    return {
+        "excitation_numbers": space.excitation_numbers(),
+        "parities": space.parities(),
+        "parity_indices": space.parity_indices,
+        "ladder_factors": space.ladder_factors,
+        "grid_constants": effective._grid_constants(space.n_qubits, space.n_max),
+    }
+
+
+def arrays_of(tables):
+    for table in tables.values():
+        for a in table if isinstance(table, tuple) else (table,):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+class TestInternedSpace:
+    def test_one_space_per_n_and_n_max(self):
+        p = ModelParams(n_qubits=3, n_max=5, coupling=0.01, stark_u=-0.5, omega_q=0.9)
+        q = ModelParams(n_qubits=3, n_max=5, coupling=0.2, stark_u=4.0, omega_q=-1.3, omega_r=2.0)
+        assert build_space(p) is build_space(q) is build_space(_retuned(p, 0.25))
+        assert build_space(p) is not build_space(replace(p, n_max=6))
+        assert build_space(p) is not build_space(ModelParams(n_qubits=5, n_max=3))
+
+    def test_every_table_is_one_object_across_calls(self):
+        p, q = ModelParams(n_qubits=4, n_max=7, coupling=0.01), ModelParams(n_qubits=4, n_max=7, coupling=0.3)
+        first, again = space_tables(build_space(p)), space_tables(build_space(q))
+        for name in first:
+            assert first[name] is again[name], name
+        for a in arrays_of(first):
+            assert not a.flags.writeable
+
+    def test_a_directly_built_space_has_equal_tables_and_shares_none(self):
+        interned = build_space(ModelParams(n_qubits=4, n_max=7))
+        direct = HilbertSpace(4, 7)
+        assert direct == interned and direct is not interned
+        for name, table in space_tables(direct).items():
+            shared = space_tables(interned)[name]
+            if name == "grid_constants":  # keyed by (N, n_max), not by instance
+                continue
+            assert table is not shared, name
+            parts = zip(table, shared) if isinstance(table, tuple) else [(table, shared)]
+            for a, b in parts:
+                assert np.array_equal(a, b), name
+
+    def test_parity_indices_split_the_space(self):
+        space = build_space(ModelParams(n_qubits=3, n_max=4))
+        even, odd = space.parity_indices
+        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(space.dimension))
+        assert not space.parities()[even].any() and space.parities()[odd].all()
+
+    def test_ladder_factors_make_the_omega_table(self):
+        n_q, n_max, coupling = 5, 3, 0.07
+        f, root_n, root_nq = build_space(ModelParams(n_qubits=n_q, n_max=n_max)).ladder_factors
+        assert np.array_equal(f, [ladder_f(k, n_q) for k in range(-1, n_q + 3)])
+        assert np.array_equal(root_n[:, 0], np.sqrt(np.arange(n_max + 4.0))) and root_nq == math.sqrt(n_q)
+        table = _omega_table(n_q, n_max, coupling)
+        assert np.array_equal(table, coupling * f * root_n / root_nq)
+
+    def test_cycling_the_workload_spaces_computes_each_table_once(self):
+        """Two passes over the benchmark's 20 spaces, each a new model per
+        visit: the first computes every table, the second none. A bound
+        sized for models, 8, would rebuild all of them in the second pass."""
+        model._space.cache_clear()
+        effective._grid_constants.cache_clear()
+        seen = {}
+        for visit in range(2):
+            for n, n_max in WORKLOAD_SPACES:
+                params = ModelParams(n_qubits=n, n_max=n_max, coupling=0.01 + 0.001 * visit, stark_u=-0.77, omega_q=0.3141)
+                effective._second_order_grid(params)  # the report's grid: the Omega table and the grid constants
+                build_hamiltonian(params, build_space(params))
+                tables = space_tables(build_space(params))
+                if visit:
+                    assert all(tables[name] is table for name, table in seen[n, n_max].items()), (n, n_max)
+                seen[n, n_max] = tables
+        assert model._space.cache_info().misses == len(WORKLOAD_SPACES)
+        assert effective._grid_constants.cache_info().misses == len(WORKLOAD_SPACES)
+        assert model._space.cache_info().maxsize >= len(WORKLOAD_SPACES)
 
 
 class TestFiniteScales:
