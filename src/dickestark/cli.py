@@ -104,14 +104,17 @@ def _resolve_params(config: RunConfig, preset: ModelParams | None, photon: int) 
 def cmd_scan(config: RunConfig, job: presets.ScanPreset, fmt: str) -> tuple[dict[str, str], str]:
     target = job.target
     params = _resolve_params(config, job.params, max(job.initial_n, target.n0))
+    space = build_space(params)
+    try:
+        psi0 = dicke_state(space, job.initial_k, job.initial_n)
+    except ValueError as exc:
+        raise ValueError(f"scan initial_k = {job.initial_k}, initial_n = {job.initial_n}: {exc}") from None
 
     omega_q_star = solve_resonance(target, params)
     predicted = ratio_from_omega_q(omega_q_star, params)
     tuned = _retuned(params, omega_q_star)
     duration = job.duration if job.duration is not None else pulse_duration(target, tuned)
 
-    space = build_space(params)
-    psi0 = dicke_state(space, job.initial_k, job.initial_n)
     grid = scan_grid(job.window, job.points)
     curve = resonance_scan(psi0, grid, duration, params, space)
     report = peak_report(curve, target, predicted, job.min_height)
@@ -134,7 +137,10 @@ def _compile_protocol(config: RunConfig, job: ProtocolConfig):
     """The job's record, read from its file or held by the job, compiled
     once: a preset's or inline steps' at the run's model (compile_from_rules
     refuses a preset under another N), and a file's at its own physics, so
-    that run_protocol refuses a [model] that differs from the file."""
+    that run_protocol refuses a [model] that differs from the file. Both
+    are compiled at the run's cutoff, so that compile_from_rules refuses an
+    initial or target cell outside the run's space before any step is
+    solved."""
     spec = job.spec
     if job.file is not None:
         try:
@@ -142,7 +148,7 @@ def _compile_protocol(config: RunConfig, job: ProtocolConfig):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[protocol] file = {job.file!r}: {exc}") from None
     params = _resolve_params(config, spec.params, spec.highest_start_photon)
-    return compile_from_rules(spec, params if job.file is None else spec.params), params
+    return compile_from_rules(spec, params if job.file is None else replace(spec.params, n_max=params.n_max)), params
 
 
 def cmd_protocol(config: RunConfig, job: ProtocolConfig) -> tuple[dict[str, str], str]:

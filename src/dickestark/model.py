@@ -143,6 +143,10 @@ class HilbertSpace:
     n_qubits: int
     n_max: int
 
+    def __post_init__(self) -> None:
+        # the intern constructs a space only on a miss
+        _require_counts(self.n_qubits, self.n_max)
+
     @cached_property
     def dimension(self) -> int:
         return (self.n_qubits + 1) * (self.n_max + 1)

@@ -37,6 +37,7 @@ from .model import (
     StateVector,
     _retuned,
     build_hamiltonian,
+    build_space,
     default_n_max,
     dicke_state,
 )
@@ -220,11 +221,19 @@ def compile_from_rules(spec: ProtocolSpec, params: ModelParams) -> Protocol:
     rule's target and durations the requested fraction of pi/|coupling|;
     nothing is hand-entered. A step that cannot be solved or timed is
     refused with the error's own type, its message prefixed by the step's
-    number and label."""
+    number and label; an initial or target cell outside the space of
+    ``params`` is refused first, naming the field."""
     if spec.params is not None and spec.params.n_qubits != params.n_qubits:
         raise ValueError(
             f"protocol {spec.name!r} is compiled for N = {spec.params.n_qubits}, got n_qubits = {params.n_qubits}"
         )
+    space = build_space(params)  # the initial and target cells, before any step is solved
+    for name, cell in (("initial", spec.initial), ("target", spec.target_cell)):
+        if cell is not None:
+            try:
+                space.index(*cell)
+            except ValueError as exc:
+                raise ValueError(f"protocol {name} {cell}: {exc}") from None
     steps = []
     expected = []
     shares = {spec.initial: 1.0}

@@ -1,3 +1,28 @@
+"""The command line, through ``cli.main``.
+
+Most checks of a whole run are rows of one table, ``Run``: the argv (without
+``--out``), the text passed as ``--config`` (a config, or a function of the
+test's directory that also writes a protocol file), the exit code, the
+stderr fragments, the files written (none for a refusal, whose ``--out``
+must not exist), whether a rerun writes the same bytes, and a check of the
+output for what those fields cannot say. ``_check_run`` is the one body that
+runs a row and asserts all of it, and that stderr holds no traceback and no
+warning. Rows run in-process through ``cli.main``, under pyproject's
+``error::RuntimeWarning`` filter. The rows with ``process=True``, the two
+overflow repros and one preset per command, run as
+``python -W error::RuntimeWarning -m dickestark`` subprocesses. The rows are
+collected under four test names: REFUSED_ARGS, REFUSED_CONFIGS and OVERFLOWS
+under the names their tests had before they were merged into this table, and
+RUNS under ``test_cli_run``.
+
+Tier-1 runs this file on ``src/``. CI's ``runtime`` job runs the same file
+against the installed package, with neither scipy nor hypothesis installed:
+``python -m pytest -q tests/test_cli.py`` from the checkout root, where the
+src layout leaves the installed ``dickestark`` the one importable. So this
+module imports neither (``test_imports_neither_scipy_nor_hypothesis``).
+"""
+
+import ast
 import builtins
 import errno
 import hashlib
@@ -6,7 +31,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,6 +45,58 @@ from dickestark.config import ConfigError, parse_config
 from dickestark.dynamics import MAX_SAMPLES
 from dickestark.model import default_n_max
 from dickestark.presets import PROTOCOL_PRESETS, SCAN_PRESETS, scan_preset
+
+@dataclass(frozen=True)
+class Run:
+    """One CLI run of the table and what it must do (module docstring)."""
+
+    name: str
+    argv: tuple[str, ...]
+    text: str | Callable[[Path], str] | None = None
+    code: int = 2
+    err: tuple[str, ...] = ()
+    files: tuple[str, ...] = ()
+    rerun: bool = False
+    process: bool = False
+    check: Callable[[Path], None] | None = None
+
+
+def _run_name(run: Run) -> str:
+    return run.name
+
+
+def _check_run(run: Run, tmp_path: Path, capsys) -> None:
+    argv = list(run.argv)
+    if run.text is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(run.text(tmp_path) if callable(run.text) else run.text)
+        argv += ["--config", str(cfg)]
+    outs = [tmp_path / "out", tmp_path / "rerun"][: 1 + run.rerun]
+    for out in outs:
+        if run.process:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "dickestark", *argv, "--out", str(out)],
+                env=_package_env(),
+                capture_output=True,
+                text=True,
+            )
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, err = main(argv + ["--out", str(out)]), capsys.readouterr().err
+        assert code == run.code, err
+        for fragment in run.err:
+            assert fragment in err
+        assert "Traceback" not in err and "Warning" not in err
+        if run.files:
+            assert sorted(path.name for path in out.iterdir()) == sorted(run.files)
+        else:
+            assert not out.exists()
+    if run.rerun:
+        first, second = ({path.name: path.read_bytes() for path in out.iterdir()} for out in outs)
+        assert first == second
+    if run.check is not None:
+        run.check(outs[0])
+
 
 SCAN_INI = """
 [model]
@@ -831,212 +910,288 @@ def _ladder_file(tmp_path, edit) -> str:
     return f"[protocol]\nfile = {path}\n"
 
 
+MODEL_N4 = "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n"
 EFFECTIVE_ATC = "\n[effective]\nkind = atc\nn0 = 0\nk0 = 0\norder = "
 # a Stark term whose H(0) and detunings overflow
 OVERFLOW_MODEL = "[model]\nn_qubits = 2\nlambda = 0.006\nstark_u = 1e308\n\n"
 
 
+REFUSED_CONFIGS = [
+    Run(
+        "json-target-without-kind",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc["target"].pop("kind")),
+        err=("missing field or a field of the wrong type: 'kind'",),
+    ),
+    Run(
+        "inline-empty-target",
+        ("protocol",),
+        INLINE_PROTOCOL_INI.replace("target = basis 1 1", "target ="),
+        err=("[protocol] target",),
+    ),
+    Run(
+        "json-unknown-duration-rule",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(duration_rule="halfperiod")),
+        err=("protocol step 1: duration_rule",),
+    ),
+    Run(
+        "inline-unknown-duration-rule",
+        ("protocol",),
+        INLINE_PROTOCOL_INI.replace("half_period", "halfperiod"),
+        err=("[protocol] steps",),
+    ),
+    Run(
+        "inline-non-integer-order",
+        ("protocol",),
+        INLINE_PROTOCOL_INI.replace("atc 1 0 0", "atc one 0 0"),
+        err=("protocol step 1: order",),
+    ),
+    Run(
+        "inline-non-integer-target-cell",
+        ("protocol",),
+        INLINE_PROTOCOL_INI.replace("basis 1 1", "basis x 1"),
+        err=("[protocol] target",),
+    ),
+    Run(
+        "initial-with-preset",
+        ("protocol",),
+        "[protocol]\npreset = ghz_4\ninitial = 3 3\n",
+        err=("[protocol] initial applies",),
+    ),
+    Run(
+        "initial-with-file",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: None) + "initial = 3 3\n",
+        err=("[protocol] initial applies",),
+    ),
+    Run(
+        "target-with-preset",
+        ("protocol",),
+        "[protocol]\npreset = ghz_4\ntarget = basis 1 1\n",
+        err=("[protocol] target applies",),
+    ),
+    Run(
+        "target-with-file",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: None) + "target = basis 1 1\n",
+        err=("[protocol] target applies",),
+    ),
+    Run(
+        "scan-non-numeric-duration",
+        ("scan",),
+        SCAN_INI.replace("points = 161", "points = 161\nduration = abc"),
+        err=("[scan] duration",),
+    ),
+    Run(
+        "scan-nan-min-height",
+        ("scan",),
+        SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"),
+        err=("[scan] min_height",),
+    ),
+    Run(
+        "scan-points-above-cap",
+        ("scan",),
+        SCAN_INI.replace("points = 161", "points = 100002"),
+        err=("[scan] points = '100002'",),
+    ),
+    Run(
+        "validate-negative-seed",
+        ("validate",),
+        "[validate]\nseed = -3\n",
+        err=("[validate] seed = '-3': must be >= 0",),
+    ),
+    Run(
+        "scan-infinite-window-max",
+        ("scan",),
+        SCAN_INI.replace("window_max = 0.075", "window_max = inf"),
+        err=("[scan] window_max = 'inf': must be finite",),
+    ),
+    Run(
+        "scan-nan-window-min",
+        ("scan",),
+        SCAN_INI.replace("window_min = -0.325", "window_min = nan"),
+        err=("[scan] window_min = 'nan': must be finite",),
+    ),
+    Run("empty-preset", ("protocol",), "[protocol]\npreset =\n", err=("[protocol] preset = '': must be non-empty",)),
+    Run("empty-file", ("protocol",), "[protocol]\nfile =\n", err=("[protocol] file = '': must be non-empty",)),
+    Run(
+        "empty-output-directory",
+        ("validate",),
+        "[output]\ndirectory =\n",
+        err=("[output] directory = '': must be non-empty",),
+    ),
+    Run(
+        "json-boolean-lambda",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc.update({"lambda": True})),
+        err=("lambda must be a number, got True",),
+    ),
+    Run(
+        "json-boolean-order",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(order=True)),
+        err=("protocol step 1: order must be an integer, got True",),
+    ),
+    Run(
+        "json-boolean-initial-k",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc["initial"].update(k=False)),
+        err=("k must be an integer, got False",),
+    ),
+    Run(
+        "json-boolean-duration-rule",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(duration_rule=True)),
+        err=("protocol step 1: duration_rule must be half_period, quarter_period or a number, got True",),
+    ),
+    Run(
+        "effective-oversize-space",
+        ("effective",),
+        "[model]\nn_qubits = 1000000\nlambda = 0.1\nstark_u = -16\n\n"
+        "[effective]\nkind = atc\norder = 2\nn0 = 0\nk0 = 0\n",
+        err=("dimension",),
+    ),
+    Run(
+        "json-oversize-space",
+        ("protocol",),
+        lambda tmp: _ladder_file(
+            tmp, lambda doc: doc.update(N=1_000_000, steps=[{"kind": "atc", "order": 2, "n0": 0, "k0": 0}])
+        ),
+        err=("dimension",),
+    ),
+    Run(
+        "unknown-preset-in-section",
+        ("protocol",),
+        "[protocol]\npreset = nosuch\n",
+        err=("unknown protocol preset 'nosuch'; known presets: dicke_ladder_4, ghz_4",),
+    ),
+    Run(
+        "steps-without-target",
+        ("protocol",),
+        INLINE_PROTOCOL_INI.replace("target = basis 1 1\n", ""),
+        err=("[protocol] is missing required key 'target'",),
+    ),
+    Run("unparsable-config", ("scan",), "[model\nn_qubits = 4\n", err=("cannot parse config",)),
+    Run(
+        "second-order-at-zero-stark",
+        ("effective",),
+        "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = 0\n" + EFFECTIVE_ATC + "2\n",
+        err=("second-order selectivity requires a nonzero Stark coupling",),
+    ),
+    Run(
+        "zero-coupling",
+        ("effective",),
+        "[model]\nn_qubits = 4\nlambda = 0\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+        err=("target aTC(0,0) has zero coupling",),
+    ),
+    Run(
+        "second-order-bracket-without-root",
+        ("effective",),
+        "[model]\nn_qubits = 6\nlambda = 0.1\nstark_u = -16\n\n[effective]\nkind = tc\norder = 2\nn0 = 0\nk0 = 2\n",
+        err=(
+            "no sign change of the tilde frequency",
+            "lies outside that range, at omega_q = 4.333333333333333, the first-order resonance of aTC(0,4), aTC(2,2)",
+        ),
+    ),
+    Run(
+        "effective-second-order-lambda-overflow",
+        ("effective",),
+        "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
+        err=("error: ", "overflows at lambda = 1e+200"),
+    ),
+    Run(
+        "protocol-second-order-lambda-overflow",
+        ("protocol",),
+        "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -16\n\n"
+        "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
+        err=(
+            "error: ",
+            "protocol step 1 aTC(2)(0,0): the bracket omega_q = -1.0 +- 10 lambda^2 N / |U| overflows at lambda = 1e+200",
+        ),
+    ),
+    Run(
+        "effective-second-order-residual",
+        ("effective",),
+        "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
+        err=("error: root refinement left |tilde frequency| = 3.489e+200 > 1e-10 at omega_q = 0.0 in the bracket"
+                    " [-7.999999999999999e+201, 7.999999999999999e+201], lambda = 1e+100\n",),
+    ),
+    Run(
+        "protocol-second-order-residual",
+        ("protocol",),
+        "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n\n"
+        "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
+        err=(
+            "error: protocol step 1 aTC(2)(0,0): root refinement left |tilde frequency| = 3.489e+200",
+            "lambda = 1e+100",
+        ),
+    ),
+    Run(
+        "scan-stark-overflow",
+        ("scan",),
+        OVERFLOW_MODEL + "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 0\n"
+        "window_min = 1.9\nwindow_max = 2.1\npoints = 5\nduration = 1.0\n",
+        err=("error: stark_u = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",),
+    ),
+    Run(
+        "protocol-stark-overflow",
+        ("protocol",),
+        OVERFLOW_MODEL + "[protocol]\nsteps = atc 1 0 0\ntarget = basis 1 1\n",
+        err=("error: protocol step 1 aTC(0,0): stark_u = 1e+308 overflows H(0)",),
+    ),
+    Run(
+        "effective-lambda-overflow",
+        ("effective",),
+        "[model]\nn_qubits = 2\nlambda = 1e308\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+        err=("error: coupling (lambda) = 1e+308 overflows the coupling table at N = 2, n_max = 4\n",),
+    ),
+    Run(
+        "effective-omega-r-overflow",
+        ("effective",),
+        "[model]\nn_qubits = 2\nomega_r = 1e308\nlambda = 0.006\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
+        err=("error: omega_r = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",),
+    ),
+    Run(
+        "second-order-on-a-first-order-pole",
+        ("effective",),
+        "[model]\nn_qubits = 4\nlambda = 0.1350754965095557\nstark_u = -0.6318053729800619\n\n"
+        "[effective]\nkind = tc\norder = 2\nn0 = 1\nk0 = 2\n",
+        err=("below the 1e-09 floor", "the first-order resonance of TC(1,3)"),
+    ),
+    # a cell outside the space used to be refused naming no field, a
+    # protocol's target only after every step had been solved and evolved
+    Run(
+        "protocol-target-k-outside",
+        ("protocol",),
+        MODEL_N4 + "[protocol]\nsteps = atc 1 0 0\ntarget = basis 9 0\n",
+        err=("error: protocol target (9, 0): k=9 outside 0..4\n",),
+    ),
+    Run(
+        "protocol-target-n-outside",
+        ("protocol",),
+        MODEL_N4 + "[protocol]\nsteps = atc 1 0 0\ntarget = basis 0 9\n",
+        err=("error: protocol target (0, 9): n=9 outside 0..6\n",),
+    ),
+    Run(
+        "protocol-initial-k-outside",
+        ("protocol",),
+        MODEL_N4 + "[protocol]\nsteps = atc 1 0 0\ninitial = 7 0\ntarget = basis 1 1\n",
+        err=("error: protocol initial (7, 0): k=7 outside 0..4\n",),
+    ),
+    Run(
+        "scan-initial-k-outside",
+        ("scan",),
+        MODEL_N4 + "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 9\ninitial_n = 0\n"
+        "window_min = 1.9\nwindow_max = 2.1\n",
+        err=("error: scan initial_k = 9, initial_n = 0: k=9 outside 0..4\n",),
+    ),
+]
+
+
 class TestMalformedInputs:
-    @pytest.mark.parametrize(
-        "command, text, cause",
-        [
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: doc["target"].pop("kind")),
-                "missing field or a field of the wrong type: 'kind'",
-            ),
-            ("protocol", INLINE_PROTOCOL_INI.replace("target = basis 1 1", "target ="), "[protocol] target"),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(
-                    tmp, lambda doc: doc["steps"][0].update(duration_rule="halfperiod")
-                ),
-                "protocol step 1: duration_rule",
-            ),
-            (
-                "protocol",
-                INLINE_PROTOCOL_INI.replace("half_period", "halfperiod"),
-                "[protocol] steps",
-            ),
-            ("protocol", INLINE_PROTOCOL_INI.replace("atc 1 0 0", "atc one 0 0"), "protocol step 1: order"),
-            ("protocol", INLINE_PROTOCOL_INI.replace("basis 1 1", "basis x 1"), "[protocol] target"),
-            ("protocol", "[protocol]\npreset = ghz_4\ninitial = 3 3\n", "[protocol] initial applies"),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: None) + "initial = 3 3\n",
-                "[protocol] initial applies",
-            ),
-            ("protocol", "[protocol]\npreset = ghz_4\ntarget = basis 1 1\n", "[protocol] target applies"),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: None) + "target = basis 1 1\n",
-                "[protocol] target applies",
-            ),
-            ("scan", SCAN_INI.replace("points = 161", "points = 161\nduration = abc"), "[scan] duration"),
-            ("scan", SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"), "[scan] min_height"),
-            ("scan", SCAN_INI.replace("points = 161", "points = 100002"), "[scan] points = '100002'"),
-            ("validate", "[validate]\nseed = -3\n", "[validate] seed = '-3': must be >= 0"),
-            (
-                "scan",
-                SCAN_INI.replace("window_max = 0.075", "window_max = inf"),
-                "[scan] window_max = 'inf': must be finite",
-            ),
-            (
-                "scan",
-                SCAN_INI.replace("window_min = -0.325", "window_min = nan"),
-                "[scan] window_min = 'nan': must be finite",
-            ),
-            ("protocol", "[protocol]\npreset =\n", "[protocol] preset = '': must be non-empty"),
-            ("protocol", "[protocol]\nfile =\n", "[protocol] file = '': must be non-empty"),
-            ("validate", "[output]\ndirectory =\n", "[output] directory = '': must be non-empty"),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: doc.update({"lambda": True})),
-                "lambda must be a number, got True",
-            ),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(order=True)),
-                "protocol step 1: order must be an integer, got True",
-            ),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: doc["initial"].update(k=False)),
-                "k must be an integer, got False",
-            ),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(tmp, lambda doc: doc["steps"][0].update(duration_rule=True)),
-                "protocol step 1: duration_rule must be half_period, quarter_period or a number, got True",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 1000000\nlambda = 0.1\nstark_u = -16\n\n"
-                "[effective]\nkind = atc\norder = 2\nn0 = 0\nk0 = 0\n",
-                "dimension",
-            ),
-            (
-                "protocol",
-                lambda tmp: _ladder_file(
-                    tmp,
-                    lambda doc: doc.update(N=1_000_000, steps=[{"kind": "atc", "order": 2, "n0": 0, "k0": 0}]),
-                ),
-                "dimension",
-            ),
-            (
-                "protocol",
-                "[protocol]\npreset = nosuch\n",
-                "unknown protocol preset 'nosuch'; known presets: dicke_ladder_4, ghz_4",
-            ),
-            (
-                "protocol",
-                INLINE_PROTOCOL_INI.replace("target = basis 1 1\n", ""),
-                "[protocol] is missing required key 'target'",
-            ),
-            ("scan", "[model\nn_qubits = 4\n", "cannot parse config"),
-            (
-                "effective",
-                "[model]\nn_qubits = 4\nlambda = 0.1\nstark_u = 0\n" + EFFECTIVE_ATC + "2\n",
-                "second-order selectivity requires a nonzero Stark coupling",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 4\nlambda = 0\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
-                "target aTC(0,0) has zero coupling",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 6\nlambda = 0.1\nstark_u = -16\n\n[effective]\nkind = tc\norder = 2\nn0 = 0\nk0 = 2\n",
-                "lies outside that range, at omega_q = 4.333333333333333, the first-order resonance of aTC(0,4), aTC(2,2)",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
-                "overflows at lambda = 1e+200",
-            ),
-            (
-                "protocol",
-                "[model]\nn_qubits = 4\nlambda = 1e200\nstark_u = -16\n\n"
-                "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
-                "protocol step 1 aTC(2)(0,0): the bracket omega_q = -1.0 +- 10 lambda^2 N / |U| overflows at lambda = 1e+200",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n" + EFFECTIVE_ATC + "2\n",
-                "error: root refinement left |tilde frequency| = 3.489e+200 > 1e-10 at omega_q = 0.0 in the bracket"
-                " [-7.999999999999999e+201, 7.999999999999999e+201], lambda = 1e+100\n",
-            ),
-            (
-                "protocol",
-                "[model]\nn_qubits = 4\nlambda = 1e100\nstark_u = -0.5\n\n"
-                "[protocol]\nsteps = atc 2 0 0\ntarget = basis 2 2\n",
-                "error: protocol step 1 aTC(2)(0,0): root refinement left |tilde frequency| = 3.489e+200",
-            ),
-            (
-                "scan",
-                OVERFLOW_MODEL + "[scan]\nkind = atc\norder = 1\nn0 = 0\nk0 = 0\ninitial_k = 0\ninitial_n = 0\n"
-                "window_min = 1.9\nwindow_max = 2.1\npoints = 5\nduration = 1.0\n",
-                "error: stark_u = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",
-            ),
-            (
-                "protocol",
-                OVERFLOW_MODEL + "[protocol]\nsteps = atc 1 0 0\ntarget = basis 1 1\n",
-                "error: protocol step 1 aTC(0,0): stark_u = 1e+308 overflows H(0)",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 2\nlambda = 1e308\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
-                "error: coupling (lambda) = 1e+308 overflows the coupling table at N = 2, n_max = 4\n",
-            ),
-            (
-                "effective",
-                "[model]\nn_qubits = 2\nomega_r = 1e308\nlambda = 0.006\nstark_u = -0.5\n" + EFFECTIVE_ATC + "1\n",
-                "error: omega_r = 1e+308 overflows H(0) and the first-order detunings at N = 2, n_max = 4\n",
-            ),
-        ],
-        ids=[
-            "json-target-without-kind",
-            "inline-empty-target",
-            "json-unknown-duration-rule",
-            "inline-unknown-duration-rule",
-            "inline-non-integer-order",
-            "inline-non-integer-target-cell",
-            "initial-with-preset",
-            "initial-with-file",
-            "target-with-preset",
-            "target-with-file",
-            "scan-non-numeric-duration",
-            "scan-nan-min-height",
-            "scan-points-above-cap",
-            "validate-negative-seed",
-            "scan-infinite-window-max",
-            "scan-nan-window-min",
-            "empty-preset",
-            "empty-file",
-            "empty-output-directory",
-            "json-boolean-lambda",
-            "json-boolean-order",
-            "json-boolean-initial-k",
-            "json-boolean-duration-rule",
-            "effective-oversize-space",
-            "json-oversize-space",
-            "unknown-preset-in-section",
-            "steps-without-target",
-            "unparsable-config",
-            "second-order-at-zero-stark",
-            "zero-coupling",
-            "second-order-bracket-without-root",
-            "effective-second-order-lambda-overflow",
-            "protocol-second-order-lambda-overflow",
-            "effective-second-order-residual",
-            "protocol-second-order-residual",
-            "scan-stark-overflow",
-            "protocol-stark-overflow",
-            "effective-lambda-overflow",
-            "effective-omega-r-overflow",
-        ],
-    )
-    def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, text, cause):
+    @pytest.mark.parametrize("run", REFUSED_CONFIGS, ids=_run_name)
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, run):
         # each used to raise a traceback (exit 1), name no key or step, run
         # a full scan before failing, run ignoring the key (an empty output
         # directory, a JSON boolean read as 1 or 0), allocate the Omega
@@ -1045,14 +1200,7 @@ class TestMalformedInputs:
         # without naming lambda; a model whose H(0), coupling table or
         # detunings overflow used to warn, then exit 2 naming a NaN
         # Hermiticity defect or a JSON infinity
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text(tmp_path) if callable(text) else text)
-        out = tmp_path / "never"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert cause in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        _check_run(run, tmp_path, capsys)
 
     def test_broken_protocol_file_named(self, tmp_path, capsys):
         # used to exit 2 with the bare decoder message, naming no file
@@ -1081,22 +1229,30 @@ class TestMalformedInputs:
 MODEL_N6 = "[model]\nn_qubits = 6\nlambda = 0.006\nstark_u = -0.5\n"
 
 
+REFUSED_ARGS = [
+    Run(
+        "scan-unknown-preset",
+        ("scan", "--preset", "nosuch"),
+        err=("unknown scan preset 'nosuch'; known presets: fig2a",),
+    ),
+    Run(
+        "effective-unknown-preset",
+        ("effective", "--preset", "nosuch"),
+        err=("unknown scan preset 'nosuch'; known presets: fig2a",),
+    ),
+    Run(
+        "protocol-unknown-preset",
+        ("protocol", "--preset", "nosuch"),
+        err=("unknown protocol preset 'nosuch'; known presets: dicke_ladder_4",),
+    ),
+    Run("scan-no-job", ("scan",), err=("scan requires --preset NAME or a [scan] section",)),
+]
+
+
 class TestRefusals:
-    @pytest.mark.parametrize(
-        "args, cause",
-        [
-            (["scan", "--preset", "nosuch"], "unknown scan preset 'nosuch'; known presets: fig2a"),
-            (["effective", "--preset", "nosuch"], "unknown scan preset 'nosuch'; known presets: fig2a"),
-            (["protocol", "--preset", "nosuch"], "unknown protocol preset 'nosuch'; known presets: dicke_ladder_4"),
-            (["scan"], "scan requires --preset NAME or a [scan] section"),
-        ],
-        ids=["scan-unknown-preset", "effective-unknown-preset", "protocol-unknown-preset", "scan-no-job"],
-    )
-    def test_exits_2_naming_the_cause(self, tmp_path, capsys, args, cause):
-        out = tmp_path / "never"
-        assert main(args + ["--out", str(out)]) == 2
-        assert cause in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("run", REFUSED_ARGS, ids=_run_name)
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, run):
+        _check_run(run, tmp_path, capsys)
 
     @pytest.mark.parametrize("name", ["dicke_ladder_4", "ghz_4"])
     @pytest.mark.parametrize("via", ["flag", "section"])
@@ -1224,30 +1380,162 @@ OVERFLOWING_DIAGONAL_INI = (
 )
 
 
-@pytest.mark.parametrize(
-    "command, text, code, cause",
-    [
-        ("effective", OVERFLOWING_RATIO_INI, 0, ""),
-        ("scan", OVERFLOWING_DIAGONAL_INI, 2, "error: scan ratio -5e+307 gives omega_q 5e+307, at which the diagonal"),
-    ],
-    ids=["effective-ratio", "scan-diagonal"],
-)
-def test_overflows_run_clean_under_warnings_as_errors(tmp_path, command, text, code, cause):
+def _overflowing_ratio_is_null(out: Path) -> None:
+    rows = json.loads((out / "effective.json").read_text())["channels"]
+    assert any(row["ratio"] is None and not row["no_coupling"] for row in rows)
+
+
+OVERFLOWS = [
+    Run(
+        "effective-ratio",
+        ("effective",),
+        OVERFLOWING_RATIO_INI,
+        code=0,
+        files=("effective.json",),
+        process=True,
+        check=_overflowing_ratio_is_null,
+    ),
+    Run(
+        "scan-diagonal",
+        ("scan",),
+        OVERFLOWING_DIAGONAL_INI,
+        err=("error: scan ratio -5e+307 gives omega_q 5e+307, at which the diagonal",),
+        process=True,
+    ),
+]
+
+
+@pytest.mark.parametrize("run", OVERFLOWS, ids=_run_name)
+def test_overflows_run_clean_under_warnings_as_errors(tmp_path, capsys, run):
     # |delta| / Omega past the float range used to warn from the report, so
     # effective exited 1 with a traceback under -W error; omega_q (k - N/2)
     # past it used to warn twice, then refuse with a NaN Hermiticity defect
     # naming neither omega_q nor the ratio
-    cfg, out = tmp_path / "run.ini", tmp_path / "out"
-    cfg.write_text(text)
-    args = ["-W", "error::RuntimeWarning", "-m", "dickestark", command, "--config", str(cfg), "--out", str(out)]
-    proc = subprocess.run([sys.executable, *args], env=_package_env(), capture_output=True, text=True)
-    assert proc.returncode == code, proc.stderr
-    assert cause in proc.stderr and "Warning" not in proc.stderr
-    if code:
-        assert not out.exists()
-    else:
-        rows = json.loads((out / "effective.json").read_text())["channels"]
-        assert any(row["ratio"] is None and not row["no_coupling"] for row in rows)
+    _check_run(run, tmp_path, capsys)
+
+
+LADDER_N6_INI = """
+[model]
+n_qubits = 6
+lambda = 0.006
+stark_u = -0.5
+
+[protocol]
+samples = 2000
+steps =
+    atc 1 0 0 half_period
+    tc 1 0 1 half_period
+    atc 1 0 2 half_period
+    tc 1 0 3 half_period
+    atc 1 0 4 half_period
+    tc 1 0 5 half_period
+target = basis 6 0
+"""
+
+
+def _ladder_n6_holds(out: Path) -> None:
+    """Fidelity >= 0.98, and every step CSV holds each of its 2000 samples
+    once: a sample block skipped or written twice breaks a row's norm or its
+    nq. The odd parity (k + n odd) is never occupied, so its 31 columns read
+    exactly 0.0, which an unzeroed or shared row of the run's block breaks."""
+    assert json.loads((out / "summary.json").read_text())["fidelity"] >= 0.98
+    for step in range(1, 7):
+        header, *rows = (line.split(",") for line in (out / f"step{step}_trajectory.csv").read_text().splitlines())
+        assert len(rows) == 2000, step
+        k, n = np.array([[int(x) for x in name[len("pop_k") :].split("_n")] for name in header[4:]]).T
+        odd = [4 + i for i in np.flatnonzero((k + n) % 2).tolist()]
+        assert len(odd) == 31
+        assert all(row[i] == "0.0" for row in rows for i in odd), step
+        table = np.array(rows, dtype=float)
+        assert np.abs(table[:, 4:].sum(axis=1) - 1.0).max() <= 1e-10, step
+        assert np.abs(table[:, 2] - table[:, 4:] @ k).max() <= 1e-12, step
+
+
+def _model_two_levels_up(name: str) -> str:
+    """The preset's physics under a [model] two photon levels above its
+    derived cutoff."""
+    p = scan_preset(name).params
+    return (
+        f"[model]\nn_qubits = {p.n_qubits}\nlambda = {p.coupling!r}\n"
+        f"stark_u = {p.stark_u!r}\nn_max = {p.n_max + 2}\n"
+    )
+
+
+def _peaks_agree_with_the_derived_cutoff(name: str):
+    def check(out: Path) -> None:
+        derived_out = out.parent / "derived"
+        assert main(["scan", "--preset", name, "--out", str(derived_out)]) == 0
+        derived, higher = (json.loads((d / "peaks.json").read_text()) for d in (derived_out, out))
+        assert higher["n_max"] == derived["n_max"] + 2 and derived.keys() == higher.keys()
+        for key in derived.keys() - {"n_max"}:
+            assert abs(derived[key] - higher[key]) <= 1e-8, key
+
+    return check
+
+
+def _protocol_files(steps: int) -> tuple[str, ...]:
+    return (*(f"step{j}_trajectory.csv" for j in range(1, steps + 1)), "protocol.json", "summary.json")
+
+
+SCAN_FILES = ("scan.csv", "peaks.json")
+
+RUNS = [
+    # one preset per command, in a new interpreter with numerical warnings as errors
+    Run(
+        "scan-fig8-json",
+        ("scan", "--preset", "fig8", "--format", "json"),
+        code=0,
+        files=("scan.json", "peaks.json"),
+        process=True,
+    ),
+    Run("protocol-ghz_4", ("protocol", "--preset", "ghz_4"), code=0, files=_protocol_files(2), process=True),
+    Run("effective-fig7", ("effective", "--preset", "fig7"), code=0, files=("effective.json",), process=True),
+    Run("validate", ("validate",), code=0, files=("validation.json",), process=True),
+    *(
+        Run(f"scan-{name}-rerun", ("scan", "--preset", name), code=0, files=SCAN_FILES, rerun=True)
+        for name in sorted(SCAN_PRESETS)
+    ),
+    *(
+        Run(
+            f"scan-{name}-two-levels-up",
+            ("scan", "--preset", name),
+            _model_two_levels_up(name),
+            code=0,
+            files=SCAN_FILES,
+            check=_peaks_agree_with_the_derived_cutoff(name),
+        )
+        for name in ("fig3", "fig8")
+    ),
+    Run(
+        "protocol-dicke_ladder_4-rerun",
+        ("protocol", "--preset", "dicke_ladder_4"),
+        code=0,
+        files=_protocol_files(4),
+        rerun=True,
+    ),
+    Run(
+        "protocol-inline-two-steps",
+        ("protocol",),
+        MODEL_N4 + "[protocol]\nsteps =\n    atc 1 0 0 half_period\n    tc 1 0 1 half_period\ntarget = basis 2 0\n",
+        code=0,
+        files=_protocol_files(2),
+    ),
+    Run(
+        "protocol-ladder-n6",
+        ("protocol",),
+        LADDER_N6_INI,
+        code=0,
+        files=_protocol_files(6),
+        rerun=True,
+        check=_ladder_n6_holds,
+    ),
+    Run("validate-seed-7", ("validate",), "[validate]\nseed = 7\ndraws = 300\n", code=0, files=("validation.json",)),
+]
+
+
+@pytest.mark.parametrize("run", RUNS, ids=_run_name)
+def test_cli_run(tmp_path, capsys, run):
+    _check_run(run, tmp_path, capsys)
 
 
 def test_effective_presets_write_the_same_bytes_cold_warm_and_in_a_new_process(tmp_path):
@@ -1395,3 +1683,12 @@ def test_config_grammar_block_parses():
     assert cfg.protocol.spec == PROTOCOL_PRESETS["ghz_4"] and cfg.protocol.file is None
     assert cfg.protocol.samples == 400
     assert cfg.output.format == "csv"
+
+
+def test_imports_neither_scipy_nor_hypothesis():
+    # CI's runtime job runs this file with neither installed, so an import
+    # of either would fail there alone
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {name.split(".")[0] for name in names} & {"scipy", "hypothesis"}

@@ -220,6 +220,10 @@ class TestCounts:
             ModelParams(**{"n_qubits": 4, "n_max": 4, field: value})
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             replace(ModelParams(n_qubits=4, n_max=4), **{field: value})
+        # a space built directly: 2.0 used to give dimension 12.0 and a
+        # TypeError in dicke_state, True an N = 1 space
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            HilbertSpace(**{"n_qubits": 4, "n_max": 4, field: value})
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, np.intc])
     def test_numpy_integers_are_accepted_and_interned_as_ints(self, integer):

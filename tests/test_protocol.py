@@ -397,6 +397,25 @@ class TestPresetRecords:
             compile_from_rules(spec, ladder_params())
         assert type(err.value) is ValueError
 
+    @pytest.mark.parametrize(
+        "initial, target, message",
+        [
+            ((0, 0), (9, 0), r"^protocol target \(9, 0\): k=9 outside 0\.\.4$"),
+            ((0, 0), (0, 9), r"^protocol target \(0, 9\): n=9 outside 0\.\.6$"),
+            ((5, 0), (1, 1), r"^protocol initial \(5, 0\): k=5 outside 0\.\.4$"),
+        ],
+    )
+    def test_a_cell_outside_the_space_is_refused_before_any_step_is_solved(
+        self, monkeypatch, initial, target, message
+    ):
+        # the target used to be refused only after every step had been
+        # solved and evolved, naming no field
+        monkeypatch.setattr(protocol_module, "solve_resonance", lambda *a: pytest.fail("a step was solved"))
+        rules = (StepRule(ResonanceTarget("atc", 1, 0, 0), 0.5),)
+        spec = ProtocolSpec("outside", None, rules, initial, "basis", target)
+        with pytest.raises(ValueError, match=message):
+            compile_from_rules(spec, ladder_params())
+
 
 class TestGuards:
     def test_zero_step_protocol_rejected(self):
