@@ -13,8 +13,9 @@ block. If H couples the kept sectors to the rest, the block is the whole space.
 ``_Sector`` holds those sectors. It checks the symmetry of H (the builder
 does not) and that H leaves the kept block invariant. Both read only the
 off-diagonal of H, which all the H of a frequency scan, and all the steps of
-a protocol, share, so a scan and a protocol run them once; ``propagate``
-runs them once per H, and ``evolve`` unless it is given them. The kept
+a protocol, share with the model's cached H(0) (``model._affine_parts``), so
+a scan and a protocol run them once, on that H(0); ``propagate`` runs them
+once per H, and ``evolve`` unless it is given them. The kept
 sector's flat indices are the space's (``HilbertSpace.parity_indices``,
 computed once per (N, n_max) per process); the kept block's flat positions
 are built with the checks, once per scan, protocol run, ``propagate`` or

@@ -38,6 +38,7 @@ of its two cells, and G1 G2 of each path. Nothing in it depends on omega_q,
 so it is built once per (kind, n, k, N, n_max, lambda, U, omega_r) and kept
 in a per-model cache of ``model.MODEL_CACHE_SIZE`` entries: the solver
 iterates on it, and the coupling and duration at the tuned model reuse it.
+The solver names a pole, -(base + c) at omega_q = 0, from its steps' (G, c).
 ``second_order`` evaluates it once. ``rwa_validity_report`` gathers the
 numerators of every Stark step of the four offset levels and of both
 quotients of the six paths of the four families from the Omega table,
@@ -270,8 +271,8 @@ def _closure(kind: str, n: int, k: int, n_q: int, n_max: int, coupling: float, s
     the sums' order (the Stark steps of the from-cell, of the to-cell, then
     each path's two) is refused."""
     frm, to, paths = _FAMILIES[kind]
-    # steps 0-3 leave the from-cell, 4-7 the to-cell, each in _STEPS order
-    steps = [s for dk, dn in (frm, to) for s in _cell_steps(n + dn, k + dk, n_q, n_max, coupling, stark_u)]
+    cells = {(dk, dn): _cell_steps(n + dn, k + dk, n_q, n_max, coupling, stark_u) for dk, dn in (frm, to)}
+    steps = cells[frm] + cells[to]  # 0-3 leave the from-cell, 4-7 the to-cell, each in _STEPS order
     s0, s1, s2, s3, s4, s5, s6, s7 = squares = [g * g for g, _ in steps]
     c0, c1, c2, c3, c4, c5, c6, c7 = (c for _, c in steps)
     # each path as (G1 G2, back step, out step); a one-path family gets a
@@ -309,6 +310,7 @@ def _closure(kind: str, n: int, k: int, n_q: int, n_max: int, coupling: float, s
         coupling = 0.0 - ((g1 / w[j1] + g1 / w[i1]) if g1 else 0.0) - ((g2 / w[j2] + g2 / w[i2]) if g2 else 0.0)
         return 0.5 * coupling, w[last_out] - w[last_back] + shift_to - shift_from
 
+    evaluate.cells = cells  # each cell's _cell_steps, by offset: read by _nearest_pole on a refusal only
     return evaluate
 
 
@@ -367,17 +369,18 @@ def tilde_frequency(target: ResonanceTarget, params: ModelParams) -> float:
     return second_order(target.channel, target.n0, target.k0, params)[1]
 
 
-def _nearest_pole(target: ResonanceTarget, params: ModelParams, lo: float, hi: float) -> str:
+def _nearest_pole(target: ResonanceTarget, evaluate, omega_r: float, lo: float, hi: float) -> str:
     """The pole of the target's tilde frequency nearest [lo, hi], or the
-    point lo = hi: a step it reads, with G != 0, has omega = 0 at
-    omega_q = -(base + c) with base taken at omega_q = 0, where the step's
-    first-order channel is resonant."""
-    base = (0.0 - params.omega_r, params.omega_r + 0.0)
+    point lo = hi, from the steps' (G, c) that its closure ``evaluate``
+    holds: a step with G != 0 has omega = 0 at omega_q = -(base + c) with
+    base taken at omega_q = 0, where the step's first-order channel is
+    resonant. The cells are read in ``_CELLS`` order, which for tc2 is the
+    reverse of the closure's (from, to); the first-listed pole wins a tie."""
+    base = (0.0 - omega_r, omega_r + 0.0)
     poles = {}
     for dk0, dn0 in _CELLS[target.channel]:
         n, k = target.n0 + dn0, target.k0 + dk0
-        steps = _cell_steps(n, k, params.n_qubits, params.n_max, params.coupling, params.stark_u)
-        for (dk, dn), (g, c) in zip(_STEPS, steps):
+        for (dk, dn), (g, c) in zip(_STEPS, evaluate.cells[dk0, dn0]):
             plus = dk == dn
             if g != 0.0:
                 channel = ResonanceTarget("atc" if plus else "tc", 1, n + min(dn, 0), k + min(dk, 0))
@@ -428,7 +431,7 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
         try:
             return evaluate(omega_q)[1]
         except DegenerateDetuningError as exc:
-            pole = _nearest_pole(target, params, omega_q, omega_q)
+            pole = _nearest_pole(target, evaluate, params.omega_r, omega_q, omega_q)
             raise DegenerateDetuningError(f"{exc} at omega_q = {omega_q}{pole}") from None
 
     f_lo, f_hi = objective(lo), objective(hi)
@@ -440,7 +443,7 @@ def solve_second_order_resonance(target: ResonanceTarget, params: ModelParams) -
         raise ResonanceBracketError(
             f"no sign change of the tilde frequency over omega_q in [{lo}, {hi}]"
             f" ({f_lo:.3g} at the low end, {f_hi:.3g} at the high end)"
-            + _nearest_pole(target, params, lo, hi)
+            + _nearest_pole(target, evaluate, params.omega_r, lo, hi)
         )
     root = _illinois(objective, lo, hi, f_lo, f_hi)
     residual = objective(root)

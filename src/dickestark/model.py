@@ -292,6 +292,16 @@ def _space(n_qubits: int, n_max: int) -> HilbertSpace:
     return HilbertSpace(int(n_qubits), int(n_max))
 
 
+def _affine(params: ModelParams, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The model's ``_affine_parts``, refusing a space but the one of its (N, n_max)."""
+    if (space.n_qubits, space.n_max) != (params.n_qubits, params.n_max):
+        raise ValueError(
+            f"space (N = {space.n_qubits}, n_max = {space.n_max}) does not match the model's"
+            f" (N = {params.n_qubits}, n_max = {params.n_max})"
+        )
+    return _affine_parts(params.n_qubits, params.n_max, params.coupling, params.stark_u, params.omega_r)
+
+
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     """Exact Dicke-Stark Hamiltonian on the symmetric space, as a real
     symmetric matrix:
@@ -311,17 +321,12 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     full product basis, an independent route.
 
     The matrix is not checked for Hermiticity here: the kernel checks the H
-    it is given, once (``dynamics._Sector``), and a scan only its first H.
+    it is given, once (``dynamics._Sector``), and a scan and a protocol run
+    check H(0) instead, whose off-diagonal every H of theirs shares.
     ``space`` must be the one of (N, n_max): another space of the same
     dimension would index a different basis.
     """
-    if (space.n_qubits, space.n_max) != (params.n_qubits, params.n_max):
-        raise ValueError(
-            f"space (N = {space.n_qubits}, n_max = {space.n_max}) does not match the model's"
-            f" (N = {params.n_qubits}, n_max = {params.n_max})"
-        )
-    n = params.n_qubits
-    h0, jz_half = _affine_parts(n, params.n_max, params.coupling, params.stark_u, params.omega_r)
+    h0, jz_half = _affine(params, space)
     h = h0.copy()
     h.ravel()[:: h.shape[0] + 1] += params.omega_q * jz_half  # a view: h is contiguous
     return Operator(space, _read_only(h))

@@ -34,7 +34,9 @@ from .effective import _require_fraction
 from .model import (
     HilbertSpace,
     ModelParams,
+    Operator,
     StateVector,
+    _affine,
     _retuned,
     build_hamiltonian,
     build_space,
@@ -362,10 +364,10 @@ def run_protocol(
     top-photon-level guard along every trajectory.
 
     The kernel's symmetry and sector checks (``dynamics._Sector``) run once,
-    on the first step's H: every step's H shares its off-diagonal, and H
-    conserves parity, so the occupied sector never changes. Each step still
-    builds its H, at the step's omega_q (``model._retuned``), and
-    diagonalizes its sector block.
+    before the first step, on the model's cached H(0) (``model._affine``):
+    every step's H shares its off-diagonal, and H conserves parity, so the
+    occupied sector never changes. Each step still builds its H, at the
+    step's omega_q (``model._retuned``), and diagonalizes its sector block.
 
     The steps' populations are the rows of one (steps, samples, dimension)
     block (``_population_block``), taken after ``samples`` is checked and
@@ -385,11 +387,11 @@ def run_protocol(
     _require_samples(samples)
     block = _population_block((len(protocol.steps), samples, space.dimension))
     psi = dicke_state(space, *protocol.initial)
+    h0, _ = _affine(params, space)
+    sector = _Sector(Operator(space, h0), psi.amplitudes)
     trajectories = []
-    sector = None
     for index, (step, out) in enumerate(zip(protocol.steps, block), start=1):
         h = build_hamiltonian(_retuned(params, step.omega_q), space)
-        sector = sector or _Sector(h, psi.amplitudes)
         try:
             traj = evolve(psi, h, step.duration, samples=samples, sector=sector, _out=out)
         except ValueError as exc:  # the phase limit, named for the step as the cutoff guard is
@@ -418,28 +420,51 @@ def run_protocol(
     )
 
 
+# The keys ``ProtocolSpec.to_json`` writes, per object of a protocol document.
+# ``name`` and a step's ``duration_rule`` are optional; a ghz target has no k, n.
+_JSON_KEYS = {
+    "document": {"name", "N", "omega_r", "lambda", "U", "initial", "target", "steps"},
+    "initial": {"k", "n"},
+    "target": {"kind", "k", "n"},
+    "step": {"kind", "order", "n0", "k0", "duration_rule"},
+}
+
+
+def _require_keys(entry, kind: str, where: str | None = None):
+    """``entry``, refusing a JSON object with a key outside ``_JSON_KEYS[kind]``,
+    naming the keys and ``where`` (default ``kind``) they sit. Anything but
+    an object passes, for the field reads to refuse."""
+    unknown = sorted(set(entry) - _JSON_KEYS[kind]) if isinstance(entry, dict) else []
+    if unknown:
+        raise ValueError(f"unknown keys in protocol {where or kind}: {', '.join(map(repr, unknown))}")
+    return entry
+
+
 def protocol_from_json(text: str) -> ProtocolSpec:
     """The record a protocol document holds; frequencies and durations are
     recompiled, never stored. Steps and target follow the same grammar as an
-    INI ``[protocol]`` section. The model is cut off at the default for the
-    record's highest start photon: detunings do not depend on the cutoff."""
+    INI ``[protocol]`` section, and an unknown key is refused, as it is
+    there. The model is cut off at the default for the record's highest
+    start photon: detunings do not depend on the cutoff."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"protocol document is not valid JSON: {exc}") from None
     try:
+        _require_keys(doc, "document")
         params = ModelParams(
             n_qubits=_number("N", doc["N"]),
             omega_r=_number("omega_r", doc["omega_r"], float),
             coupling=_number("lambda", doc["lambda"], float),
             stark_u=_number("U", doc["U"], float),
         )
-        initial = parse_cell([doc["initial"]["k"], doc["initial"]["n"]])
-        target = doc["target"]
+        start = _require_keys(doc["initial"], "initial")
+        initial = parse_cell([start["k"], start["n"]])
+        target = _require_keys(doc["target"], "target")
         kind, cell = parse_target([target["kind"], *(target[f] for f in ("k", "n") if f in target)])
+        steps = [_require_keys(e, "step", f"step {i}") for i, e in enumerate(doc["steps"], start=1)]
         rules = parse_steps(
-            [e["kind"], e["order"], e["n0"], e["k0"], e.get("duration_rule", HALF_PERIOD)]
-            for e in doc["steps"]
+            [e["kind"], e["order"], e["n0"], e["k0"], e.get("duration_rule", HALF_PERIOD)] for e in steps
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(

@@ -5,7 +5,8 @@ resonance peaks.
 The scan axis is the dimensionless ratio (omega_r - omega_q) / omega_r.
 Every ratio, its omega_q and the duration are checked before the first
 build. The kernel's per-scan checks (``dynamics._Sector``) run once, on the
-first point's H. Each point then costs one build, of the model retuned to
+model's cached H(0), whose off-diagonal every point's H shares, before the
+first build. Each point then costs one build, of the model retuned to
 its omega_q (``model._retuned``, which runs the model's own checks), and
 one ``eigh`` of its sector block (``_Sector.eigh``), written into one row of
 a SCAN_CHUNK-row table of eigenvalues and one of eigenvectors. Each full
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
 from .dynamics import CUTOFF_POPULATION, CutoffExceededError, _evolved, _Sector
 from .dynamics import observables, propagate  # not called here: perfbench/tracer.py wraps these names
 from .effective import ResonanceTarget, omega_q_from_ratio
-from .model import HilbertSpace, ModelParams, StateVector, _affine_parts, _retuned, build_hamiltonian
+from .model import HilbertSpace, ModelParams, Operator, StateVector, _affine, _affine_parts, _retuned
+from .model import build_hamiltonian
 
 # Bounds the grid's memory and run time (each point diagonalizes one H).
 MAX_SCAN_POINTS = 100_001
@@ -94,20 +95,18 @@ def resonance_scan(
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
     _require_finite_diagonal(ratios, omega_qs, params)
-    hamiltonians = (build_hamiltonian(_retuned(params, w), space) for w in omega_qs.tolist())
-    first = next(hamiltonians)
-    sector = _Sector(first, psi0.amplitudes)  # every point's H shares the first one's off-diagonal
+    h0, _ = _affine(params, space)
+    sector = _Sector(Operator(space, h0), psi0.amplitudes)  # every point's H shares H(0)'s off-diagonal
     m = sector.kept.size
     values, vectors = np.empty((SCAN_CHUNK, m)), np.empty((SCAN_CHUNK, m, m))
     psi = psi0.amplitudes[sector.kept, None]
     ks, ns = (numbers[sector.kept] for numbers in space.excitation_numbers())
     readouts = np.column_stack([ks, ns, ns == space.n_max])  # nq, nph and the top photon level's population
     curve = np.empty((ratios.size, 3))
-    points = chain([first], hamiltonians)
     for start in range(0, ratios.size, SCAN_CHUNK):
         size = min(SCAN_CHUNK, ratios.size - start)
-        for row, h in enumerate(islice(points, size)):
-            values[row], vectors[row] = sector.eigh(h)
+        for row, omega_q in enumerate(omega_qs[start : start + size].tolist()):
+            values[row], vectors[row] = sector.eigh(build_hamiltonian(_retuned(params, omega_q), space))
         final = _evolved(values[:size], vectors[:size], psi, duration)[..., 0]
         pops = final.real**2 + final.imag**2
         chunk = np.matmul(pops, readouts, out=curve[start : start + size])
@@ -197,7 +196,10 @@ def scan_grid(window: tuple[float, float], points: int = DEFAULT_SCAN_POINTS) ->
         raise ValueError(f"points must be an integer, got {points!r}")
     if not 2 <= points <= MAX_SCAN_POINTS:
         raise ValueError(f"points must lie in 2..{MAX_SCAN_POINTS}, got {points}")
-    return np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, points)
+    if not np.all(np.diff(grid) > 0):  # hi - lo spans too few floats
+        raise ValueError(f"window {window} is too narrow for {points} strictly increasing points")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -914,6 +914,8 @@ MODEL_N4 = "[model]\nn_qubits = 4\nlambda = 0.006\nstark_u = -0.5\n\n"
 EFFECTIVE_ATC = "\n[effective]\nkind = atc\nn0 = 0\nk0 = 0\norder = "
 # a Stark term whose H(0) and detunings overflow
 OVERFLOW_MODEL = "[model]\nn_qubits = 2\nlambda = 0.006\nstark_u = 1e308\n\n"
+# a step whose misspelt duration_rule used to be dropped, running a half period
+MISSPELT_STEP = {"kind": "atc", "order": 1, "n0": 0, "k0": 0, "duraton_rule": "quarter_period"}
 
 
 REFUSED_CONFIGS = [
@@ -922,6 +924,12 @@ REFUSED_CONFIGS = [
         ("protocol",),
         lambda tmp: _ladder_file(tmp, lambda doc: doc["target"].pop("kind")),
         err=("missing field or a field of the wrong type: 'kind'",),
+    ),
+    Run(
+        "json-misspelt-step-key",
+        ("protocol",),
+        lambda tmp: _ladder_file(tmp, lambda doc: doc.update(steps=[MISSPELT_STEP])),
+        err=("error: [protocol] file = ", ": unknown keys in protocol step 1: 'duraton_rule'\n"),
     ),
     Run(
         "inline-empty-target",
@@ -988,6 +996,14 @@ REFUSED_CONFIGS = [
         ("scan",),
         SCAN_INI.replace("points = 161", "points = 161\nmin_height = nan"),
         err=("[scan] min_height",),
+    ),
+    Run(
+        "scan-window-too-narrow-for-its-points",
+        ("scan",),
+        SCAN_INI.replace("window_min = -0.325", "window_min = 1.9")
+        .replace("window_max = 0.075", "window_max = 1.9000000000000001")
+        .replace("points = 161", "points = 801"),
+        err=("error: window (1.9, 1.9000000000000001) is too narrow for 801 strictly increasing points\n",),
     ),
     Run(
         "scan-points-above-cap",

@@ -459,6 +459,56 @@ class TestSecondOrderResonances:
         with pytest.raises(DegenerateDetuningError, match=message):
             solve_second_order_resonance(ResonanceTarget("tc", 2, 1, 2), p)
 
+    def test_named_pole_is_the_nearest_first_order_root(self):
+        # Second-order refusals drawn at N = 2..7, both with no sign change
+        # over the bracket and with an iterate on a pole. The oracle lists
+        # the root -delta(omega_q = 0) of every coupled channel that a step
+        # from the target pair drives, cell by cell in the pair's order and
+        # step by step in the order below. The named pole must be the root
+        # nearest the bracket (or the iterate), the first-listed winning a
+        # tie, and its labels every listed channel at that root. The
+        # refusals were matched only up to the pole's leading digits.
+        steps = ((-1, 1), (-1, -1), (1, -1), (1, 1))  # (dk, dn), in the solver's summation order
+        rng = np.random.default_rng(1939_340_2)
+        seen = {(n_qubits, case): 0 for n_qubits in range(2, 8) for case in ("no sign change", "on a pole")}
+        for draw in range(3000):
+            if min(seen.values()) >= 2:
+                break
+            n_qubits, n0, kind = 2 + draw % 6, int(rng.integers(0, 3)), ("tc", "atc")[draw // 6 % 2]
+            target = ResonanceTarget(kind, 2, n0, int(rng.integers(0, n_qubits - 1)))
+            params = ModelParams(
+                n_qubits=n_qubits,
+                coupling=float(rng.uniform(0.01, 0.3)),
+                stark_u=float(rng.uniform(-8.0, 8.0)),
+                n_max=default_n_max(n0, n_qubits),
+            )
+            try:
+                solve_second_order_resonance(target, params)
+                continue
+            except DegenerateDetuningError as exc:
+                message, case = str(exc), "on a pole"
+                lo = hi = float(re.search(r" at omega_q = (\S+);", message)[1])
+            except ResonanceBracketError as exc:
+                message, case = str(exc), "no sign change"
+                lo, hi = map(float, re.search(r"^no sign change .* in \[(\S+), (\S+)\]", message).groups())
+            at_zero = replace(params, omega_q=0.0)
+            roots = []
+            for k, n in target.pair():
+                for dk, dn in steps:
+                    nn, kk = n + min(dn, 0), k + min(dk, 0)
+                    if cell_omega(nn, kk, params) != 0.0:
+                        plus = dk == dn
+                        root = -(delta_plus if plus else delta_minus)(nn, kk, at_zero)
+                        roots.append((root, f"{'aTC' if plus else 'TC'}({nn},{kk})"))
+            distances = [max(lo - root, root - hi, 0.0) for root, _ in roots]
+            pole = roots[distances.index(min(distances))][0]
+            labels = ", ".join(label for root, label in roots if root == pole)
+            where = "" if lo == hi else f" {'inside' if lo <= pole <= hi else 'outside'} that range,"
+            tail = f"; the nearest pole lies{where} at omega_q = {pole!r}, the first-order resonance of {labels}"
+            assert message.endswith(tail), (params, target, message, tail)
+            seen[n_qubits, case] += 1
+        assert min(seen.values()) >= 2, seen
+
     def test_matches_brentq_oracle(self):
         # scipy is a test-only oracle. Targets: the fig7 / ghz_4 step-1 and
         # fig8 / ghz_4 step-2 resonances, then seeded draws whose default

@@ -541,11 +541,32 @@ def count_kernel_calls(monkeypatch, caller):
     return calls
 
 
+def checked_matrices(monkeypatch) -> list:
+    """The matrices the symmetry check is called on, in call order; patched
+    over ``count_kernel_calls``, whose count still sees every call."""
+    seen = []
+    check = Operator.require_hermitian
+
+    def recording(op):
+        seen.append(op.matrix)
+        return check(op)
+
+    monkeypatch.setattr(Operator, "require_hermitian", recording)
+    return seen
+
+
+def assert_bit_equal_to_h0(matrix, params):
+    """``matrix`` is the model's cached H(0), bit for bit."""
+    h0, _ = model._affine_parts(params.n_qubits, params.n_max, params.coupling, params.stark_u, params.omega_r)
+    assert (matrix.dtype, matrix.shape, matrix.tobytes()) == (h0.dtype, h0.shape, h0.tobytes())
+
+
 def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     """One build and one eigh per grid point, and one Hermiticity check per
     scan: the builder does not check, and the points' H share their
-    off-diagonal, which the kernel checks once, on the first H."""
+    off-diagonal with H(0), which the kernel checks once."""
     calls = count_kernel_calls(monkeypatch, scan)
+    checked = checked_matrices(monkeypatch)
     preset = scan_preset("fig3")
     space = build_space(preset.params)
     psi0 = dicke_state(space, preset.initial_k, preset.initial_n)
@@ -553,20 +574,23 @@ def test_scan_point_builds_checks_and_diagonalizes_once(monkeypatch):
     curve = resonance_scan(psi0, scan_grid(preset.window, 17), duration, preset.params, space)
     assert curve.nq.size == 17
     assert calls == {"build": 17, "hermitian": 1, "eigh": 17}
+    assert_bit_equal_to_h0(*checked, preset.params)
 
 
 @pytest.mark.parametrize("name, steps", [("ghz_4", 2), ("dicke_ladder_4", 4)])
 def test_protocol_step_builds_checks_and_diagonalizes_once(monkeypatch, name, steps):
     """One build and one eigh per step, and one Hermiticity check per
-    protocol: every step's H shares H(0)'s off-diagonal, and H conserves
-    parity, so the occupied sector never changes."""
+    protocol, on H(0): every step's H shares its off-diagonal, and H
+    conserves parity, so the occupied sector never changes."""
     spec = protocol_preset(name)
     compiled = protocol.compile_from_rules(spec, spec.params)
     space = build_space(spec.params)
     calls = count_kernel_calls(monkeypatch, protocol)
+    checked = checked_matrices(monkeypatch)
     result = protocol.run_protocol(compiled, spec.params, space)
     assert len(result.per_step) == steps
     assert calls == {"build": steps, "hermitian": 1, "eigh": steps}
+    assert_bit_equal_to_h0(*checked, spec.params)
 
 
 def per_point_propagate_scan(psi0, ratios, duration, params, space):
@@ -638,6 +662,11 @@ def test_scan_refuses_the_space_of_another_model_before_any_eigh(monkeypatch):
     psi0 = dicke_state(swapped, 0, 0)
     with pytest.raises(ValueError, match=r"space \(N = 5, n_max = 2\) does not match the model's \(N = 2, n_max = 5\)"):
         resonance_scan(psi0, np.array([0.5]), 50.0, params, swapped)
+    # a space of another dimension is named alike, not by the shape check of
+    # the H(0) that the scan's sector is checked on
+    other = model.HilbertSpace(n_qubits=3, n_max=3)
+    with pytest.raises(ValueError, match=r"space \(N = 3, n_max = 3\) does not match the model's \(N = 2, n_max = 5\)"):
+        resonance_scan(dicke_state(other, 0, 0), np.array([0.5]), 50.0, params, other)
     assert calls["eigh"] == 0
 
 

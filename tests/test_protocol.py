@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -459,6 +460,10 @@ class TestGuards:
         assert swapped.dimension == build_space(params).dimension
         with pytest.raises(ValueError, match=r"space \(N = 8, n_max = 4\) does not match the model's \(N = 4, n_max = 8\)"):
             run_protocol(compile_ghz4(params), params, swapped)
+        # a space of another dimension is named alike, not by the shape check
+        # of the H(0) that the run's sector is checked on
+        with pytest.raises(ValueError, match=r"space \(N = 4, n_max = 6\) does not match the model's \(N = 4, n_max = 8\)"):
+            run_protocol(compile_ghz4(params), params, HilbertSpace(n_qubits=4, n_max=6))
 
     @pytest.mark.parametrize("samples", [1, -3, MAX_SAMPLES + 1])
     def test_bad_samples_refused_before_the_block(self, samples):
@@ -580,6 +585,29 @@ class TestSerialization:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="missing field"):
             protocol_from_json("[]")
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda doc: doc.update(nmae="ladder"), "document: 'nmae'"),
+            (lambda doc: doc["initial"].update(m=0), "initial: 'm'"),
+            (lambda doc: doc["target"].update(kin="basis"), "target: 'kin'"),
+            (lambda doc: doc["steps"][0].update(duraton_rule="quarter_period"), "step 1: 'duraton_rule'"),
+            (lambda doc: doc["steps"][1].update(b=1, a=2), "step 2: 'a', 'b'"),
+        ],
+    )
+    def test_unknown_key_names_the_key_and_where_it_sits(self, edit, where):
+        # a misspelt duration_rule used to be dropped, and its step read as
+        # a half period
+        doc = json.loads(compile_dicke_ladder(4, 2, ladder_params()).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match="^" + re.escape(f"unknown keys in protocol {where}") + "$"):
+            protocol_from_json(json.dumps(doc))
+
+    def test_name_stays_optional(self):
+        doc = json.loads(compile_dicke_ladder(4, 2, ladder_params()).to_json())
+        del doc["name"]
+        assert protocol_from_json(json.dumps(doc)).name == "custom"
 
 
 class TestGrammar:
